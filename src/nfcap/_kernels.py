@@ -171,26 +171,47 @@ def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
 
 
 def _mc_grid_np(g1, g2, ip_re, ip_im, n_a, n_b, n_psi):
-    a = np.linspace(0.0, 1.0, n_a)
-    b = np.linspace(0.0, 1.0, n_b)
-    A2, B2 = np.meshgrid(a, b, indexing="ij")
-    ip = ip_re + 1j * ip_im
+    # Real arithmetic on an (n_a, n_b) plane per phase: a runs down the
+    # rows, b along the columns. With e*ip = c + j s,
+    #   norm2   = a^2 g1 + b^2 g2 + 2ab c
+    #   |v1|^2  = (a g1 + b c)^2 + (b s)^2
+    #   |v2|^2  = (a Re ip + b g2 cos psi)^2 + (b g2 sin psi - a Im ip)^2
+    a_row = np.linspace(0.0, 1.0, n_a)
+    b_row = np.linspace(0.0, 1.0, n_b)
+    a = a_row[:, None]
+    b = b_row[None, :]
+    base = a * a * g1 + b * b * g2
+    two_ab = 2 * a * b
+    a_g1, a_re, a_im = a * g1, a * ip_re, a * ip_im
+    b_g2 = b * g2
+    psis = 2.0 * np.pi * np.arange(n_psi) / n_psi
+    # in-place planes: m holds |v1|^2 and then the ratio, t holds |v2|^2
+    norm2, m, t, u = (np.empty((n_a, n_b)) for _ in range(4))
     best = 0.0
     arg = (1.0, 0.0, 0.0)
-    for psi in 2.0 * np.pi * np.arange(n_psi) / n_psi:
-        e = np.exp(1j * psi)
-        norm2 = A2 * A2 * g1 + B2 * B2 * g2 + 2 * A2 * B2 * (e * ip).real
-        v1 = A2 * g1 + B2 * e * ip
-        v2 = A2 * np.conj(ip) + B2 * e * g2
+    for psi, cs, sn in zip(psis, np.cos(psis), np.sin(psis)):
+        c = cs * ip_re - sn * ip_im
+        s = sn * ip_re + cs * ip_im
+        np.multiply(two_ab, c, out=norm2)
+        norm2 += base
+        np.add(a_g1, b * c, out=m)
+        m *= m
+        m += (b * s) ** 2
+        np.add(a_re, b_g2 * cs, out=t)
+        t *= t
+        np.subtract(b_g2 * sn, a_im, out=u)
+        u *= u
+        t += u
+        np.minimum(m, t, out=m)
         with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.minimum(np.abs(v1) ** 2, np.abs(v2) ** 2) / norm2
-        m = np.where(norm2 > 1e-300, m, 0.0)
+            m /= norm2
+        m[~(norm2 > 1e-300)] = 0.0
         flat = int(np.argmax(m))
         cand = float(m.flat[flat])
         if cand > best:
             best = cand
             ia, ib = divmod(flat, n_b)
-            arg = (float(a[ia]), float(b[ib]), float(psi))
+            arg = (float(a_row[ia]), float(b_row[ib]), float(psi))
     return best, arg[0], arg[1], arg[2]
 
 

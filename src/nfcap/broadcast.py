@@ -102,23 +102,56 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class CovariancePair:
-    """Rank-one downlink transmit covariance matrices for two users."""
+    """Rank-one downlink transmit covariances for two users, in factor form.
 
-    sigma1: np.ndarray
-    sigma2: np.ndarray
+    User k's covariance is Sigma_k = scale_k * beam_k beam_k^H, so it is
+    Hermitian and positive semidefinite by construction and costs O(M)
+    memory. ``sigma1`` and ``sigma2`` build the dense M x M matrices on
+    demand, for inspection at small M.
+    """
+
+    scale1: float
+    beam1: np.ndarray
+    scale2: float
+    beam2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, mat in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
-            arr = np.asarray(mat, dtype=np.complex128)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"{name} must be a square matrix")
-            if not np.allclose(arr, arr.conj().T, atol=1e-12 * (1 + np.abs(arr).max())):
-                raise ValueError(f"{name} must be Hermitian")
-            object.__setattr__(self, name, arr)
+        for k in (1, 2):
+            scale = float(getattr(self, f"scale{k}"))
+            if not math.isfinite(scale) or scale < 0.0:
+                raise ValueError(f"scale{k} must be finite and nonnegative, got {scale}")
+            beam = np.asarray(getattr(self, f"beam{k}"), dtype=np.complex128)
+            if beam.ndim != 1 or not np.all(np.isfinite(beam)):
+                raise ValueError(f"beam{k} must be a finite 1-D vector")
+            object.__setattr__(self, f"scale{k}", scale)
+            object.__setattr__(self, f"beam{k}", beam)
+        if self.beam1.size != self.beam2.size:
+            raise ValueError(
+                f"beam sizes differ: {self.beam1.size} vs {self.beam2.size}"
+            )
 
     @property
     def total_power(self) -> float:
-        return float(np.trace(self.sigma1).real + np.trace(self.sigma2).real)
+        """trace(Sigma1) + trace(Sigma2)."""
+        return self.scale1 * float(np.vdot(self.beam1, self.beam1).real) + (
+            self.scale2 * float(np.vdot(self.beam2, self.beam2).real)
+        )
+
+    def quad(self, k: int, h: np.ndarray) -> float:
+        """h^H Sigma_k h = scale_k |beam_k^H h|^2 for user k in {1, 2}."""
+        if k not in (1, 2):
+            raise ValueError(f"user index must be 1 or 2, got {k}")
+        beam = self.beam1 if k == 1 else self.beam2
+        scale = self.scale1 if k == 1 else self.scale2
+        return scale * float(abs(np.vdot(beam, h))) ** 2
+
+    @property
+    def sigma1(self) -> np.ndarray:
+        return self.scale1 * np.outer(self.beam1, self.beam1.conj())
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        return self.scale2 * np.outer(self.beam2, self.beam2.conj())
 
 
 class ConvergenceError(RuntimeError):
@@ -243,19 +276,20 @@ def bc_covariance_recovery(
     alloc: PowerAllocation,
     cfg: BcConfig,
 ) -> CovariancePair:
-    """Downlink covariance matrices achieving the dual-uplink rates.
+    """Downlink covariances achieving the dual-uplink rates.
 
     Channels are noise-normalized first. With user 2 encoded without
     knowledge of user 1's signal,
 
         Lambda  = I - p2 hb2 hb2^H / (1 + p2 g2n)
         Sigma1  = p1 Lambda hb1 hb1^H Lambda / (hb1^H Lambda hb1)
-        Sigma2  = p2 (1 + hb2^H Sigma1 hb2) / g2n * hb2 hb2^H / g2n
+        Sigma2  = p2 (1 + hb2^H Sigma1 hb2) / g2n * hb2 hb2^H
 
     where hb_k = h_k / sigma_k and g_kn = ||hb_k||^2. The pair is rank
     one each, uses exactly p1 + p2 total power, and reproduces the
     dual-uplink rate pair in which user 2 is decoded free of
-    interference.
+    interference. Both covariances are returned as factors (beam
+    Lambda hb1, resp. hb2, and a scale), so nothing of size M^2 is built.
     """
     if len(alloc.p_per_user) != 2 or cfg.num_users != 2:
         raise ValueError("covariance recovery is defined for exactly two users")
@@ -263,11 +297,9 @@ def bc_covariance_recovery(
     v2 = _as_vector(h2, "h2")
     if v1.size != v2.size:
         raise ValueError(f"channel sizes differ: {v1.size} vs {v2.size}")
-    m = v1.size
     p1, p2 = alloc.p_per_user
     if p1 <= 0.0 and p2 <= 0.0:
-        zero = np.zeros((m, m), dtype=np.complex128)
-        return CovariancePair(zero, zero.copy())
+        return CovariancePair(0.0, v1, 0.0, v2)
     s1, s2 = cfg.noise_var_per_user
     hb1 = v1 / math.sqrt(s1)
     hb2 = v2 / math.sqrt(s2)
@@ -276,21 +308,23 @@ def bc_covariance_recovery(
     if (p1 > 0.0 and g1n <= 0.0) or (p2 > 0.0 and g2n <= 0.0):
         raise ValueError("cannot allocate power to a zero channel")
 
+    beam1 = hb1
+    scale1 = 0.0
     if p1 > 0.0:
-        lam_h1 = hb1.copy()
         if p2 > 0.0:
-            lam_h1 -= hb2 * (p2 * np.vdot(hb2, hb1) / (1.0 + p2 * g2n))
-        quad = float(np.vdot(hb1, lam_h1).real)
-        sigma1 = p1 * np.outer(lam_h1, lam_h1.conj()) / quad
-    else:
-        sigma1 = np.zeros((m, m), dtype=np.complex128)
-
+            beam1 = hb1 - hb2 * (p2 * np.vdot(hb2, hb1) / (1.0 + p2 * g2n))
+        quad = float(np.vdot(hb1, beam1).real)
+        if not quad > 0.0:
+            raise ValueError(
+                "user 1 keeps no signal once user 2's beam is projected out: "
+                f"hb1^H Lambda hb1 = {quad!r}"
+            )
+        scale1 = p1 / quad
+    scale2 = 0.0
     if p2 > 0.0:
-        seen = float(np.vdot(hb2, sigma1 @ hb2).real)
-        sigma2 = (p2 * (1.0 + seen) / g2n) * np.outer(hb2, hb2.conj())
-    else:
-        sigma2 = np.zeros((m, m), dtype=np.complex128)
-    return CovariancePair(sigma1, sigma2)
+        seen = scale1 * abs(np.vdot(beam1, hb2)) ** 2
+        scale2 = p2 * (1.0 + seen) / g2n
+    return CovariancePair(scale1, beam1, scale2, hb2)
 
 
 def bc_region_two_user(

@@ -204,6 +204,12 @@ def mac_capacity_two_user(
         + gamma2 * g2
         + gamma1 * gamma2 * g1 * g2 * (1.0 - rho)
     )
+    if not math.isfinite(arg):
+        raise ValueError(
+            "uplink capacity overflows: 1 + gamma1*g1 + gamma2*g2 + "
+            f"gamma1*gamma2*g1*g2*(1 - rho) is not finite for g=({g1}, {g2}), "
+            f"gamma=({gamma1}, {gamma2}), rho={rho}"
+        )
     return math.log2(arg)
 
 

@@ -6,7 +6,6 @@ Chebyshev-Gauss rule (CCF) and are what the capacity sweeps run on, since
 they stay cheap at apertures where a vector would not even fit in memory.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,38 +148,19 @@ def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,
 
 
 def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> float:
-    """Closed-form FF CCF, piecewise in the direction-cosine offsets.
+    """Closed-form FF CCF: the product of the two per-axis Dirichlet ratios.
 
-    The generic branch is the product of the two per-axis Dirichlet ratios
-    over M^2 and matches the exact FF inner product to rounding. The two
-    single-axis branches keep their published M^2 denominators, which are
-    only consistent with a linear array; when that disagrees with the
-    dimensionally consistent per-axis count by more than 1e-6 a warning is
-    emitted so the discrepancy is never silent.
+    Per axis the ratio is (1 - cos(m dphi)) / (1 - cos dphi) over m^2,
+    with the limit value 1 when the direction-cosine offset on that axis
+    vanishes. The product matches the exact FF inner product to rounding
+    in every case, including users that share one direction cosine, and
+    is exactly 1 when they share both.
     """
     k0d = 2 * np.pi / geom.wavelength * geom.pitch_d
     dphi = k0d * (u1.dir_x - u2.dir_x)
     dome = k0d * (u1.dir_z - u2.dir_z)
     den_x = 1.0 - np.cos(dphi)
     den_z = 1.0 - np.cos(dome)
-    x_degenerate = abs(den_x) < 1e-12
-    z_degenerate = abs(den_z) < 1e-12
-    ratio_x = geom.m_x**2 if x_degenerate else (1.0 - np.cos(geom.m_x * dphi)) / den_x
-    ratio_z = geom.m_z**2 if z_degenerate else (1.0 - np.cos(geom.m_z * dome)) / den_z
-    m2 = geom.m_total**2
-    if x_degenerate and z_degenerate:
-        return 1.0
-    if z_degenerate:
-        printed = ratio_x / m2
-        consistent = ratio_x / geom.m_x**2
-    elif x_degenerate:
-        printed = ratio_z / m2
-        consistent = ratio_z / geom.m_z**2
-    else:
-        return float(ratio_x * ratio_z / m2)
-    if abs(printed - consistent) > 1e-6:
-        warnings.warn(
-            "FF CCF printed branch deviates from the per-axis form by "
-            f"{abs(printed - consistent):.3e}; exact-vector ccf_exact is "
-            "authoritative here", stacklevel=2)
-    return float(printed)
+    ratio_x = geom.m_x**2 if abs(den_x) < 1e-12 else (1.0 - np.cos(geom.m_x * dphi)) / den_x
+    ratio_z = geom.m_z**2 if abs(den_z) < 1e-12 else (1.0 - np.cos(geom.m_z * dome)) / den_z
+    return float(ratio_x * ratio_z / geom.m_total**2)

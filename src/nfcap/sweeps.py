@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .broadcast import (
     BcConfig,
+    CovariancePair,
     bc_asymptotics,
     bc_capacity_two_user,
     bc_covariance_recovery,
@@ -482,7 +483,8 @@ def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
                 scenario.channel_model, geom, users
             )
             alloc_ex = bc_power_allocation_two_user(g1_ex, g2_ex, rho_ex, bc_cfg)
-            duality_gap = _duality_gap(vecs, alloc_ex, bc_cfg)
+            covs = bc_covariance_recovery(vecs[0], vecs[1], alloc_ex, bc_cfg)
+            duality_gap = _duality_gap(covs, vecs, alloc_ex, bc_cfg)
             if duality_gap > TOL_BC_DUALITY_ABS:
                 ok = False
                 violations.append(
@@ -499,16 +501,16 @@ def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
     )
 
 
-def _duality_gap(vecs, alloc, cfg: BcConfig) -> float:
+def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
     """Worst per-user difference between downlink rates achieved by the
-    recovered covariances and the dual-uplink successive-decoding rates.
+    recovered covariances ``covs`` and the dual-uplink successive-decoding
+    rates.
     """
-    pair = bc_covariance_recovery(vecs[0], vecs[1], alloc, cfg)
     e1 = np.asarray(vecs[0].entries) / math.sqrt(cfg.noise_var_per_user[0])
     e2 = np.asarray(vecs[1].entries) / math.sqrt(cfg.noise_var_per_user[1])
-    q11 = float(np.vdot(e1, pair.sigma1 @ e1).real)
-    q21 = float(np.vdot(e2, pair.sigma1 @ e2).real)
-    q22 = float(np.vdot(e2, pair.sigma2 @ e2).real)
+    q11 = covs.quad(1, e1)
+    q21 = covs.quad(1, e2)
+    q22 = covs.quad(2, e2)
     r1_dl = math.log2(1.0 + q11)
     r2_dl = math.log2(1.0 + q22 / (1.0 + q21))
     g1n = float(np.vdot(e1, e1).real)
@@ -878,7 +880,8 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
         )
     )
     alloc = bc_power_allocation_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg)
-    gap = _duality_gap(vecs, alloc, bc_cfg)
+    covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, bc_cfg)
+    gap = _duality_gap(covs, vecs, alloc, bc_cfg)
     checks.append(
         CheckRow(
             "downlink duality",
@@ -888,12 +891,11 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
             gap <= TOL_BC_DUALITY_ABS,
         )
     )
-    pair = bc_covariance_recovery(vecs[0], vecs[1], alloc, bc_cfg)
-    trace_err = abs(pair.total_power - alloc.total)
+    trace_err = abs(covs.total_power - alloc.total)
     checks.append(
         CheckRow(
             "downlink covariance power",
-            pair.total_power,
+            covs.total_power,
             alloc.total,
             "abs <= 1e-6 * P",
             trace_err <= 1e-6 * power,

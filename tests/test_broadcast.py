@@ -3,6 +3,7 @@ regions, iterative water-filling, and transmit precoding.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,15 +127,63 @@ def test_capacity_at_least_best_single_user(rng):
 
 def test_covariance_pair_container_checks():
     v = np.array([1.0 + 1j, 0.5 - 0.25j])
+    pair = CovariancePair(1.0, v, 0.5, v)
     outer = np.outer(v, v.conj())
-    pair = CovariancePair(sigma1=outer, sigma2=0.5 * outer)
     assert pair.total_power == pytest.approx(1.5 * np.trace(outer).real, rel=1e-12)
+    np.testing.assert_allclose(pair.sigma2, 0.5 * outer, rtol=1e-15)
     with pytest.raises(ValueError):
-        CovariancePair(sigma1=outer, sigma2=np.ones((2, 3)))
-    skew = outer.copy()
-    skew[0, 1] = 99.0
+        CovariancePair(1.0, v, 0.5, np.ones(3))
     with pytest.raises(ValueError):
-        CovariancePair(sigma1=skew, sigma2=outer)
+        CovariancePair(1.0, outer, 0.5, v)
+    for bad_scale in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CovariancePair(bad_scale, v, 0.5, v)
+    with pytest.raises(ValueError):
+        CovariancePair(1.0, np.array([1.0, math.nan]), 0.5, v)
+    with pytest.raises(ValueError):
+        pair.quad(3, v)
+
+
+def test_recovery_rejects_parallel_channels_with_both_users_on():
+    h = np.array([1.0 + 0j, 0.0])
+    cfg = BcConfig(total_power_P=2e17, noise_var_per_user=(1.0, 1.0))
+    with pytest.raises(ValueError, match="no signal"):
+        bc_covariance_recovery(h, h, PowerAllocation((1.0, 1e17)), cfg)
+
+
+def test_covariance_factors_match_dense_forms(rng):
+    """quad and total_power agree with the dense matrices they stand for."""
+    for _ in range(10):
+        m = int(rng.integers(2, 12))
+        h1, h2 = (rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(2))
+        cfg = BcConfig(10.0 ** rng.uniform(0, 3), tuple(10.0 ** rng.uniform(-1, 1, 2)))
+        alloc = PowerAllocation(tuple(rng.uniform(0.1, 1.0, 2) * cfg.total_power_P / 2))
+        pair = bc_covariance_recovery(h1, h2, alloc, cfg)
+        dense = (pair.sigma1, pair.sigma2)
+        trace = sum(float(np.trace(sigma).real) for sigma in dense)
+        assert pair.total_power == pytest.approx(trace, rel=1e-12)
+        for k, sigma in zip((1, 2), dense):
+            for h in (h1, h2, rng.normal(size=m) + 1j * rng.normal(size=m)):
+                assert pair.quad(k, h) == pytest.approx(
+                    float(np.vdot(h, sigma @ h).real), rel=1e-12
+                )
+
+
+def test_covariance_recovery_memory_is_linear(ref_geometry, user1, user2_dd):
+    """At 65x65 the recovery keeps factors only; two dense covariances
+    would need 2 * 16 * 4225^2 bytes, about 571 MB."""
+    h1 = nf_channel_vector(ref_geometry, user1)
+    h2 = nf_channel_vector(ref_geometry, user2_dd)
+    cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
+    alloc = bc_power_allocation_two_user(gain_exact(h1), gain_exact(h2), ccf_exact(h1, h2), cfg)
+    tracemalloc.start()
+    try:
+        pair = bc_covariance_recovery(h1, h2, alloc, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert pair.total_power == pytest.approx(alloc.total, abs=1e-6 * REF_POWER)
 
 
 def test_recovery_with_idle_user_two_is_matched_beam(rng):

@@ -54,6 +54,15 @@ def test_capacity_input_validation():
         sic_rates_two_user(0.1, 0.2, 0.3, 10.0, 10.0, "u3_first")
 
 
+def test_capacity_overflow_raises_instead_of_inf():
+    with pytest.raises(ValueError, match="not finite"):
+        mac_capacity_two_user(1e200, 1e200, 0.0, 1.0, 1.0)
+    # large but finite arguments keep their value
+    assert mac_capacity_two_user(1e150, 1e150, 1.0, 1.0, 1.0) == pytest.approx(
+        math.log2(1.0 + 2e150), rel=1e-15
+    )
+
+
 def test_sic_corners_sum_to_capacity(rng):
     for _ in range(100):
         g1, g2, rho, s1, s2 = random_instance(rng)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_POWER, REF_SNR, synth_pair
+from nfcap import _kernels
 from nfcap.broadcast import BcConfig
 from nfcap.geometry import nf_channel_vector
 from nfcap.mac import MacConfig, mac_capacity_general
@@ -124,6 +125,41 @@ def test_mc_grid_orthogonal_channels_balance():
     h2 = np.array([0.0, 1.0 + 0j])
     best, _ = mc_beam_grid_oracle(h1, h2, (1.0, 1.0), 30.0)
     assert best == pytest.approx(math.log2(1 + 15.0), abs=1e-3)
+
+
+def _grid_values(g1, g2, ip, a, b, psi):
+    """min_k |h_k^H w|^2 / |w|^2 of w = a hb1 + b e^{j psi} hb2, complex."""
+    e = np.exp(1j * psi)
+    norm2 = a * a * g1 + b * b * g2 + 2 * a * b * (e * ip).real
+    v1 = a * g1 + b * e * ip
+    v2 = a * np.conj(ip) + b * e * g2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.minimum(np.abs(v1) ** 2, np.abs(v2) ** 2) / norm2
+    return np.where(norm2 > 1e-300, vals, 0.0)
+
+
+def test_mc_grid_kernel_matches_complex_brute_force(rng):
+    """The real-arithmetic scan finds the best value of a plain complex
+    evaluation of every cell; the argmax may move among tied cells (same
+    a/b ratio), so the returned cell is checked by re-evaluating it."""
+    n_a, n_b, n_psi = 41, 41, 16
+    a = np.linspace(0.0, 1.0, n_a)[None, :, None]
+    b = np.linspace(0.0, 1.0, n_b)[None, None, :]
+    psi = (2.0 * np.pi * np.arange(n_psi) / n_psi)[:, None, None]
+    cases = [(1.0, 1.0, 0.0), (0.3, 2.0, 0.3 * 2.0), (1e-4, 1.0, 0.0)]
+    for _ in range(20):
+        g1, g2 = 10.0 ** rng.uniform(-4, 1, size=2)
+        rho = rng.choice([rng.uniform(0.0, 1.0), 1.0])
+        cases.append((g1, g2, rho * g1 * g2))
+    for g1, g2, ip_abs2 in cases:
+        ip = math.sqrt(ip_abs2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        brute = float(_grid_values(g1, g2, ip, a, b, psi).max())
+        best, a_best, b_best, psi_best = _kernels._mc_grid_np(
+            g1, g2, ip.real, ip.imag, n_a, n_b, n_psi
+        )
+        assert best == pytest.approx(brute, rel=1e-12)
+        again = float(_grid_values(g1, g2, ip, a_best, b_best, psi_best))
+        assert again == pytest.approx(best, rel=1e-12)
 
 
 def test_element_sums_match_vector_forms_nf(small_geometry, user1, user2_dd):

@@ -4,6 +4,7 @@ cases.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,20 +150,31 @@ def test_ff_ccf_generic_matches_exact_inner_product(ref_geometry, user1, user2_d
     assert closed == pytest.approx(exact, rel=1e-9)
 
 
-def test_ff_ccf_single_axis_degenerate_warns(ref_geometry):
-    """When exactly one direction-cosine difference vanishes the printed
-    form deviates from the per-axis product; a diagnostic warning fires.
+def test_ff_ccf_single_axis_degenerate_matches_exact(small_geometry):
+    """When exactly one direction-cosine difference vanishes the closed
+    form is still the per-axis product and matches the exact FF inner
+    product; the published M^2 form would be off by m^2 on the other axis.
     """
     u1 = UserLocation(range_r=10.0, azimuth_theta=math.pi / 3, elevation_phi=math.pi / 2)
-    u2 = UserLocation(
+    same_dir_x = UserLocation(
         range_r=5.0,
         azimuth_theta=math.acos(0.5 / math.sin(math.pi / 3)),
         elevation_phi=math.pi / 3,
     )
-    assert abs(u1.dir_x - u2.dir_x) < 1e-15
-    assert abs(u1.dir_z - u2.dir_z) > 1e-3
-    with pytest.warns(UserWarning):
-        ff_ccf_closed(ref_geometry, u1, u2)
+    assert abs(u1.dir_x - same_dir_x.dir_x) < 1e-15
+    assert abs(u1.dir_z - same_dir_x.dir_z) > 1e-3
+    same_elevation = UserLocation(
+        range_r=5.0, azimuth_theta=2 * math.pi / 3, elevation_phi=math.pi / 2
+    )
+    assert u1.dir_z == same_elevation.dir_z
+    assert abs(u1.dir_x - same_elevation.dir_x) > 1e-3
+    h1 = ff_channel_vector(small_geometry, u1)
+    for u2 in (same_dir_x, same_elevation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = ff_ccf_closed(small_geometry, u1, u2)
+        exact = ccf_exact(h1, ff_channel_vector(small_geometry, u2))
+        assert closed == pytest.approx(exact, rel=1e-12)
 
 
 def test_ula_gain_closed_reference_value():
