@@ -30,6 +30,7 @@ __all__ = [
     "SweepSpec",
     "Scenario",
     "parse_angle",
+    "db_to_linear",
     "load_scenario",
     "default_scenario",
 ]
@@ -87,6 +88,20 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {raw!r}") from None
 
 
+def db_to_linear(value_db: float) -> float:
+    """The linear ratio 10^(value_db / 10).
+
+    Raises ValueError above about 3082 dB, where the ratio overflows a
+    float.
+    """
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"{value_db!r} dB overflows a float (at most about 3082 dB)"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A swept variable and its grid, sorted ascending."""
@@ -109,7 +124,8 @@ class SweepSpec:
         vals = tuple(sorted(float(v) for v in self.values))
         if self.variable == "m_per_axis":
             for v in vals:
-                if v != int(v) or int(v) < 1 or int(v) % 2 == 0:
+                if (not math.isfinite(v) or v != int(v) or int(v) < 1
+                        or int(v) % 2 == 0):
                     raise ScenarioError(
                         f"m_per_axis sweep values must be odd positive integers, got {v}"
                     )
@@ -195,6 +211,17 @@ def _get_int(
         return int(text)
     except ValueError:
         raise ScenarioError(f"[{section}] {key}: cannot parse {text!r} as an integer")
+
+
+def _get_db(
+    cp: configparser.ConfigParser, section: str, key: str, default: str
+) -> float:
+    "A dB setting, returned as its linear ratio."
+    value_db = _get_float(cp, section, key, default)
+    try:
+        return db_to_linear(value_db)
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {key}: {exc}") from None
 
 
 def _get_angle(
@@ -287,13 +314,11 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     model = _get(cp, "link", "model", "nf").upper()
     if model not in ("NF", "FF"):
         raise ScenarioError(f"[link] model must be 'nf' or 'ff', got {model!r}")
-    snr_db = _get_float(cp, "link", "snr_db", "30")
-    power_db = _get_float(cp, "link", "power_db", "30")
+    snr = _get_db(cp, "link", "snr_db", "30")
+    power = _get_db(cp, "link", "power_db", "30")
     noise1 = _get_float(cp, "link", "noise_var1", "1.0")
     noise2 = _get_float(cp, "link", "noise_var2", "1.0")
     nodes = _get_int(cp, "link", "quadrature_nodes", "200")
-    snr = 10.0 ** (snr_db / 10.0)
-    power = 10.0 ** (power_db / 10.0)
 
     r1 = _get_float(cp, "user1", "range_m", "10.0")
     az1 = _get_angle(cp, "user1", "azimuth", "pi/3")

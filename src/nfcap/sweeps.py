@@ -15,6 +15,7 @@ computations grow with the square of the element count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ from .broadcast import (
     bc_region_two_user,
     linear_precoder_sum_rate,
 )
-from .config import Scenario, ScenarioError
+from .config import Scenario, ScenarioError, db_to_linear
 from .geometry import (
     ArrayGeometry,
     UserLocation,
@@ -171,39 +172,71 @@ def _apply_point(
     bc_cfg = scenario.bc_cfg
     if value is None:
         return geom, users, mac_cfg, bc_cfg
-    try:
-        if variable == "m_per_axis":
-            m = int(value)
-            geom = ArrayGeometry(
-                m_x=m,
-                m_z=m,
-                pitch_d=geom.pitch_d,
-                wavelength=geom.wavelength,
-                element_side=geom.element_side,
-            )
-        elif variable == "r2_m":
-            old = users[1]
-            users = (
-                users[0],
-                UserLocation(
-                    range_r=float(value),
-                    azimuth_theta=old.azimuth_theta,
-                    elevation_phi=old.elevation_phi,
-                ),
-            )
-        elif variable == "snr_db":
-            snr = 10.0 ** (value / 10.0)
-            mac_cfg = MacConfig(snr_per_user=(snr,) * len(mac_cfg.snr_per_user))
-        elif variable == "power_db":
-            bc_cfg = BcConfig(
-                total_power_P=10.0 ** (value / 10.0),
-                noise_var_per_user=bc_cfg.noise_var_per_user,
-            )
-        else:
-            raise ScenarioError(f"unsupported sweep variable {variable!r}")
-    except ValueError as exc:
-        raise ScenarioError(f"at sweep point {variable}={value}: {exc}") from None
+    if variable == "m_per_axis":
+        m = int(value)
+        geom = ArrayGeometry(
+            m_x=m,
+            m_z=m,
+            pitch_d=geom.pitch_d,
+            wavelength=geom.wavelength,
+            element_side=geom.element_side,
+        )
+    elif variable == "r2_m":
+        old = users[1]
+        users = (
+            users[0],
+            UserLocation(
+                range_r=float(value),
+                azimuth_theta=old.azimuth_theta,
+                elevation_phi=old.elevation_phi,
+            ),
+        )
+    elif variable == "snr_db":
+        snr = db_to_linear(value)
+        mac_cfg = MacConfig(snr_per_user=(snr,) * len(mac_cfg.snr_per_user))
+    elif variable == "power_db":
+        bc_cfg = BcConfig(
+            total_power_P=db_to_linear(value),
+            noise_var_per_user=bc_cfg.noise_var_per_user,
+        )
+    else:
+        raise ScenarioError(f"unsupported sweep variable {variable!r}")
     return geom, users, mac_cfg, bc_cfg
+
+
+def _point_error(exc: ValueError, variable: str, value: float | None) -> ScenarioError:
+    """The ScenarioError to raise for a ValueError met while evaluating
+    one sweep point: the scenario asked for a value that the geometry or
+    the formulas cannot take. Names the point unless ``value`` is None.
+    """
+    if isinstance(exc, ScenarioError):
+        return exc
+    where = "" if value is None else f"at sweep point {variable}={value}: "
+    return ScenarioError(f"{where}{exc}")
+
+
+def _nominal_point(runner):
+    "Report a ValueError of a command without a sweep as a ScenarioError."
+
+    @functools.wraps(runner)
+    def wrapper(*args, **kwargs):
+        try:
+            return runner(*args, **kwargs)
+        except ValueError as exc:
+            raise _point_error(exc, "point", None) from None
+
+    return wrapper
+
+
+def _finite(columns: Sequence[str], row: Sequence[float]) -> tuple[float, ...]:
+    "The row as a tuple; ValueError naming the first column that is not finite."
+    if not all(map(math.isfinite, row)):
+        name, v = next((n, v) for n, v in zip(columns, row) if not math.isfinite(v))
+        raise ValueError(
+            f"{name} = {v!r}: the link budget is beyond the floating-point "
+            "range of the formulas"
+        )
+    return tuple(row)
 
 
 def _point_value(value: float | None) -> float:
@@ -217,6 +250,12 @@ def _pair_stats(
     u2: UserLocation,
     nodes: int,
 ) -> tuple[float, float, float]:
+    """Gains and correlation (g1, g2, rho) of one channel.
+
+    ``run_channel``, ``run_mac``, ``run_bc`` and ``run_mc`` memoise this
+    for the length of one call, so an SNR or power sweep evaluates its
+    single channel once.
+    """
     if model == "NF":
         g1 = nf_gain_closed(geom, u1)
         g2 = nf_gain_closed(geom, u2)
@@ -237,7 +276,7 @@ def _exact_pair(
     e2 = np.asarray(vecs[1].entries)
     g1 = float(np.vdot(e1, e1).real)
     g2 = float(np.vdot(e2, e2).real)
-    rho = abs(np.vdot(e1, e2)) ** 2 / (g1 * g2)
+    rho = float(abs(np.vdot(e1, e2)) ** 2 / (g1 * g2))
     return vecs, g1, g2, rho
 
 
@@ -269,38 +308,42 @@ def run_channel(scenario: Scenario, verify: bool = False) -> SweepResult:
         columns += ["g1_oracle", "g2_oracle", "ccf_oracle", "verify_ok"]
     rows = []
     violations: list[str] = []
+    pair_stats = functools.cache(_pair_stats)
     for value in points:
-        geom, users, _, _ = _apply_point(scenario, variable, value)
-        u1, u2 = users[0], users[1]
-        g1, g2, rho = _pair_stats(
-            scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-        )
-        row = [_point_value(value), g1, g2, rho]
-        if verify:
-            _check_verify_size(geom)
-            model = scenario.channel_model.lower()
-            g1_o = gain_sum_oracle(geom, u1, model=model)
-            g2_o = gain_sum_oracle(geom, u2, model=model)
-            rho_o = ccf_sum_oracle(geom, u1, u2, model=model)
-            gain_tol = TOL_GAIN_REL if model == "nf" else TOL_FF_STATS_ABS
-            ccf_tol = TOL_CCF_ABS if model == "nf" else TOL_FF_STATS_ABS
-            ok = True
-            for name, closed, oracle in (("g1", g1, g1_o), ("g2", g2, g2_o)):
-                rel = abs(closed - oracle) / oracle if oracle > 0 else 0.0
-                if rel > gain_tol:
+        try:
+            geom, users, _, _ = _apply_point(scenario, variable, value)
+            u1, u2 = users[0], users[1]
+            g1, g2, rho = pair_stats(
+                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
+            )
+            row = [_point_value(value), g1, g2, rho]
+            if verify:
+                _check_verify_size(geom)
+                model = scenario.channel_model.lower()
+                g1_o = gain_sum_oracle(geom, u1, model=model)
+                g2_o = gain_sum_oracle(geom, u2, model=model)
+                rho_o = ccf_sum_oracle(geom, u1, u2, model=model)
+                gain_tol = TOL_GAIN_REL if model == "nf" else TOL_FF_STATS_ABS
+                ccf_tol = TOL_CCF_ABS if model == "nf" else TOL_FF_STATS_ABS
+                ok = True
+                for name, closed, oracle in (("g1", g1, g1_o), ("g2", g2, g2_o)):
+                    rel = abs(closed - oracle) / oracle if oracle > 0 else 0.0
+                    if rel > gain_tol:
+                        ok = False
+                        violations.append(
+                            f"{variable}={row[0]:g}: {name} closed {closed!r} vs "
+                            f"oracle {oracle!r} exceeds rel tol {gain_tol:g}"
+                        )
+                if abs(rho - rho_o) > ccf_tol:
                     ok = False
                     violations.append(
-                        f"{variable}={row[0]:g}: {name} closed {closed!r} vs "
-                        f"oracle {oracle!r} exceeds rel tol {gain_tol:g}"
+                        f"{variable}={row[0]:g}: ccf closed {rho!r} vs oracle "
+                        f"{rho_o!r} exceeds abs tol {ccf_tol:g}"
                     )
-            if abs(rho - rho_o) > ccf_tol:
-                ok = False
-                violations.append(
-                    f"{variable}={row[0]:g}: ccf closed {rho!r} vs oracle "
-                    f"{rho_o!r} exceeds abs tol {ccf_tol:g}"
-                )
-            row += [g1_o, g2_o, rho_o, 1.0 if ok else 0.0]
-        rows.append(tuple(row))
+                row += [g1_o, g2_o, rho_o, 1.0 if ok else 0.0]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
     return SweepResult(
         tuple(columns),
         tuple(rows),
@@ -339,60 +382,64 @@ def run_mac(scenario: Scenario, verify: bool = False) -> SweepResult:
         columns += ["c_oracle", "verify_ok"]
     rows = []
     violations: list[str] = []
+    pair_stats = functools.cache(_pair_stats)
     for value in points:
-        geom, users, mac_cfg, _ = _apply_point(scenario, variable, value)
-        u1, u2 = users[0], users[1]
-        s1, s2 = mac_cfg.snr_per_user
-        g1, g2, rho = _pair_stats(
-            scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-        )
-        cap = mac_capacity_two_user(g1, g2, rho, s1, s2)
-        ca = sic_rates_two_user(g1, g2, rho, s1, s2, "u1_first")
-        cb = sic_rates_two_user(g1, g2, rho, s1, s2, "u2_first")
-        combiners = [
-            linear_combiner_sum_rate(scheme, g1, g2, rho, s1, s2)
-            for scheme in ("opt", "mrc", "zf")
-        ]
-        if scenario.channel_model == "FF":
-            asym = mac_asymptotics(
-                None, mac_cfg, "ff", geom=geom, users=list(users),
-                m_total=geom.m_total,
+        try:
+            geom, users, mac_cfg, _ = _apply_point(scenario, variable, value)
+            u1, u2 = users[0], users[1]
+            s1, s2 = mac_cfg.snr_per_user
+            g1, g2, rho = pair_stats(
+                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
             )
-            c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-        elif geom.m_x == 1:
-            c_asym = mac_asymptotics(
-                None, mac_cfg, "nf_ula", geom=geom, users=list(users)
-            )
-        else:
-            c_asym = mac_asymptotics(geom.occupation_ratio, mac_cfg, "nf_upa")
-        row = [
-            _point_value(value),
-            g1,
-            g2,
-            rho,
-            cap,
-            ca.r1,
-            ca.r2,
-            cb.r1,
-            cb.r2,
-            *combiners,
-            c_asym,
-        ]
-        if verify:
-            _check_verify_size(geom)
-            vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                scenario.channel_model, geom, users
-            )
-            oracle = logdet_capacity_oracle(vecs, [s1, s2])
-            closed_exact = mac_capacity_two_user(g1_ex, g2_ex, rho_ex, s1, s2)
-            ok = abs(closed_exact - oracle) <= TOL_MAC_FORMULA_ABS
-            if not ok:
-                violations.append(
-                    f"{variable}={row[0]:g}: uplink formula {closed_exact!r} vs "
-                    f"log-det oracle {oracle!r} exceeds abs tol {TOL_MAC_FORMULA_ABS:g}"
+            cap = mac_capacity_two_user(g1, g2, rho, s1, s2)
+            ca = sic_rates_two_user(g1, g2, rho, s1, s2, "u1_first")
+            cb = sic_rates_two_user(g1, g2, rho, s1, s2, "u2_first")
+            combiners = [
+                linear_combiner_sum_rate(scheme, g1, g2, rho, s1, s2)
+                for scheme in ("opt", "mrc", "zf")
+            ]
+            if scenario.channel_model == "FF":
+                asym = mac_asymptotics(
+                    None, mac_cfg, "ff", geom=geom, users=list(users),
+                    m_total=geom.m_total,
                 )
-            row += [oracle, 1.0 if ok else 0.0]
-        rows.append(tuple(row))
+                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
+            elif geom.m_x == 1:
+                c_asym = mac_asymptotics(
+                    None, mac_cfg, "nf_ula", geom=geom, users=list(users)
+                )
+            else:
+                c_asym = mac_asymptotics(geom.occupation_ratio, mac_cfg, "nf_upa")
+            row = [
+                _point_value(value),
+                g1,
+                g2,
+                rho,
+                cap,
+                ca.r1,
+                ca.r2,
+                cb.r1,
+                cb.r2,
+                *combiners,
+                c_asym,
+            ]
+            if verify:
+                _check_verify_size(geom)
+                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
+                    scenario.channel_model, geom, users
+                )
+                oracle = logdet_capacity_oracle(vecs, [s1, s2])
+                closed_exact = mac_capacity_two_user(g1_ex, g2_ex, rho_ex, s1, s2)
+                ok = abs(closed_exact - oracle) <= TOL_MAC_FORMULA_ABS
+                if not ok:
+                    violations.append(
+                        f"{variable}={row[0]:g}: uplink formula {closed_exact!r} vs "
+                        f"log-det oracle {oracle!r} exceeds abs tol {TOL_MAC_FORMULA_ABS:g}"
+                    )
+                row += [oracle, 1.0 if ok else 0.0]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
     return SweepResult(
         tuple(columns),
         tuple(rows),
@@ -430,69 +477,73 @@ def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
         columns += ["c_oracle", "duality_gap", "verify_ok"]
     rows = []
     violations: list[str] = []
+    pair_stats = functools.cache(_pair_stats)
     for value in points:
-        geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
-        u1, u2 = users[0], users[1]
-        g1, g2, rho = _pair_stats(
-            scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-        )
-        cap = bc_capacity_two_user(g1, g2, rho, bc_cfg)
-        alloc = bc_power_allocation_two_user(g1, g2, rho, bc_cfg)
-        power = bc_cfg.total_power_P
-        var1, var2 = bc_cfg.noise_var_per_user
-        snr_hats = (power / 2.0 / var1, power / 2.0 / var2)
-        r_mrt = linear_precoder_sum_rate("mrt", g1, g2, rho, snr_hats)
-        r_zf = linear_precoder_sum_rate("zf", g1, g2, rho, snr_hats)
-        if scenario.channel_model == "FF":
-            asym = bc_asymptotics(
-                "ff", geom=geom, users=list(users), cfg=bc_cfg,
-                m_total=geom.m_total,
+        try:
+            geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
+            u1, u2 = users[0], users[1]
+            g1, g2, rho = pair_stats(
+                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
             )
-            c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-        elif geom.m_x == 1:
-            c_asym = bc_asymptotics(
-                "nf_ula", geom=geom, users=list(users), cfg=bc_cfg
-            )
-        else:
-            c_asym = bc_asymptotics("nf_upa", xi=geom.occupation_ratio, cfg=bc_cfg)
-        row = [
-            _point_value(value),
-            g1,
-            g2,
-            rho,
-            cap,
-            alloc.p_per_user[0],
-            alloc.p_per_user[1],
-            r_mrt,
-            r_zf,
-            r_mrt / cap if cap > 0 else 1.0,
-            r_zf / cap if cap > 0 else 1.0,
-            c_asym,
-        ]
-        if verify:
-            _check_verify_size(geom)
-            grid_bits, _ = bc_power_grid_oracle(g1, g2, rho, bc_cfg, _BC_GRID_POINTS)
-            ok = cap >= grid_bits - TOL_BC_GRID_ONESIDED
-            if not ok:
-                violations.append(
-                    f"{variable}={row[0]:g}: downlink closed form {cap!r} falls "
-                    f"below grid oracle {grid_bits!r} by more than "
-                    f"{TOL_BC_GRID_ONESIDED:g}"
+            cap = bc_capacity_two_user(g1, g2, rho, bc_cfg)
+            alloc = bc_power_allocation_two_user(g1, g2, rho, bc_cfg)
+            power = bc_cfg.total_power_P
+            var1, var2 = bc_cfg.noise_var_per_user
+            snr_hats = (power / 2.0 / var1, power / 2.0 / var2)
+            r_mrt = linear_precoder_sum_rate("mrt", g1, g2, rho, snr_hats)
+            r_zf = linear_precoder_sum_rate("zf", g1, g2, rho, snr_hats)
+            if scenario.channel_model == "FF":
+                asym = bc_asymptotics(
+                    "ff", geom=geom, users=list(users), cfg=bc_cfg,
+                    m_total=geom.m_total,
                 )
-            vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                scenario.channel_model, geom, users
-            )
-            alloc_ex = bc_power_allocation_two_user(g1_ex, g2_ex, rho_ex, bc_cfg)
-            covs = bc_covariance_recovery(vecs[0], vecs[1], alloc_ex, bc_cfg)
-            duality_gap = _duality_gap(covs, vecs, alloc_ex, bc_cfg)
-            if duality_gap > TOL_BC_DUALITY_ABS:
-                ok = False
-                violations.append(
-                    f"{variable}={row[0]:g}: covariance recovery misses the dual "
-                    f"rates by {duality_gap!r} bits (tol {TOL_BC_DUALITY_ABS:g})"
+                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
+            elif geom.m_x == 1:
+                c_asym = bc_asymptotics(
+                    "nf_ula", geom=geom, users=list(users), cfg=bc_cfg
                 )
-            row += [grid_bits, duality_gap, 1.0 if ok else 0.0]
-        rows.append(tuple(row))
+            else:
+                c_asym = bc_asymptotics("nf_upa", xi=geom.occupation_ratio, cfg=bc_cfg)
+            row = [
+                _point_value(value),
+                g1,
+                g2,
+                rho,
+                cap,
+                alloc.p_per_user[0],
+                alloc.p_per_user[1],
+                r_mrt,
+                r_zf,
+                r_mrt / cap if cap > 0 else 1.0,
+                r_zf / cap if cap > 0 else 1.0,
+                c_asym,
+            ]
+            if verify:
+                _check_verify_size(geom)
+                grid_bits, _ = bc_power_grid_oracle(g1, g2, rho, bc_cfg, _BC_GRID_POINTS)
+                ok = cap >= grid_bits - TOL_BC_GRID_ONESIDED
+                if not ok:
+                    violations.append(
+                        f"{variable}={row[0]:g}: downlink closed form {cap!r} falls "
+                        f"below grid oracle {grid_bits!r} by more than "
+                        f"{TOL_BC_GRID_ONESIDED:g}"
+                    )
+                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
+                    scenario.channel_model, geom, users
+                )
+                alloc_ex = bc_power_allocation_two_user(g1_ex, g2_ex, rho_ex, bc_cfg)
+                covs = bc_covariance_recovery(vecs[0], vecs[1], alloc_ex, bc_cfg)
+                duality_gap = _duality_gap(covs, vecs, alloc_ex, bc_cfg)
+                if duality_gap > TOL_BC_DUALITY_ABS:
+                    ok = False
+                    violations.append(
+                        f"{variable}={row[0]:g}: covariance recovery misses the dual "
+                        f"rates by {duality_gap!r} bits (tol {TOL_BC_DUALITY_ABS:g})"
+                    )
+                row += [grid_bits, duality_gap, 1.0 if ok else 0.0]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
     return SweepResult(
         tuple(columns),
         tuple(rows),
@@ -535,60 +586,64 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
         columns += ["c_oracle", "verify_ok"]
     rows = []
     violations: list[str] = []
+    pair_stats = functools.cache(_pair_stats)
     for value in points:
-        geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
-        u1, u2 = users[0], users[1]
-        g1, g2, rho = _pair_stats(
-            scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-        )
-        power = bc_cfg.total_power_P
-        var1, var2 = bc_cfg.noise_var_per_user
-        cap = mc_capacity_two_user(g1, g2, rho, var1, var2, power)
-        bound = mc_upper_bound((g1, g2), (var1, var2), power)
-        if scenario.channel_model == "FF":
-            asym = mc_asymptotics(
-                "ff", geom=geom, users=list(users), power=power,
-                noise_vars=(var1, var2), m_total=geom.m_total,
+        try:
+            geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
+            u1, u2 = users[0], users[1]
+            g1, g2, rho = pair_stats(
+                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
             )
-            c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-        elif geom.m_x == 1:
-            c_asym = mc_asymptotics(
-                "nf_ula", geom=geom, users=list(users), power=power,
-                noise_vars=(var1, var2),
-            )
-        else:
-            c_asym = mc_asymptotics(
-                "nf_upa", xi=geom.occupation_ratio, power=power,
-                noise_vars=(var1, var2),
-            )
-        row = [_point_value(value), g1, g2, rho, cap, bound, c_asym]
-        if verify:
-            _check_verify_size(geom)
-            vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                scenario.channel_model, geom, users
-            )
-            grid_bits, _ = mc_beam_grid_oracle(
-                vecs[0], vecs[1], (var1, var2), power, _MC_GRID_SPEC
-            )
-            closed_exact = mc_capacity_two_user(
-                g1_ex, g2_ex, min(rho_ex, 1.0), var1, var2, power
-            )
-            bound_exact = mc_upper_bound((g1_ex, g2_ex), (var1, var2), power)
-            ok = closed_exact >= grid_bits - TOL_MC_GRID_ONESIDED
-            if closed_exact > bound_exact + 1e-12:
-                ok = False
-                violations.append(
-                    f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
-                    f"exceeds its upper bound {bound_exact!r}"
+            power = bc_cfg.total_power_P
+            var1, var2 = bc_cfg.noise_var_per_user
+            cap = mc_capacity_two_user(g1, g2, rho, var1, var2, power)
+            bound = mc_upper_bound((g1, g2), (var1, var2), power)
+            if scenario.channel_model == "FF":
+                asym = mc_asymptotics(
+                    "ff", geom=geom, users=list(users), power=power,
+                    noise_vars=(var1, var2), m_total=geom.m_total,
                 )
-            if closed_exact < grid_bits - TOL_MC_GRID_ONESIDED:
-                violations.append(
-                    f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
-                    f"falls below beam-grid oracle {grid_bits!r} by more than "
-                    f"{TOL_MC_GRID_ONESIDED:g}"
+                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
+            elif geom.m_x == 1:
+                c_asym = mc_asymptotics(
+                    "nf_ula", geom=geom, users=list(users), power=power,
+                    noise_vars=(var1, var2),
                 )
-            row += [grid_bits, 1.0 if ok else 0.0]
-        rows.append(tuple(row))
+            else:
+                c_asym = mc_asymptotics(
+                    "nf_upa", xi=geom.occupation_ratio, power=power,
+                    noise_vars=(var1, var2),
+                )
+            row = [_point_value(value), g1, g2, rho, cap, bound, c_asym]
+            if verify:
+                _check_verify_size(geom)
+                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
+                    scenario.channel_model, geom, users
+                )
+                grid_bits, _ = mc_beam_grid_oracle(
+                    vecs[0], vecs[1], (var1, var2), power, _MC_GRID_SPEC
+                )
+                closed_exact = mc_capacity_two_user(
+                    g1_ex, g2_ex, min(rho_ex, 1.0), var1, var2, power
+                )
+                bound_exact = mc_upper_bound((g1_ex, g2_ex), (var1, var2), power)
+                ok = closed_exact >= grid_bits - TOL_MC_GRID_ONESIDED
+                if closed_exact > bound_exact + 1e-12:
+                    ok = False
+                    violations.append(
+                        f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
+                        f"exceeds its upper bound {bound_exact!r}"
+                    )
+                if closed_exact < grid_bits - TOL_MC_GRID_ONESIDED:
+                    violations.append(
+                        f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
+                        f"falls below beam-grid oracle {grid_bits!r} by more than "
+                        f"{TOL_MC_GRID_ONESIDED:g}"
+                    )
+                row += [grid_bits, 1.0 if ok else 0.0]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
     return SweepResult(
         tuple(columns),
         tuple(rows),
@@ -597,6 +652,7 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
     )
 
 
+@_nominal_point
 def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     """Rate-region boundary vertices at the scenario's nominal point.
 
@@ -790,6 +846,7 @@ class CheckRow:
         return abs(self.closed - self.oracle)
 
 
+@_nominal_point
 def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     """Cross-check every closed form against its brute-force oracle.
 
@@ -867,6 +924,7 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
 
     # downlink: power split optimality and covariance duality
     bc_closed = bc_capacity_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg)
+    _finite(("downlink sum capacity",), (bc_closed,))
     bc_grid, _ = bc_power_grid_oracle(
         g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg, _BC_GRID_POINTS
     )

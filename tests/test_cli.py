@@ -129,3 +129,47 @@ def test_threads_flag_warns_on_numpy_backend(tmp_path):
 def test_threads_flag_rejects_nonpositive(capsys):
     assert main(["channel", "--threads", "0"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "body", "needle"),
+    [
+        # 1e300 is a float, but the uplink capacity's gamma1*gamma2 term is not
+        ("mac", "[link]\nsnr_db = 3000\n", "uplink capacity overflows"),
+        # 10^310 is not a float at all
+        ("mac", "[link]\nsnr_db = 3100\n", "[link] snr_db"),
+        ("bc", "[link]\nsnr_db = 3100\n", "[link] snr_db"),
+        ("bc", "[link]\npower_db = 3000\n", "c_bc = inf"),
+        ("mc", "[link]\npower_db = 3100\n", "[link] power_db"),
+        ("region", "[link]\nsnr_db = 3000\n", "got inf"),
+        ("verify", "[link]\nsnr_db = 3000\n", "uplink capacity overflows"),
+        ("verify", "[link]\npower_db = 3000\n", "downlink sum capacity = inf"),
+        ("sweep", "[sweep]\nvariable = snr_db\nvalues = 10 3000\ntarget = mac\n",
+         "at sweep point snr_db=3000.0"),
+        ("sweep", "[sweep]\nvariable = snr_db\nvalues = 10 3100\ntarget = mac\n",
+         "at sweep point snr_db=3100.0"),
+        ("sweep", "[sweep]\nvariable = power_db\nvalues = 10 3000\ntarget = bc\n",
+         "at sweep point power_db=3000.0"),
+        ("sweep", "[sweep]\nvariable = power_db\nvalues = 10 3100\ntarget = bc\n",
+         "at sweep point power_db=3100.0"),
+        ("sweep", "[sweep]\nvariable = power_db\nvalues = 10 3100\ntarget = mc\n",
+         "at sweep point power_db=3100.0"),
+    ],
+)
+def test_link_budget_beyond_float_range_exits_two(tmp_path, capsys, command, body, needle):
+    path = tmp_path / "huge.ini"
+    path.write_text(body)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert needle in lines[0]
+
+
+def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[sweep]\nvariable = m_per_axis\nvalues = 3 inf\ntarget = channel\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert "odd positive integers, got inf" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nfcap import _kernels
 from nfcap.geometry import (
     ArrayGeometry,
     UserLocation,
@@ -116,6 +117,57 @@ def test_nf_ccf_quadrature_self_pair_clamps_to_one(ref_geometry, user1):
     assert est.raw == pytest.approx(SELF_PAIR_RAW, rel=1e-12)
     assert est.raw > 1.0
     assert est.value == 1.0
+
+
+def _two_exponential_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2):
+    "The quadrature double sum as first written: two complex exponentials."
+    X, Z = np.meshgrid(x, z, indexing="ij")
+    W = np.outer(w, w)
+    q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
+    q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
+    f1 = np.exp(1j * k0 * r1 * np.sqrt(q1)) / q1**0.75
+    f2 = np.exp(-1j * k0 * r2 * np.sqrt(q2)) / q2**0.75
+    return complex(np.sum(W * f1 * f2))
+
+
+_U1 = (10.0, math.pi / 3, 2 * math.pi / 3)
+
+
+@pytest.mark.parametrize("nodes", [200, 800])
+@pytest.mark.parametrize("m_axis", [65, 551])
+@pytest.mark.parametrize(
+    "user2",
+    [
+        pytest.param((2.0, 2 * math.pi / 3, math.pi / 3), id="different-direction"),
+        pytest.param((2.0, math.pi / 3, 2 * math.pi / 3), id="same-direction"),
+        # the reference pair: at 65x65 the sum cancels by about 1e4
+        pytest.param((5.0, 2 * math.pi / 3, math.pi / 3), id="reference-pair"),
+        pytest.param(_U1, id="co-located"),
+    ],
+)
+def test_quadrature_kernel_matches_two_exponential_form(
+    monkeypatch, nodes, m_axis, user2
+):
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
+    u1, u2 = UserLocation(*_U1), UserLocation(*user2)
+    calls = []
+    kernel = _kernels.ccf_quadrature_sum
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "ccf_quadrature_sum", recording)
+    est = nf_ccf_quadrature(geom, u1, u2, nodes)
+    (args,) = calls
+    got = kernel(*args)
+    want = _two_exponential_sum(*args)
+    # 1e-13, not just 1e-12: a one-phase kernel without the TwoSum term
+    # is 5e-13 off on the reference pair at 65x65, T=200, enough to move
+    # the last printed digit of about one correlation in ten
+    assert abs(got - want) <= 1e-13 * abs(want)
+    if u2 == u1:
+        assert est.raw > 1.0 and est.value == 1.0
 
 
 def test_nf_ccf_quadrature_rejects_tiny_node_count(ref_geometry, user1, user2_dd):

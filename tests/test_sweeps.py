@@ -5,9 +5,11 @@ verification, sweep application, presets, and the verification report.
 
 import configparser
 import math
+from pathlib import Path
 
 import pytest
 
+from nfcap import sweeps
 from nfcap.config import ScenarioError, default_scenario, load_scenario
 from nfcap.sweeps import (
     PRESETS,
@@ -208,3 +210,64 @@ def test_verification_report_caps_exact_size():
     rows, header = verification_report(scn)
     assert "33x33" in header and "65x65" in header
     assert all(row.ok for row in rows)
+
+
+PRESET_DATA = Path(__file__).parent / "data" / "presets"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_matches_stored_table(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    emit_csv(reproduce(name), str(out))
+    assert out.read_bytes() == (PRESET_DATA / f"{name}.csv").read_bytes()
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    "Arguments of every call the runners make to the NF correlation."
+    calls = []
+    quadrature = sweeps.nf_ccf_quadrature
+
+    def recording(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(sweeps, "nf_ccf_quadrature", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("variable", "runner"),
+    [("snr_db", run_mac), ("power_db", run_bc), ("power_db", run_mc)],
+)
+def test_link_budget_sweep_evaluates_its_channel_once(
+    tmp_path, quadrature_calls, variable, runner
+):
+    values = [0.5 * k for k in range(50)]
+    text = " ".join(repr(v) for v in values)
+    target = runner.__name__.removeprefix("run_")
+    swept = runner(_scenario(
+        tmp_path, f"[sweep]\nvariable = {variable}\nvalues = {text}\ntarget = {target}\n"
+    ))
+    assert len(quadrature_calls) == 1
+    assert swept.column(variable) == tuple(values)
+    for value, row in zip(values, swept.rows):
+        single = runner(_scenario(tmp_path, f"[link]\n{variable} = {value!r}\n"))
+        assert row[1:] == single.rows[0][1:]
+    assert len(quadrature_calls) == 1 + len(values)
+
+
+def test_range_sweep_evaluates_every_channel(tmp_path, quadrature_calls):
+    res = run_mc(_scenario(
+        tmp_path, "[sweep]\nvariable = r2_m\nvalues = 2 4 6 8 10\ntarget = mc\n"
+    ))
+    assert len(res.rows) == 5
+    assert len(quadrature_calls) == 5
+
+
+def test_runner_calls_share_no_channel_statistics(quadrature_calls):
+    scn = default_scenario()
+    first = run_mac(scn)
+    second = run_mac(scn)
+    assert len(quadrature_calls) == 2
+    assert first.rows == second.rows
