@@ -3,9 +3,7 @@
 Prints one row per kernel and input size. The CCF quadrature is timed at
 65x65 (reference users) and at the preset geometry, 551x551 with user 2
 at 2 m in user 1's direction, for T=200 (today's rule) and T=800 (a
-converged rule at that size). The numba and speedup columns are filled
-only when numba is installed; without it they print "-" and only the
-numpy kernels run.
+converged rule at that size).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -51,12 +49,9 @@ def _quad_args(m_axis=65, nodes=200, same_direction=False, r2=5.0):
 
 def _workloads():
     dist_args = _distance_args()
-    dists = _kernels._distances_np(*dist_args)
-    entry_args = (dists, 1.2e-4, WAVELENGTH)
-    grid_args = (0.8, 0.3, 0.05, -0.02, 400, 400, 64)
+    dists = _kernels.element_distances(*dist_args)
     quad = [
-        (f"ccf_quadrature_sum {label}", _kernels._quad_sum_np,
-         getattr(_kernels, "_quad_sum_nb", None), args)
+        (f"ccf_quadrature_sum {label}", _kernels.ccf_quadrature_sum, args)
         for label, args in (
             ("65 T=200", _quad_args()),
             ("551 sd T=200", _quad_args(551, 200, True, 2.0)),
@@ -64,13 +59,11 @@ def _workloads():
         )
     ]
     return [
-        ("element_distances 301x301", _kernels._distances_np,
-         getattr(_kernels, "_distances_nb", None), dist_args),
-        ("nf_entries 301x301", _kernels._nf_entries_np,
-         getattr(_kernels, "_nf_entries_nb", None), entry_args),
+        ("element_distances 301x301", _kernels.element_distances, dist_args),
+        ("nf_entries 301x301", _kernels.nf_entries, (dists, 1.2e-4, WAVELENGTH)),
         *quad,
-        ("mc_grid_best 400x400x64", _kernels._mc_grid_np,
-         getattr(_kernels, "_mc_grid_nb", None), grid_args),
+        ("mc_grid_best 400x400x64", _kernels.mc_grid_best,
+         (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64)),
     ]
 
 
@@ -87,33 +80,12 @@ def main():
                         help="calls per repetition (default 3)")
     args = parser.parse_args()
 
-    print(f"numba available: {_kernels.HAVE_NUMBA}")
-    print(f"dispatching backend: {_kernels.active_backend()}")
-    print()
-    header = f"{'kernel':<32} {'numpy':>12} {'numba':>12} {'speedup':>9}"
+    header = f"{'kernel':<32} {'time':>12}"
     print(header)
     print("-" * len(header))
-
-    for name, np_func, nb_func, call_args in _workloads():
-        if _kernels.HAVE_NUMBA and nb_func is not None:
-            nb_func(*call_args)  # trigger JIT compilation outside the timing
-        t_np = _best_seconds(np_func, call_args, args.repeat, args.number)
-        if _kernels.HAVE_NUMBA and nb_func is not None:
-            t_nb = _best_seconds(nb_func, call_args, args.repeat, args.number)
-            ratio = t_np / t_nb if t_nb > 0 else float("inf")
-            print(f"{name:<32} {t_np * 1e3:>10.3f}ms {t_nb * 1e3:>10.3f}ms "
-                  f"{ratio:>8.2f}x")
-        else:
-            print(f"{name:<32} {t_np * 1e3:>10.3f}ms {'-':>12} {'-':>9}")
-
-    # consistency spot check so a speedup never comes from a wrong answer
-    quad_args = _quad_args()
-    ref = _kernels._quad_sum_np(*quad_args)
-    if _kernels.HAVE_NUMBA:
-        alt = _kernels._quad_sum_nb(*quad_args)
-        rel = abs(ref - alt) / abs(ref)
-        print()
-        print(f"quadrature agreement: relative difference {rel:.3e}")
+    for name, func, call_args in _workloads():
+        seconds = _best_seconds(func, call_args, args.repeat, args.number)
+        print(f"{name:<32} {seconds * 1e3:>10.3f}ms")
 
 
 if __name__ == "__main__":

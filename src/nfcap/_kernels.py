@@ -1,55 +1,16 @@
-"""Hot numeric loops with optional numba acceleration.
+"""Numpy kernels of the hot numeric loops.
 
-Every kernel exists twice: a vectorized/loop numpy reference and a numba
-@njit twin. The active flavor is chosen once at import from the
-``NFCAP_BACKEND`` environment variable:
+Four kernels, each one vectorized numpy function:
 
-* ``auto`` (default): numba when importable, numpy otherwise
-* ``numba``: require numba, raise if missing
-* ``numpy``: force the pure-numpy path even when numba is installed
-
-Public dispatchers: :func:`element_distances`, :func:`nf_entries`,
-:func:`ccf_quadrature_sum`, :func:`mc_grid_best`. ``active_backend()``
-reports which flavor won.
+* :func:`element_distances` - exact element-to-user distances;
+* :func:`nf_entries` - spherical-wave channel entries from distances;
+* :func:`ccf_quadrature_sum` - the weighted double sum of the NF
+  correlation integral, in real arithmetic on row blocks;
+* :func:`mc_grid_best` - the multicast beam-grid scan over the span of
+  the two channels, in real arithmetic on one plane per phase.
 """
 
-import os
-import warnings
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return decorator
-
-
-_REQUESTED = os.environ.get("NFCAP_BACKEND", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"NFCAP_BACKEND must be auto, numba or numpy, got {_REQUESTED!r}")
-if _REQUESTED == "numba" and not HAVE_NUMBA:
-    raise ImportError("NFCAP_BACKEND=numba but numba is not installed")
-if _REQUESTED == "auto" and not HAVE_NUMBA:
-    warnings.warn("numba not installed, falling back to pure numpy kernels",
-                  stacklevel=2)
-
-_USE_NUMBA = HAVE_NUMBA and _REQUESTED != "numpy"
-
-
-def active_backend() -> str:
-    "Name of the kernel flavor selected at import time."
-    return "numba" if _USE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -60,52 +21,14 @@ def active_backend() -> str:
 # element offsets are ix = ax - (m_x-1)/2 and iz = az - (m_z-1)/2.
 
 
-def _distances_np(m_x, m_z, r, eps, dir_x, dir_z):
+def element_distances(m_x: int, m_z: int, r: float, eps: float,
+                      dir_x: float, dir_z: float) -> np.ndarray:
+    "Exact element-to-user distances for the whole array, flattened."
     ix = np.arange(m_x) - (m_x - 1) // 2
     iz = np.arange(m_z) - (m_z - 1) // 2
     X, Z = np.meshgrid(ix, iz, indexing="ij")
     q = (X * X + Z * Z) * eps * eps - 2 * X * eps * dir_x - 2 * Z * eps * dir_z + 1.0
     return (r * np.sqrt(q)).ravel()
-
-
-@njit(cache=True)
-def _distances_nb(m_x, m_z, r, eps, dir_x, dir_z):  # pragma: no cover - jitted
-    out = np.empty(m_x * m_z)
-    half_x = (m_x - 1) // 2
-    half_z = (m_z - 1) // 2
-    i = 0
-    for ax in range(m_x):
-        ix = ax - half_x
-        for az in range(m_z):
-            iz = az - half_z
-            q = (ix * ix + iz * iz) * eps * eps \
-                - 2.0 * ix * eps * dir_x - 2.0 * iz * eps * dir_z + 1.0
-            out[i] = r * np.sqrt(q)
-            i += 1
-    return out
-
-
-def _nf_entries_np(dists, amp_num, wavelength):
-    amp = np.sqrt(amp_num / dists**3)
-    return amp * np.exp(-2j * np.pi * dists / wavelength)
-
-
-@njit(cache=True)
-def _nf_entries_nb(dists, amp_num, wavelength):  # pragma: no cover - jitted
-    out = np.empty(dists.shape[0], dtype=np.complex128)
-    for i in range(dists.shape[0]):
-        amp = np.sqrt(amp_num / dists[i] ** 3)
-        phase = -2.0 * np.pi * dists[i] / wavelength
-        out[i] = amp * (np.cos(phase) + 1j * np.sin(phase))
-    return out
-
-
-def element_distances(m_x: int, m_z: int, r: float, eps: float,
-                      dir_x: float, dir_z: float) -> np.ndarray:
-    "Exact element-to-user distances for the whole array, flattened."
-    if _USE_NUMBA:
-        return _distances_nb(m_x, m_z, r, eps, dir_x, dir_z)
-    return _distances_np(m_x, m_z, r, eps, dir_x, dir_z)
 
 
 def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarray:
@@ -114,9 +37,8 @@ def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarr
     ``amp_num`` is the distance-free part of the squared amplitude,
     A*r*Psi/(4*pi); each entry is sqrt(amp_num/d^3) * exp(-j*2*pi*d/lambda).
     """
-    if _USE_NUMBA:
-        return _nf_entries_nb(dists, amp_num, wavelength)
-    return _nf_entries_np(dists, amp_num, wavelength)
+    amp = np.sqrt(amp_num / dists**3)
+    return amp * np.exp(-2j * np.pi * dists / wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +53,8 @@ def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarr
 _QUAD_BLOCK_NODES = 16384
 
 
-def _quad_sum_np(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2):
+def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
+    "Weighted double sum of the two oscillatory CCF kernels."
     rows = max(1, _QUAD_BLOCK_NODES // len(z))
     total = 0.0 + 0.0j
     for start in range(0, len(x), rows):
@@ -184,32 +107,6 @@ def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2):
     return complex(wx @ re @ wz, wx @ im @ wz)
 
 
-@njit(cache=True)
-def _quad_sum_nb(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2):  # pragma: no cover
-    total = 0.0 + 0.0j
-    n = x.shape[0]
-    for i in range(n):
-        xi = x[i]
-        for j in range(n):
-            zj = z[j]
-            q1 = xi * xi + zj * zj - 2.0 * px1 * xi - 2.0 * oz1 * zj + 1.0
-            q2 = ups * ups * (xi * xi + zj * zj) \
-                - 2.0 * ups * px2 * xi - 2.0 * ups * oz2 * zj + 1.0
-            ph1 = k0 * r1 * np.sqrt(q1)
-            ph2 = -k0 * r2 * np.sqrt(q2)
-            amp = 1.0 / (q1**0.75 * q2**0.75)
-            ph = ph1 + ph2
-            total += w[i] * w[j] * amp * (np.cos(ph) + 1j * np.sin(ph))
-    return total
-
-
-def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
-    "Weighted double sum of the two oscillatory CCF kernels."
-    if _USE_NUMBA:
-        return _quad_sum_nb(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
-    return _quad_sum_np(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
-
-
 # ---------------------------------------------------------------------------
 # multicast beam grid scan
 #
@@ -218,7 +115,15 @@ def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
 # reduce to scalars, so the scan never touches the length-M vectors.
 
 
-def _mc_grid_np(g1, g2, ip_re, ip_im, n_a, n_b, n_psi):
+def mc_grid_best(g1: float, g2: float, ip: complex,
+                 n_a: int, n_b: int, n_psi: int
+                 ) -> tuple[float, float, float, float]:
+    """Best min_k |h_k^H w|^2 over the renormalized span grid.
+
+    Returns (best value, a, b, psi) for the winning cell of
+    w = (a h1 + b e^{j psi} h2) / norm.
+    """
+    ip_re, ip_im = ip.real, ip.imag
     # Real arithmetic on an (n_a, n_b) plane per phase: a runs down the
     # rows, b along the columns. With e*ip = c + j s,
     #   norm2   = a^2 g1 + b^2 g2 + 2ab c
@@ -261,47 +166,3 @@ def _mc_grid_np(g1, g2, ip_re, ip_im, n_a, n_b, n_psi):
             ia, ib = divmod(flat, n_b)
             arg = (float(a_row[ia]), float(b_row[ib]), float(psi))
     return best, arg[0], arg[1], arg[2]
-
-
-@njit(cache=True)
-def _mc_grid_nb(g1, g2, ip_re, ip_im, n_a, n_b, n_psi):  # pragma: no cover
-    best = 0.0
-    best_a = 1.0
-    best_b = 0.0
-    best_psi = 0.0
-    for ipsi in range(n_psi):
-        psi = 2.0 * np.pi * ipsi / n_psi
-        c = np.cos(psi)
-        s = np.sin(psi)
-        # components of e*ip: the norm cross term is 2ab*Re(e*ip)
-        v1b_re = c * ip_re - s * ip_im
-        v1b_im = s * ip_re + c * ip_im
-        for ia in range(n_a):
-            a = ia / (n_a - 1.0)
-            for ib in range(n_b):
-                b = ib / (n_b - 1.0)
-                norm2 = a * a * g1 + b * b * g2 + 2.0 * a * b * v1b_re
-                if norm2 <= 1e-300:
-                    continue
-                r1 = (a * g1 + b * v1b_re) ** 2 + (b * v1b_im) ** 2
-                r2 = (a * ip_re + b * (c * g2)) ** 2 + (-a * ip_im + b * (s * g2)) ** 2
-                m = min(r1, r2) / norm2
-                if m > best:
-                    best = m
-                    best_a = a
-                    best_b = b
-                    best_psi = psi
-    return best, best_a, best_b, best_psi
-
-
-def mc_grid_best(g1: float, g2: float, ip: complex,
-                 n_a: int, n_b: int, n_psi: int
-                 ) -> tuple[float, float, float, float]:
-    """Best min_k |h_k^H w|^2 over the renormalized span grid.
-
-    Returns (best value, a, b, psi) for the winning cell of
-    w = (a h1 + b e^{j psi} h2) / norm.
-    """
-    if _USE_NUMBA:
-        return _mc_grid_nb(g1, g2, ip.real, ip.imag, n_a, n_b, n_psi)
-    return _mc_grid_np(g1, g2, ip.real, ip.imag, n_a, n_b, n_psi)

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
 from .mac import FfAsymptote, RatePoint, RateRegion, sic_rates_two_user
 from .stats import asymptotic_nf_gain, asymptotic_ula_gain
@@ -54,20 +55,14 @@ class BcConfig:
     noise_var_per_user: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.total_power_P) or self.total_power_P <= 0.0:
-            raise ValueError(
-                f"total_power_P must be positive, got {self.total_power_P}"
-            )
+        _checks.positive("total_power_P", self.total_power_P)
         if len(self.noise_var_per_user) == 0:
             raise ValueError("noise_var_per_user must not be empty")
-        for k, var in enumerate(self.noise_var_per_user):
-            if not math.isfinite(var) or var <= 0.0:
-                raise ValueError(
-                    f"noise_var_per_user[{k}] must be positive, got {var}"
-                )
-        object.__setattr__(
-            self, "noise_var_per_user", tuple(float(v) for v in self.noise_var_per_user)
+        cleaned = tuple(
+            _checks.positive(f"noise_var_per_user[{k}]", v)
+            for k, v in enumerate(self.noise_var_per_user)
         )
+        object.__setattr__(self, "noise_var_per_user", cleaned)
 
     @property
     def num_users(self) -> int:
@@ -171,17 +166,15 @@ class ConvergenceError(RuntimeError):
 def _check_two_user_inputs(
     g1: float, g2: float, rho: float, cfg: BcConfig
 ) -> tuple[float, float, float, float, float, float]:
-    for name, val in (("g1", g1), ("g2", g2)):
-        if not math.isfinite(val) or val < 0.0:
-            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    if not (-1e-12 <= rho <= 1.0 + 1e-12):
-        raise ValueError(f"correlation rho must lie in [0, 1], got {rho}")
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    rho = _checks.rho(rho)
     if cfg.num_users != 2:
         raise ValueError(
             f"two-user routine needs 2 noise variances, got {cfg.num_users}"
         )
     s1, s2 = cfg.noise_var_per_user
-    return float(g1), float(g2), min(max(rho, 0.0), 1.0), cfg.total_power_P, s1, s2
+    return g1, g2, rho, cfg.total_power_P, s1, s2
 
 
 def _kappas(
@@ -262,14 +255,6 @@ def bc_capacity_two_user(g1: float, g2: float, rho: float, cfg: BcConfig) -> flo
     return math.log2(1.0 + k1 + k2 + k1 * k2 * (1.0 - rho))
 
 
-def _as_vector(ch: ChannelVector | np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(ch.entries if isinstance(ch, ChannelVector) else ch)
-    vec = vec.astype(np.complex128).ravel()
-    if vec.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    return vec
-
-
 def bc_covariance_recovery(
     h1: ChannelVector | np.ndarray,
     h2: ChannelVector | np.ndarray,
@@ -293,10 +278,7 @@ def bc_covariance_recovery(
     """
     if len(alloc.p_per_user) != 2 or cfg.num_users != 2:
         raise ValueError("covariance recovery is defined for exactly two users")
-    v1 = _as_vector(h1, "h1")
-    v2 = _as_vector(h2, "h2")
-    if v1.size != v2.size:
-        raise ValueError(f"channel sizes differ: {v1.size} vs {v2.size}")
+    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
     p1, p2 = alloc.p_per_user
     if p1 <= 0.0 and p2 <= 0.0:
         return CovariancePair(0.0, v1, 0.0, v2)
@@ -344,8 +326,7 @@ def bc_region_two_user(
         raise ValueError(f"power_splits must be at least 2, got {power_splits}")
     if cfg.num_users != 2:
         raise ValueError("region construction needs exactly two noise variances")
-    v1 = _as_vector(h1, "h1")
-    v2 = _as_vector(h2, "h2")
+    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
     s1, s2 = cfg.noise_var_per_user
     g1 = float(np.vdot(v1, v1).real)
     g2 = float(np.vdot(v2, v2).real)
@@ -464,10 +445,7 @@ def bc_capacity_general(
         raise ValueError(
             f"got {len(channels)} channels but {cfg.num_users} noise variances"
         )
-    vecs = [_as_vector(ch, f"channels[{k}]") for k, ch in enumerate(channels)]
-    size = vecs[0].size
-    if any(v.size != size for v in vecs):
-        raise ValueError("all channels must have the same number of entries")
+    vecs = _checks.channel_vectors(channels)
     k_users = len(vecs)
     power = cfg.total_power_P
     mat = np.stack(
@@ -547,17 +525,15 @@ def linear_precoder_sum_rate(
     key = scheme.lower()
     if key not in ("mrt", "zf"):
         raise ValueError(f"scheme must be 'mrt' or 'zf', got {scheme!r}")
-    for name, val in (("g1", g1), ("g2", g2)):
-        if not math.isfinite(val) or val < 0.0:
-            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    if not (-1e-12 <= rho <= 1.0 + 1e-12):
-        raise ValueError(f"correlation rho must lie in [0, 1], got {rho}")
-    z = min(max(rho, 0.0), 1.0)
-    snrs = tuple(float(s) for s in per_user_snr_hat)
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    z = _checks.rho(rho)
+    snrs = tuple(
+        _checks.nonneg(f"per_user_snr_hat[{k}]", s)
+        for k, s in enumerate(per_user_snr_hat)
+    )
     if len(snrs) != 2:
         raise ValueError(f"per_user_snr_hat must have 2 entries, got {len(snrs)}")
-    if any(s < 0.0 for s in snrs):
-        raise ValueError("per_user_snr_hat entries must be nonnegative")
 
     def loss(x: float) -> float:
         if key == "mrt":

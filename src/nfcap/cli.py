@@ -74,12 +74,6 @@ def _add_common(sub: argparse.ArgumentParser, verify_flag: bool = True) -> None:
         dest="quadrature_t",
         help="override the correlation quadrature node count per axis",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        help="cap the compiled-kernel thread count (no effect on the numpy backend)",
-    )
 
 
 def build_parser() -> _Parser:
@@ -125,7 +119,6 @@ def build_parser() -> _Parser:
     )
     repro.add_argument("preset", choices=sorted(PRESETS))
     repro.add_argument("--out", metavar="PATH", help="write CSV here")
-    repro.add_argument("--threads", type=int, metavar="N")
 
     verify = subs.add_parser(
         "verify",
@@ -139,29 +132,7 @@ def build_parser() -> _Parser:
     verify.add_argument(
         "--quadrature-T", type=int, metavar="T", dest="quadrature_t"
     )
-    verify.add_argument("--threads", type=int, metavar="N")
     return parser
-
-
-def _apply_threads(count: int | None) -> None:
-    if count is None:
-        return
-    if count < 1:
-        raise ScenarioError(f"--threads must be a positive integer, got {count}")
-    from ._kernels import active_backend
-
-    if active_backend() != "numba":
-        print(
-            "warning: --threads has no effect on the numpy backend",
-            file=sys.stderr,
-        )
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(count, numba.config.NUMBA_NUM_THREADS))
-    except Exception as exc:  # pragma: no cover - depends on numba internals
-        print(f"warning: could not set thread count: {exc}", file=sys.stderr)
 
 
 def _load(args: argparse.Namespace):
@@ -218,7 +189,6 @@ def _run_verify_report(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    _apply_threads(getattr(args, "threads", None))
     if args.command == "reproduce":
         return _deliver(reproduce(args.preset), args.out)
     if args.command == "verify":

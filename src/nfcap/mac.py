@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
 from .stats import asymptotic_nf_gain, asymptotic_ula_gain
 
@@ -35,18 +36,6 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
-def _check_rho(rho: float) -> float:
-    if not (-1e-12 <= rho <= 1.0 + 1e-12):
-        raise ValueError(f"correlation rho must lie in [0, 1], got {rho}")
-    return min(max(rho, 0.0), 1.0)
-
-
-def _check_nonneg(name: str, value: float) -> float:
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class MacConfig:
     """Per-user transmit SNRs for an uplink instance.
@@ -61,7 +50,7 @@ class MacConfig:
         if len(self.snr_per_user) == 0:
             raise ValueError("snr_per_user must not be empty")
         cleaned = tuple(
-            _check_nonneg(f"snr_per_user[{k}]", v)
+            _checks.nonneg(f"snr_per_user[{k}]", v)
             for k, v in enumerate(self.snr_per_user)
         )
         object.__setattr__(self, "snr_per_user", cleaned)
@@ -160,11 +149,11 @@ def sic_rates_two_user(
     and the labels swap for ``order="u2_first"``. Both corners sum to
     the two-user sum capacity.
     """
-    g1 = _check_nonneg("g1", g1)
-    g2 = _check_nonneg("g2", g2)
-    gamma1 = _check_nonneg("gamma1", gamma1)
-    gamma2 = _check_nonneg("gamma2", gamma2)
-    rho = _check_rho(rho)
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    gamma1 = _checks.nonneg("gamma1", gamma1)
+    gamma2 = _checks.nonneg("gamma2", gamma2)
+    rho = _checks.rho(rho)
     key = order.lower()
     if key not in ("u1_first", "u2_first"):
         raise ValueError(f"order must be 'u1_first' or 'u2_first', got {order!r}")
@@ -193,11 +182,11 @@ def mac_capacity_two_user(
 
         C = log2(1 + gamma1*g1 + gamma2*g2 + gamma1*gamma2*g1*g2*(1 - rho))
     """
-    g1 = _check_nonneg("g1", g1)
-    g2 = _check_nonneg("g2", g2)
-    gamma1 = _check_nonneg("gamma1", gamma1)
-    gamma2 = _check_nonneg("gamma2", gamma2)
-    rho = _check_rho(rho)
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    gamma1 = _checks.nonneg("gamma1", gamma1)
+    gamma2 = _checks.nonneg("gamma2", gamma2)
+    rho = _checks.rho(rho)
     arg = (
         1.0
         + gamma1 * g1
@@ -214,21 +203,9 @@ def mac_capacity_two_user(
 
 
 def _channel_matrix(channels: Sequence[ChannelVector | np.ndarray]) -> np.ndarray:
-    cols = []
-    size = None
-    for k, ch in enumerate(channels):
-        vec = np.asarray(ch.entries if isinstance(ch, ChannelVector) else ch)
-        vec = vec.astype(np.complex128).ravel()
-        if size is None:
-            size = vec.size
-        elif vec.size != size:
-            raise ValueError(
-                f"channel {k} has {vec.size} entries, expected {size}"
-            )
-        cols.append(vec)
-    if not cols:
+    if len(channels) == 0:
         raise ValueError("channels must not be empty")
-    return np.stack(cols, axis=1)
+    return np.stack(_checks.channel_vectors(channels), axis=1)
 
 
 def _gram_logdet_bits(gram: np.ndarray) -> float:
@@ -376,11 +353,11 @@ def linear_combiner_sum_rate(
 
     All three coincide with the interference-free sum when rho = 0.
     """
-    g1 = _check_nonneg("g1", g1)
-    g2 = _check_nonneg("g2", g2)
-    gamma1 = _check_nonneg("gamma1", gamma1)
-    gamma2 = _check_nonneg("gamma2", gamma2)
-    z = _check_rho(rho)
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    gamma1 = _checks.nonneg("gamma1", gamma1)
+    gamma2 = _checks.nonneg("gamma2", gamma2)
+    z = _checks.rho(rho)
     key = scheme.lower()
     if key not in ("opt", "mrc", "zf"):
         raise ValueError(f"scheme must be 'opt', 'mrc', or 'zf', got {scheme!r}")
@@ -401,12 +378,14 @@ def linear_combiner_sum_rate(
 
 @dataclass(frozen=True)
 class FfAsymptote:
-    """Large-array limit of the far-field uplink sum capacity.
+    """Large-array far-field capacity at a given element count.
 
     ``static`` is the value when both users share one direction (their
     channels stay fully correlated at every array size), ``dynamic`` the
-    value for distinct directions, and ``gap`` the difference
-    dynamic - static, which is positive whenever both users carry power.
+    value for distinct directions, and ``gap`` the distance
+    |dynamic - static| between them. Uplink and downlink gain from
+    distinct directions (dynamic >= static); multicast gains from a
+    shared one (static >= dynamic).
     """
 
     static: float
@@ -414,7 +393,7 @@ class FfAsymptote:
     gap: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gap", self.dynamic - self.static)
+        object.__setattr__(self, "gap", abs(self.dynamic - self.static))
 
 
 def mac_asymptotics(

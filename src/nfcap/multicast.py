@@ -15,17 +15,18 @@ the squared symbol dropped from the names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
+from .mac import FfAsymptote
 from .stats import asymptotic_nf_gain, asymptotic_ula_gain
 
 __all__ = [
     "Beamformer",
-    "McFfAsymptote",
     "mc_rate_given_beamformer",
     "mc_beamformer_two_user",
     "mc_capacity_two_user",
@@ -53,20 +54,6 @@ class Beamformer:
         return int(self.weights.size)
 
 
-def _as_vector(ch: ChannelVector | np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(ch.entries if isinstance(ch, ChannelVector) else ch)
-    vec = vec.astype(np.complex128).ravel()
-    if vec.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    return vec
-
-
-def _check_noise(name: str, value: float) -> float:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be a positive noise variance, got {value}")
-    return float(value)
-
-
 def mc_rate_given_beamformer(
     w: Beamformer,
     channels: Sequence[ChannelVector | np.ndarray],
@@ -78,19 +65,18 @@ def mc_rate_given_beamformer(
 
         R = log2(1 + P * min_k |h_k^H w|^2 / var_k).
     """
-    if P < 0.0 or not math.isfinite(P):
-        raise ValueError(f"P must be finite and nonnegative, got {P}")
+    _checks.nonneg("P", P)
     if len(channels) == 0 or len(channels) != len(noise_vars):
         raise ValueError("channels and noise_vars must be equal-length and nonempty")
     weights = w.weights
     worst = math.inf
-    for k, (ch, var) in enumerate(zip(channels, noise_vars)):
-        vec = _as_vector(ch, f"channels[{k}]")
+    vecs = _checks.channel_vectors(channels)
+    for k, (vec, var) in enumerate(zip(vecs, noise_vars)):
         if vec.size != weights.size:
             raise ValueError(
                 f"channels[{k}] has {vec.size} entries, beamformer has {weights.size}"
             )
-        var = _check_noise(f"noise_vars[{k}]", var)
+        var = _checks.positive(f"noise_vars[{k}]", var)
         worst = min(worst, abs(np.vdot(vec, weights)) ** 2 / var)
     return math.log2(1.0 + P * worst)
 
@@ -137,12 +123,9 @@ def mc_beamformer_two_user(
     with s_k the noise standard deviations, weights mu1 + mu2 = 1, and
     eta chosen so that both users see the same rate and the norm is 1.
     """
-    var1 = _check_noise("sigma1", sigma1)
-    var2 = _check_noise("sigma2", sigma2)
-    v1 = _as_vector(h1, "h1")
-    v2 = _as_vector(h2, "h2")
-    if v1.size != v2.size:
-        raise ValueError(f"channel sizes differ: {v1.size} vs {v2.size}")
+    var1 = _checks.positive("sigma1", sigma1)
+    var2 = _checks.positive("sigma2", sigma2)
+    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
     g1 = float(np.vdot(v1, v1).real)
     g2 = float(np.vdot(v2, v2).real)
     if g1 <= 0.0 or g2 <= 0.0:
@@ -175,16 +158,12 @@ def mc_capacity_two_user(
         C = log2(1 + P g1 g2 (1 - rho) / chi),
         chi = var2 g1 + var1 g2 - 2 s1 s2 sqrt(g1 g2 rho).
     """
-    for name, val in (("g1", g1), ("g2", g2)):
-        if not math.isfinite(val) or val < 0.0:
-            raise ValueError(f"{name} must be finite and nonnegative, got {val}")
-    if not (-1e-12 <= rho <= 1.0 + 1e-12):
-        raise ValueError(f"correlation rho must lie in [0, 1], got {rho}")
-    if P < 0.0 or not math.isfinite(P):
-        raise ValueError(f"P must be finite and nonnegative, got {P}")
-    var1 = _check_noise("sigma1", sigma1)
-    var2 = _check_noise("sigma2", sigma2)
-    rho = min(max(rho, 0.0), 1.0)
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    rho = _checks.rho(rho)
+    _checks.nonneg("P", P)
+    var1 = _checks.positive("sigma1", sigma1)
+    var2 = _checks.positive("sigma2", sigma2)
     if g1 <= 0.0 or g2 <= 0.0:
         return 0.0
     _, eta, _, _ = _mc_case_split(g1, g2, rho, var1, var2)
@@ -201,33 +180,12 @@ def mc_upper_bound(
     """
     if len(gains) == 0 or len(gains) != len(noise_vars):
         raise ValueError("gains and noise_vars must be equal-length and nonempty")
-    if P < 0.0 or not math.isfinite(P):
-        raise ValueError(f"P must be finite and nonnegative, got {P}")
+    _checks.nonneg("P", P)
     total = 0.0
     for k, (g, var) in enumerate(zip(gains, noise_vars)):
-        if not math.isfinite(g) or g < 0.0:
-            raise ValueError(f"gains[{k}] must be finite and nonnegative, got {g}")
-        var = _check_noise(f"noise_vars[{k}]", var)
-        total += g / var
+        total += (_checks.nonneg(f"gains[{k}]", g)
+                  / _checks.positive(f"noise_vars[{k}]", var))
     return math.log2(1.0 + P * total / len(gains))
-
-
-@dataclass(frozen=True)
-class McFfAsymptote:
-    """Far-field multicast limit at a given element count.
-
-    ``static`` is the co-directional value, ``dynamic`` the
-    distinct-direction value, and ``gap`` their difference
-    static - dynamic, which lies in (0, 1] bits: same-direction users
-    help a multicast beam rather than hurt it.
-    """
-
-    static: float
-    dynamic: float
-    gap: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gap", self.static - self.dynamic)
 
 
 def mc_asymptotics(
@@ -239,7 +197,7 @@ def mc_asymptotics(
     geom: ArrayGeometry | None = None,
     users: Sequence[UserLocation] | None = None,
     m_total: int | None = None,
-) -> float | McFfAsymptote:
+) -> float | FfAsymptote:
     """Large-array multicast capacity limits.
 
     variant "nf_upa": planar-array gains saturate at xi/2 per user with
@@ -250,11 +208,11 @@ def mc_asymptotics(
     gains. Requires ``geom``, ``users``, ``power``, ``noise_vars``.
 
     variant "ff": far-field capacity keeps growing like log M. Returns
-    :class:`McFfAsymptote` with static = log2(M P A / (4 pi) * min_k
-    proj_k / (r_k^2 var_k)) and dynamic = log2(M P A / (4 pi) /
-    (beta_1 + beta_2)), beta_k = r_k^2 var_k / proj_k. Requires
-    ``geom``, ``users`` (exactly two), ``power``, ``noise_vars``,
-    ``m_total``.
+    :class:`~nfcap.mac.FfAsymptote` with static = log2(M P A / (4 pi)
+    * min_k proj_k / (r_k^2 var_k)) and dynamic = log2(M P A / (4 pi) /
+    (beta_1 + beta_2)), beta_k = r_k^2 var_k / proj_k; static exceeds
+    dynamic by at most 1 bit. Requires ``geom``, ``users`` (exactly
+    two), ``power``, ``noise_vars``, ``m_total``.
     """
     key = variant.lower()
     if key == "nf_upa":
@@ -295,11 +253,11 @@ def mc_asymptotics(
             raise ValueError(f"m_total must be positive, got {m_total}")
         q = m_total * power * geom.element_area / (4.0 * math.pi)
         betas = [
-            u.range_r**2 * _check_noise(f"noise_vars[{k}]", var) / u.dir_y
+            u.range_r**2 * _checks.positive(f"noise_vars[{k}]", var) / u.dir_y
             for k, (u, var) in enumerate(zip(users, noise_vars))
         ]
         b1, b2 = betas
-        return McFfAsymptote(
+        return FfAsymptote(
             static=math.log2(q / max(b1, b2)),
             dynamic=math.log2(q / (b1 + b2)),
         )

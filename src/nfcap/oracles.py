@@ -5,8 +5,8 @@ log-determinants over the full antenna dimension, exhaustive grids over
 power splits and beam coefficients, and per-element scalar loops for
 gains and correlation. None of the capacity or channel formula modules
 are imported; the only imports from the package are plain data
-containers and the grid scan kernel, so a bug in a closed form cannot
-leak into its own check.
+containers, the shared input checks and the grid scan kernel, so a bug
+in a closed form cannot leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _checks, _kernels
 from .broadcast import BcConfig, PowerAllocation
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
 from .multicast import Beamformer
@@ -74,21 +74,6 @@ class OracleReport:
         return (self.rel_diff if relative else self.abs_diff) <= tolerance
 
 
-def _vectors(channels: Sequence[ChannelVector | np.ndarray]) -> list[np.ndarray]:
-    vecs = []
-    for k, ch in enumerate(channels):
-        vec = np.asarray(ch.entries if isinstance(ch, ChannelVector) else ch)
-        vec = vec.astype(np.complex128).ravel()
-        if vec.size == 0:
-            raise ValueError(f"channels[{k}] must not be empty")
-        vecs.append(vec)
-    if vecs:
-        size = vecs[0].size
-        if any(v.size != size for v in vecs):
-            raise ValueError("all channels must have the same number of entries")
-    return vecs
-
-
 def logdet_capacity_oracle(
     channels: Sequence[ChannelVector | np.ndarray],
     snrs: Sequence[float],
@@ -101,7 +86,7 @@ def logdet_capacity_oracle(
     """
     if len(channels) != len(snrs):
         raise ValueError("channels and snrs must have equal length")
-    vecs = _vectors(channels)
+    vecs = _checks.channel_vectors(channels)
     if not vecs:
         return 0.0
     size = vecs[0].size
@@ -200,7 +185,7 @@ def bc_simplex_grid_oracle(
         raise ValueError("simplex oracle is written for exactly three users")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    vecs = _vectors(channels)
+    vecs = _checks.channel_vectors(channels)
     power = cfg.total_power_P
     noise = cfg.noise_var_per_user
     best = -math.inf
@@ -239,11 +224,10 @@ def mc_beam_grid_oracle(
         raise ValueError(f"grid_spec too small: {grid_spec}")
     if len(noise_vars) != 2:
         raise ValueError("mc grid oracle needs exactly two noise variances")
-    if P < 0.0:
-        raise ValueError(f"P must be nonnegative, got {P}")
-    vecs = _vectors([h1, h2])
-    hb1 = vecs[0] / math.sqrt(noise_vars[0])
-    hb2 = vecs[1] / math.sqrt(noise_vars[1])
+    _checks.nonneg("P", P)
+    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
+    hb1 = v1 / math.sqrt(noise_vars[0])
+    hb2 = v2 / math.sqrt(noise_vars[1])
     g1 = float(np.vdot(hb1, hb1).real)
     g2 = float(np.vdot(hb2, hb2).real)
     if g1 <= 0.0 or g2 <= 0.0:

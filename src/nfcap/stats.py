@@ -11,8 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .geometry import ArrayGeometry, ChannelVector, UserLocation, epsilon
+from . import _checks, _kernels
+from .geometry import ArrayGeometry, UserLocation, epsilon
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,9 @@ class CcfEstimate(NamedTuple):
     raw: float
 
 
-def _entries(h) -> np.ndarray:
-    if isinstance(h, ChannelVector):
-        return h.entries
-    return np.asarray(h)
-
-
 def gain_exact(h) -> float:
     "Channel gain: squared Euclidean norm of the vector."
-    v = _entries(h)
+    (v,) = _checks.channel_vectors([h], ("h",))
     return float(np.real(np.vdot(v, v)))
 
 
@@ -55,7 +49,7 @@ def ccf_exact(h1, h2) -> float:
 
     0 for orthogonal channels, 1 for parallel ones.
     """
-    v1, v2 = _entries(h1), _entries(h2)
+    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
     g1 = float(np.real(np.vdot(v1, v1)))
     g2 = float(np.real(np.vdot(v2, v2)))
     if g1 <= 0 or g2 <= 0:

@@ -424,6 +424,7 @@ def run_mac(scenario: Scenario, verify: bool = False) -> SweepResult:
                 c_asym,
             ]
             if verify:
+                _finite(columns, row)
                 _check_verify_size(geom)
                 vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
                     scenario.channel_model, geom, users
@@ -519,6 +520,7 @@ def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
                 c_asym,
             ]
             if verify:
+                _finite(columns, row)
                 _check_verify_size(geom)
                 grid_bits, _ = bc_power_grid_oracle(g1, g2, rho, bc_cfg, _BC_GRID_POINTS)
                 ok = cap >= grid_bits - TOL_BC_GRID_ONESIDED
@@ -616,6 +618,7 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
                 )
             row = [_point_value(value), g1, g2, rho, cap, bound, c_asym]
             if verify:
+                _finite(columns, row)
                 _check_verify_size(geom)
                 vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
                     scenario.channel_model, geom, users
@@ -669,10 +672,14 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     g1, g2, rho = _pair_stats(
         scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
     )
+    # The nominal capacity first, so an overflowing link budget is
+    # reported the way `nfcap mac` or `nfcap bc` reports it.
     if key == "mac":
         s1, s2 = scenario.mac_cfg.snr_per_user
+        mac_capacity_two_user(g1, g2, rho, s1, s2)
         region = mac_region_two_user(g1, g2, rho, s1, s2)
     else:
+        _finite(("c_bc",), (bc_capacity_two_user(g1, g2, rho, scenario.bc_cfg),))
         build = nf_channel_vector if scenario.channel_model == "NF" else ff_channel_vector
         region = bc_region_two_user(
             build(geom, u1), build(geom, u2), scenario.bc_cfg

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import nfcap
 from nfcap.cli import build_parser, main
 
 
@@ -114,23 +115,6 @@ def test_parser_lists_all_subcommands():
         assert name in text
 
 
-def test_threads_flag_warns_on_numpy_backend(tmp_path):
-    env = dict(os.environ, NFCAP_BACKEND="numpy")
-    proc = subprocess.run(
-        [sys.executable, "-m", "nfcap.cli", "channel", "--threads", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "threads" in proc.stderr.lower()
-
-
-def test_threads_flag_rejects_nonpositive(capsys):
-    assert main(["channel", "--threads", "0"]) == 2
-    assert "threads" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     ("command", "body", "needle"),
     [
@@ -141,7 +125,9 @@ def test_threads_flag_rejects_nonpositive(capsys):
         ("bc", "[link]\nsnr_db = 3100\n", "[link] snr_db"),
         ("bc", "[link]\npower_db = 3000\n", "c_bc = inf"),
         ("mc", "[link]\npower_db = 3100\n", "[link] power_db"),
-        ("region", "[link]\nsnr_db = 3000\n", "got inf"),
+        # region reports the overflow of the nominal capacity, as mac and bc do
+        ("region", "[link]\nsnr_db = 3000\n", "uplink capacity overflows"),
+        ("region --mode bc", "[link]\npower_db = 3000\n", "c_bc = inf"),
         ("verify", "[link]\nsnr_db = 3000\n", "uplink capacity overflows"),
         ("verify", "[link]\npower_db = 3000\n", "downlink sum capacity = inf"),
         ("sweep", "[sweep]\nvariable = snr_db\nvalues = 10 3000\ntarget = mac\n",
@@ -159,7 +145,7 @@ def test_threads_flag_rejects_nonpositive(capsys):
 def test_link_budget_beyond_float_range_exits_two(tmp_path, capsys, command, body, needle):
     path = tmp_path / "huge.ini"
     path.write_text(body)
-    assert main([command, "--config", str(path)]) == 2
+    assert main([*command.split(), "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -173,3 +159,35 @@ def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
     path.write_text("[sweep]\nvariable = m_per_axis\nvalues = 3 inf\ntarget = channel\n")
     assert main(["sweep", "--config", str(path)]) == 2
     assert "odd positive integers, got inf" in capsys.readouterr().err
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    "Run a fresh interpreter on this checkout's package, capturing real stderr."
+    src = os.path.dirname(os.path.dirname(nfcap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize("power_db", ["3000", "2990"])
+def test_verify_on_overflowed_link_budget_prints_one_line(tmp_path, power_db):
+    "The oracles never see an infinite capacity, so numpy prints no warning."
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[link]\npower_db = {power_db}\n")
+    proc = _run_cli("-m", "nfcap.cli", "bc", "--verify", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: c_bc = inf")
+
+
+def test_import_and_channel_emit_no_warning():
+    assert _run_cli("-W", "error", "-c", "import nfcap.cli").returncode == 0
+    proc = _run_cli("-m", "nfcap.cli", "channel")
+    assert proc.returncode == 0
+    assert proc.stderr == ""

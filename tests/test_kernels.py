@@ -1,85 +1,11 @@
-"""Compiled and plain-numpy kernel flavors must agree, and the backend
-selector must honor the environment switch.
-"""
+"""Numpy kernels of the hot loops, called through their public names."""
 
-import importlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import nfcap._kernels as kernels
-
-numba = pytest.importorskip("numba")
-
-
-def test_active_backend_reports_known_flavor():
-    assert kernels.active_backend() in ("numba", "numpy")
-
-
-def test_env_switch_selects_backend():
-    "NFCAP_BACKEND must pick the flavor in a fresh interpreter."
-    code = (
-        "import nfcap._kernels as k; print(k.active_backend())"
-    )
-    for wanted in ("numpy", "numba"):
-        env = dict(os.environ, NFCAP_BACKEND=wanted)
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == wanted
-
-
-def test_env_switch_rejects_unknown_value():
-    env = dict(os.environ, NFCAP_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import nfcap._kernels"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "NFCAP_BACKEND" in out.stderr
-
-
-def test_distance_kernels_agree():
-    got_np = kernels._distances_np(9, 7, 10.0, 0.006, 0.25, -0.5)
-    got_nb = kernels._distances_nb(9, 7, 10.0, 0.006, 0.25, -0.5)
-    np.testing.assert_allclose(got_np, got_nb, rtol=1e-15)
-    assert got_np.shape == (9 * 7,)
-
-
-def test_entry_kernels_agree():
-    dists = kernels._distances_np(9, 9, 5.0, 0.012, 0.1, 0.3)
-    got_np = kernels._nf_entries_np(dists, 2.5e-4, 0.125)
-    got_nb = kernels._nf_entries_nb(dists, 2.5e-4, 0.125)
-    np.testing.assert_allclose(got_np, got_nb, rtol=1e-14)
-
-
-def test_quadrature_kernels_agree():
-    t = 64
-    j = np.arange(1, t + 1)
-    x = np.cos((2 * j - 1) * np.pi / (2 * t))
-    w = np.full(t, np.pi / t)
-    args = (x, x, w, 2.0, 10.0, 5.0, 50.3, 0.4, -0.5, -0.4, 0.5)
-    got_np = kernels._quad_sum_np(*args)
-    got_nb = kernels._quad_sum_nb(*args)
-    assert complex(got_np) == pytest.approx(complex(got_nb), rel=1e-12)
-
-
-def test_mc_grid_kernels_agree():
-    args = (0.8, 0.3, 0.05, -0.02, 80, 80, 16)
-    best_np = kernels._mc_grid_np(*args)
-    best_nb = kernels._mc_grid_nb(*args)
-    assert best_np[0] == pytest.approx(best_nb[0], rel=1e-12)
-    assert best_np[1:] == pytest.approx(best_nb[1:], abs=1e-12)
 
 
 def test_mc_grid_best_finds_single_user_optimum():
@@ -109,20 +35,3 @@ def test_dispatchers_run_through_public_wrappers():
     )
     assert isinstance(total, complex)
     assert math.isfinite(total.real) and math.isfinite(total.imag)
-
-
-def test_reload_restores_module_state():
-    "Reloading under a forced backend must not poison later imports."
-    original = kernels.active_backend()
-    saved_env = os.environ.get("NFCAP_BACKEND")
-    try:
-        os.environ["NFCAP_BACKEND"] = "numpy"
-        mod = importlib.reload(kernels)
-        assert mod.active_backend() == "numpy"
-    finally:
-        if saved_env is None:
-            os.environ.pop("NFCAP_BACKEND", None)
-        else:
-            os.environ["NFCAP_BACKEND"] = saved_env
-        importlib.reload(kernels)
-    assert kernels.active_backend() == original

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import REF_POWER, synth_pair
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
+from nfcap.mac import FfAsymptote
 from nfcap.multicast import (
     Beamformer,
-    McFfAsymptote,
     mc_asymptotics,
     mc_beamformer_two_user,
     mc_capacity_two_user,
@@ -189,7 +189,8 @@ def test_ff_asymptote_gap_lies_in_unit_interval(user1, user2_dd):
             noise_vars=(1.0, 1.0),
             m_total=m_total,
         )
-        assert isinstance(asym, McFfAsymptote)
+        assert isinstance(asym, FfAsymptote)
+        assert asym.static > asym.dynamic
         assert 0.0 < asym.gap <= 1.0
 
 

@@ -154,8 +154,8 @@ def test_mc_grid_kernel_matches_complex_brute_force(rng):
     for g1, g2, ip_abs2 in cases:
         ip = math.sqrt(ip_abs2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         brute = float(_grid_values(g1, g2, ip, a, b, psi).max())
-        best, a_best, b_best, psi_best = _kernels._mc_grid_np(
-            g1, g2, ip.real, ip.imag, n_a, n_b, n_psi
+        best, a_best, b_best, psi_best = _kernels.mc_grid_best(
+            g1, g2, ip, n_a, n_b, n_psi
         )
         assert best == pytest.approx(brute, rel=1e-12)
         again = float(_grid_values(g1, g2, ip, a_best, b_best, psi_best))
