@@ -3,7 +3,11 @@
 Prints one row per kernel and input size. The CCF quadrature is timed at
 65x65 (reference users) and at the preset geometry, 551x551 with user 2
 at 2 m in user 1's direction, for T=200 (today's rule) and T=800 (a
-converged rule at that size).
+converged rule at that size). The dense log-determinant oracle, which
+forms I + sum_k snr_k h_k h_k^H and factors it with the in-place blocked
+Cholesky kernel, is timed at the two sizes the verify paths use: 33x33
+(``nfcap verify``) and 65x65 (``mac --verify`` on the reference array),
+on the reference users at SNR 1000.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -15,8 +19,11 @@ import timeit
 import numpy as np
 
 from nfcap import _kernels
+from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
+from nfcap.oracles import logdet_capacity_oracle
 
-WAVELENGTH = 299792458.0 / 2.4e9
+FREQUENCY_HZ = 2.4e9
+WAVELENGTH = 299792458.0 / FREQUENCY_HZ
 
 
 def _distance_args(m_axis=301):
@@ -47,6 +54,15 @@ def _quad_args(m_axis=65, nodes=200, same_direction=False, r2=5.0):
     return x, z, w, r1 / r2, r1, r2, k0, px1, oz1, px2, oz2
 
 
+def _logdet_args(m_axis):
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=FREQUENCY_HZ)
+    users = (UserLocation(range_r=10.0, azimuth_theta=math.pi / 3,
+                          elevation_phi=2 * math.pi / 3),
+             UserLocation(range_r=5.0, azimuth_theta=2 * math.pi / 3,
+                          elevation_phi=math.pi / 3))
+    return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
+
+
 def _workloads():
     dist_args = _distance_args()
     dists = _kernels.element_distances(*dist_args)
@@ -64,6 +80,8 @@ def _workloads():
         *quad,
         ("mc_grid_best 400x400x64", _kernels.mc_grid_best,
          (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64)),
+        *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m))
+          for m in (33, 65)],
     ]
 
 

@@ -3,10 +3,13 @@
 Everything here recomputes a quantity from first principles: dense
 log-determinants over the full antenna dimension, exhaustive grids over
 power splits and beam coefficients, and per-element scalar loops for
-gains and correlation. None of the capacity or channel formula modules
-are imported; the only imports from the package are plain data
-containers, the shared input checks and the grid scan kernel, so a bug
-in a closed form cannot leak into its own check.
+gains and correlation. The log-determinants form the whole M x M matrix
+and factor all of it, by a blocked Cholesky that overwrites the matrix
+in place; there is no rank, Gram or determinant-lemma shortcut. None of
+the capacity or channel formula modules are imported; the only imports
+from the package are plain data containers, the shared input checks and
+the grid-scan and log-determinant kernels, so a bug in a closed form
+cannot leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -80,12 +83,17 @@ def logdet_capacity_oracle(
 ) -> float:
     """Sum capacity by dense log-determinant over the antenna dimension.
 
-    Builds the full matrix I_M + sum_k snr_k h_k h_k^H and evaluates
-    log2 det through a Cholesky factorization. No user count or rank
-    shortcuts: this is the definition, evaluated literally.
+    Builds the full matrix I_M + sum_k snr_k h_k h_k^H, as one product
+    of the M x K matrix with columns sqrt(snr_k) h_k and its conjugate
+    transpose, and evaluates log2 det by an in-place blocked Cholesky
+    factorization of all M columns. No user count, rank, Gram or
+    determinant-lemma shortcut: this is the definition, evaluated
+    literally.
     """
     if len(channels) != len(snrs):
         raise ValueError("channels and snrs must have equal length")
+    for k, snr in enumerate(snrs):
+        _checks.nonneg(f"snrs[{k}]", snr)
     vecs = _checks.channel_vectors(channels)
     if not vecs:
         return 0.0
@@ -94,13 +102,10 @@ def logdet_capacity_oracle(
         raise ValueError(
             f"dense oracle limited to {_MAX_DENSE_DIM} antennas, got {size}"
         )
-    mat = np.eye(size, dtype=np.complex128)
-    for vec, snr in zip(vecs, snrs):
-        if snr < 0.0:
-            raise ValueError("snrs must be nonnegative")
-        mat += snr * np.outer(vec, vec.conj())
-    chol = np.linalg.cholesky(mat)
-    return float(2.0 * np.sum(np.log(np.abs(np.diag(chol)))) / _LOG2)
+    cols = np.stack([math.sqrt(snr) * vec for vec, snr in zip(vecs, snrs)], axis=1)
+    mat = cols @ cols.conj().T
+    mat.flat[:: size + 1] += 1.0
+    return _kernels.hpd_logdet(mat) / _LOG2
 
 
 def sic_rates_oracle(
@@ -113,23 +118,24 @@ def sic_rates_oracle(
     ``order[0]`` is decoded first against all later users as
     interference. User ``order[i]``'s rate is the capacity of the
     not-yet-decoded set starting at i minus the capacity of the set
-    starting at i + 1, each evaluated by :func:`logdet_capacity_oracle`.
+    starting at i + 1. Each of these K suffix capacities is evaluated
+    once by :func:`logdet_capacity_oracle`; the empty set has capacity 0.
     """
     k = len(channels)
+    if len(snrs) != k:
+        raise ValueError(f"got {len(snrs)} snrs for {k} channels")
     if sorted(order) != list(range(k)):
         raise ValueError(f"order must be a permutation of 0..{k - 1}")
     seq = list(order)
+    caps = [
+        logdet_capacity_oracle(
+            [channels[j] for j in seq[i:]], [snrs[j] for j in seq[i:]]
+        )
+        for i in range(k)
+    ] + [0.0]
     rates = [0.0] * k
     for i, user in enumerate(seq):
-        tail = seq[i:]
-        head = seq[i + 1:]
-        cap_tail = logdet_capacity_oracle(
-            [channels[j] for j in tail], [snrs[j] for j in tail]
-        )
-        cap_head = logdet_capacity_oracle(
-            [channels[j] for j in head], [snrs[j] for j in head]
-        )
-        rates[user] = cap_tail - cap_head
+        rates[user] = caps[i] - caps[i + 1]
     return tuple(rates)
 
 

@@ -4,6 +4,7 @@ each one is pinned here on cases with hand-checkable answers.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,58 @@ def test_sic_oracle_rates_sum_to_capacity(rng):
         )
     with pytest.raises(ValueError):
         sic_rates_oracle([h1, h2], snrs, (0, 0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_logdet_rejects_nonfinite_snr(bad):
+    h = np.array([0.5 + 0.5j, -0.25 + 0j, 0.1j])
+    with pytest.raises(ValueError, match="snrs"):
+        logdet_capacity_oracle([h], [bad])
+    with pytest.raises(ValueError, match="snrs"):
+        logdet_capacity_oracle([h, h], [1.0, bad])
+
+
+@pytest.mark.parametrize("snrs", [[1.0], [1.0, 2.0, 3.0]])
+def test_sic_rejects_snr_count_mismatch(snrs):
+    h1, h2 = synth_pair(0.4, 0.9, 0.35, m=5)
+    with pytest.raises(ValueError, match="snrs"):
+        sic_rates_oracle([h1, h2], snrs, (0, 1))
+
+
+def test_logdet_memory_is_one_dense_matrix(rng):
+    "At the verify size (33x33 elements) the oracle holds one M x M matrix."
+    m = 33 * 33
+    h1, h2 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    tracemalloc.start()
+    try:
+        logdet_capacity_oracle([h1, h2], [REF_SNR, REF_SNR])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * m * m
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sic_factors_each_suffix_once(rng, monkeypatch, k):
+    "K factorisations per decoding order: one per non-empty suffix."
+    m = 6
+    channels = list(rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
+    snrs = [10.0 * (i + 1) for i in range(k)]
+    calls = []
+    real_logdet = _kernels.hpd_logdet
+
+    def counting(a):
+        calls.append(a.shape)
+        return real_logdet(a)
+
+    monkeypatch.setattr(_kernels, "hpd_logdet", counting)
+    for order in ((0, 1), (1, 0)) if k == 2 else ((2, 0, 1), (0, 1, 2)):
+        calls.clear()
+        rates = sic_rates_oracle(channels, snrs, order)
+        assert calls == [(m, m)] * k
+        assert sum(rates) == pytest.approx(
+            logdet_capacity_oracle(channels, snrs), abs=1e-12
+        )
 
 
 def test_bc_grid_symmetric_split():
