@@ -3,7 +3,11 @@
 Prints one row per kernel and input size. The CCF quadrature is timed at
 65x65 (reference users) and at the preset geometry, 551x551 with user 2
 at 2 m in user 1's direction, for T=200 (today's rule) and T=800 (a
-converged rule at that size). The dense log-determinant oracle, which
+converged rule at that size). The exact CCF element sum, which the NF
+sweeps take instead of the T=200 rule up to 200^2 elements, is timed on
+the reference users at 65x65, 151x151 and 199x199; the CCF rows also
+print the time per integrand evaluation (T^2 for the rule, m^2 for the
+element sum), which shows the crossover. The dense log-determinant oracle, which
 forms I + sum_k snr_k h_k h_k^H and factors it with the in-place blocked
 Cholesky kernel, is timed at the two sizes the verify paths use: 33x33
 (``nfcap verify``) and 65x65 (``mac --verify`` on the reference array),
@@ -54,6 +58,11 @@ def _quad_args(m_axis=65, nodes=200, same_direction=False, r2=5.0):
     return x, z, w, r1 / r2, r1, r2, k0, px1, oz1, px2, oz2
 
 
+def _element_args(m_axis):
+    x, z, w, *rest = _quad_args(m_axis)
+    return (m_axis, m_axis, (WAVELENGTH / 2.0) / 10.0, *rest)
+
+
 def _logdet_args(m_axis):
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=FREQUENCY_HZ)
     users = (UserLocation(range_r=10.0, azimuth_theta=math.pi / 3,
@@ -67,21 +76,27 @@ def _workloads():
     dist_args = _distance_args()
     dists = _kernels.element_distances(*dist_args)
     quad = [
-        (f"ccf_quadrature_sum {label}", _kernels.ccf_quadrature_sum, args)
+        (f"ccf_quadrature_sum {label}", _kernels.ccf_quadrature_sum, args,
+         len(args[0]) * len(args[1]))
         for label, args in (
             ("65 T=200", _quad_args()),
             ("551 sd T=200", _quad_args(551, 200, True, 2.0)),
             ("551 sd T=800", _quad_args(551, 800, True, 2.0)),
         )
     ]
+    elements = [
+        (f"ccf_element_sum {m}x{m}", _kernels.ccf_element_sum, _element_args(m), m * m)
+        for m in (65, 151, 199)
+    ]
     return [
-        ("element_distances 301x301", _kernels.element_distances, dist_args),
-        ("nf_entries 301x301", _kernels.nf_entries, (dists, 1.2e-4, WAVELENGTH)),
+        ("element_distances 301x301", _kernels.element_distances, dist_args, None),
+        ("nf_entries 301x301", _kernels.nf_entries, (dists, 1.2e-4, WAVELENGTH), None),
         *quad,
+        *elements,
         ("mc_grid_best 400x400x64", _kernels.mc_grid_best,
-         (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64)),
-        *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m))
-          for m in (33, 65)],
+         (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64), None),
+        *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
+           None) for m in (33, 65)],
     ]
 
 
@@ -98,12 +113,13 @@ def main():
                         help="calls per repetition (default 3)")
     args = parser.parse_args()
 
-    header = f"{'kernel':<32} {'time':>12}"
+    header = f"{'kernel':<32} {'time':>12} {'per eval':>12}"
     print(header)
     print("-" * len(header))
-    for name, func, call_args in _workloads():
+    for name, func, call_args, evals in _workloads():
         seconds = _best_seconds(func, call_args, args.repeat, args.number)
-        print(f"{name:<32} {seconds * 1e3:>10.3f}ms")
+        per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else ""
+        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Numpy kernels of the hot numeric loops.
 
-Five kernels, each one numpy function:
+Six kernels, each one numpy function:
 
 * :func:`element_distances` - exact element-to-user distances;
 * :func:`nf_entries` - spherical-wave channel entries from distances;
 * :func:`ccf_quadrature_sum` - the weighted double sum of the NF
   correlation integral, in real arithmetic on row blocks;
+* :func:`ccf_element_sum` - the same integrand summed over the array's
+  elements with unit weights: the exact inner product and both norms of
+  the two NF channel vectors, up to constants that cancel in the CCF;
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
   the two channels, in real arithmetic on one plane per phase;
 * :func:`hpd_logdet` - ln det of a Hermitian positive-definite matrix by
@@ -44,10 +47,13 @@ def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# CCF quadrature double sum
+# CCF double sums
 #
 # S = sum_t sum_t' w_t w_t' f1(x_t, z_t') f2(x_t, z_t') over Chebyshev nodes,
 # with f1 = exp(+j*k0*r1*sqrt(Q1))/Q1^{3/4}, f2 = exp(-j*k0*r2*sqrt(Q2))/Q2^{3/4}.
+# At the element offsets (x, z) = eps1*(ix, iz) with unit weights the same
+# sum is h1^H h2 of the two NF channel vectors, divided by the factor
+# A sqrt(Psi1 Psi2) / (4 pi r1 r2) that the CCF ratio cancels.
 
 
 # Rows of x per block: about 16k nodes, so the eight work planes of a
@@ -58,14 +64,36 @@ _QUAD_BLOCK_NODES = 16384
 
 def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
     "Weighted double sum of the two oscillatory CCF kernels."
+    re, im = _block_sums(x, z, w, w, (ups, r1, r2, k0, px1, oz1, px2, oz2), False)
+    return complex(re, im)
+
+
+def ccf_element_sum(m_x, m_z, eps1, ups, r1, r2, k0, px1, oz1, px2, oz2
+                    ) -> tuple[complex, float, float]:
+    """Element sums of the NF CCF: (S, N1, N2).
+
+    S = sum_i (Q1 Q2)^{-3/4} exp(j (k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2))) and
+    N_k = sum_i Q_k^{-3/2} over the m_x x m_z elements at offsets
+    eps1 * (ix, iz), so that |S|^2 / (N1 N2) is the exact CCF of the two
+    NF channel vectors.
+    """
+    x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
+    z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
+    re, im, n1, n2 = _block_sums(x, z, np.ones(m_x), np.ones(m_z),
+                                 (ups, r1, r2, k0, px1, oz1, px2, oz2), True)
+    return complex(re, im), n1, n2
+
+
+def _block_sums(x, z, wx, wz, args, norms):
+    "Sums of :func:`_quad_block` over row blocks of x."
     rows = max(1, _QUAD_BLOCK_NODES // len(z))
     planes = _aligned_planes(8, min(rows, len(x)), len(z))
-    total = 0.0 + 0.0j
+    totals = (0.0,) * (4 if norms else 2)
     for start in range(0, len(x), rows):
         block = slice(start, start + rows)
-        total += _quad_block(x[block], z, w[block], w,
-                             ups, r1, r2, k0, px1, oz1, px2, oz2, planes)
-    return total
+        sums = _quad_block(x[block], z, wx[block], wz, *args, planes, norms)
+        totals = tuple(t + s for t, s in zip(totals, sums))
+    return totals
 
 
 def _aligned_planes(count, rows, cols):
@@ -85,11 +113,13 @@ def _aligned_planes(count, rows, cols):
             for k in range(count)]
 
 
-def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2, planes):
+def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2, planes, norms):
     # Real arithmetic on (rows, T) planes, x down the rows and z along
     # the columns: f1*f2 = amp * (cos + j sin) of the one phase
     # p1 - p2 = k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2), with amp = (Q1 Q2)^{-3/4},
-    # and the weights enter as wx @ plane @ wz.
+    # and the weights enter as wx @ plane @ wz. Returns the real and
+    # imaginary parts of the sum and, with ``norms``, the sums of
+    # Q1^{-3/2} and Q2^{-3/2} taken from the same square roots.
     #
     # Q1 = x^2 + z^2 - 2 px1 x - 2 oz1 z + 1 and
     # Q2 = ups^2 (x^2 + z^2) - 2 ups px2 x - 2 ups oz2 z + 1 are summed
@@ -112,10 +142,15 @@ def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2, planes):
     q2 += 1.0
     np.multiply(q1, q2, out=amp)
     amp **= -0.75
-    p1 = np.sqrt(q1, out=q1)
-    p1 *= k0 * r1
-    p2 = np.sqrt(q2, out=q2)
-    p2 *= k0 * r2
+    norm_sums = []
+    for q, kr in ((q1, k0 * r1), (q2, k0 * r2)):
+        root = np.sqrt(q, out=q)
+        if norms:
+            np.multiply(root, root, out=tmp)
+            tmp *= root
+            norm_sums.append(wx @ np.reciprocal(tmp, out=tmp) @ wz)
+        root *= kr
+    p1, p2 = q1, q2
     np.subtract(p1, p2, out=phase)
     np.subtract(phase, p1, out=back)
     np.subtract(phase, back, out=err)
@@ -128,7 +163,7 @@ def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2, planes):
     im += sin
     re *= amp
     im *= amp
-    return complex(wx @ re @ wz, wx @ im @ wz)
+    return (wx @ re @ wz, wx @ im @ wz, *norm_sums)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ _EXIT_USAGE = 1
 _EXIT_INVALID = 2
 _EXIT_VERIFY = 3
 
+_QUADRATURE_T_HELP = (
+    "nodes per axis T of the NF correlation's Chebyshev-Gauss rule, which "
+    "is used where the array has more than T^2 elements; smaller arrays "
+    "take the exact element sum (default 200)"
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with status 1."""
@@ -72,7 +78,7 @@ def _add_common(sub: argparse.ArgumentParser, verify_flag: bool = True) -> None:
         type=int,
         metavar="T",
         dest="quadrature_t",
-        help="override the correlation quadrature node count per axis",
+        help=_QUADRATURE_T_HELP,
     )
 
 
@@ -130,7 +136,11 @@ def build_parser() -> _Parser:
     )
     verify.add_argument("--config", metavar="PATH")
     verify.add_argument(
-        "--quadrature-T", type=int, metavar="T", dest="quadrature_t"
+        "--quadrature-T",
+        type=int,
+        metavar="T",
+        dest="quadrature_t",
+        help=_QUADRATURE_T_HELP,
     )
     return parser
 

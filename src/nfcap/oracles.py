@@ -230,10 +230,13 @@ def mc_beam_grid_oracle(
         raise ValueError(f"grid_spec too small: {grid_spec}")
     if len(noise_vars) != 2:
         raise ValueError("mc grid oracle needs exactly two noise variances")
+    var1, var2 = (
+        _checks.positive(f"noise_vars[{k}]", v) for k, v in enumerate(noise_vars)
+    )
     _checks.nonneg("P", P)
     v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
-    hb1 = v1 / math.sqrt(noise_vars[0])
-    hb2 = v2 / math.sqrt(noise_vars[1])
+    hb1 = v1 / math.sqrt(var1)
+    hb2 = v2 / math.sqrt(var2)
     g1 = float(np.vdot(hb1, hb1).real)
     g2 = float(np.vdot(hb2, hb2).real)
     if g1 <= 0.0 or g2 <= 0.0:

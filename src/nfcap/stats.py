@@ -1,9 +1,13 @@
-"""Channel gains and correlation factors: exact, closed-form, quadrature, FF.
+"""Channel gains and correlation: exact, element sum, closed form, quadrature, FF.
 
 Exact quantities are element sums over real channel vectors and serve as
 ground truth. The closed forms trade the sums for integrals (gain) or a
-Chebyshev-Gauss rule (CCF) and are what the capacity sweeps run on, since
-they stay cheap at apertures where a vector would not even fit in memory.
+Chebyshev-Gauss rule (CCF), which stay cheap at apertures where a vector
+would not even fit in memory. The capacity sweeps run on the closed-form
+gains. For the NF CCF they run the exact element sum
+(:func:`nf_ccf_elements`, no channel vector built) wherever the array
+has no more elements than the T x T rule has nodes, and the paper's rule
+(:func:`nf_ccf_quadrature`) beyond that.
 """
 
 from dataclasses import dataclass
@@ -32,7 +36,7 @@ class LinkStats:
 
 
 class CcfEstimate(NamedTuple):
-    "Quadrature CCF: clamped value plus the raw pre-clamp number."
+    "Computed CCF: clamped value plus the raw pre-clamp number."
 
     value: float
     raw: float
@@ -139,6 +143,28 @@ def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,
                  / (16 * u.range_r**2 * g * nodes_T**2))
     raw = float(pref * abs(s) ** 2)
     return CcfEstimate(value=min(max(raw, 0.0), 1.0), raw=raw)
+
+
+def nf_ccf_elements(geom: ArrayGeometry, u1: UserLocation,
+                    u2: UserLocation) -> CcfEstimate:
+    """Exact NF CCF from the element sum, without building the vectors.
+
+    Sums the quadrature's integrand at the m_x x m_z element offsets with
+    unit weights, which gives h1^H h2 and both squared norms of the two
+    NF channel vectors up to constants that cancel in the ratio: the
+    value is ``ccf_exact`` of the two ``nf_channel_vector``s. It costs
+    one integrand evaluation per element, against T^2 for the rule.
+    Rounding can put the raw ratio of co-located users a few ulps above
+    1; the value is clamped to 1.
+    """
+    eps1 = epsilon(geom, u1)
+    epsilon(geom, u2)
+    r1, r2 = u1.range_r, u2.range_r
+    s, n1, n2 = _kernels.ccf_element_sum(
+        geom.m_x, geom.m_z, eps1, r1 / r2, r1, r2, 2 * np.pi / geom.wavelength,
+        u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z)
+    raw = float(abs(s) ** 2 / (n1 * n2))
+    return CcfEstimate(value=min(raw, 1.0), raw=raw)
 
 
 def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> float:

@@ -60,6 +60,7 @@ from .oracles import (
 from .stats import (
     ff_ccf_closed,
     ff_gain_closed,
+    nf_ccf_elements,
     nf_ccf_quadrature,
     nf_gain_closed,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "PRESETS",
     "TOL_GAIN_REL",
     "TOL_CCF_ABS",
+    "TOL_CCF_ELEMENTS_REL",
     "TOL_FF_STATS_ABS",
     "TOL_MAC_FORMULA_ABS",
     "TOL_BC_GRID_ONESIDED",
@@ -89,6 +91,7 @@ __all__ = [
 
 TOL_GAIN_REL = 1e-2
 TOL_CCF_ABS = 1e-3
+TOL_CCF_ELEMENTS_REL = 1e-10
 TOL_FF_STATS_ABS = 1e-9
 TOL_MAC_FORMULA_ABS = 1e-9
 TOL_BC_GRID_ONESIDED = 1e-6
@@ -154,7 +157,36 @@ def _provenance(scenario: Scenario, command: str, verify: bool) -> str:
     if verify:
         lines.append("verify = on")
     lines.extend(f"{key} = {value}" for key, value in scenario.resolved_items())
+    if scenario.sweep is not None and scenario.sweep.variable == "m_per_axis":
+        sizes = {int(m) ** 2 for m in scenario.sweep.values}
+    else:
+        sizes = {scenario.geometry.m_total}
+    path = _ccf_path(scenario.channel_model, sizes, scenario.quadrature_nodes)
+    lines.append(f"ccf = {path}")
     return "\n".join(lines) + "\n"
+
+
+def _ccf_path(model: str, sizes: set[int], nodes: int) -> str:
+    """How the correlation is computed for arrays of ``sizes`` elements,
+    and the rule that chose it, for a provenance line.
+    """
+    if model == "FF":
+        return "far-field closed form"
+    limit = nodes * nodes
+    rule = f"{nodes} x {nodes} Chebyshev-Gauss rule"
+    exact = {_takes_element_sum(size, nodes) for size in sizes}
+    if exact == {True}:
+        return f"element sum, since m_x*m_z <= T^2 = {limit}"
+    if exact == {False}:
+        return f"{rule}, since m_x*m_z > T^2 = {limit}"
+    return f"element sum where m_x*m_z <= T^2 = {limit}, else the {rule}"
+
+
+def _takes_element_sum(size: int, nodes: int) -> bool:
+    """Whether the NF correlation of an array of ``size`` elements is the
+    element sum: it has no more terms than the ``nodes`` x ``nodes`` rule.
+    """
+    return size <= nodes * nodes
 
 
 def _sweep_points(scenario: Scenario) -> tuple[str, tuple[float | None, ...]]:
@@ -252,6 +284,10 @@ def _pair_stats(
 ) -> tuple[float, float, float]:
     """Gains and correlation (g1, g2, rho) of one channel.
 
+    NF gains are the paper's closed forms. The NF correlation is the
+    exact element sum when the array has no more elements than the
+    ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
+
     ``run_channel``, ``run_mac``, ``run_bc`` and ``run_mc`` memoise this
     for the length of one call, so an SNR or power sweep evaluates its
     single channel once.
@@ -259,7 +295,10 @@ def _pair_stats(
     if model == "NF":
         g1 = nf_gain_closed(geom, u1)
         g2 = nf_gain_closed(geom, u2)
-        rho = nf_ccf_quadrature(geom, u1, u2, nodes).value
+        if _takes_element_sum(geom.m_total, nodes):
+            rho = nf_ccf_elements(geom, u1, u2).value
+        else:
+            rho = nf_ccf_quadrature(geom, u1, u2, nodes).value
     else:
         g1 = ff_gain_closed(geom, u1)
         g2 = ff_gain_closed(geom, u2)
@@ -775,6 +814,7 @@ def _preset_capacity_vs_m(kind: str) -> SweepResult:
         f"m_per_axis = {','.join(str(m) for m in _M_AXIS_GRID)}\n"
         "snr_linear = 1000.0\npower_linear = 1000.0\nnoise_vars = 1.0,1.0\n"
         f"quadrature_nodes = {_QUAD_NODES}\n"
+        f"ccf_nf = {_ccf_path('NF', {m * m for m in _M_AXIS_GRID}, _QUAD_NODES)}\n"
     )
     return SweepResult(
         ("M", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd", "C_asym"),
@@ -809,6 +849,7 @@ def _preset_mc_vs_r2() -> SweepResult:
         f"r2_m = {','.join(repr(r) for r in _R2_GRID)}\n"
         "power_linear = 1000.0\nnoise_vars = 1.0,1.0\n"
         f"quadrature_nodes = {_QUAD_NODES}\n"
+        f"ccf_nf = {_ccf_path('NF', {geom.m_total}, _QUAD_NODES)}\n"
     )
     return SweepResult(
         ("r2_m", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd"),
@@ -853,6 +894,29 @@ class CheckRow:
         return abs(self.closed - self.oracle)
 
 
+def _abs_check(closed: float, oracle: float, tol: float) -> tuple[str, bool]:
+    return f"abs <= {tol:.3g}", abs(closed - oracle) <= tol
+
+
+def _ccf_elements_tolerance(
+    geom: ArrayGeometry, users: Sequence[UserLocation], rho: float
+) -> float:
+    """Allowed distance of an NF element-sum correlation from the scalar
+    oracle's ``rho``: TOL_CCF_ELEMENTS_REL relative, plus rounding.
+
+    Both sums round each phase k0 d, of up to k0 r_max radians, to
+    double precision. Over the N elements those errors move sqrt(rho) =
+    |h1^H h2| / (|h1| |h2|) by about eps k0 r_max / sqrt(N) at random,
+    and rho by 2 sqrt(rho) times that; eight times that is allowed. Near
+    a null of the correlation (rho below about 1e-8 at 33 x 33) that
+    term is the larger one.
+    """
+    k0 = 2 * math.pi / geom.wavelength
+    r_max = max(u.range_r for u in users)
+    sqrt_err = 8 * np.finfo(float).eps * k0 * r_max / math.sqrt(geom.m_total)
+    return TOL_CCF_ELEMENTS_REL * rho + 2 * math.sqrt(rho) * sqrt_err
+
+
 @_nominal_point
 def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     """Cross-check every closed form against its brute-force oracle.
@@ -862,6 +926,10 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     tractable; the returned header string states the size used. The
     checks cover channel statistics, uplink capacity and corner rates,
     downlink power optimality and duality, and the multicast beam grid.
+    The NF correlation is checked twice: as the sweeps compute it at the
+    reduced size (the element sum, to 1e-10 relative plus rounding,
+    unless the reduced array has more than T^2 elements), and as the
+    paper's T x T rule.
     """
     m_x = min(scenario.geometry.m_x, 33)
     m_z = min(scenario.geometry.m_z, 33)
@@ -885,7 +953,8 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     checks: list[CheckRow] = []
 
     # channel statistics against per-element scalar sums
-    g1_c, g2_c, rho_c = _pair_stats(model, geom, u1, u2, scenario.quadrature_nodes)
+    nodes = scenario.quadrature_nodes
+    g1_c, g2_c, rho_c = _pair_stats(model, geom, u1, u2, nodes)
     low = model.lower()
     gain_tol = TOL_GAIN_REL if model == "NF" else TOL_FF_STATS_ABS
     for name, closed, user in (("gain user1", g1_c, u1), ("gain user2", g2_c, u2)):
@@ -895,11 +964,22 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
             CheckRow(name, closed, oracle, f"rel <= {gain_tol:g}", rel <= gain_tol)
         )
     rho_o = ccf_sum_oracle(geom, u1, u2, model=low)
-    ccf_tol = TOL_CCF_ABS if model == "NF" else TOL_FF_STATS_ABS
-    checks.append(
-        CheckRow(
-            "ccf", rho_c, rho_o, f"abs <= {ccf_tol:g}", abs(rho_c - rho_o) <= ccf_tol
+    if model == "FF":
+        ccf_note, ccf_ok = _abs_check(rho_c, rho_o, TOL_FF_STATS_ABS)
+    elif _takes_element_sum(geom.m_total, nodes):
+        ccf_note, ccf_ok = _abs_check(
+            rho_c, rho_o, _ccf_elements_tolerance(geom, (u1, u2), rho_o)
         )
+        ccf_note += f": {TOL_CCF_ELEMENTS_REL:g} relative plus rounding"
+    else:
+        ccf_note, ccf_ok = _abs_check(rho_c, rho_o, TOL_CCF_ABS)
+    checks.append(CheckRow("ccf", rho_c, rho_o, ccf_note, ccf_ok))
+    # the paper's rule, which the NF sweeps take beyond T^2 elements
+    rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
+    rule_o = rho_o if model == "NF" else ccf_sum_oracle(geom, u1, u2, model="nf")
+    checks.append(
+        CheckRow(f"ccf quadrature T={nodes}", rule, rule_o,
+                 *_abs_check(rule, rule_o, TOL_CCF_ABS))
     )
 
     # uplink: closed formula vs dense log-determinant on exact vectors

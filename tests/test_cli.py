@@ -90,7 +90,7 @@ def test_verify_subcommand_passes_on_small_array(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "[ok  ]" in out and "FAIL" not in out
-    assert "all 10 checks passed" in out
+    assert "all 11 checks passed" in out
 
 
 def test_sweep_subcommand_runs_config_grid(tmp_path, capsys):

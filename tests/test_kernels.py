@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nfcap._kernels as kernels
+from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 
 
 def test_mc_grid_best_finds_single_user_optimum():
@@ -35,6 +36,26 @@ def test_dispatchers_run_through_public_wrappers():
     )
     assert isinstance(total, complex)
     assert math.isfinite(total.real) and math.isfinite(total.imag)
+
+
+def test_ccf_element_sum_is_inner_product_and_norms():
+    """S and N_k are h1^H h2 and |h_k|^2 of the NF channel vectors over
+    their common factors A sqrt(Psi1 Psi2) / (4 pi r1 r2) and
+    A Psi_k / (4 pi r_k^2)."""
+    geom = ArrayGeometry.from_frequency(m_x=17, m_z=41, frequency_hz=2.4e9)
+    u1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
+    u2 = UserLocation(4.0, 2 * math.pi / 3, math.pi / 3)
+    h1, h2 = (nf_channel_vector(geom, u).entries for u in (u1, u2))
+    s, n1, n2 = kernels.ccf_element_sum(
+        17, 41, geom.pitch_d / 10.0, 2.5, 10.0, 4.0, 2 * np.pi / geom.wavelength,
+        u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z,
+    )
+    area = geom.element_area
+    cross = area * math.sqrt(u1.dir_y * u2.dir_y) / (4 * np.pi * 10.0 * 4.0)
+    assert s * cross == pytest.approx(complex(np.vdot(h1, h2)), rel=1e-12)
+    for n, h, u in ((n1, h1, u1), (n2, h2, u2)):
+        own = area * u.dir_y / (4 * np.pi * u.range_r**2)
+        assert n * own == pytest.approx(float(np.vdot(h, h).real), rel=1e-12)
 
 
 def _hpd(n, cond, seed):

@@ -191,6 +191,18 @@ def _grid_values(g1, g2, ip, a, b, psi):
     return np.where(norm2 > 1e-300, vals, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_mc_grid_rejects_bad_noise_variance(bad, slot):
+    "Each noise variance must be finite and positive; ValueError names it."
+    h1 = np.array([1.0 + 0.0j, 0.5j])
+    h2 = np.array([0.3 + 0.0j, 1.0 + 0.0j])
+    noise = [1.0, 1.0]
+    noise[slot] = bad
+    with pytest.raises(ValueError, match=rf"noise_vars\[{slot}\]"):
+        mc_beam_grid_oracle(h1, h2, noise, 10.0, grid_spec=(20, 20, 4))
+
+
 def test_mc_grid_kernel_matches_complex_brute_force(rng):
     """The real-arithmetic scan finds the best value of a plain complex
     evaluation of every cell; the argmax may move among tied cells (same

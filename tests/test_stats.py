@@ -25,6 +25,7 @@ from nfcap.stats import (
     ff_ccf_closed,
     ff_gain_closed,
     gain_exact,
+    nf_ccf_elements,
     nf_ccf_quadrature,
     nf_gain_closed,
     ula_gain_closed,
@@ -168,6 +169,36 @@ def test_quadrature_kernel_matches_two_exponential_form(
     assert abs(got - want) <= 1e-13 * abs(want)
     if u2 == u1:
         assert est.raw > 1.0 and est.value == 1.0
+
+
+@pytest.mark.parametrize(
+    ("m_x", "m_z"),
+    [(9, 9), (33, 33), (65, 65), (151, 151), (17, 41), (1, 257)],
+)
+@pytest.mark.parametrize(
+    "user2",
+    [
+        pytest.param((5.0, 2 * math.pi / 3, math.pi / 3), id="reference-dd"),
+        pytest.param((5.0, math.pi / 3, 2 * math.pi / 3), id="reference-sd"),
+        pytest.param(_U1, id="co-located"),
+    ],
+)
+def test_nf_ccf_elements_matches_exact_vectors(m_x, m_z, user2):
+    "The element sum is ccf_exact of the two NF channel vectors."
+    geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
+    u1, u2 = UserLocation(*_U1), UserLocation(*user2)
+    exact = ccf_exact(nf_channel_vector(geom, u1), nf_channel_vector(geom, u2))
+    est = nf_ccf_elements(geom, u1, u2)
+    assert isinstance(est, CcfEstimate)
+    assert est.value == pytest.approx(min(exact, 1.0), rel=1e-10)
+    assert est.raw == pytest.approx(exact, rel=1e-10)
+    assert est.value <= 1.0
+
+
+def test_nf_ccf_elements_rejects_user_inside_pitch(ref_geometry, user1):
+    too_close = UserLocation(range_r=0.01, azimuth_theta=1.0, elevation_phi=1.0)
+    with pytest.raises(ValueError, match="pitch"):
+        nf_ccf_elements(ref_geometry, user1, too_close)
 
 
 def test_nf_ccf_quadrature_rejects_tiny_node_count(ref_geometry, user1, user2_dd):

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import synth_pair
 from nfcap import sweeps
 from nfcap.config import ScenarioError, default_scenario, load_scenario
+from nfcap.geometry import ArrayGeometry, nf_channel_vector
+from nfcap.oracles import logdet_capacity_oracle
+from nfcap.stats import ccf_exact, nf_ccf_quadrature
 from nfcap.sweeps import (
     PRESETS,
     SweepResult,
@@ -27,10 +31,17 @@ from nfcap.sweeps import (
 
 G1_REF = 0.003140814135542447
 G2_REF = 0.012552999941342702
-CCF_QUAD_REF = 1.3019432940659078e-08
-C_MAC_REF = 5.81045475494
-C_BC_REF = 4.26793285924
-C_MC_REF = 1.81248596228
+# Capacities of the default scenario (65x65, reference users, closed-form
+# gains, exact element-sum correlation)
+C_MAC_REF = 5.81045473235
+C_BC_REF = 4.26793284373
+C_MC_REF = 1.81254689932
+
+
+def _exact_ccf(scn):
+    "ccf_exact of the scenario's two NF channel vectors."
+    h1, h2 = (nf_channel_vector(scn.geometry, u) for u in scn.users)
+    return ccf_exact(h1, h2)
 
 
 def _scenario(tmp_path, body):
@@ -74,12 +85,13 @@ def test_emit_csv_writes_data_and_sidecar(tmp_path):
 
 
 def test_channel_point_reproduces_reference_stats():
-    res = run_channel(default_scenario())
+    scn = default_scenario()
+    res = run_channel(scn)
     assert res.rows and len(res.rows) == 1
     row = dict(zip(res.columns, res.rows[0]))
     assert row["g1"] == pytest.approx(G1_REF, rel=1e-9)
     assert row["g2"] == pytest.approx(G2_REF, rel=1e-9)
-    assert row["ccf"] == pytest.approx(CCF_QUAD_REF, rel=1e-6)
+    assert row["ccf"] == pytest.approx(_exact_ccf(scn), rel=1e-10)
     assert res.violations == ()
     assert "verify" not in ",".join(res.columns)
 
@@ -101,9 +113,15 @@ def test_verify_size_guard(tmp_path):
 
 
 def test_mac_point_capacity_and_corners():
-    res = run_mac(default_scenario())
+    scn = default_scenario()
+    res = run_mac(scn)
     row = dict(zip(res.columns, res.rows[0]))
     assert row["c_mac"] == pytest.approx(C_MAC_REF, abs=1e-9)
+    # the reference value is the dense log-det capacity of a channel pair
+    # with the closed-form gains and the exact correlation
+    pair = synth_pair(row["g1"], row["g2"], _exact_ccf(scn))
+    oracle = logdet_capacity_oracle(pair, list(scn.mac_cfg.snr_per_user))
+    assert C_MAC_REF == pytest.approx(oracle, abs=sweeps.TOL_MAC_FORMULA_ABS)
     assert row["r1_u1_first"] + row["r2_u1_first"] == pytest.approx(
         row["c_mac"], abs=1e-9
     )
@@ -197,12 +215,34 @@ def test_verification_report_reference_scenario(tmp_path):
     scn = _scenario(tmp_path, "[array]\nm_per_axis = 21\n")
     rows, header = verification_report(scn)
     assert "21x21" in header
-    assert len(rows) == 10
+    assert len(rows) == 11
     for row in rows:
         assert row.ok, f"{row.name}: {row.closed} vs {row.oracle}"
         assert row.abs_diff == abs(row.closed - row.oracle)
     names = [row.name for row in rows]
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize(
+    ("body", "ccf_note"),
+    [
+        ("", "relative plus rounding"),
+        # 21^2 = 441 elements > 20^2: the sweeps take the rule
+        ("[link]\nquadrature_nodes = 20\n", "abs <= 0.001"),
+        ("[link]\nmodel = FF\n", "abs <= 1e-09"),
+    ],
+)
+def test_verification_report_checks_the_rule_and_the_sweeps_ccf(
+    tmp_path, body, ccf_note
+):
+    scn = _scenario(tmp_path, "[array]\nm_per_axis = 21\n" + body)
+    rows = {row.name: row for row in verification_report(scn)[0]}
+    assert ccf_note in rows["ccf"].tolerance_note
+    rule = rows[f"ccf quadrature T={scn.quadrature_nodes}"]
+    u1, u2 = scn.users
+    geom = ArrayGeometry.from_frequency(m_x=21, m_z=21, frequency_hz=2.4e9)
+    assert rule.closed == nf_ccf_quadrature(geom, u1, u2, scn.quadrature_nodes).value
+    assert rule.tolerance_note == "abs <= 0.001"
 
 
 def test_verification_report_caps_exact_size():
@@ -224,16 +264,19 @@ def test_preset_matches_stored_table(tmp_path, name):
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    "Arguments of every call the runners make to the NF correlation."
+    "Arguments of every call the runners make to the NF correlation, on either path."
     calls = []
-    quadrature = sweeps.nf_ccf_quadrature
-
-    def recording(*args):
-        calls.append(args)
-        return quadrature(*args)
-
-    monkeypatch.setattr(sweeps, "nf_ccf_quadrature", recording)
+    for name in ("nf_ccf_elements", "nf_ccf_quadrature"):
+        monkeypatch.setattr(sweeps, name, _recording(getattr(sweeps, name), calls))
     return calls
+
+
+def _recording(func, calls):
+    def recording(*args):
+        calls.append((func.__name__, *args))
+        return func(*args)
+
+    return recording
 
 
 @pytest.mark.parametrize(
@@ -271,3 +314,46 @@ def test_runner_calls_share_no_channel_statistics(quadrature_calls):
     second = run_mac(scn)
     assert len(quadrature_calls) == 2
     assert first.rows == second.rows
+
+
+@pytest.mark.parametrize(
+    ("m_x", "m_z", "nodes", "path"),
+    [
+        (9, 9, 9, "nf_ccf_elements"),
+        (1, 81, 9, "nf_ccf_elements"),
+        # arrays have odd axes, so 83 elements is the next size past 9^2
+        (1, 83, 9, "nf_ccf_quadrature"),
+        (65, 65, 65, "nf_ccf_elements"),
+        (65, 65, 64, "nf_ccf_quadrature"),
+    ],
+)
+def test_nf_correlation_path_switches_past_t_squared(
+    quadrature_calls, user1, user2_dd, m_x, m_z, nodes, path
+):
+    "The element sum while m_x*m_z <= T^2, the T x T rule one size past it."
+    geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
+    sweeps._pair_stats("NF", geom, user1, user2_dd, nodes)
+    assert [call[0] for call in quadrature_calls] == [path]
+
+
+def test_runner_past_t_squared_prints_the_rule_bit_for_bit(tmp_path):
+    scn = _scenario(tmp_path, "[array]\nm_per_axis = 201\n")
+    res = run_channel(scn)
+    u1, u2 = scn.users
+    assert res.rows[0][3] == nf_ccf_quadrature(scn.geometry, u1, u2, 200).value
+    assert "ccf = 200 x 200 Chebyshev-Gauss rule" in res.provenance
+
+
+def test_provenance_names_the_correlation_path(tmp_path):
+    assert "ccf = element sum, since m_x*m_z <= T^2 = 40000\n" in (
+        run_mac(default_scenario()).provenance
+    )
+    swept = run_sweep(_scenario(
+        tmp_path, "[sweep]\nvariable = m_per_axis\nvalues = 9 201\ntarget = mac\n"
+    ))
+    assert swept.provenance.endswith(
+        "ccf = element sum where m_x*m_z <= T^2 = 40000, "
+        "else the 200 x 200 Chebyshev-Gauss rule\n"
+    )
+    ff = _scenario(tmp_path, "[link]\nmodel = FF\n")
+    assert "ccf = far-field closed form\n" in run_mac(ff).provenance
