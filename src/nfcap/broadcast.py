@@ -181,8 +181,11 @@ def _kappas(
     a: float, b: float, rho: float, power: float
 ) -> tuple[float, float]:
     one_minus = 1.0 - rho
-    k1 = (power * a * b * one_minus - a + b) / (2.0 * a * one_minus)
-    k2 = (power * a * b * one_minus + a - b) / (2.0 * b * one_minus)
+    # b - a before the sum: it is exact when a and b are within a factor
+    # of two, where (x - a) + b would lose x to cancellation
+    x = power * a * b * one_minus
+    k1 = (x + (b - a)) / (2.0 * a * one_minus)
+    k2 = (x + (a - b)) / (2.0 * b * one_minus)
     return k1, k2
 
 

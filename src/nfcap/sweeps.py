@@ -7,10 +7,16 @@ single-shot scenario) and every later column is a named numeric output.
 Identical scenarios always produce identical bytes: nothing here reads
 clocks, hostnames, or global state.
 
-Verification mode appends oracle columns and records tolerance
-violations on the result; exact-vector oracles are only run at reduced
-array sizes (at most 65 elements per axis), since the dense reference
-computations grow with the square of the element count.
+The four point runners share one scaffold: a kind (channel, mac, bc or
+mc) names its columns, the closed forms of a row, its large-array limit
+and the checks its verification mode runs. Each check is one function
+returning a :class:`CheckRow`, and ``verification_report`` calls the
+same functions, so a check has one name, tolerance and pass rule
+whichever path runs it. Verification mode appends each check's oracle
+as a column and records every failing check as a violation;
+exact-vector oracles are only run at reduced array sizes (at most 65
+elements per axis), since the dense reference computations grow with
+the square of the element count.
 """
 
 from __future__ import annotations
@@ -288,9 +294,8 @@ def _pair_stats(
     exact element sum when the array has no more elements than the
     ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
 
-    ``run_channel``, ``run_mac``, ``run_bc`` and ``run_mc`` memoise this
-    for the length of one call, so an SNR or power sweep evaluates its
-    single channel once.
+    The point runners memoise this for the length of one call, so an SNR
+    or power sweep evaluates its single channel once.
     """
     if model == "NF":
         g1 = nf_gain_closed(geom, u1)
@@ -308,7 +313,8 @@ def _pair_stats(
 
 def _exact_pair(
     model: str, geom: ArrayGeometry, users: Sequence[UserLocation]
-) -> tuple[list, float, float, float]:
+) -> tuple[list, tuple[float, float, float]]:
+    "Both users' channel vectors and their exact (g1, g2, rho), rho <= 1."
     build = nf_channel_vector if model == "NF" else ff_channel_vector
     vecs = [build(geom, u) for u in users]
     e1 = np.asarray(vecs[0].entries)
@@ -316,7 +322,7 @@ def _exact_pair(
     g1 = float(np.vdot(e1, e1).real)
     g2 = float(np.vdot(e2, e2).real)
     rho = float(abs(np.vdot(e1, e2)) ** 2 / (g1 * g2))
-    return vecs, g1, g2, rho
+    return vecs, (g1, g2, min(rho, 1.0))
 
 
 def _check_verify_size(geom: ArrayGeometry) -> None:
@@ -334,263 +340,122 @@ def _same_direction(u1: UserLocation, u2: UserLocation) -> bool:
     )
 
 
-def run_channel(scenario: Scenario, verify: bool = False) -> SweepResult:
-    """Per-sweep-point channel statistics: gains and correlation.
+# ---------------------------------------------------------------------------
+# checks, shared by every --verify and the verification report
 
-    With ``verify`` on, per-element sum oracles are evaluated alongside
-    the closed forms; gain deltas are relative, correlation deltas
-    absolute.
-    """
-    variable, points = _sweep_points(scenario)
-    columns = [variable, "g1", "g2", "ccf"]
-    if verify:
-        columns += ["g1_oracle", "g2_oracle", "ccf_oracle", "verify_ok"]
-    rows = []
-    violations: list[str] = []
-    pair_stats = functools.cache(_pair_stats)
-    for value in points:
-        try:
-            geom, users, _, _ = _apply_point(scenario, variable, value)
-            u1, u2 = users[0], users[1]
-            g1, g2, rho = pair_stats(
-                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-            )
-            row = [_point_value(value), g1, g2, rho]
-            if verify:
-                _check_verify_size(geom)
-                model = scenario.channel_model.lower()
-                g1_o = gain_sum_oracle(geom, u1, model=model)
-                g2_o = gain_sum_oracle(geom, u2, model=model)
-                rho_o = ccf_sum_oracle(geom, u1, u2, model=model)
-                gain_tol = TOL_GAIN_REL if model == "nf" else TOL_FF_STATS_ABS
-                ccf_tol = TOL_CCF_ABS if model == "nf" else TOL_FF_STATS_ABS
-                ok = True
-                for name, closed, oracle in (("g1", g1, g1_o), ("g2", g2, g2_o)):
-                    rel = abs(closed - oracle) / oracle if oracle > 0 else 0.0
-                    if rel > gain_tol:
-                        ok = False
-                        violations.append(
-                            f"{variable}={row[0]:g}: {name} closed {closed!r} vs "
-                            f"oracle {oracle!r} exceeds rel tol {gain_tol:g}"
-                        )
-                if abs(rho - rho_o) > ccf_tol:
-                    ok = False
-                    violations.append(
-                        f"{variable}={row[0]:g}: ccf closed {rho!r} vs oracle "
-                        f"{rho_o!r} exceeds abs tol {ccf_tol:g}"
-                    )
-                row += [g1_o, g2_o, rho_o, 1.0 if ok else 0.0]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
-    return SweepResult(
-        tuple(columns),
-        tuple(rows),
-        _provenance(scenario, "channel", verify),
-        tuple(violations),
+
+@dataclass(frozen=True)
+class CheckRow:
+    """One closed-form versus oracle comparison, as ``nfcap verify``
+    prints it and as a ``--verify`` row records it."""
+
+    name: str
+    closed: float
+    oracle: float
+    tolerance_note: str
+    ok: bool
+
+    @property
+    def abs_diff(self) -> float:
+        return abs(self.closed - self.oracle)
+
+
+def _abs_check(
+    name: str, closed: float, oracle: float, tol: float, why: str = ""
+) -> CheckRow:
+    ok = abs(closed - oracle) <= tol
+    return CheckRow(name, closed, oracle, f"abs <= {tol:.3g}{why}", ok)
+
+
+def _violation(variable: str, x: float, check: CheckRow) -> str:
+    return (
+        f"{variable}={x:g}: {check.name}: closed {check.closed!r} vs oracle "
+        f"{check.oracle!r} ({check.tolerance_note})"
     )
 
 
-def run_mac(scenario: Scenario, verify: bool = False) -> SweepResult:
-    """Uplink outputs per sweep point: sum capacity, both decode-order
-    corner pairs, linear-combiner rates, and the relevant large-array
-    value.
+def _ccf_elements_tolerance(
+    geom: ArrayGeometry, users: Sequence[UserLocation], rho: float
+) -> float:
+    """Allowed distance of an NF element-sum correlation from the scalar
+    oracle's ``rho``: TOL_CCF_ELEMENTS_REL relative, plus rounding.
 
-    Verification recomputes the sum capacity as a dense
-    log-determinant on explicit channel vectors, feeding the closed
-    formula the exact vector statistics so the comparison isolates the
-    capacity expression itself.
+    Both sums round each phase k0 d, of up to k0 r_max radians, to
+    double precision. Over the N elements those errors move sqrt(rho) =
+    |h1^H h2| / (|h1| |h2|) by about eps k0 r_max / sqrt(N) at random,
+    and rho by 2 sqrt(rho) times that; eight times that is allowed. Near
+    a null of the correlation (rho below about 1e-8 at 33 x 33) that
+    term is the larger one.
     """
-    variable, points = _sweep_points(scenario)
-    columns = [
-        variable,
-        "g1",
-        "g2",
-        "ccf",
-        "c_mac",
-        "r1_u1_first",
-        "r2_u1_first",
-        "r1_u2_first",
-        "r2_u2_first",
-        "r_opt",
-        "r_mrc",
-        "r_zf",
-        "c_asym",
+    k0 = 2 * math.pi / geom.wavelength
+    r_max = max(u.range_r for u in users)
+    sqrt_err = 8 * np.finfo(float).eps * k0 * r_max / math.sqrt(geom.m_total)
+    return TOL_CCF_ELEMENTS_REL * rho + 2 * math.sqrt(rho) * sqrt_err
+
+
+def _channel_checks(
+    scenario: Scenario, geom: ArrayGeometry, users: Sequence[UserLocation], stats
+) -> list[CheckRow]:
+    """Both gains and the correlation ``stats`` against per-element scalar
+    sums. NF gains are held to TOL_GAIN_REL relative. The NF correlation
+    is held to TOL_CCF_ELEMENTS_REL relative plus rounding where it is the
+    element sum, and to TOL_CCF_ABS where it is the T x T rule.
+    """
+    model = scenario.channel_model
+    gain_tol = TOL_GAIN_REL if model == "NF" else TOL_FF_STATS_ABS
+    checks = []
+    for k, closed in enumerate(stats[:2]):
+        oracle = gain_sum_oracle(geom, users[k], model=model.lower())
+        rel = abs(closed - oracle) / oracle if oracle > 0 else 0.0
+        checks.append(CheckRow(
+            f"gain user{k + 1}", closed, oracle, f"rel <= {gain_tol:g}", rel <= gain_tol
+        ))
+    rho = stats[2]
+    oracle = ccf_sum_oracle(geom, users[0], users[1], model=model.lower())
+    if model == "FF":
+        checks.append(_abs_check("ccf", rho, oracle, TOL_FF_STATS_ABS))
+    elif _takes_element_sum(geom.m_total, scenario.quadrature_nodes):
+        tol = _ccf_elements_tolerance(geom, users, oracle)
+        why = f": {TOL_CCF_ELEMENTS_REL:g} relative plus rounding"
+        checks.append(_abs_check("ccf", rho, oracle, tol, why))
+    else:
+        checks.append(_abs_check("ccf", rho, oracle, TOL_CCF_ABS))
+    return checks
+
+
+def _mac_check(vecs, stats, cfg: MacConfig) -> CheckRow:
+    "The uplink formula on exact statistics against the dense log-det oracle."
+    closed = _mac_capacity(*stats, cfg)
+    oracle = logdet_capacity_oracle(vecs, list(cfg.snr_per_user))
+    return _abs_check("uplink sum capacity", closed, oracle, TOL_MAC_FORMULA_ABS)
+
+
+def _bc_grid_check(closed: float, stats, cfg: BcConfig) -> CheckRow:
+    """The downlink capacity ``closed`` of the statistics ``stats`` against
+    the power-grid oracle on them: it may not fall more than
+    TOL_BC_GRID_ONESIDED below the grid.
+    """
+    grid, _ = bc_power_grid_oracle(*stats, cfg, _BC_GRID_POINTS)
+    note = f"closed >= grid - {TOL_BC_GRID_ONESIDED:g}"
+    ok = closed >= grid - TOL_BC_GRID_ONESIDED
+    return CheckRow("downlink sum capacity", closed, grid, note, ok)
+
+
+def _bc_duality_checks(vecs, stats, cfg: BcConfig) -> list[CheckRow]:
+    """Covariances recovered from the dual power split on exact vectors:
+    the rates they achieve against the dual-uplink rates, and their
+    summed power against the budget.
+    """
+    alloc = bc_power_allocation_two_user(*stats, cfg)
+    covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, cfg)
+    gap = _duality_gap(covs, vecs, alloc, cfg)
+    return [
+        _abs_check("downlink duality", gap, 0.0, TOL_BC_DUALITY_ABS),
+        CheckRow(
+            "downlink covariance power", covs.total_power, alloc.total, "abs <= 1e-6 * P",
+            abs(covs.total_power - alloc.total) <= 1e-6 * cfg.total_power_P,
+        ),
     ]
-    if verify:
-        columns += ["c_oracle", "verify_ok"]
-    rows = []
-    violations: list[str] = []
-    pair_stats = functools.cache(_pair_stats)
-    for value in points:
-        try:
-            geom, users, mac_cfg, _ = _apply_point(scenario, variable, value)
-            u1, u2 = users[0], users[1]
-            s1, s2 = mac_cfg.snr_per_user
-            g1, g2, rho = pair_stats(
-                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-            )
-            cap = mac_capacity_two_user(g1, g2, rho, s1, s2)
-            ca = sic_rates_two_user(g1, g2, rho, s1, s2, "u1_first")
-            cb = sic_rates_two_user(g1, g2, rho, s1, s2, "u2_first")
-            combiners = [
-                linear_combiner_sum_rate(scheme, g1, g2, rho, s1, s2)
-                for scheme in ("opt", "mrc", "zf")
-            ]
-            if scenario.channel_model == "FF":
-                asym = mac_asymptotics(
-                    None, mac_cfg, "ff", geom=geom, users=list(users),
-                    m_total=geom.m_total,
-                )
-                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-            elif geom.m_x == 1:
-                c_asym = mac_asymptotics(
-                    None, mac_cfg, "nf_ula", geom=geom, users=list(users)
-                )
-            else:
-                c_asym = mac_asymptotics(geom.occupation_ratio, mac_cfg, "nf_upa")
-            row = [
-                _point_value(value),
-                g1,
-                g2,
-                rho,
-                cap,
-                ca.r1,
-                ca.r2,
-                cb.r1,
-                cb.r2,
-                *combiners,
-                c_asym,
-            ]
-            if verify:
-                _finite(columns, row)
-                _check_verify_size(geom)
-                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                    scenario.channel_model, geom, users
-                )
-                oracle = logdet_capacity_oracle(vecs, [s1, s2])
-                closed_exact = mac_capacity_two_user(g1_ex, g2_ex, rho_ex, s1, s2)
-                ok = abs(closed_exact - oracle) <= TOL_MAC_FORMULA_ABS
-                if not ok:
-                    violations.append(
-                        f"{variable}={row[0]:g}: uplink formula {closed_exact!r} vs "
-                        f"log-det oracle {oracle!r} exceeds abs tol {TOL_MAC_FORMULA_ABS:g}"
-                    )
-                row += [oracle, 1.0 if ok else 0.0]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
-    return SweepResult(
-        tuple(columns),
-        tuple(rows),
-        _provenance(scenario, "mac", verify),
-        tuple(violations),
-    )
-
-
-def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
-    """Downlink outputs per sweep point: sum capacity, optimal dual
-    power split, linear-precoder rates with their ratio to capacity,
-    and the relevant large-array value.
-
-    Verification compares the closed capacity against the exhaustive
-    power-grid oracle (one-sided: the closed form must not fall more
-    than the tolerance below the grid) and checks covariance-recovery
-    duality on explicit vectors.
-    """
-    variable, points = _sweep_points(scenario)
-    columns = [
-        variable,
-        "g1",
-        "g2",
-        "ccf",
-        "c_bc",
-        "p1",
-        "p2",
-        "r_mrt",
-        "r_zf",
-        "gamma_dl_mrt",
-        "gamma_dl_zf",
-        "c_asym",
-    ]
-    if verify:
-        columns += ["c_oracle", "duality_gap", "verify_ok"]
-    rows = []
-    violations: list[str] = []
-    pair_stats = functools.cache(_pair_stats)
-    for value in points:
-        try:
-            geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
-            u1, u2 = users[0], users[1]
-            g1, g2, rho = pair_stats(
-                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-            )
-            cap = bc_capacity_two_user(g1, g2, rho, bc_cfg)
-            alloc = bc_power_allocation_two_user(g1, g2, rho, bc_cfg)
-            power = bc_cfg.total_power_P
-            var1, var2 = bc_cfg.noise_var_per_user
-            snr_hats = (power / 2.0 / var1, power / 2.0 / var2)
-            r_mrt = linear_precoder_sum_rate("mrt", g1, g2, rho, snr_hats)
-            r_zf = linear_precoder_sum_rate("zf", g1, g2, rho, snr_hats)
-            if scenario.channel_model == "FF":
-                asym = bc_asymptotics(
-                    "ff", geom=geom, users=list(users), cfg=bc_cfg,
-                    m_total=geom.m_total,
-                )
-                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-            elif geom.m_x == 1:
-                c_asym = bc_asymptotics(
-                    "nf_ula", geom=geom, users=list(users), cfg=bc_cfg
-                )
-            else:
-                c_asym = bc_asymptotics("nf_upa", xi=geom.occupation_ratio, cfg=bc_cfg)
-            row = [
-                _point_value(value),
-                g1,
-                g2,
-                rho,
-                cap,
-                alloc.p_per_user[0],
-                alloc.p_per_user[1],
-                r_mrt,
-                r_zf,
-                r_mrt / cap if cap > 0 else 1.0,
-                r_zf / cap if cap > 0 else 1.0,
-                c_asym,
-            ]
-            if verify:
-                _finite(columns, row)
-                _check_verify_size(geom)
-                grid_bits, _ = bc_power_grid_oracle(g1, g2, rho, bc_cfg, _BC_GRID_POINTS)
-                ok = cap >= grid_bits - TOL_BC_GRID_ONESIDED
-                if not ok:
-                    violations.append(
-                        f"{variable}={row[0]:g}: downlink closed form {cap!r} falls "
-                        f"below grid oracle {grid_bits!r} by more than "
-                        f"{TOL_BC_GRID_ONESIDED:g}"
-                    )
-                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                    scenario.channel_model, geom, users
-                )
-                alloc_ex = bc_power_allocation_two_user(g1_ex, g2_ex, rho_ex, bc_cfg)
-                covs = bc_covariance_recovery(vecs[0], vecs[1], alloc_ex, bc_cfg)
-                duality_gap = _duality_gap(covs, vecs, alloc_ex, bc_cfg)
-                if duality_gap > TOL_BC_DUALITY_ABS:
-                    ok = False
-                    violations.append(
-                        f"{variable}={row[0]:g}: covariance recovery misses the dual "
-                        f"rates by {duality_gap!r} bits (tol {TOL_BC_DUALITY_ABS:g})"
-                    )
-                row += [grid_bits, duality_gap, 1.0 if ok else 0.0]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
-    return SweepResult(
-        tuple(columns),
-        tuple(rows),
-        _provenance(scenario, "bc", verify),
-        tuple(violations),
-    )
 
 
 def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
@@ -613,6 +478,243 @@ def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
     return max(abs(r1_dl - dual.r1), abs(r2_dl - dual.r2))
 
 
+def _mc_check(vecs, stats, cfg: BcConfig) -> CheckRow:
+    """The multicast formula on exact statistics: at most
+    TOL_MC_GRID_ONESIDED below the beam-grid oracle, and not above the
+    averaging upper bound.
+    """
+    closed = _mc_capacity(*stats, cfg)
+    noise, power = cfg.noise_var_per_user, cfg.total_power_P
+    grid, _ = mc_beam_grid_oracle(vecs[0], vecs[1], noise, power, _MC_GRID_SPEC)
+    bound = mc_upper_bound(stats[:2], noise, power)
+    note = f"closed >= grid - {TOL_MC_GRID_ONESIDED:g}"
+    ok = grid - TOL_MC_GRID_ONESIDED <= closed <= bound + 1e-12
+    return CheckRow("multicast capacity", closed, grid, note, ok)
+
+
+# ---------------------------------------------------------------------------
+# the point runners: one scaffold, one kind per command
+
+
+def _mac_capacity(g1: float, g2: float, rho: float, cfg: MacConfig) -> float:
+    return mac_capacity_two_user(g1, g2, rho, *cfg.snr_per_user)
+
+
+def _bc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
+    return bc_capacity_two_user(g1, g2, rho, cfg)
+
+
+def _mc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
+    var1, var2 = cfg.noise_var_per_user
+    return mc_capacity_two_user(g1, g2, rho, var1, var2, cfg.total_power_P)
+
+
+def _mac_limit(regime, cfg: MacConfig, xi=None, geom=None, users=None, m_total=None):
+    return mac_asymptotics(xi, cfg, regime, geom=geom, users=users, m_total=m_total)
+
+
+def _bc_limit(regime, cfg: BcConfig, xi=None, geom=None, users=None, m_total=None):
+    return bc_asymptotics(
+        regime, xi=xi, cfg=cfg, geom=geom, users=users, m_total=m_total
+    )
+
+
+def _mc_limit(regime, cfg: BcConfig, xi=None, geom=None, users=None, m_total=None):
+    return mc_asymptotics(
+        regime, xi=xi, power=cfg.total_power_P, noise_vars=cfg.noise_var_per_user,
+        geom=geom, users=users, m_total=m_total,
+    )
+
+
+def _c_asym(limit, model: str, geom: ArrayGeometry, users, link) -> float:
+    """The large-array value a runner prints: the FF limit (static when
+    both users share a direction, dynamic otherwise), the linear-array
+    limit when the array is one column, else the planar-array limit.
+    """
+    if model == "FF":
+        asym = limit("ff", link, None, geom, list(users), geom.m_total)
+        return asym.static if _same_direction(users[0], users[1]) else asym.dynamic
+    if geom.m_x == 1:
+        return limit("nf_ula", link, None, geom, list(users))
+    return limit("nf_upa", link, geom.occupation_ratio)
+
+
+def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[float, ...]:
+    s1, s2 = cfg.snr_per_user
+    cap = mac_capacity_two_user(g1, g2, rho, s1, s2)
+    ca = sic_rates_two_user(g1, g2, rho, s1, s2, "u1_first")
+    cb = sic_rates_two_user(g1, g2, rho, s1, s2, "u2_first")
+    return (cap, ca.r1, ca.r2, cb.r1, cb.r2, *[
+        linear_combiner_sum_rate(scheme, g1, g2, rho, s1, s2)
+        for scheme in ("opt", "mrc", "zf")
+    ])
+
+
+def _bc_formulas(g1: float, g2: float, rho: float, cfg: BcConfig) -> tuple[float, ...]:
+    cap = bc_capacity_two_user(g1, g2, rho, cfg)
+    alloc = bc_power_allocation_two_user(g1, g2, rho, cfg)
+    power = cfg.total_power_P
+    var1, var2 = cfg.noise_var_per_user
+    snr_hats = (power / 2.0 / var1, power / 2.0 / var2)
+    r_mrt = linear_precoder_sum_rate("mrt", g1, g2, rho, snr_hats)
+    r_zf = linear_precoder_sum_rate("zf", g1, g2, rho, snr_hats)
+    return (cap, *alloc.p_per_user, r_mrt, r_zf,
+            r_mrt / cap if cap > 0 else 1.0, r_zf / cap if cap > 0 else 1.0)
+
+
+def _mc_formulas(g1: float, g2: float, rho: float, cfg: BcConfig) -> tuple[float, float]:
+    (var1, var2), power = cfg.noise_var_per_user, cfg.total_power_P
+    cap = mc_capacity_two_user(g1, g2, rho, var1, var2, power)
+    return cap, mc_upper_bound((g1, g2), (var1, var2), power)
+
+
+def _channel_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
+    return _channel_checks(scenario, geom, users, stats)
+
+
+def _mac_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
+    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
+    return [_mac_check(vecs, exact, link)]
+
+
+def _bc_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
+    # the grid check takes the printed capacity and its own statistics
+    grid = _bc_grid_check(values[0], stats, link)
+    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
+    return [grid, *_bc_duality_checks(vecs, exact, link)]
+
+
+def _mc_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
+    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
+    return [_mc_check(vecs, exact, link)]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one point runner prints and checks.
+
+    A row is the swept variable, g1, g2, ccf, then the values under
+    ``columns``: those of ``formulas(g1, g2, rho, link)``, then c_asym
+    when ``limit`` is set.
+    ``link`` is the point's MacConfig when ``uplink``, else its BcConfig.
+    Verification appends, for each check that ``verify`` returns in
+    turn, the field of it that ``oracle_columns`` names, then verify_ok.
+    Every function here calls the formulas through this module's
+    attributes, so that a test or a tracer that replaces one sees every
+    call.
+    """
+
+    columns: tuple[str, ...]
+    formulas: Callable[..., Sequence[float]]
+    verify: Callable[..., list[CheckRow]]
+    oracle_columns: tuple[tuple[str, str], ...]
+    uplink: bool = False
+    capacity: Callable[..., float] | None = None
+    limit: Callable | None = None
+
+
+_KINDS = {
+    "channel": _Kind(
+        (), lambda g1, g2, rho, link: (), _channel_verify,
+        (("g1_oracle", "oracle"), ("g2_oracle", "oracle"), ("ccf_oracle", "oracle")),
+    ),
+    "mac": _Kind(
+        ("c_mac", "r1_u1_first", "r2_u1_first", "r1_u2_first", "r2_u2_first",
+         "r_opt", "r_mrc", "r_zf", "c_asym"),
+        _mac_formulas, _mac_verify, (("c_oracle", "oracle"),),
+        uplink=True, capacity=_mac_capacity, limit=_mac_limit,
+    ),
+    "bc": _Kind(
+        ("c_bc", "p1", "p2", "r_mrt", "r_zf", "gamma_dl_mrt", "gamma_dl_zf", "c_asym"),
+        _bc_formulas, _bc_verify, (("c_oracle", "oracle"), ("duality_gap", "closed")),
+        capacity=_bc_capacity, limit=_bc_limit,
+    ),
+    "mc": _Kind(
+        ("c_mc", "c_bound", "c_asym"), _mc_formulas, _mc_verify,
+        (("c_oracle", "oracle"),), capacity=_mc_capacity, limit=_mc_limit,
+    ),
+}
+
+
+def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
+    kind = _KINDS[command]
+    variable, points = _sweep_points(scenario)
+    columns = (variable, "g1", "g2", "ccf", *kind.columns)
+    if verify:
+        columns += (*(name for name, _ in kind.oracle_columns), "verify_ok")
+    model, nodes = scenario.channel_model, scenario.quadrature_nodes
+    rows = []
+    violations: list[str] = []
+    pair_stats = functools.cache(_pair_stats)
+    for value in points:
+        try:
+            geom, users, mac_cfg, bc_cfg = _apply_point(scenario, variable, value)
+            link = mac_cfg if kind.uplink else bc_cfg
+            stats = pair_stats(model, geom, users[0], users[1], nodes)
+            values = kind.formulas(*stats, link)
+            row = [_point_value(value), *stats, *values]
+            if kind.limit is not None:
+                row.append(_c_asym(kind.limit, model, geom, users, link))
+            if verify:
+                _finite(columns, row)
+                _check_verify_size(geom)
+                checks = kind.verify(scenario, geom, users, link, stats, values)
+                row += [getattr(check, field)
+                        for (_, field), check in zip(kind.oracle_columns, checks)]
+                row.append(float(all(check.ok for check in checks)))
+                violations += [_violation(variable, row[0], check)
+                               for check in checks if not check.ok]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
+    return SweepResult(
+        columns,
+        tuple(rows),
+        _provenance(scenario, command, verify),
+        tuple(violations),
+    )
+
+
+def run_channel(scenario: Scenario, verify: bool = False) -> SweepResult:
+    """Per-sweep-point channel statistics: gains and correlation.
+
+    With ``verify`` on, per-element sum oracles are evaluated alongside
+    and each of the three values is checked as ``nfcap verify`` checks
+    it: gains to a relative tolerance, the NF correlation to 1e-10
+    relative plus rounding where it is the exact element sum and to
+    TOL_CCF_ABS where it is the T x T rule, the FF correlation to
+    TOL_FF_STATS_ABS.
+    """
+    return _run(scenario, verify, "channel")
+
+
+def run_mac(scenario: Scenario, verify: bool = False) -> SweepResult:
+    """Uplink outputs per sweep point: sum capacity, both decode-order
+    corner pairs, linear-combiner rates, and the relevant large-array
+    value.
+
+    Verification recomputes the sum capacity as a dense
+    log-determinant on explicit channel vectors, feeding the closed
+    formula the exact vector statistics so the comparison isolates the
+    capacity expression itself.
+    """
+    return _run(scenario, verify, "mac")
+
+
+def run_bc(scenario: Scenario, verify: bool = False) -> SweepResult:
+    """Downlink outputs per sweep point: sum capacity, optimal dual
+    power split, linear-precoder rates with their ratio to capacity,
+    and the relevant large-array value.
+
+    Verification compares the printed capacity against the exhaustive
+    power-grid oracle on the same statistics (one-sided: the closed form
+    must not fall more than the tolerance below the grid), and checks
+    covariance-recovery duality and the recovered covariances' power on
+    explicit vectors.
+    """
+    return _run(scenario, verify, "bc")
+
+
 def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
     """Multicast outputs per sweep point: capacity, the averaging upper
     bound, and the relevant large-array value.
@@ -621,77 +723,7 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
     the closed form must not fall more than the tolerance below the
     grid and must respect the upper bound.
     """
-    variable, points = _sweep_points(scenario)
-    columns = [variable, "g1", "g2", "ccf", "c_mc", "c_bound", "c_asym"]
-    if verify:
-        columns += ["c_oracle", "verify_ok"]
-    rows = []
-    violations: list[str] = []
-    pair_stats = functools.cache(_pair_stats)
-    for value in points:
-        try:
-            geom, users, _, bc_cfg = _apply_point(scenario, variable, value)
-            u1, u2 = users[0], users[1]
-            g1, g2, rho = pair_stats(
-                scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-            )
-            power = bc_cfg.total_power_P
-            var1, var2 = bc_cfg.noise_var_per_user
-            cap = mc_capacity_two_user(g1, g2, rho, var1, var2, power)
-            bound = mc_upper_bound((g1, g2), (var1, var2), power)
-            if scenario.channel_model == "FF":
-                asym = mc_asymptotics(
-                    "ff", geom=geom, users=list(users), power=power,
-                    noise_vars=(var1, var2), m_total=geom.m_total,
-                )
-                c_asym = asym.static if _same_direction(u1, u2) else asym.dynamic
-            elif geom.m_x == 1:
-                c_asym = mc_asymptotics(
-                    "nf_ula", geom=geom, users=list(users), power=power,
-                    noise_vars=(var1, var2),
-                )
-            else:
-                c_asym = mc_asymptotics(
-                    "nf_upa", xi=geom.occupation_ratio, power=power,
-                    noise_vars=(var1, var2),
-                )
-            row = [_point_value(value), g1, g2, rho, cap, bound, c_asym]
-            if verify:
-                _finite(columns, row)
-                _check_verify_size(geom)
-                vecs, g1_ex, g2_ex, rho_ex = _exact_pair(
-                    scenario.channel_model, geom, users
-                )
-                grid_bits, _ = mc_beam_grid_oracle(
-                    vecs[0], vecs[1], (var1, var2), power, _MC_GRID_SPEC
-                )
-                closed_exact = mc_capacity_two_user(
-                    g1_ex, g2_ex, min(rho_ex, 1.0), var1, var2, power
-                )
-                bound_exact = mc_upper_bound((g1_ex, g2_ex), (var1, var2), power)
-                ok = closed_exact >= grid_bits - TOL_MC_GRID_ONESIDED
-                if closed_exact > bound_exact + 1e-12:
-                    ok = False
-                    violations.append(
-                        f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
-                        f"exceeds its upper bound {bound_exact!r}"
-                    )
-                if closed_exact < grid_bits - TOL_MC_GRID_ONESIDED:
-                    violations.append(
-                        f"{variable}={row[0]:g}: multicast closed form {closed_exact!r} "
-                        f"falls below beam-grid oracle {grid_bits!r} by more than "
-                        f"{TOL_MC_GRID_ONESIDED:g}"
-                    )
-                row += [grid_bits, 1.0 if ok else 0.0]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
-    return SweepResult(
-        tuple(columns),
-        tuple(rows),
-        _provenance(scenario, "mc", verify),
-        tuple(violations),
-    )
+    return _run(scenario, verify, "mc")
 
 
 @_nominal_point
@@ -768,48 +800,36 @@ def _reference_geometry(m_axis: int) -> ArrayGeometry:
     return ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
 
 
-def _preset_capacity_vs_m(kind: str) -> SweepResult:
-    snr = 1000.0
-    power = 1000.0
-    noise = (1.0, 1.0)
+def _preset_link(kind: _Kind):
+    "The presets' link budget: 30 dB SNRs, or P = 1000 over unit noise."
+    return MacConfig((1000.0, 1000.0)) if kind.uplink else BcConfig(1000.0, (1.0, 1.0))
+
+
+def _preset_caps(
+    kind: _Kind, geom: ArrayGeometry, link, r2: float = 5.0
+) -> list[float]:
+    "Capacities C_nf_dd, C_nf_sd, C_ff_dd, C_ff_sd of the reference users."
+    caps = {}
+    for tag, same in (("dd", False), ("sd", True)):
+        u1, u2 = _reference_users(same, r2)
+        for model in ("NF", "FF"):
+            stats = _pair_stats(model, geom, u1, u2, _QUAD_NODES)
+            caps[model, tag] = kind.capacity(*stats, link)
+    return [caps[model, tag] for model in ("NF", "FF") for tag in ("dd", "sd")]
+
+
+def _preset_capacity_vs_m(name: str) -> SweepResult:
+    kind = _KINDS[name]
+    link = _preset_link(kind)
     rows = []
     for m_axis in _M_AXIS_GRID:
         geom = _reference_geometry(m_axis)
-        caps = {}
-        for tag, same in (("dd", False), ("sd", True)):
-            users = _reference_users(same)
-            for model in ("NF", "FF"):
-                g1, g2, rho = _pair_stats(model, geom, users[0], users[1], _QUAD_NODES)
-                if kind == "mac":
-                    cap = mac_capacity_two_user(g1, g2, rho, snr, snr)
-                elif kind == "bc":
-                    cap = bc_capacity_two_user(
-                        g1, g2, rho, BcConfig(power, noise)
-                    )
-                else:
-                    cap = mc_capacity_two_user(g1, g2, rho, noise[0], noise[1], power)
-                caps[f"{model.lower()}_{tag}"] = cap
-        xi = geom.occupation_ratio
-        if kind == "mac":
-            c_asym = mac_asymptotics(xi, MacConfig((snr, snr)), "nf_upa")
-        elif kind == "bc":
-            c_asym = bc_asymptotics("nf_upa", xi=xi, cfg=BcConfig(power, noise))
-        else:
-            c_asym = mc_asymptotics("nf_upa", xi=xi, power=power, noise_vars=noise)
-        rows.append(
-            (
-                float(geom.m_total),
-                caps["nf_dd"],
-                caps["nf_sd"],
-                caps["ff_dd"],
-                caps["ff_sd"],
-                c_asym,
-            )
-        )
+        c_asym = kind.limit("nf_upa", link, xi=geom.occupation_ratio)
+        rows.append((float(geom.m_total), *_preset_caps(kind, geom, link), c_asym))
     provenance = (
         f"tool = nfcap {__version__}\n"
-        f"command = reproduce {kind}-vs-M\n"
-        f"preset = {kind}-vs-M\n"
+        f"command = reproduce {name}-vs-M\n"
+        f"preset = {name}-vs-M\n"
         "array = square, 2.4 GHz, half-wavelength pitch\n"
         f"m_per_axis = {','.join(str(m) for m in _M_AXIS_GRID)}\n"
         "snr_linear = 1000.0\npower_linear = 1000.0\nnoise_vars = 1.0,1.0\n"
@@ -824,23 +844,11 @@ def _preset_capacity_vs_m(kind: str) -> SweepResult:
 
 
 def _preset_mc_vs_r2() -> SweepResult:
-    power = 1000.0
-    noise = (1.0, 1.0)
+    kind = _KINDS["mc"]
     m_axis = 551
     geom = _reference_geometry(m_axis)
-    rows = []
-    for r2 in _R2_GRID:
-        caps = {}
-        for tag, same in (("dd", False), ("sd", True)):
-            users = _reference_users(same, r2=r2)
-            for model in ("NF", "FF"):
-                g1, g2, rho = _pair_stats(model, geom, users[0], users[1], _QUAD_NODES)
-                caps[f"{model.lower()}_{tag}"] = mc_capacity_two_user(
-                    g1, g2, rho, noise[0], noise[1], power
-                )
-        rows.append(
-            (r2, caps["nf_dd"], caps["nf_sd"], caps["ff_dd"], caps["ff_sd"])
-        )
+    link = _preset_link(kind)
+    rows = tuple((r2, *_preset_caps(kind, geom, link, r2)) for r2 in _R2_GRID)
     provenance = (
         f"tool = nfcap {__version__}\n"
         "command = reproduce mc-vs-r2\n"
@@ -852,9 +860,7 @@ def _preset_mc_vs_r2() -> SweepResult:
         f"ccf_nf = {_ccf_path('NF', {geom.m_total}, _QUAD_NODES)}\n"
     )
     return SweepResult(
-        ("r2_m", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd"),
-        tuple(rows),
-        provenance,
+        ("r2_m", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd"), rows, provenance
     )
 
 
@@ -879,44 +885,6 @@ def reproduce(preset: str) -> SweepResult:
 # standalone verification report
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    """One closed-form versus oracle comparison in the verify report."""
-
-    name: str
-    closed: float
-    oracle: float
-    tolerance_note: str
-    ok: bool
-
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.closed - self.oracle)
-
-
-def _abs_check(closed: float, oracle: float, tol: float) -> tuple[str, bool]:
-    return f"abs <= {tol:.3g}", abs(closed - oracle) <= tol
-
-
-def _ccf_elements_tolerance(
-    geom: ArrayGeometry, users: Sequence[UserLocation], rho: float
-) -> float:
-    """Allowed distance of an NF element-sum correlation from the scalar
-    oracle's ``rho``: TOL_CCF_ELEMENTS_REL relative, plus rounding.
-
-    Both sums round each phase k0 d, of up to k0 r_max radians, to
-    double precision. Over the N elements those errors move sqrt(rho) =
-    |h1^H h2| / (|h1| |h2|) by about eps k0 r_max / sqrt(N) at random,
-    and rho by 2 sqrt(rho) times that; eight times that is allowed. Near
-    a null of the correlation (rho below about 1e-8 at 33 x 33) that
-    term is the larger one.
-    """
-    k0 = 2 * math.pi / geom.wavelength
-    r_max = max(u.range_r for u in users)
-    sqrt_err = 8 * np.finfo(float).eps * k0 * r_max / math.sqrt(geom.m_total)
-    return TOL_CCF_ELEMENTS_REL * rho + 2 * math.sqrt(rho) * sqrt_err
-
-
 @_nominal_point
 def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     """Cross-check every closed form against its brute-force oracle.
@@ -924,12 +892,11 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     Exact-vector oracles run on a reduced copy of the scenario's array
     (at most 33 elements per axis) to keep the dense computations
     tractable; the returned header string states the size used. The
-    checks cover channel statistics, uplink capacity and corner rates,
-    downlink power optimality and duality, and the multicast beam grid.
-    The NF correlation is checked twice: as the sweeps compute it at the
-    reduced size (the element sum, to 1e-10 relative plus rounding,
-    unless the reduced array has more than T^2 elements), and as the
-    paper's T x T rule.
+    rows are those of ``channel``, ``mac``, ``bc`` and ``mc --verify``,
+    from the same check functions, with all closed forms fed the exact
+    vector statistics past the channel rows, plus the paper's T x T
+    rule against the correlation oracle and both uplink decode corners
+    against the successive-decoding oracle.
     """
     m_x = min(scenario.geometry.m_x, 33)
     m_z = min(scenario.geometry.m_z, 33)
@@ -944,125 +911,36 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
         f"exact-vector oracles run at {m_x}x{m_z} elements "
         f"(scenario array {scenario.geometry.m_x}x{scenario.geometry.m_z})"
     )
-    model = scenario.channel_model
-    u1, u2 = scenario.users[0], scenario.users[1]
-    s1, s2 = scenario.mac_cfg.snr_per_user
+    model, nodes = scenario.channel_model, scenario.quadrature_nodes
+    users = scenario.users[:2]
+    u1, u2 = users
+    snrs = list(scenario.mac_cfg.snr_per_user)
     bc_cfg = scenario.bc_cfg
-    var1, var2 = bc_cfg.noise_var_per_user
-    power = bc_cfg.total_power_P
-    checks: list[CheckRow] = []
 
-    # channel statistics against per-element scalar sums
-    nodes = scenario.quadrature_nodes
-    g1_c, g2_c, rho_c = _pair_stats(model, geom, u1, u2, nodes)
-    low = model.lower()
-    gain_tol = TOL_GAIN_REL if model == "NF" else TOL_FF_STATS_ABS
-    for name, closed, user in (("gain user1", g1_c, u1), ("gain user2", g2_c, u2)):
-        oracle = gain_sum_oracle(geom, user, model=low)
-        rel = abs(closed - oracle) / oracle
-        checks.append(
-            CheckRow(name, closed, oracle, f"rel <= {gain_tol:g}", rel <= gain_tol)
-        )
-    rho_o = ccf_sum_oracle(geom, u1, u2, model=low)
-    if model == "FF":
-        ccf_note, ccf_ok = _abs_check(rho_c, rho_o, TOL_FF_STATS_ABS)
-    elif _takes_element_sum(geom.m_total, nodes):
-        ccf_note, ccf_ok = _abs_check(
-            rho_c, rho_o, _ccf_elements_tolerance(geom, (u1, u2), rho_o)
-        )
-        ccf_note += f": {TOL_CCF_ELEMENTS_REL:g} relative plus rounding"
-    else:
-        ccf_note, ccf_ok = _abs_check(rho_c, rho_o, TOL_CCF_ABS)
-    checks.append(CheckRow("ccf", rho_c, rho_o, ccf_note, ccf_ok))
+    stats = _pair_stats(model, geom, u1, u2, nodes)
+    checks = _channel_checks(scenario, geom, users, stats)
     # the paper's rule, which the NF sweeps take beyond T^2 elements
     rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
-    rule_o = rho_o if model == "NF" else ccf_sum_oracle(geom, u1, u2, model="nf")
-    checks.append(
-        CheckRow(f"ccf quadrature T={nodes}", rule, rule_o,
-                 *_abs_check(rule, rule_o, TOL_CCF_ABS))
-    )
+    if model == "NF":
+        rule_o = checks[2].oracle
+    else:
+        rule_o = ccf_sum_oracle(geom, u1, u2, model="nf")
+    checks.append(_abs_check(f"ccf quadrature T={nodes}", rule, rule_o, TOL_CCF_ABS))
 
-    # uplink: closed formula vs dense log-determinant on exact vectors
-    vecs, g1_ex, g2_ex, rho_ex = _exact_pair(model, geom, (u1, u2))
-    cap_closed = mac_capacity_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), s1, s2)
-    cap_oracle = logdet_capacity_oracle(vecs, [s1, s2])
-    checks.append(
-        CheckRow(
-            "uplink sum capacity",
-            cap_closed,
-            cap_oracle,
-            f"abs <= {TOL_MAC_FORMULA_ABS:g}",
-            abs(cap_closed - cap_oracle) <= TOL_MAC_FORMULA_ABS,
-        )
-    )
+    vecs, exact = _exact_pair(model, geom, users)
+    checks.append(_mac_check(vecs, exact, scenario.mac_cfg))
     for order, tag in (("u1_first", (0, 1)), ("u2_first", (1, 0))):
-        pair = sic_rates_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), s1, s2, order)
-        rates_o = sic_rates_oracle(vecs, [s1, s2], tag)
+        pair = sic_rates_two_user(*exact, *snrs, order)
+        rates_o = sic_rates_oracle(vecs, snrs, tag)
         worst = max(abs(pair.r1 - rates_o[0]), abs(pair.r2 - rates_o[1]))
-        checks.append(
-            CheckRow(
-                f"decode corner {order}",
-                pair.r1 + pair.r2,
-                sum(rates_o),
-                f"per-rate abs <= {TOL_MAC_FORMULA_ABS:g}",
-                worst <= TOL_MAC_FORMULA_ABS,
-            )
-        )
+        checks.append(CheckRow(
+            f"decode corner {order}", pair.r1 + pair.r2, sum(rates_o),
+            f"per-rate abs <= {TOL_MAC_FORMULA_ABS:g}", worst <= TOL_MAC_FORMULA_ABS,
+        ))
 
-    # downlink: power split optimality and covariance duality
-    bc_closed = bc_capacity_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg)
+    bc_closed = bc_capacity_two_user(*exact, bc_cfg)
     _finite(("downlink sum capacity",), (bc_closed,))
-    bc_grid, _ = bc_power_grid_oracle(
-        g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg, _BC_GRID_POINTS
-    )
-    checks.append(
-        CheckRow(
-            "downlink sum capacity",
-            bc_closed,
-            bc_grid,
-            f"closed >= grid - {TOL_BC_GRID_ONESIDED:g}",
-            bc_closed >= bc_grid - TOL_BC_GRID_ONESIDED,
-        )
-    )
-    alloc = bc_power_allocation_two_user(g1_ex, g2_ex, min(rho_ex, 1.0), bc_cfg)
-    covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, bc_cfg)
-    gap = _duality_gap(covs, vecs, alloc, bc_cfg)
-    checks.append(
-        CheckRow(
-            "downlink duality",
-            gap,
-            0.0,
-            f"abs <= {TOL_BC_DUALITY_ABS:g}",
-            gap <= TOL_BC_DUALITY_ABS,
-        )
-    )
-    trace_err = abs(covs.total_power - alloc.total)
-    checks.append(
-        CheckRow(
-            "downlink covariance power",
-            covs.total_power,
-            alloc.total,
-            "abs <= 1e-6 * P",
-            trace_err <= 1e-6 * power,
-        )
-    )
-
-    # multicast: beam grid from below, averaging bound from above
-    mc_closed = mc_capacity_two_user(
-        g1_ex, g2_ex, min(rho_ex, 1.0), var1, var2, power
-    )
-    mc_grid, _ = mc_beam_grid_oracle(
-        vecs[0], vecs[1], (var1, var2), power, _MC_GRID_SPEC
-    )
-    bound = mc_upper_bound((g1_ex, g2_ex), (var1, var2), power)
-    checks.append(
-        CheckRow(
-            "multicast capacity",
-            mc_closed,
-            mc_grid,
-            f"closed >= grid - {TOL_MC_GRID_ONESIDED:g}",
-            mc_closed >= mc_grid - TOL_MC_GRID_ONESIDED
-            and mc_closed <= bound + 1e-12,
-        )
-    )
+    checks.append(_bc_grid_check(bc_closed, exact, bc_cfg))
+    checks += _bc_duality_checks(vecs, exact, bc_cfg)
+    checks.append(_mc_check(vecs, exact, bc_cfg))
     return checks, header

@@ -4,13 +4,16 @@ verification, sweep application, presets, and the verification report.
 """
 
 import configparser
+import importlib
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import synth_pair
 from nfcap import sweeps
+from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
 from nfcap.geometry import ArrayGeometry, nf_channel_vector
 from nfcap.oracles import logdet_capacity_oracle
@@ -357,3 +360,52 @@ def test_provenance_names_the_correlation_path(tmp_path):
     )
     ff = _scenario(tmp_path, "[link]\nmodel = FF\n")
     assert "ccf = far-field closed form\n" in run_mac(ff).provenance
+
+
+def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch, capsys):
+    "A correlation 1e-6 relative off the element sum fails channel --verify."
+    exact = sweeps.nf_ccf_elements
+
+    def off(*args):
+        est = exact(*args)
+        return est._replace(value=est.value * (1 + 1e-6))
+
+    monkeypatch.setattr(sweeps, "nf_ccf_elements", off)
+    path = tmp_path / "scn.ini"
+    path.write_text("[array]\nm_per_axis = 21\n")
+    res = run_channel(load_scenario(str(path)), verify=True)
+    assert dict(zip(res.columns, res.rows[0]))["verify_ok"] == 0.0
+    assert len(res.violations) == 1
+    assert "ccf: closed" in res.violations[0]
+    assert "relative plus rounding" in res.violations[0]
+    assert main(["channel", "--verify", "--config", str(path)]) == 3
+    assert "verification found 1 violation(s)" in capsys.readouterr().err
+
+
+def test_verify_columns_are_the_report_oracles(tmp_path):
+    "At 21 x 21 the report runs at the scenario's size, on the same checks."
+    scn = _scenario(tmp_path, "[array]\nm_per_axis = 21\n")
+    report = {row.name: row.oracle for row in verification_report(scn)[0]}
+
+    def oracles(runner):
+        res = runner(scn, verify=True)
+        return dict(zip(res.columns, res.rows[0]))
+
+    channel = oracles(run_channel)
+    assert channel["g1_oracle"] == report["gain user1"]
+    assert channel["g2_oracle"] == report["gain user2"]
+    assert channel["ccf_oracle"] == report["ccf"]
+    assert oracles(run_mac)["c_oracle"] == report["uplink sum capacity"]
+    assert oracles(run_mc)["c_oracle"] == report["multicast capacity"]
+
+
+def test_every_traced_name_resolves():
+    "The benchmark's tracer replaces these attributes; each must exist."
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(perfbench))
+    for module, attr, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
