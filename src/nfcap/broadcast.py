@@ -6,7 +6,9 @@ optimal dual power split has a closed form. This module provides that
 split, the resulting capacity, recovery of the downlink transmit
 covariance matrices, region sampling, linear transmit precoders, an
 iterative water-filling solver for any number of users, and the
-large-array limits.
+far-field large-array limit. The near-field large-array limit is the
+two-user capacity at the saturated gains of
+:func:`nfcap.stats.asymptotic_gains` with rho = 0.
 
 Scalar two-user routines take channel gains ``g1, g2`` and the squared
 correlation ``rho``. Matrix routines take explicit channel vectors and
@@ -24,7 +26,6 @@ import numpy as np
 from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
 from .mac import FfAsymptote, RatePoint, RateRegion, sic_rates_two_user
-from .stats import asymptotic_nf_gain, asymptotic_ula_gain
 
 __all__ = [
     "BcConfig",
@@ -550,62 +551,35 @@ def linear_precoder_sum_rate(
     return total
 
 
-def bc_asymptotics(
-    variant: str,
-    *,
-    xi: float | None = None,
-    cfg: BcConfig | None = None,
-    geom: ArrayGeometry | None = None,
-    users: Sequence[UserLocation] | None = None,
-    m_total: int | None = None,
-) -> float | FfAsymptote:
-    """Large-array downlink capacity limits.
-
-    variant "nf_upa": planar-array gains saturate at xi/2 and the users
-    decorrelate; the limit is the two-user capacity evaluated at those
-    gains with rho = 0. Requires ``xi`` and ``cfg``.
-
-    variant "nf_ula": same with the direction-dependent linear-array
-    limit gains. Requires ``geom``, ``users``, and ``cfg``.
-
-    variant "ff": the far-field gains keep growing with the element
-    count, so capacity grows like log M. Returns an
-    :class:`~nfcap.mac.FfAsymptote` whose ``static`` entry is the
-    co-directional expression log2(M P A / (4 pi) * max_k proj_k /
-    (r_k^2 var_k)) and whose ``dynamic`` entry is the distinct-direction
-    expression; the gap is positive. Requires ``geom``, ``users``
-    (exactly two), ``cfg``, and ``m_total``.
+def _ff_budget(
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
+) -> tuple[float, float, float]:
+    """q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k of a two-user
+    far-field downlink at the ``geom.m_total`` = M elements of ``geom``:
+    the terms of both its downlink and its multicast limit.
     """
-    key = variant.lower()
-    if key == "nf_upa":
-        if xi is None or cfg is None:
-            raise ValueError("variant 'nf_upa' requires xi and cfg")
-        limit_gain = asymptotic_nf_gain(xi)
-        return bc_capacity_two_user(limit_gain, limit_gain, 0.0, cfg)
-    if key == "nf_ula":
-        if geom is None or users is None or cfg is None:
-            raise ValueError("variant 'nf_ula' requires geom, users, and cfg")
-        if len(users) != 2:
-            raise ValueError("variant 'nf_ula' is defined for exactly two users")
-        lim1 = asymptotic_ula_gain(geom, users[0])
-        lim2 = asymptotic_ula_gain(geom, users[1])
-        return bc_capacity_two_user(lim1, lim2, 0.0, cfg)
-    if key == "ff":
-        if geom is None or users is None or cfg is None or m_total is None:
-            raise ValueError("variant 'ff' requires geom, users, cfg, and m_total")
-        if len(users) != 2 or cfg.num_users != 2:
-            raise ValueError("variant 'ff' is defined for exactly two users")
-        if m_total <= 0:
-            raise ValueError(f"m_total must be positive, got {m_total}")
-        q = m_total * cfg.total_power_P * geom.element_area / (4.0 * math.pi)
-        betas = [
-            u.range_r**2 * var / u.dir_y
-            for u, var in zip(users, cfg.noise_var_per_user)
-        ]
-        b1, b2 = betas
-        static = math.log2(q / min(b1, b2))
-        dynamic = math.log2((q + b1 + b2) ** 2 / (4.0 * b1 * b2) - 1.0)
-        return FfAsymptote(static=static, dynamic=dynamic)
-    raise ValueError(
-        f"variant must be 'nf_upa', 'nf_ula', or 'ff', got {variant!r}"
-    )
+    if len(users) != 2 or cfg.num_users != 2:
+        raise ValueError("the far-field limit is defined for exactly two users")
+    q = geom.m_total * cfg.total_power_P * geom.element_area / (4.0 * math.pi)
+    b1, b2 = (u.range_r**2 * var / u.dir_y
+              for u, var in zip(users, cfg.noise_var_per_user))
+    return q, b1, b2
+
+
+def bc_asymptotics(
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
+) -> FfAsymptote:
+    """Large-array far-field downlink capacity of two users at the
+    ``geom.m_total`` = M elements of ``geom``.
+
+    The far-field gains keep growing with M, so capacity grows like
+    log M. ``static`` is the co-directional expression log2(q / min_k
+    beta_k) and ``dynamic`` the distinct-direction expression
+    log2((q + beta_1 + beta_2)^2 / (4 beta_1 beta_2) - 1), with
+    q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k; the gap is
+    positive.
+    """
+    q, b1, b2 = _ff_budget(geom, users, cfg)
+    static = math.log2(q / min(b1, b2))
+    dynamic = math.log2((q + b1 + b2) ** 2 / (4.0 * b1 * b2) - 1.0)
+    return FfAsymptote(static=static, dynamic=dynamic)

@@ -1,10 +1,13 @@
 """Uplink (multiple-access) capacity: SIC corner rates, sum capacity,
-achievable regions, linear combiners, and large-array limits.
+achievable regions, linear combiners, and the far-field large-array
+limit.
 
 Two-user scalar formulas take the per-user effective gains ``g1, g2``,
 the squared channel correlation ``rho``, and per-user transmit SNRs.
 General-K routines operate on explicit channel vectors through the Gram
-matrix, so they remain exact for any correlation structure.
+matrix, so they remain exact for any correlation structure. The
+near-field large-array limit is the two-user capacity at the saturated
+gains of :func:`nfcap.stats.asymptotic_gains` with rho = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
-from .stats import asymptotic_nf_gain, asymptotic_ula_gain
 
 __all__ = [
     "MacConfig",
@@ -397,74 +399,32 @@ class FfAsymptote:
 
 
 def mac_asymptotics(
-    xi: float | None,
-    cfg: MacConfig,
-    variant: str,
-    *,
-    geom: ArrayGeometry | None = None,
-    users: Sequence[UserLocation] | None = None,
-    m_total: int | None = None,
-) -> float | FfAsymptote:
-    """Large-array uplink capacity limits for planar, linear, and
-    far-field models.
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: MacConfig
+) -> FfAsymptote:
+    """Large-array far-field uplink capacity of two users at the
+    ``geom.m_total`` = M elements of ``geom``.
 
-    variant "nf_upa": the planar-array gain saturates at xi/2 per user
-    and the users decorrelate, so the limit is
-    sum_k log2(1 + snr_k * xi / 2). Requires ``xi``.
-
-    variant "nf_ula": the linear-array gain saturates at the
-    direction-dependent single-column limit; the result is
-    sum_k log2(1 + snr_k * lim_gain_k). Requires ``geom`` and ``users``.
-
-    variant "ff": the far-field model keeps the gains growing linearly
-    in the element count M, so capacity grows like log M without
-    saturating. Returns an :class:`FfAsymptote` with the co-directional
-    and distinct-direction expressions evaluated at ``m_total``
-    elements. Requires ``geom``, ``users`` (exactly two), and
-    ``m_total``.
+    The far-field gains keep growing linearly in M, so capacity grows
+    like log M without saturating. With t_k = snr_k proj_k / r_k^2,
+    static = log2(M A / (4 pi) (t1 + t2)) and dynamic adds the cross
+    term M^2 A^2 t1 t2 / (16 pi^2) inside the logarithm.
     """
-    key = variant.lower()
-    if key == "nf_upa":
-        if xi is None:
-            raise ValueError("variant 'nf_upa' requires xi")
-        limit_gain = asymptotic_nf_gain(xi)
-        return sum(
-            math.log2(1.0 + snr * limit_gain) for snr in cfg.snr_per_user
-        )
-    if key == "nf_ula":
-        if geom is None or users is None:
-            raise ValueError("variant 'nf_ula' requires geom and users")
-        if len(users) != cfg.num_users:
-            raise ValueError(
-                f"got {len(users)} users but {cfg.num_users} SNR entries"
-            )
-        total = 0.0
-        for snr, user in zip(cfg.snr_per_user, users):
-            total += math.log2(1.0 + snr * asymptotic_ula_gain(geom, user))
-        return total
-    if key == "ff":
-        if geom is None or users is None or m_total is None:
-            raise ValueError("variant 'ff' requires geom, users, and m_total")
-        if len(users) != 2 or cfg.num_users != 2:
-            raise ValueError("variant 'ff' is defined for exactly two users")
-        if m_total <= 0:
-            raise ValueError(f"m_total must be positive, got {m_total}")
-        area = geom.element_area
-        s1, s2 = cfg.snr_per_user
-        u1, u2 = users
-        t1 = s1 * u1.dir_y / u1.range_r**2
-        t2 = s2 * u2.dir_y / u2.range_r**2
-        base = m_total * area / (4.0 * math.pi) * (t1 + t2)
-        extra = (
-            m_total**2
-            * area**2
-            * s1
-            * s2
-            * u1.dir_y
-            * u2.dir_y
-            / (16.0 * math.pi**2 * u1.range_r**2 * u2.range_r**2)
-        )
-        return FfAsymptote(static=math.log2(base), dynamic=math.log2(base + extra))
-    raise ValueError(
-        f"variant must be 'nf_upa', 'nf_ula', or 'ff', got {variant!r}"
+    if len(users) != 2 or cfg.num_users != 2:
+        raise ValueError("the far-field limit is defined for exactly two users")
+    m_total = geom.m_total
+    area = geom.element_area
+    s1, s2 = cfg.snr_per_user
+    u1, u2 = users
+    t1 = s1 * u1.dir_y / u1.range_r**2
+    t2 = s2 * u2.dir_y / u2.range_r**2
+    base = m_total * area / (4.0 * math.pi) * (t1 + t2)
+    extra = (
+        m_total**2
+        * area**2
+        * s1
+        * s2
+        * u1.dir_y
+        * u2.dir_y
+        / (16.0 * math.pi**2 * u1.range_r**2 * u2.range_r**2)
     )
+    return FfAsymptote(static=math.log2(base), dynamic=math.log2(base + extra))

@@ -6,7 +6,9 @@ forms with a three-way case split: when one user is weak enough the
 beam points straight at that user, otherwise the beam balances both
 users inside their channel span. Routines here also cover min-rate
 evaluation for arbitrary beamformers, the K-user capacity upper bound,
-and large-array limits.
+and the far-field large-array limit. The near-field large-array limit
+is the two-user capacity at the saturated gains of
+:func:`nfcap.stats.asymptotic_gains` with rho = 0.
 
 Noise arguments are variances throughout, written sigma1, sigma2 with
 the squared symbol dropped from the names.
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, ChannelVector, UserLocation
+from .broadcast import BcConfig, _ff_budget
 from .mac import FfAsymptote
-from .stats import asymptotic_nf_gain, asymptotic_ula_gain
 
 __all__ = [
     "Beamformer",
@@ -189,78 +191,18 @@ def mc_upper_bound(
 
 
 def mc_asymptotics(
-    variant: str,
-    *,
-    xi: float | None = None,
-    power: float | None = None,
-    noise_vars: Sequence[float] | None = None,
-    geom: ArrayGeometry | None = None,
-    users: Sequence[UserLocation] | None = None,
-    m_total: int | None = None,
-) -> float | FfAsymptote:
-    """Large-array multicast capacity limits.
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
+) -> FfAsymptote:
+    """Large-array far-field multicast capacity of two users at the
+    ``geom.m_total`` = M elements of ``geom``.
 
-    variant "nf_upa": planar-array gains saturate at xi/2 per user with
-    vanishing correlation; evaluates the two-user closed form at those
-    gains. Requires ``xi``, ``power``, ``noise_vars``.
-
-    variant "nf_ula": same with direction-dependent linear-array limit
-    gains. Requires ``geom``, ``users``, ``power``, ``noise_vars``.
-
-    variant "ff": far-field capacity keeps growing like log M. Returns
-    :class:`~nfcap.mac.FfAsymptote` with static = log2(M P A / (4 pi)
-    * min_k proj_k / (r_k^2 var_k)) and dynamic = log2(M P A / (4 pi) /
-    (beta_1 + beta_2)), beta_k = r_k^2 var_k / proj_k; static exceeds
-    dynamic by at most 1 bit. Requires ``geom``, ``users`` (exactly
-    two), ``power``, ``noise_vars``, ``m_total``.
+    Far-field capacity keeps growing like log M. With q = M P A / (4 pi)
+    and beta_k = r_k^2 var_k / proj_k, static = log2(q / max_k beta_k)
+    and dynamic = log2(q / (beta_1 + beta_2)); static exceeds dynamic
+    by at most 1 bit.
     """
-    key = variant.lower()
-    if key == "nf_upa":
-        if xi is None or power is None or noise_vars is None:
-            raise ValueError("variant 'nf_upa' requires xi, power, and noise_vars")
-        if len(noise_vars) != 2:
-            raise ValueError("variant 'nf_upa' is defined for exactly two users")
-        limit_gain = asymptotic_nf_gain(xi)
-        return mc_capacity_two_user(
-            limit_gain, limit_gain, 0.0, noise_vars[0], noise_vars[1], power
-        )
-    if key == "nf_ula":
-        if geom is None or users is None or power is None or noise_vars is None:
-            raise ValueError(
-                "variant 'nf_ula' requires geom, users, power, and noise_vars"
-            )
-        if len(users) != 2 or len(noise_vars) != 2:
-            raise ValueError("variant 'nf_ula' is defined for exactly two users")
-        lim1 = asymptotic_ula_gain(geom, users[0])
-        lim2 = asymptotic_ula_gain(geom, users[1])
-        return mc_capacity_two_user(
-            lim1, lim2, 0.0, noise_vars[0], noise_vars[1], power
-        )
-    if key == "ff":
-        if (
-            geom is None
-            or users is None
-            or power is None
-            or noise_vars is None
-            or m_total is None
-        ):
-            raise ValueError(
-                "variant 'ff' requires geom, users, power, noise_vars, and m_total"
-            )
-        if len(users) != 2 or len(noise_vars) != 2:
-            raise ValueError("variant 'ff' is defined for exactly two users")
-        if m_total <= 0:
-            raise ValueError(f"m_total must be positive, got {m_total}")
-        q = m_total * power * geom.element_area / (4.0 * math.pi)
-        betas = [
-            u.range_r**2 * _checks.positive(f"noise_vars[{k}]", var) / u.dir_y
-            for k, (u, var) in enumerate(zip(users, noise_vars))
-        ]
-        b1, b2 = betas
-        return FfAsymptote(
-            static=math.log2(q / max(b1, b2)),
-            dynamic=math.log2(q / (b1 + b2)),
-        )
-    raise ValueError(
-        f"variant must be 'nf_upa', 'nf_ula', or 'ff', got {variant!r}"
+    q, b1, b2 = _ff_budget(geom, users, cfg)
+    return FfAsymptote(
+        static=math.log2(q / max(b1, b2)),
+        dynamic=math.log2(q / (b1 + b2)),
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .geometry import ArrayGeometry, ChannelVector, UserLocation
 from .multicast import Beamformer
 
 __all__ = [
-    "OracleReport",
     "logdet_capacity_oracle",
     "sic_rates_oracle",
     "bc_power_grid_oracle",
@@ -42,39 +40,6 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _MAX_DENSE_DIM = 10_000
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Side-by-side record of a closed form against its oracle."""
-
-    quantity_name: str
-    closed_form_value: float
-    oracle_value: float
-    abs_diff: float
-    rel_diff: float
-
-    def __post_init__(self) -> None:
-        expected_abs = abs(self.closed_form_value - self.oracle_value)
-        if not math.isclose(self.abs_diff, expected_abs, rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError(
-                f"abs_diff {self.abs_diff} inconsistent with values "
-                f"{self.closed_form_value} and {self.oracle_value}"
-            )
-        if self.abs_diff < 0.0 or self.rel_diff < 0.0:
-            raise ValueError("diffs must be nonnegative")
-
-    @classmethod
-    def compare(
-        cls, quantity_name: str, closed_form_value: float, oracle_value: float
-    ) -> "OracleReport":
-        abs_diff = abs(closed_form_value - oracle_value)
-        scale = max(abs(closed_form_value), abs(oracle_value))
-        rel_diff = abs_diff / scale if scale > 0.0 else 0.0
-        return cls(quantity_name, closed_form_value, oracle_value, abs_diff, rel_diff)
-
-    def within(self, tolerance: float, relative: bool = False) -> bool:
-        return (self.rel_diff if relative else self.abs_diff) <= tolerance
 
 
 def logdet_capacity_oracle(

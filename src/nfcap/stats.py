@@ -10,29 +10,12 @@ has no more elements than the T x T rule has nodes, and the paper's rule
 (:func:`nf_ccf_quadrature`) beyond that.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _checks, _kernels
 from .geometry import ArrayGeometry, UserLocation, epsilon
-
-
-@dataclass(frozen=True)
-class LinkStats:
-    "Gain pair plus CCF for one two-user link."
-
-    gain_1: float
-    gain_2: float
-    ccf_rho: float
-
-    def __post_init__(self) -> None:
-        if self.gain_1 < 0 or self.gain_2 < 0:
-            raise ValueError(
-                f"gains must be nonnegative, got {self.gain_1}, {self.gain_2}")
-        if not -1e-12 <= self.ccf_rho <= 1 + 1e-12:
-            raise ValueError(f"ccf_rho outside [0, 1]: {self.ccf_rho}")
 
 
 class CcfEstimate(NamedTuple):
@@ -85,17 +68,18 @@ def ff_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
 
 
 def ula_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
-    "Closed-form NF gain of a vertical ULA (m_x = 1, elements along z)."
+    """Closed-form NF gain of a vertical ULA (m_x = 1, elements along z),
+    whose axis has the cosine c = dir_z to the user."""
     if geom.m_x != 1:
         raise ValueError(
             f"ULA closed form requires m_x = 1, got m_x = {geom.m_x}")
     m = geom.m_z
     eps = epsilon(geom, u)
-    ct = np.cos(u.azimuth_theta)
-    big_xi = ((m * eps - 2 * ct) / np.sqrt(m**2 * eps**2 - 4 * m * eps * ct + 4)
-              + (m * eps + 2 * ct) / np.sqrt(m**2 * eps**2 + 4 * m * eps * ct + 4))
-    return (geom.occupation_ratio * eps * np.sin(u.elevation_phi) * big_xi
-            / (4 * np.pi * np.sin(u.azimuth_theta)))
+    c = u.dir_z
+    big_xi = ((m * eps - 2 * c) / np.sqrt(m**2 * eps**2 - 4 * m * eps * c + 4)
+              + (m * eps + 2 * c) / np.sqrt(m**2 * eps**2 + 4 * m * eps * c + 4))
+    return (geom.occupation_ratio * eps * u.dir_y * big_xi
+            / (4 * np.pi * (1 - c**2)))
 
 
 def asymptotic_nf_gain(xi: float) -> float:
@@ -108,8 +92,21 @@ def asymptotic_nf_gain(xi: float) -> float:
 def asymptotic_ula_gain(geom: ArrayGeometry, u: UserLocation) -> float:
     "Large-M limit of ula_gain_closed (does not require m_x = 1)."
     eps = epsilon(geom, u)
-    return (geom.occupation_ratio * eps * np.sin(u.elevation_phi)
-            / (2 * np.pi * np.sin(u.azimuth_theta)))
+    return (geom.occupation_ratio * eps * u.dir_y
+            / (2 * np.pi * (1 - u.dir_z**2)))
+
+
+def asymptotic_gains(geom: ArrayGeometry,
+                     users: Sequence[UserLocation]) -> tuple[float, ...]:
+    """Saturated NF gain of each user as the array grows without bound:
+    the single-column limit when m_x = 1, else the planar xi/2.
+
+    With these gains and zero correlation, since users decorrelate, a
+    two-user capacity formula gives its large-array limit.
+    """
+    if geom.m_x == 1:
+        return tuple(asymptotic_ula_gain(geom, u) for u in users)
+    return (asymptotic_nf_gain(geom.occupation_ratio),) * len(users)
 
 
 def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,

@@ -47,6 +47,7 @@ from .geometry import (
     nf_channel_vector,
 )
 from .mac import (
+    FfAsymptote,
     MacConfig,
     linear_combiner_sum_rate,
     mac_asymptotics,
@@ -64,6 +65,7 @@ from .oracles import (
     sic_rates_oracle,
 )
 from .stats import (
+    asymptotic_gains,
     ff_ccf_closed,
     ff_gain_closed,
     nf_ccf_elements,
@@ -509,34 +511,16 @@ def _mc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
     return mc_capacity_two_user(g1, g2, rho, var1, var2, cfg.total_power_P)
 
 
-def _mac_limit(regime, cfg: MacConfig, xi=None, geom=None, users=None, m_total=None):
-    return mac_asymptotics(xi, cfg, regime, geom=geom, users=users, m_total=m_total)
-
-
-def _bc_limit(regime, cfg: BcConfig, xi=None, geom=None, users=None, m_total=None):
-    return bc_asymptotics(
-        regime, xi=xi, cfg=cfg, geom=geom, users=users, m_total=m_total
-    )
-
-
-def _mc_limit(regime, cfg: BcConfig, xi=None, geom=None, users=None, m_total=None):
-    return mc_asymptotics(
-        regime, xi=xi, power=cfg.total_power_P, noise_vars=cfg.noise_var_per_user,
-        geom=geom, users=users, m_total=m_total,
-    )
-
-
-def _c_asym(limit, model: str, geom: ArrayGeometry, users, link) -> float:
-    """The large-array value a runner prints: the FF limit (static when
-    both users share a direction, dynamic otherwise), the linear-array
-    limit when the array is one column, else the planar-array limit.
+def _c_asym(kind: _Kind, model: str, geom: ArrayGeometry, users, link) -> float:
+    """The large-array value a runner prints. FF: the kind's limit at
+    M = geom.m_total, static when both users share a direction and
+    dynamic otherwise. NF: the kind's capacity at the saturated gains,
+    whose correlation vanishes.
     """
     if model == "FF":
-        asym = limit("ff", link, None, geom, list(users), geom.m_total)
+        asym = kind.limit(geom, users, link)
         return asym.static if _same_direction(users[0], users[1]) else asym.dynamic
-    if geom.m_x == 1:
-        return limit("nf_ula", link, None, geom, list(users))
-    return limit("nf_upa", link, geom.occupation_ratio)
+    return kind.capacity(*asymptotic_gains(geom, users), 0.0, link)
 
 
 def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[float, ...]:
@@ -597,6 +581,7 @@ class _Kind:
     ``columns``: those of ``formulas(g1, g2, rho, link)``, then c_asym
     when ``limit`` is set.
     ``link`` is the point's MacConfig when ``uplink``, else its BcConfig.
+    ``limit(geom, users, link)`` is the kind's FF large-array limit.
     Verification appends, for each check that ``verify`` returns in
     turn, the field of it that ``oracle_columns`` names, then verify_ok.
     Every function here calls the formulas through this module's
@@ -610,7 +595,7 @@ class _Kind:
     oracle_columns: tuple[tuple[str, str], ...]
     uplink: bool = False
     capacity: Callable[..., float] | None = None
-    limit: Callable | None = None
+    limit: Callable[..., FfAsymptote] | None = None
 
 
 _KINDS = {
@@ -622,16 +607,18 @@ _KINDS = {
         ("c_mac", "r1_u1_first", "r2_u1_first", "r1_u2_first", "r2_u2_first",
          "r_opt", "r_mrc", "r_zf", "c_asym"),
         _mac_formulas, _mac_verify, (("c_oracle", "oracle"),),
-        uplink=True, capacity=_mac_capacity, limit=_mac_limit,
+        uplink=True, capacity=_mac_capacity,
+        limit=lambda *args: mac_asymptotics(*args),
     ),
     "bc": _Kind(
         ("c_bc", "p1", "p2", "r_mrt", "r_zf", "gamma_dl_mrt", "gamma_dl_zf", "c_asym"),
         _bc_formulas, _bc_verify, (("c_oracle", "oracle"), ("duality_gap", "closed")),
-        capacity=_bc_capacity, limit=_bc_limit,
+        capacity=_bc_capacity, limit=lambda *args: bc_asymptotics(*args),
     ),
     "mc": _Kind(
         ("c_mc", "c_bound", "c_asym"), _mc_formulas, _mc_verify,
-        (("c_oracle", "oracle"),), capacity=_mc_capacity, limit=_mc_limit,
+        (("c_oracle", "oracle"),), capacity=_mc_capacity,
+        limit=lambda *args: mc_asymptotics(*args),
     ),
 }
 
@@ -654,7 +641,7 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
             values = kind.formulas(*stats, link)
             row = [_point_value(value), *stats, *values]
             if kind.limit is not None:
-                row.append(_c_asym(kind.limit, model, geom, users, link))
+                row.append(_c_asym(kind, model, geom, users, link))
             if verify:
                 _finite(columns, row)
                 _check_verify_size(geom)
@@ -824,7 +811,7 @@ def _preset_capacity_vs_m(name: str) -> SweepResult:
     rows = []
     for m_axis in _M_AXIS_GRID:
         geom = _reference_geometry(m_axis)
-        c_asym = kind.limit("nf_upa", link, xi=geom.occupation_ratio)
+        c_asym = _c_asym(kind, "NF", geom, _reference_users(False), link)
         rows.append((float(geom.m_total), *_preset_caps(kind, geom, link), c_asym))
     provenance = (
         f"tool = nfcap {__version__}\n"

@@ -25,7 +25,7 @@ from nfcap.broadcast import (
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.mac import FfAsymptote, RatePoint, sic_rates_two_user
 from nfcap.oracles import bc_power_grid_oracle, bc_simplex_grid_oracle
-from nfcap.stats import ccf_exact, gain_exact, ula_gain_closed
+from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, ula_gain_closed
 
 UPA_LIMIT_BITS = 12.664609261026872
 
@@ -357,22 +357,24 @@ def test_reference_precoders_land_close_to_capacity(ref_geometry, user1, user2_d
         assert 0.9 < ratio <= 1.0
 
 
-def test_upa_asymptote_reference_value():
+def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
-    limit = bc_asymptotics("nf_upa", xi=1.0 / math.pi, cfg=cfg)
+    gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
+    limit = bc_capacity_two_user(*gains, 0.0, cfg)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
 
 
 def test_ff_asymptote_gap_positive_across_sizes(user1, user2_dd):
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
-    for m_total in (1_000, 1_000_000):
-        geom = ArrayGeometry.from_frequency(m_x=65, m_z=65, frequency_hz=2.4e9)
-        asym = bc_asymptotics(
-            "ff", cfg=cfg, geom=geom, users=[user1, user2_dd], m_total=m_total
-        )
+    # about a thousand and a million elements
+    for m_x, m_z in ((1, 1001), (1001, 999)):
+        geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
+        asym = bc_asymptotics(geom, [user1, user2_dd], cfg)
         assert isinstance(asym, FfAsymptote)
         assert asym.dynamic > asym.static
         assert asym.gap > 0.0
+    with pytest.raises(ValueError, match="exactly two users"):
+        bc_asymptotics(geom, [user1, user2_dd, user1], BcConfig(1.0, (1.0,) * 3))
 
 
 def test_ula_asymptote_close_at_ten_million_elements():
@@ -382,7 +384,7 @@ def test_ula_asymptote_close_at_ten_million_elements():
     ]
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
     geom = ArrayGeometry.from_frequency(m_x=1, m_z=10_000_001, frequency_hz=2.4e9)
-    limit = bc_asymptotics("nf_ula", cfg=cfg, geom=geom, users=users)
+    limit = bc_capacity_two_user(*asymptotic_gains(geom, users), 0.0, cfg)
     g1 = ula_gain_closed(geom, users[0])
     g2 = ula_gain_closed(geom, users[1])
     finite = bc_capacity_two_user(g1, g2, 0.0, cfg)

@@ -23,7 +23,12 @@ from nfcap.mac import (
     sic_rates_two_user,
 )
 from nfcap.oracles import logdet_capacity_oracle
-from nfcap.stats import nf_ccf_quadrature, nf_gain_closed
+from nfcap.stats import (
+    asymptotic_gains,
+    nf_ccf_quadrature,
+    nf_gain_closed,
+    ula_gain_closed,
+)
 
 UPA_LIMIT_BITS = 14.64664903308479
 
@@ -183,9 +188,10 @@ def test_combiner_scheme_validation():
         linear_combiner_sum_rate("mmse", 0.1, 0.2, 0.3, 10.0, 10.0)
 
 
-def test_upa_asymptote_reference_value():
-    cfg = MacConfig(snr_per_user=(REF_SNR, REF_SNR))
-    limit = mac_asymptotics(1.0 / math.pi, cfg, "nf_upa")
+def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
+    "The NF limit: the capacity at the saturated planar gains, rho = 0."
+    gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
+    limit = mac_capacity_two_user(*gains, 0.0, REF_SNR, REF_SNR)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
     direct = 2 * math.log2(1 + REF_SNR / (2 * math.pi))
     assert limit == pytest.approx(direct, rel=1e-12)
@@ -193,14 +199,7 @@ def test_upa_asymptote_reference_value():
 
 def test_ff_asymptote_static_dynamic_gap(ref_geometry, user1, user2_dd):
     cfg = MacConfig(snr_per_user=(REF_SNR, REF_SNR))
-    asym = mac_asymptotics(
-        None,
-        cfg,
-        "ff",
-        geom=ref_geometry,
-        users=[user1, user2_dd],
-        m_total=ref_geometry.m_total,
-    )
+    asym = mac_asymptotics(ref_geometry, [user1, user2_dd], cfg)
     assert isinstance(asym, FfAsymptote)
     q = ref_geometry.m_total * ref_geometry.element_area / (4 * math.pi)
     base = REF_SNR * (
@@ -212,27 +211,26 @@ def test_ff_asymptote_static_dynamic_gap(ref_geometry, user1, user2_dd):
 
 
 def test_ula_asymptote_approached_by_closed_gain():
-    cfg = MacConfig(snr_per_user=(REF_SNR, REF_SNR))
     users = [
         UserLocation(range_r=10.0, azimuth_theta=1.0, elevation_phi=1.2),
         UserLocation(range_r=5.0, azimuth_theta=2.0, elevation_phi=1.4),
     ]
     geom = ArrayGeometry.from_frequency(m_x=1, m_z=10_000_001, frequency_hz=2.4e9)
-    limit = mac_asymptotics(None, cfg, "nf_ula", geom=geom, users=users)
-    from nfcap.stats import ula_gain_closed
-
+    limit = mac_capacity_two_user(
+        *asymptotic_gains(geom, users), 0.0, REF_SNR, REF_SNR
+    )
     direct = sum(
         math.log2(1 + REF_SNR * ula_gain_closed(geom, u)) for u in users
     )
     assert limit == pytest.approx(direct, abs=0.05)
 
 
-def test_asymptotics_variant_validation():
-    cfg = MacConfig(snr_per_user=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        mac_asymptotics(0.3, cfg, "nf_hexagonal")
-    with pytest.raises(ValueError):
-        mac_asymptotics(None, cfg, "nf_upa")
+def test_ff_asymptotics_reject_three_users(ref_geometry, user1, user2_dd):
+    users = [user1, user2_dd, user1]
+    with pytest.raises(ValueError, match="exactly two users"):
+        mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0, 10.0)))
+    with pytest.raises(ValueError, match="exactly two users"):
+        mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0)))
 
 
 @pytest.mark.xfail(

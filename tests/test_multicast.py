@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_POWER, synth_pair
+from nfcap.broadcast import BcConfig
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.mac import FfAsymptote
 from nfcap.multicast import (
@@ -20,7 +21,7 @@ from nfcap.multicast import (
     mc_upper_bound,
 )
 from nfcap.oracles import mc_beam_grid_oracle
-from nfcap.stats import ccf_exact, gain_exact, ula_gain_closed
+from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, ula_gain_closed
 
 UPA_LIMIT_BITS = 6.332304630513436
 
@@ -152,10 +153,9 @@ def test_reference_capacity_beats_beam_grid(ref_geometry, user1, user2_dd):
     assert replay == pytest.approx(grid, abs=1e-9)
 
 
-def test_upa_asymptote_reference_value():
-    limit = mc_asymptotics(
-        "nf_upa", xi=1.0 / math.pi, power=REF_POWER, noise_vars=(1.0, 1.0)
-    )
+def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
+    gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
+    limit = mc_capacity_two_user(*gains, 0.0, 1.0, 1.0, REF_POWER)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
     direct = mc_capacity_two_user(
         1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), 0.0, 1.0, 1.0, REF_POWER
@@ -169,8 +169,8 @@ def test_ula_asymptote_close_at_ten_million_elements():
         UserLocation(range_r=5.0, azimuth_theta=2.0, elevation_phi=1.4),
     ]
     geom = ArrayGeometry.from_frequency(m_x=1, m_z=10_000_001, frequency_hz=2.4e9)
-    limit = mc_asymptotics(
-        "nf_ula", geom=geom, users=users, power=REF_POWER, noise_vars=(1.0, 1.0)
+    limit = mc_capacity_two_user(
+        *asymptotic_gains(geom, users), 0.0, 1.0, 1.0, REF_POWER
     )
     g1 = ula_gain_closed(geom, users[0])
     g2 = ula_gain_closed(geom, users[1])
@@ -179,41 +179,30 @@ def test_ula_asymptote_close_at_ten_million_elements():
 
 
 def test_ff_asymptote_gap_lies_in_unit_interval(user1, user2_dd):
-    geom = ArrayGeometry.from_frequency(m_x=65, m_z=65, frequency_hz=2.4e9)
-    for m_total in (1_000, 1_000_000):
-        asym = mc_asymptotics(
-            "ff",
-            geom=geom,
-            users=[user1, user2_dd],
-            power=REF_POWER,
-            noise_vars=(1.0, 1.0),
-            m_total=m_total,
-        )
+    cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
+    # about a thousand and a million elements
+    for m_x, m_z in ((1, 1001), (1001, 999)):
+        geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
+        asym = mc_asymptotics(geom, [user1, user2_dd], cfg)
         assert isinstance(asym, FfAsymptote)
         assert asym.static > asym.dynamic
         assert 0.0 < asym.gap <= 1.0
 
 
-def test_ff_asymptote_equidistant_gap_is_one_bit(user1):
-    geom = ArrayGeometry.from_frequency(m_x=65, m_z=65, frequency_hz=2.4e9)
+def test_ff_asymptote_equidistant_gap_is_one_bit(ref_geometry, user1):
     twin = UserLocation(
         range_r=user1.range_r,
         azimuth_theta=user1.azimuth_theta,
         elevation_phi=user1.elevation_phi,
     )
-    asym = mc_asymptotics(
-        "ff",
-        geom=geom,
-        users=[user1, twin],
-        power=REF_POWER,
-        noise_vars=(1.0, 1.0),
-        m_total=4225,
-    )
+    cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
+    asym = mc_asymptotics(ref_geometry, [user1, twin], cfg)
     assert asym.gap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_asymptotics_validation():
-    with pytest.raises(ValueError):
-        mc_asymptotics("nf_upa", power=10.0, noise_vars=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        mc_asymptotics("holographic", xi=0.3, power=10.0, noise_vars=(1.0, 1.0))
+def test_ff_asymptotics_reject_three_users(ref_geometry, user1, user2_dd):
+    users = [user1, user2_dd, user1]
+    with pytest.raises(ValueError, match="exactly two users"):
+        mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError, match="exactly two users"):
+        mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0)))

@@ -15,7 +15,6 @@ from nfcap.broadcast import BcConfig
 from nfcap.geometry import nf_channel_vector
 from nfcap.mac import MacConfig, mac_capacity_general
 from nfcap.oracles import (
-    OracleReport,
     bc_power_grid_oracle,
     bc_simplex_grid_oracle,
     ccf_sum_oracle,
@@ -25,24 +24,6 @@ from nfcap.oracles import (
     sic_rates_oracle,
 )
 from nfcap.stats import ccf_exact, ff_ccf_closed, ff_gain_closed, gain_exact
-
-
-def test_report_compare_and_within():
-    rep = OracleReport.compare("gain", 1.0, 1.001)
-    assert rep.abs_diff == pytest.approx(0.001, rel=1e-9)
-    assert rep.rel_diff == pytest.approx(0.001 / 1.001, rel=1e-9)
-    assert rep.within(0.01)
-    assert not rep.within(1e-4)
-    assert rep.within(0.01, relative=True)
-    zero = OracleReport.compare("null", 0.0, 0.0)
-    assert zero.rel_diff == 0.0
-
-
-def test_report_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        OracleReport("gain", 1.0, 2.0, abs_diff=0.5, rel_diff=0.25)
-    with pytest.raises(ValueError):
-        OracleReport("gain", 1.0, 1.0, abs_diff=0.0, rel_diff=-0.1)
 
 
 def test_logdet_edge_cases():

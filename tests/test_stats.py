@@ -18,7 +18,7 @@ from nfcap.geometry import (
 )
 from nfcap.stats import (
     CcfEstimate,
-    LinkStats,
+    asymptotic_gains,
     asymptotic_nf_gain,
     asymptotic_ula_gain,
     ccf_exact,
@@ -270,6 +270,16 @@ def test_ula_gain_closed_reference_value():
     assert abs(closed - exact) / exact < 1e-6
 
 
+def test_ula_gain_closed_matches_element_sum_off_broadside():
+    """The axial cosine of a column array is dir_z = cos(phi), not
+    cos(theta): users with sin(theta) != sin(phi) tell the two apart."""
+    geom = ArrayGeometry.from_frequency(m_x=1, m_z=257, frequency_hz=2.4e9)
+    for r, theta, phi in ((4.0, 1.3, 0.6), (2.0, 0.4, 2.5), (10.0, 1.0, 1.2)):
+        u = UserLocation(range_r=r, azimuth_theta=theta, elevation_phi=phi)
+        exact = gain_exact(nf_channel_vector(geom, u))
+        assert ula_gain_closed(geom, u) == pytest.approx(exact, rel=1e-5)
+
+
 def test_ula_gain_closed_requires_single_column():
     geom = ArrayGeometry.from_frequency(m_x=3, m_z=1001, frequency_hz=2.4e9)
     u = UserLocation(range_r=10.0, azimuth_theta=1.2, elevation_phi=1.3)
@@ -281,6 +291,16 @@ def test_asymptotic_nf_gain_is_half_occupation():
     assert asymptotic_nf_gain(1.0 / math.pi) == pytest.approx(
         0.5 / math.pi, rel=1e-15
     )
+
+
+def test_asymptotic_gains_one_per_user():
+    users = [UserLocation(range_r=r, azimuth_theta=1.0, elevation_phi=1.2)
+             for r in (10.0, 5.0, 2.0)]
+    column = ArrayGeometry.from_frequency(m_x=1, m_z=101, frequency_hz=2.4e9)
+    assert asymptotic_gains(column, users) == tuple(
+        asymptotic_ula_gain(column, u) for u in users)
+    plane = ArrayGeometry.from_frequency(m_x=3, m_z=101, frequency_hz=2.4e9)
+    assert asymptotic_gains(plane, users) == pytest.approx((0.5 / math.pi,) * 3)
 
 
 def test_asymptotic_ula_gain_is_large_count_limit():
@@ -295,12 +315,3 @@ def test_asymptotic_ula_gain_is_large_count_limit():
             assert abs(val - limit) < abs(prev - limit)
         prev = val
     assert prev == pytest.approx(limit, rel=1e-3)
-
-
-def test_link_stats_container_validation():
-    stats = LinkStats(gain_1=0.1, gain_2=0.2, ccf_rho=0.3)
-    assert stats.ccf_rho == 0.3
-    with pytest.raises(ValueError):
-        LinkStats(gain_1=-0.1, gain_2=0.2, ccf_rho=0.3)
-    with pytest.raises(ValueError):
-        LinkStats(gain_1=0.1, gain_2=0.2, ccf_rho=1.5)
