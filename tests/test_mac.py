@@ -225,7 +225,8 @@ def test_ula_asymptote_approached_by_closed_gain():
     assert limit == pytest.approx(direct, abs=0.05)
 
 
-def test_ff_asymptotics_reject_three_users(ref_geometry, user1, user2_dd):
+def test_asymptotics_variant_validation(ref_geometry, user1, user2_dd):
+    """The FF closed form, the one variant left, takes exactly two users."""
     users = [user1, user2_dd, user1]
     with pytest.raises(ValueError, match="exactly two users"):
         mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0, 10.0)))

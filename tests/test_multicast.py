@@ -200,7 +200,8 @@ def test_ff_asymptote_equidistant_gap_is_one_bit(ref_geometry, user1):
     assert asym.gap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ff_asymptotics_reject_three_users(ref_geometry, user1, user2_dd):
+def test_asymptotics_validation(ref_geometry, user1, user2_dd):
+    """The FF closed form takes exactly two users."""
     users = [user1, user2_dd, user1]
     with pytest.raises(ValueError, match="exactly two users"):
         mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0, 1.0)))
