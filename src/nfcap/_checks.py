@@ -1,8 +1,9 @@
 """Input checks shared by the formula modules and the oracles.
 
-One coercer for channel arguments and one check per kind of scalar
-argument. Every error is a ValueError that names the argument and the
-bad value.
+One coercer for channels, one check for the K x K Gram matrix that the
+K-user functions take, and one check per kind of scalar argument. A
+channel is a complex 1-D array with one finite entry per element. Every
+error is a ValueError that names the argument and the bad value.
 """
 
 from __future__ import annotations
@@ -12,33 +13,41 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import ChannelVector
-
 
 def channel_vectors(
-    channels: Sequence[ChannelVector | np.ndarray],
-    names: Sequence[str] | None = None,
+    channels: Sequence[np.ndarray], names: Sequence[str] | None = None
 ) -> list[np.ndarray]:
-    """Each channel as a complex128 1-D array; none empty, all one length.
+    """Each channel as a complex128 1-D array; none empty, all one length,
+    every entry finite.
 
     ``names`` label the channels in error messages (default
-    ``channels[k]``). A complex128 1-D input, such as the entries of a
-    :class:`ChannelVector`, is returned as is, not copied.
+    ``channels[k]``). A complex128 1-D input is returned as is, not copied.
     """
     if names is None:
         names = [f"channels[{k}]" for k in range(len(channels))]
     vecs: list[np.ndarray] = []
     for name, ch in zip(names, channels):
-        entries = ch.entries if isinstance(ch, ChannelVector) else ch
-        vec = np.asarray(entries, dtype=np.complex128).ravel()
+        vec = np.asarray(ch, dtype=np.complex128).ravel()
         if vec.size == 0:
             raise ValueError(f"{name} must not be empty")
         if vecs and vec.size != vecs[0].size:
             raise ValueError(
                 f"{name} has {vec.size} entries, {names[0]} has {vecs[0].size}"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} has a non-finite entry")
         vecs.append(vec)
     return vecs
+
+
+def gram(value: np.ndarray, k: int) -> np.ndarray:
+    "A K x K complex Gram matrix with K = ``k`` and every entry finite."
+    mat = np.asarray(value, dtype=np.complex128)
+    if mat.shape != (k, k):
+        raise ValueError(f"gram must be {k} x {k} for {k} users, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("gram has a non-finite entry")
+    return mat
 
 
 def nonneg(name: str, value: float) -> float:

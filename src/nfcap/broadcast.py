@@ -11,21 +11,25 @@ two-user capacity at the saturated gains of
 :func:`nfcap.stats.asymptotic_gains` with rho = 0.
 
 Scalar two-user routines take channel gains ``g1, g2`` and the squared
-correlation ``rho``. Matrix routines take explicit channel vectors and
-normalize them by the per-user noise standard deviation internally.
+correlation ``rho``. The covariance recovery and the region sampler
+take the two channel vectors, and the K-user water-filling takes the
+K x K Gram matrix G[i, j] = h_i^H h_j of the channels
+(:func:`nfcap.stats.gram_matrix`); each normalizes by the per-user
+noise variances internally.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _checks
-from .geometry import ArrayGeometry, ChannelVector, UserLocation
-from .mac import FfAsymptote, RatePoint, RateRegion, sic_rates_two_user
+from .geometry import ArrayGeometry, UserLocation
+from .mac import FfAsymptote, RatePoint, RateRegion, _logdet_bits, sic_rates_two_user
+from .stats import gram_matrix, gram_stats
 
 __all__ = [
     "BcConfig",
@@ -40,9 +44,6 @@ __all__ = [
     "linear_precoder_sum_rate",
     "bc_asymptotics",
 ]
-
-_LOG2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class BcConfig:
@@ -260,8 +261,8 @@ def bc_capacity_two_user(g1: float, g2: float, rho: float, cfg: BcConfig) -> flo
 
 
 def bc_covariance_recovery(
-    h1: ChannelVector | np.ndarray,
-    h2: ChannelVector | np.ndarray,
+    h1: np.ndarray,
+    h2: np.ndarray,
     alloc: PowerAllocation,
     cfg: BcConfig,
 ) -> CovariancePair:
@@ -289,8 +290,8 @@ def bc_covariance_recovery(
     s1, s2 = cfg.noise_var_per_user
     hb1 = v1 / math.sqrt(s1)
     hb2 = v2 / math.sqrt(s2)
-    g1n = float(np.vdot(hb1, hb1).real)
-    g2n = float(np.vdot(hb2, hb2).real)
+    gram = gram_matrix([hb1, hb2])
+    g1n, g2n = float(gram[0, 0].real), float(gram[1, 1].real)
     if (p1 > 0.0 and g1n <= 0.0) or (p2 > 0.0 and g2n <= 0.0):
         raise ValueError("cannot allocate power to a zero channel")
 
@@ -298,7 +299,7 @@ def bc_covariance_recovery(
     scale1 = 0.0
     if p1 > 0.0:
         if p2 > 0.0:
-            beam1 = hb1 - hb2 * (p2 * np.vdot(hb2, hb1) / (1.0 + p2 * g2n))
+            beam1 = hb1 - hb2 * (p2 * gram[1, 0] / (1.0 + p2 * g2n))
         quad = float(np.vdot(hb1, beam1).real)
         if not quad > 0.0:
             raise ValueError(
@@ -314,8 +315,8 @@ def bc_covariance_recovery(
 
 
 def bc_region_two_user(
-    h1: ChannelVector | np.ndarray,
-    h2: ChannelVector | np.ndarray,
+    h1: np.ndarray,
+    h2: np.ndarray,
     cfg: BcConfig,
     power_splits: int = 101,
 ) -> RateRegion:
@@ -330,12 +331,8 @@ def bc_region_two_user(
         raise ValueError(f"power_splits must be at least 2, got {power_splits}")
     if cfg.num_users != 2:
         raise ValueError("region construction needs exactly two noise variances")
-    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
+    g1, g2, rho = gram_stats(gram_matrix([h1, h2], ("h1", "h2")))
     s1, s2 = cfg.noise_var_per_user
-    g1 = float(np.vdot(v1, v1).real)
-    g2 = float(np.vdot(v2, v2).real)
-    ip = complex(np.vdot(v1, v2))
-    rho = 0.0 if g1 <= 0.0 or g2 <= 0.0 else min(abs(ip) ** 2 / (g1 * g2), 1.0)
     power = cfg.total_power_P
 
     points: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -422,54 +419,37 @@ def _waterfill(levels: np.ndarray, budget: float) -> np.ndarray:
 
 
 def bc_capacity_general(
-    channels: Sequence[ChannelVector | np.ndarray],
+    gram: np.ndarray,
     cfg: BcConfig,
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> tuple[float, PowerAllocation]:
-    """Downlink sum capacity for K users by iterative water-filling.
+    """Downlink sum capacity for K users by iterative water-filling, from
+    the K x K Gram matrix G[i, j] = h_i^H h_j of their channels.
 
     Maximizes log2 det(I + sum_k (p_k / var_k) h_k h_k^H) over
-    nonnegative powers with sum p_k = P. Each round computes every
-    user's effective gain against the interference of the others,
+    nonnegative powers with sum p_k = P. With hb_k = h_k / sqrt(var_k)
+    the noise-normalized channels, each round computes every user's
+    effective gain against the interference of the others,
 
         e_k = hb_k^H (I + sum_{j != k} p_j hb_j hb_j^H)^{-1} hb_k,
 
     water-fills on those gains, and damps the update by averaging with
     K - 1 copies of the previous iterate, which makes the sum-power
     iteration provably convergent. All linear algebra runs on the K x K
-    Gram matrix of the noise-normalized channels, so the cost does not
-    grow with the array size. Stops when the objective changes by less
-    than ``tol`` bits; raises :class:`ConvergenceError` carrying the
-    best iterate otherwise.
+    Gram matrix, so the cost does not grow with the array size. Stops
+    when the objective changes by less than ``tol`` bits; raises
+    :class:`ConvergenceError` carrying the best iterate otherwise.
     """
-    if len(channels) == 0:
-        raise ValueError("channels must not be empty")
-    if cfg.num_users != len(channels):
-        raise ValueError(
-            f"got {len(channels)} channels but {cfg.num_users} noise variances"
-        )
-    vecs = _checks.channel_vectors(channels)
-    k_users = len(vecs)
+    k_users = cfg.num_users
+    inv_sd = 1.0 / np.sqrt(np.asarray(cfg.noise_var_per_user))
+    gram = _checks.gram(gram, k_users) * np.outer(inv_sd, inv_sd)
     power = cfg.total_power_P
-    mat = np.stack(
-        [v / math.sqrt(s) for v, s in zip(vecs, cfg.noise_var_per_user)], axis=1
-    )
-    gram = mat.conj().T @ mat
-
-    def objective(p: np.ndarray) -> float:
-        scaled = gram * np.sqrt(p)[:, None] * np.sqrt(p)[None, :]
-        chol = np.linalg.cholesky(
-            np.eye(k_users, dtype=np.complex128) + (scaled + scaled.conj().T) / 2.0
-        )
-        return float(2.0 * np.sum(np.log(np.abs(np.diag(chol)))) / _LOG2)
-
     if k_users == 1:
-        p = np.array([power])
-        return objective(p), PowerAllocation((power,))
+        return _logdet_bits(gram, np.array([power])), PowerAllocation((power,))
 
     p = np.full(k_users, power / k_users)
-    best_bits = objective(p)
+    best_bits = _logdet_bits(gram, p)
     best_p = p.copy()
     prev = best_bits
     for _ in range(max_iter):
@@ -492,7 +472,7 @@ def bc_capacity_general(
         total = p.sum()
         if total > 0.0:
             p *= power / total
-        bits = objective(p)
+        bits = _logdet_bits(gram, p)
         if bits > best_bits:
             best_bits = bits
             best_p = p.copy()

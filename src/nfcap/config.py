@@ -19,7 +19,6 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .broadcast import BcConfig
 from .geometry import ArrayGeometry, UserLocation

@@ -133,27 +133,6 @@ class UserLocation:
         return self.range_r * np.array([self.dir_x, self.dir_y, self.dir_z])
 
 
-@dataclass(frozen=True)
-class ChannelVector:
-    """Complex channel coefficients, one per element.
-
-    Entries are flattened row-major with the z index fastest: entry i
-    belongs to offsets (ix, iz) = (i // m_z - (m_x-1)/2, i % m_z - (m_z-1)/2).
-    """
-
-    entries: NDArray[np.complex128]
-    model_tag: str
-
-    def __post_init__(self) -> None:
-        if self.model_tag not in ("NF", "FF"):
-            raise ValueError(f"model_tag must be NF or FF, got {self.model_tag!r}")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("channel entries must be finite")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def epsilon(geom: ArrayGeometry, u: UserLocation) -> float:
     "Pitch-to-range ratio d/r; rejects users closer than one pitch."
     eps = geom.pitch_d / u.range_r
@@ -185,21 +164,21 @@ def _all_distances(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.float64]:
                                       u.dir_x, u.dir_z)
 
 
-def nf_channel_vector(geom: ArrayGeometry, u: UserLocation) -> ChannelVector:
+def nf_channel_vector(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.complex128]:
     """Spherical-wave channel: per-element distance in amplitude and phase.
 
     Entry (mx, mz) is sqrt(A*r*dir_y/(4*pi*d_mx,mz^3)) * exp(-j*2*pi*d/lambda),
-    the projected-aperture free-space coefficient.
+    the projected-aperture free-space coefficient. Entries are flattened
+    row-major with the z index fastest: entry i belongs to offsets
+    (ix, iz) = (i // m_z - (m_x-1)/2, i % m_z - (m_z-1)/2).
     """
     dists = _all_distances(geom, u)
     amp_num = geom.element_area * u.range_r * u.dir_y / (4 * np.pi)
-    return ChannelVector(
-        entries=_kernels.nf_entries(dists, amp_num, geom.wavelength),
-        model_tag="NF")
+    return _kernels.nf_entries(dists, amp_num, geom.wavelength)
 
 
-def ff_channel_vector(geom: ArrayGeometry, u: UserLocation) -> ChannelVector:
-    "Planar-wave channel: index-free magnitude, linear phase ramp."
+def ff_channel_vector(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.complex128]:
+    "Planar-wave channel: index-free magnitude, linear phase ramp, same layout."
     eps = epsilon(geom, u)
     ix = np.arange(geom.m_x) - (geom.m_x - 1) // 2
     iz = np.arange(geom.m_z) - (geom.m_z - 1) // 2
@@ -207,8 +186,7 @@ def ff_channel_vector(geom: ArrayGeometry, u: UserLocation) -> ChannelVector:
     amp = np.sqrt(geom.element_area * u.dir_y / (4 * np.pi * u.range_r**2))
     phase = -2 * np.pi / geom.wavelength * u.range_r * (
         1.0 - X * eps * u.dir_x - Z * eps * u.dir_z)
-    return ChannelVector(entries=(amp * np.exp(1j * phase)).ravel(),
-                         model_tag="FF")
+    return (amp * np.exp(1j * phase)).ravel()
 
 
 def green_amplitude_ratio(distance: float, wavelength: float) -> float:

@@ -4,10 +4,12 @@ limit.
 
 Two-user scalar formulas take the per-user effective gains ``g1, g2``,
 the squared channel correlation ``rho``, and per-user transmit SNRs.
-General-K routines operate on explicit channel vectors through the Gram
-matrix, so they remain exact for any correlation structure. The
-near-field large-array limit is the two-user capacity at the saturated
-gains of :func:`nfcap.stats.asymptotic_gains` with rho = 0.
+General-K routines take the K x K Gram matrix G[i, j] = h_i^H h_j of
+the channels (:func:`nfcap.stats.gram_matrix` builds it from channel
+vectors), whose entries hold every gain and correlation, so they remain
+exact for any correlation structure; they apply the SNRs themselves.
+The near-field large-array limit is the two-user capacity at the
+saturated gains of :func:`nfcap.stats.asymptotic_gains` with rho = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _checks
-from .geometry import ArrayGeometry, ChannelVector, UserLocation
+from .geometry import ArrayGeometry, UserLocation
 
 __all__ = [
     "MacConfig",
@@ -204,80 +206,59 @@ def mac_capacity_two_user(
     return math.log2(arg)
 
 
-def _channel_matrix(channels: Sequence[ChannelVector | np.ndarray]) -> np.ndarray:
-    if len(channels) == 0:
-        raise ValueError("channels must not be empty")
-    return np.stack(_checks.channel_vectors(channels), axis=1)
+def _logdet_bits(gram: np.ndarray, weights: np.ndarray) -> float:
+    """log2 det(I + D G D) with D = diag(sqrt(weights)): the sum capacity
+    of channels with Gram matrix G at per-user SNRs ``weights``.
 
-
-def _gram_logdet_bits(gram: np.ndarray) -> float:
-    """log2 det(I + G) for a Hermitian PSD Gram matrix G (K x K)."""
-    k = gram.shape[0]
-    mat = np.eye(k, dtype=np.complex128) + gram
-    # Cholesky keeps this exact for the well-conditioned PSD case and
-    # fails loudly (LinAlgError) if numerical asymmetry creeps in.
-    chol = np.linalg.cholesky((mat + mat.conj().T) / 2.0)
-    return float(2.0 * np.sum(np.log(np.abs(np.diag(chol)))) / _LOG2)
-
-
-def mac_capacity_general(
-    channels: Sequence[ChannelVector | np.ndarray],
-    cfg: MacConfig,
-) -> float:
-    """Uplink sum capacity for K users from explicit channel vectors.
-
-    Evaluates log2 det(I_K + H~^H H~) where column k of H~ is
-    sqrt(snr_k) h_k. Working with the K x K Gram matrix instead of the
-    M x M covariance keeps the cost independent of the array size.
+    Cholesky keeps this exact for the well-conditioned PSD case and fails
+    loudly (LinAlgError) if G is not positive semidefinite.
     """
-    mat = _channel_matrix(channels)
-    if mat.shape[1] != cfg.num_users:
-        raise ValueError(
-            f"got {mat.shape[1]} channels but {cfg.num_users} SNR entries"
-        )
-    scaled = mat * np.sqrt(np.asarray(cfg.snr_per_user, dtype=np.float64))
-    gram = scaled.conj().T @ scaled
-    return _gram_logdet_bits(gram)
+    root = np.sqrt(weights)
+    mat = gram * np.outer(root, root)
+    chol = np.linalg.cholesky(np.eye(len(root)) + (mat + mat.conj().T) / 2.0)
+    return float(2.0 * np.sum(np.log(chol.diagonal().real)) / _LOG2)
+
+
+def mac_capacity_general(gram: np.ndarray, cfg: MacConfig) -> float:
+    """Uplink sum capacity for K users from the K x K Gram matrix of their
+    channels, G[i, j] = h_i^H h_j (see :func:`nfcap.stats.gram_matrix`).
+
+    Evaluates log2 det(I_K + D G D) with D = diag(sqrt(snr_k)), which
+    equals log2 det(I_M + sum_k snr_k h_k h_k^H); the cost does not grow
+    with the array size M.
+    """
+    gram = _checks.gram(gram, cfg.num_users)
+    return _logdet_bits(gram, np.asarray(cfg.snr_per_user))
 
 
 def mac_corner_rates_general(
-    channels: Sequence[ChannelVector | np.ndarray],
-    cfg: MacConfig,
-    order: Sequence[int],
+    gram: np.ndarray, cfg: MacConfig, order: Sequence[int]
 ) -> tuple[float, ...]:
-    """Per-user SIC rates for an arbitrary decode order, K users.
+    """Per-user SIC rates for an arbitrary decode order, K users, from the
+    K x K Gram matrix of their channels.
 
     ``order`` is a permutation of 0..K-1 giving the decode sequence;
     ``order[0]`` is decoded first (treating everyone later in the
     sequence as interference) and ``order[-1]`` is decoded last,
-    interference free. Entry k of the result is user k's rate, computed
-    as a difference of log-determinants over the not-yet-decoded sets,
-    so the rates sum to the sum capacity for every order.
+    interference free. User ``order[i]``'s rate is the capacity of the
+    not-yet-decoded set ``order[i:]`` minus that of ``order[i + 1:]``, so
+    the rates sum to the sum capacity for every order. Each of the K
+    suffix capacities is evaluated once; the empty set has capacity 0.
     """
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
-    if cfg.num_users != k:
-        raise ValueError(
-            f"got {k} channels but {cfg.num_users} SNR entries"
-        )
+    k = cfg.num_users
+    gram = _checks.gram(gram, k)
     if sorted(order) != list(range(k)):
         raise ValueError(
             f"order must be a permutation of 0..{k - 1}, got {tuple(order)}"
         )
-    scaled = mat * np.sqrt(np.asarray(cfg.snr_per_user, dtype=np.float64))
-    gram = scaled.conj().T @ scaled
-
-    def remaining_capacity(users: Sequence[int]) -> float:
-        if len(users) == 0:
-            return 0.0
-        idx = np.asarray(users, dtype=np.intp)
-        return _gram_logdet_bits(gram[np.ix_(idx, idx)])
-
-    rates = [0.0] * k
+    snrs = np.asarray(cfg.snr_per_user)
     seq = list(order)
+    caps = [_logdet_bits(gram[np.ix_(seq[i:], seq[i:])], snrs[seq[i:]])
+            for i in range(k)] + [0.0]
+    rates = [0.0] * k
     for i, user in enumerate(seq):
-        rates[user] = remaining_capacity(seq[i:]) - remaining_capacity(seq[i + 1:])
-    return tuple(max(0.0, r) for r in rates)
+        rates[user] = max(0.0, caps[i] - caps[i + 1])
+    return tuple(rates)
 
 
 def mac_region_two_user(

@@ -23,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _checks
-from .geometry import ArrayGeometry, ChannelVector, UserLocation
+from .geometry import ArrayGeometry, UserLocation
 from .broadcast import BcConfig, _ff_budget
 from .mac import FfAsymptote
+from .stats import gram_matrix, gram_stats
 
 __all__ = [
     "Beamformer",
@@ -58,7 +59,7 @@ class Beamformer:
 
 def mc_rate_given_beamformer(
     w: Beamformer,
-    channels: Sequence[ChannelVector | np.ndarray],
+    channels: Sequence[np.ndarray],
     noise_vars: Sequence[float],
     P: float,
 ) -> float:
@@ -109,8 +110,8 @@ def _mc_case_split(
 
 
 def mc_beamformer_two_user(
-    h1: ChannelVector | np.ndarray,
-    h2: ChannelVector | np.ndarray,
+    h1: np.ndarray,
+    h2: np.ndarray,
     sigma1: float,
     sigma2: float,
 ) -> Beamformer:
@@ -128,19 +129,17 @@ def mc_beamformer_two_user(
     var1 = _checks.positive("sigma1", sigma1)
     var2 = _checks.positive("sigma2", sigma2)
     v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
-    g1 = float(np.vdot(v1, v1).real)
-    g2 = float(np.vdot(v2, v2).real)
+    gram = gram_matrix([v1, v2])
+    g1, g2, rho = gram_stats(gram)
     if g1 <= 0.0 or g2 <= 0.0:
         raise ValueError("both channels must be nonzero")
-    ip = complex(np.vdot(v1, v2))
-    rho = min(abs(ip) ** 2 / (g1 * g2), 1.0)
     branch, eta, mu1, mu2 = _mc_case_split(g1, g2, rho, var1, var2)
     if branch == 1:
         weights = v1 / math.sqrt(g1)
     elif branch == 2:
         weights = v2 / math.sqrt(g2)
     else:
-        phase = np.exp(-1j * np.angle(ip))
+        phase = np.exp(-1j * np.angle(gram[0, 1]))
         s1 = math.sqrt(var1)
         s2 = math.sqrt(var2)
         scale = math.sqrt(eta)

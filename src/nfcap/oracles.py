@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _checks, _kernels
 from .broadcast import BcConfig, PowerAllocation
-from .geometry import ArrayGeometry, ChannelVector, UserLocation
+from .geometry import ArrayGeometry, UserLocation
 from .multicast import Beamformer
 
 __all__ = [
@@ -43,7 +43,7 @@ _MAX_DENSE_DIM = 10_000
 
 
 def logdet_capacity_oracle(
-    channels: Sequence[ChannelVector | np.ndarray],
+    channels: Sequence[np.ndarray],
     snrs: Sequence[float],
 ) -> float:
     """Sum capacity by dense log-determinant over the antenna dimension.
@@ -74,7 +74,7 @@ def logdet_capacity_oracle(
 
 
 def sic_rates_oracle(
-    channels: Sequence[ChannelVector | np.ndarray],
+    channels: Sequence[np.ndarray],
     snrs: Sequence[float],
     order: Sequence[int],
 ) -> tuple[float, ...]:
@@ -104,10 +104,6 @@ def sic_rates_oracle(
     return tuple(rates)
 
 
-def _dual_mac_bits(p1: float, p2: float, a: float, b: float, rho: float) -> float:
-    return math.log2(1.0 + p1 * a + p2 * b + p1 * p2 * a * b * (1.0 - rho))
-
-
 def bc_power_grid_oracle(
     g1: float,
     g2: float,
@@ -128,6 +124,9 @@ def bc_power_grid_oracle(
         raise ValueError(f"points must be at least 2, got {points}")
     if cfg.num_users != 2:
         raise ValueError("grid oracle needs exactly two noise variances")
+    g1 = _checks.nonneg("g1", g1)
+    g2 = _checks.nonneg("g2", g2)
+    rho = _checks.rho(rho)
     power = cfg.total_power_P
     a = g1 / cfg.noise_var_per_user[0]
     b = g2 / cfg.noise_var_per_user[1]
@@ -140,7 +139,7 @@ def bc_power_grid_oracle(
 
 
 def bc_simplex_grid_oracle(
-    channels: Sequence[ChannelVector | np.ndarray],
+    channels: Sequence[np.ndarray],
     cfg: BcConfig,
     steps: int = 200,
 ) -> tuple[float, PowerAllocation]:
@@ -176,8 +175,8 @@ def bc_simplex_grid_oracle(
 
 
 def mc_beam_grid_oracle(
-    h1: ChannelVector | np.ndarray,
-    h2: ChannelVector | np.ndarray,
+    h1: np.ndarray,
+    h2: np.ndarray,
     noise_vars: Sequence[float],
     P: float,
     grid_spec: tuple[int, int, int] = (400, 400, 64),

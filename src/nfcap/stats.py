@@ -1,7 +1,9 @@
 """Channel gains and correlation: exact, element sum, closed form, quadrature, FF.
 
-Exact quantities are element sums over real channel vectors and serve as
-ground truth. The closed forms trade the sums for integrals (gain) or a
+Exact quantities come from the Gram matrix of explicit channel vectors
+(:func:`gram_matrix`, G[i, j] = h_i^H h_j), the one place where inner
+products of channels are taken outside the oracles, and serve as ground
+truth. The closed forms trade the sums for integrals (gain) or a
 Chebyshev-Gauss rule (CCF), which stay cheap at apertures where a vector
 would not even fit in memory. The capacity sweeps run on the closed-form
 gains. For the NF CCF they run the exact element sum
@@ -25,10 +27,43 @@ class CcfEstimate(NamedTuple):
     raw: float
 
 
+def gram_matrix(
+    channels: Sequence[np.ndarray], names: Sequence[str] | None = None
+) -> np.ndarray:
+    """K x K Gram matrix G[i, j] = h_i^H h_j of K channels.
+
+    The diagonal holds the gains ||h_k||^2, and |G[i, j]|^2 / (G[i, i]
+    G[j, j]) is the squared correlation of users i and j. Each entry
+    above the diagonal is one ``np.vdot`` and the entry below it its
+    conjugate, so G is exactly Hermitian. ``names`` label the channels
+    in error messages.
+    """
+    vecs = _checks.channel_vectors(channels, names)
+    if not vecs:
+        raise ValueError("channels must not be empty")
+    gram = np.empty((len(vecs), len(vecs)), dtype=np.complex128)
+    for i, vi in enumerate(vecs):
+        gram[i, i] = np.vdot(vi, vi).real
+        for j in range(i + 1, len(vecs)):
+            gram[i, j] = np.vdot(vi, vecs[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def gram_stats(gram: np.ndarray) -> tuple[float, float, float]:
+    """Gains and squared correlation (g1, g2, rho) of the first two users
+    of a Gram matrix: rho = |G[0, 1]|^2 / (g1 g2) clamped to at most 1,
+    and 0 when either gain vanishes.
+    """
+    g1, g2 = float(gram[0, 0].real), float(gram[1, 1].real)
+    if g1 <= 0.0 or g2 <= 0.0:
+        return g1, g2, 0.0
+    return g1, g2, min(float(abs(gram[0, 1]) ** 2 / (g1 * g2)), 1.0)
+
+
 def gain_exact(h) -> float:
     "Channel gain: squared Euclidean norm of the vector."
-    (v,) = _checks.channel_vectors([h], ("h",))
-    return float(np.real(np.vdot(v, v)))
+    return float(gram_matrix([h], ("h",))[0, 0].real)
 
 
 def ccf_exact(h1, h2) -> float:
@@ -36,12 +71,11 @@ def ccf_exact(h1, h2) -> float:
 
     0 for orthogonal channels, 1 for parallel ones.
     """
-    v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
-    g1 = float(np.real(np.vdot(v1, v1)))
-    g2 = float(np.real(np.vdot(v2, v2)))
+    gram = gram_matrix([h1, h2], ("h1", "h2"))
+    g1, g2 = float(gram[0, 0].real), float(gram[1, 1].real)
     if g1 <= 0 or g2 <= 0:
         raise ValueError("ccf undefined for zero-norm channel vectors")
-    return float(abs(np.vdot(v1, v2)) ** 2 / (g1 * g2))
+    return float(abs(gram[0, 1]) ** 2 / (g1 * g2))
 
 
 def nf_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:

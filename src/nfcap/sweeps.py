@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +68,8 @@ from .stats import (
     asymptotic_gains,
     ff_ccf_closed,
     ff_gain_closed,
+    gram_matrix,
+    gram_stats,
     nf_ccf_elements,
     nf_ccf_quadrature,
     nf_gain_closed,
@@ -213,32 +215,14 @@ def _apply_point(
     if value is None:
         return geom, users, mac_cfg, bc_cfg
     if variable == "m_per_axis":
-        m = int(value)
-        geom = ArrayGeometry(
-            m_x=m,
-            m_z=m,
-            pitch_d=geom.pitch_d,
-            wavelength=geom.wavelength,
-            element_side=geom.element_side,
-        )
+        geom = replace(geom, m_x=int(value), m_z=int(value))
     elif variable == "r2_m":
-        old = users[1]
-        users = (
-            users[0],
-            UserLocation(
-                range_r=float(value),
-                azimuth_theta=old.azimuth_theta,
-                elevation_phi=old.elevation_phi,
-            ),
-        )
+        users = (users[0], replace(users[1], range_r=float(value)))
     elif variable == "snr_db":
         snr = db_to_linear(value)
-        mac_cfg = MacConfig(snr_per_user=(snr,) * len(mac_cfg.snr_per_user))
+        mac_cfg = replace(mac_cfg, snr_per_user=(snr,) * mac_cfg.num_users)
     elif variable == "power_db":
-        bc_cfg = BcConfig(
-            total_power_P=db_to_linear(value),
-            noise_var_per_user=bc_cfg.noise_var_per_user,
-        )
+        bc_cfg = replace(bc_cfg, total_power_P=db_to_linear(value))
     else:
         raise ScenarioError(f"unsupported sweep variable {variable!r}")
     return geom, users, mac_cfg, bc_cfg
@@ -319,12 +303,7 @@ def _exact_pair(
     "Both users' channel vectors and their exact (g1, g2, rho), rho <= 1."
     build = nf_channel_vector if model == "NF" else ff_channel_vector
     vecs = [build(geom, u) for u in users]
-    e1 = np.asarray(vecs[0].entries)
-    e2 = np.asarray(vecs[1].entries)
-    g1 = float(np.vdot(e1, e1).real)
-    g2 = float(np.vdot(e2, e2).real)
-    rho = float(abs(np.vdot(e1, e2)) ** 2 / (g1 * g2))
-    return vecs, (g1, g2, min(rho, 1.0))
+    return vecs, gram_stats(gram_matrix(vecs))
 
 
 def _check_verify_size(geom: ArrayGeometry) -> None:
@@ -465,18 +444,15 @@ def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
     recovered covariances ``covs`` and the dual-uplink successive-decoding
     rates.
     """
-    e1 = np.asarray(vecs[0].entries) / math.sqrt(cfg.noise_var_per_user[0])
-    e2 = np.asarray(vecs[1].entries) / math.sqrt(cfg.noise_var_per_user[1])
+    e1 = vecs[0] / math.sqrt(cfg.noise_var_per_user[0])
+    e2 = vecs[1] / math.sqrt(cfg.noise_var_per_user[1])
     q11 = covs.quad(1, e1)
     q21 = covs.quad(1, e2)
     q22 = covs.quad(2, e2)
     r1_dl = math.log2(1.0 + q11)
     r2_dl = math.log2(1.0 + q22 / (1.0 + q21))
-    g1n = float(np.vdot(e1, e1).real)
-    g2n = float(np.vdot(e2, e2).real)
-    rho = abs(np.vdot(e1, e2)) ** 2 / (g1n * g2n) if g1n > 0 and g2n > 0 else 0.0
     p1, p2 = alloc.p_per_user
-    dual = sic_rates_two_user(g1n, g2n, min(rho, 1.0), p1, p2, "u1_first")
+    dual = sic_rates_two_user(*gram_stats(gram_matrix([e1, e2])), p1, p2, "u1_first")
     return max(abs(r1_dl - dual.r1), abs(r2_dl - dual.r2))
 
 
@@ -887,13 +863,7 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     """
     m_x = min(scenario.geometry.m_x, 33)
     m_z = min(scenario.geometry.m_z, 33)
-    geom = ArrayGeometry(
-        m_x=m_x,
-        m_z=m_z,
-        pitch_d=scenario.geometry.pitch_d,
-        wavelength=scenario.geometry.wavelength,
-        element_side=scenario.geometry.element_side,
-    )
+    geom = replace(scenario.geometry, m_x=m_x, m_z=m_z)
     header = (
         f"exact-vector oracles run at {m_x}x{m_z} elements "
         f"(scenario array {scenario.geometry.m_x}x{scenario.geometry.m_z})"

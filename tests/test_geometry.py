@@ -1,14 +1,22 @@
-"""Array layout, user placement, and per-element channel synthesis."""
+"""Array layout, user placement, per-element channel synthesis, and the
+rejection of non-finite channels by every routine that takes them."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nfcap.broadcast import (
+    BcConfig,
+    PowerAllocation,
+    bc_capacity_general,
+    bc_covariance_recovery,
+    bc_region_two_user,
+)
 from nfcap.geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
-    ChannelVector,
     UserLocation,
     element_distance,
     epsilon,
@@ -16,6 +24,10 @@ from nfcap.geometry import (
     green_amplitude_ratio,
     nf_channel_vector,
 )
+from nfcap.mac import MacConfig, mac_capacity_general, mac_corner_rates_general
+from nfcap.multicast import Beamformer, mc_beamformer_two_user, mc_rate_given_beamformer
+from nfcap.oracles import logdet_capacity_oracle, mc_beam_grid_oracle
+from nfcap.stats import ccf_exact, gain_exact, gram_matrix
 
 WAVELENGTH = 0.12491352416666666
 ELEMENT_AREA = 0.0012416782059496913
@@ -96,9 +108,7 @@ def test_element_distance_center_and_offset(ref_geometry, user1):
 def test_nf_entries_match_direct_construction(ref_geometry, user1):
     "Each entry: amplitude from the exact distance, phase at 2 pi d / lambda."
     vec = nf_channel_vector(ref_geometry, user1)
-    assert isinstance(vec, ChannelVector)
-    assert vec.model_tag == "NF"
-    assert len(vec) == ref_geometry.m_total
+    assert vec.dtype == np.complex128 and vec.shape == (ref_geometry.m_total,)
     area = ref_geometry.element_area
     lam = ref_geometry.wavelength
     r = user1.range_r
@@ -107,13 +117,13 @@ def test_nf_entries_match_direct_construction(ref_geometry, user1):
         amp = math.sqrt(area * r * user1.dir_y / (4 * math.pi * dist**3))
         expected = amp * np.exp(-2j * math.pi * dist / lam)
         idx = (mx + 32) * 65 + (mz + 32)
-        assert vec.entries[idx] == pytest.approx(expected, rel=1e-12)
+        assert vec[idx] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ff_entries_share_magnitude_and_ramp_phase(ref_geometry, user1):
     vec = ff_channel_vector(ref_geometry, user1)
-    assert vec.model_tag == "FF"
-    mags = np.abs(vec.entries)
+    assert vec.dtype == np.complex128 and vec.shape == (ref_geometry.m_total,)
+    mags = np.abs(vec)
     assert mags.max() == pytest.approx(mags.min(), rel=1e-14)
     amp = math.sqrt(
         ref_geometry.element_area
@@ -128,24 +138,69 @@ def test_ff_entries_share_magnitude_and_ramp_phase(ref_geometry, user1):
     idx = (mx + 32) * 65 + (mz + 32)
     phase_len = r * (1 - mx * eps * user1.dir_x - mz * eps * user1.dir_z)
     expected = amp * np.exp(-2j * math.pi * phase_len / lam)
-    assert vec.entries[idx] == pytest.approx(expected, rel=1e-12)
+    assert vec[idx] == pytest.approx(expected, rel=1e-12)
 
 
 def test_nf_approaches_ff_at_long_range(ref_geometry):
     "Far away the exact spherical model collapses onto the planar one."
     far = UserLocation(range_r=1.0e5, azimuth_theta=1.1, elevation_phi=1.3)
-    nf = nf_channel_vector(ref_geometry, far).entries
-    ff = ff_channel_vector(ref_geometry, far).entries
+    nf = nf_channel_vector(ref_geometry, far)
+    ff = ff_channel_vector(ref_geometry, far)
     corr = abs(np.vdot(nf, ff)) ** 2 / (
         np.vdot(nf, nf).real * np.vdot(ff, ff).real
     )
     assert corr > 1.0 - 1e-6
 
 
-def test_channel_vector_rejects_nonfinite():
-    bad = np.array([1.0 + 0j, np.nan + 0j])
-    with pytest.raises(ValueError):
-        ChannelVector(entries=bad, model_tag="NF")
+def _plain_gram(h1, h2):
+    "The Gram matrix by plain numpy, so a non-finite channel stays in it."
+    mat = np.stack([h1, h2], axis=1)
+    with np.errstate(all="ignore"):
+        return mat.conj().T @ mat
+
+
+_BC = BcConfig(10.0, (1.0, 1.0))
+_CHANNEL_ROUTINES = {
+    "gram_matrix": lambda h1, h2: gram_matrix([h1, h2]),
+    "gain_exact": lambda h1, h2: gain_exact(h1) + gain_exact(h2),
+    "ccf_exact": ccf_exact,
+    "mac_capacity_general": lambda h1, h2: mac_capacity_general(
+        _plain_gram(h1, h2), MacConfig((10.0, 10.0))),
+    "mac_corner_rates_general": lambda h1, h2: mac_corner_rates_general(
+        _plain_gram(h1, h2), MacConfig((10.0, 10.0)), (0, 1)),
+    "bc_capacity_general": lambda h1, h2: bc_capacity_general(_plain_gram(h1, h2), _BC),
+    "bc_covariance_recovery": lambda h1, h2: bc_covariance_recovery(
+        h1, h2, PowerAllocation((4.0, 6.0)), _BC),
+    "bc_region_two_user": lambda h1, h2: bc_region_two_user(h1, h2, _BC, 5),
+    "mc_beamformer_two_user": lambda h1, h2: mc_beamformer_two_user(h1, h2, 1.0, 1.0),
+    "mc_rate_given_beamformer": lambda h1, h2: mc_rate_given_beamformer(
+        Beamformer(np.array([1.0, 0.0, 0.0])), [h1, h2], (1.0, 1.0), 10.0),
+    "logdet_capacity_oracle": lambda h1, h2: logdet_capacity_oracle(
+        [h1, h2], [10.0, 10.0]),
+    "mc_beam_grid_oracle": lambda h1, h2: mc_beam_grid_oracle(
+        h1, h2, (1.0, 1.0), 10.0, (5, 5, 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=["nan", "inf", "imag-inf"]
+)
+@pytest.mark.parametrize("routine", sorted(_CHANNEL_ROUTINES))
+def test_channel_vector_rejects_nonfinite(routine, bad):
+    """A NaN or infinite entry in either channel raises ValueError, and
+    nothing warns on the way; the K-user functions get the Gram matrix
+    that plain numpy makes of those channels."""
+    call = _CHANNEL_ROUTINES[routine]
+    good = (np.array([1.0, 0.5j, 0.2]), np.array([0.3, 1.0, -0.4j]))
+    call(*good)
+    for slot in (0, 1):
+        channels = list(good)
+        channels[slot] = channels[slot].copy()
+        channels[slot][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                call(*channels)
 
 
 def test_green_amplitude_ratio_values():

@@ -45,7 +45,7 @@ def test_ccf_element_sum_is_inner_product_and_norms():
     geom = ArrayGeometry.from_frequency(m_x=17, m_z=41, frequency_hz=2.4e9)
     u1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
     u2 = UserLocation(4.0, 2 * math.pi / 3, math.pi / 3)
-    h1, h2 = (nf_channel_vector(geom, u).entries for u in (u1, u2))
+    h1, h2 = (nf_channel_vector(geom, u) for u in (u1, u2))
     s, n1, n2 = kernels.ccf_element_sum(
         17, 41, geom.pitch_d / 10.0, 2.5, 10.0, 4.0, 2 * np.pi / geom.wavelength,
         u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z,

@@ -4,10 +4,10 @@ linear combiners, and large-array limits.
 
 import math
 
-import numpy as np
 import pytest
 
 from conftest import REF_SNR, random_instance, synth_pair
+from nfcap import mac
 from nfcap.geometry import ArrayGeometry, UserLocation
 from nfcap.mac import (
     FfAsymptote,
@@ -25,6 +25,7 @@ from nfcap.mac import (
 from nfcap.oracles import logdet_capacity_oracle
 from nfcap.stats import (
     asymptotic_gains,
+    gram_matrix,
     nf_ccf_quadrature,
     nf_gain_closed,
     ula_gain_closed,
@@ -91,7 +92,7 @@ def test_general_corner_rates_match_two_user_forms(rng):
         h1, h2 = synth_pair(g1, g2, rho)
         cfg = MacConfig(snr_per_user=(s1, s2))
         for order, tag in (((0, 1), "u1_first"), ((1, 0), "u2_first")):
-            got = mac_corner_rates_general([h1, h2], cfg, order)
+            got = mac_corner_rates_general(gram_matrix([h1, h2]), cfg, order)
             want = sic_rates_two_user(g1, g2, rho, s1, s2, tag)
             assert got[0] == pytest.approx(want.r1, abs=1e-9)
             assert got[1] == pytest.approx(want.r2, abs=1e-9)
@@ -104,18 +105,39 @@ def test_general_capacity_handles_four_users(rng):
     )
     snrs = 10.0 ** (rng.uniform(0, 30, size=4) / 10.0)
     cfg = MacConfig(snr_per_user=tuple(snrs))
-    closed = mac_capacity_general(list(h), cfg)
+    closed = mac_capacity_general(gram_matrix(h), cfg)
     oracle = logdet_capacity_oracle(list(h), list(snrs))
     assert closed == pytest.approx(oracle, abs=1e-9)
-    rates = mac_corner_rates_general(list(h), cfg, (2, 0, 3, 1))
+    rates = mac_corner_rates_general(gram_matrix(h), cfg, (2, 0, 3, 1))
     assert sum(rates) == pytest.approx(closed, abs=1e-9)
+
+
+def test_corner_rates_factor_each_suffix_once(rng, monkeypatch):
+    "K = 4 log-determinants per decode order, one per non-empty suffix."
+    m = 16
+    h = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+    cfg = MacConfig(snr_per_user=(10.0, 20.0, 5.0, 40.0))
+    gram = gram_matrix(h)
+    calls = []
+    real_logdet = mac._logdet_bits
+
+    def counting(sub, weights):
+        calls.append(sub.shape)
+        return real_logdet(sub, weights)
+
+    monkeypatch.setattr(mac, "_logdet_bits", counting)
+    rates = mac_corner_rates_general(gram, cfg, (2, 0, 3, 1))
+    assert calls == [(4, 4), (3, 3), (2, 2), (1, 1)]
+    assert sum(rates) == pytest.approx(
+        logdet_capacity_oracle(list(h), list(cfg.snr_per_user)), abs=1e-9
+    )
 
 
 def test_corner_order_must_be_permutation(rng):
     h1, h2 = synth_pair(0.1, 0.2, 0.3)
     cfg = MacConfig(snr_per_user=(10.0, 10.0))
     with pytest.raises(ValueError):
-        mac_corner_rates_general([h1, h2], cfg, (0, 0))
+        mac_corner_rates_general(gram_matrix([h1, h2]), cfg, (0, 0))
 
 
 def test_rate_point_and_region_containers():

@@ -23,7 +23,7 @@ from nfcap.oracles import (
     mc_beam_grid_oracle,
     sic_rates_oracle,
 )
-from nfcap.stats import ccf_exact, ff_ccf_closed, ff_gain_closed, gain_exact
+from nfcap.stats import ccf_exact, ff_ccf_closed, ff_gain_closed, gain_exact, gram_matrix
 
 
 def test_logdet_edge_cases():
@@ -46,7 +46,7 @@ def test_logdet_dense_agrees_with_gram_at_reference_size(
     h1 = nf_channel_vector(ref_geometry, user1)
     h2 = nf_channel_vector(ref_geometry, user2_dd)
     dense = logdet_capacity_oracle([h1, h2], [REF_SNR, REF_SNR])
-    gram = mac_capacity_general([h1, h2], MacConfig((REF_SNR, REF_SNR)))
+    gram = mac_capacity_general(gram_matrix([h1, h2]), MacConfig((REF_SNR, REF_SNR)))
     assert dense == pytest.approx(gram, abs=1e-9)
 
 
@@ -117,6 +117,24 @@ def test_sic_factors_each_suffix_once(rng, monkeypatch, k):
         assert sum(rates) == pytest.approx(
             logdet_capacity_oracle(channels, snrs), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "g1, g2, rho, name",
+    [
+        (math.nan, 0.5, 0.3, "g1"),
+        (-1.0, 0.5, 0.3, "g1"),
+        (math.inf, 0.5, 0.3, "g1"),
+        (0.5, math.nan, 0.3, "g2"),
+        (0.5, 0.5, 2.0, "rho"),
+        (0.5, 0.5, math.nan, "rho"),
+    ],
+)
+def test_bc_grid_rejects_bad_gains_and_correlation(g1, g2, rho, name):
+    "A gain must be finite and nonnegative and rho lie in [0, 1]; ValueError names it."
+    cfg = BcConfig(total_power_P=10.0, noise_var_per_user=(1.0, 1.0))
+    with pytest.raises(ValueError, match=name):
+        bc_power_grid_oracle(g1, g2, rho, cfg, points=11)
 
 
 def test_bc_grid_symmetric_split():

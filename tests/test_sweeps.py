@@ -3,9 +3,7 @@ provenance sidecars, the per-target runners with and without
 verification, sweep application, presets, and the verification report.
 """
 
-import configparser
 import importlib
-import math
 import sys
 from pathlib import Path
 
