@@ -165,9 +165,14 @@ class ConvergenceError(RuntimeError):
         self.best_allocation = best_allocation
 
 
-def _check_two_user_inputs(
+def _bc_case_split(
     g1: float, g2: float, rho: float, cfg: BcConfig
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[tuple[float, float, float], str]:
+    """Resolve the two-user downlink's branches.
+
+    Returns ((p1, p2, det), note): the optimal dual-uplink power split,
+    det = 2^C for the sum capacity C, and the fallback the split took.
+    """
     g1 = _checks.nonneg("g1", g1)
     g2 = _checks.nonneg("g2", g2)
     rho = _checks.rho(rho)
@@ -175,20 +180,30 @@ def _check_two_user_inputs(
         raise ValueError(
             f"two-user routine needs 2 noise variances, got {cfg.num_users}"
         )
-    s1, s2 = cfg.noise_var_per_user
-    return g1, g2, rho, cfg.total_power_P, s1, s2
-
-
-def _kappas(
-    a: float, b: float, rho: float, power: float
-) -> tuple[float, float]:
+    power = cfg.total_power_P
+    a = g1 / cfg.noise_var_per_user[0]
+    b = g2 / cfg.noise_var_per_user[1]
+    to1 = (power, 0.0, 1.0 + power * a)
+    to2 = (0.0, power, 1.0 + power * b)
+    if a <= 0.0 and b <= 0.0:
+        return (0.0, 0.0, 1.0), "both channels vanish"
+    if b <= 0.0:
+        return to1, "user 2 channel vanishes"
+    if a <= 0.0:
+        return to2, "user 1 channel vanishes"
+    if 1.0 - rho < 1e-9:
+        return to1 if a >= b else to2, "fully correlated channels, single-user fallback"
     one_minus = 1.0 - rho
     # b - a before the sum: it is exact when a and b are within a factor
     # of two, where (x - a) + b would lose x to cancellation
     x = power * a * b * one_minus
     k1 = (x + (b - a)) / (2.0 * a * one_minus)
     k2 = (x + (a - b)) / (2.0 * b * one_minus)
-    return k1, k2
+    if k1 <= 0.0:
+        return to1, ""
+    if k2 <= 0.0:
+        return to2, ""
+    return (k2 / a, k1 / b, 1.0 + k1 + k2 + k1 * k2 * one_minus), ""
 
 
 def bc_power_allocation_two_user(
@@ -207,29 +222,8 @@ def bc_power_allocation_two_user(
     to a scalar channel; all power then goes to the user with the larger
     noise-weighted gain and the fallback is recorded in ``note``.
     """
-    g1, g2, rho, power, s1, s2 = _check_two_user_inputs(g1, g2, rho, cfg)
-    a = g1 / s1
-    b = g2 / s2
-    if a <= 0.0 and b <= 0.0:
-        return PowerAllocation((0.0, 0.0), note="both channels vanish")
-    if b <= 0.0:
-        return PowerAllocation((power, 0.0), note="user 2 channel vanishes")
-    if a <= 0.0:
-        return PowerAllocation((0.0, power), note="user 1 channel vanishes")
-    if 1.0 - rho < 1e-9:
-        if a >= b:
-            return PowerAllocation(
-                (power, 0.0), note="fully correlated channels, single-user fallback"
-            )
-        return PowerAllocation(
-            (0.0, power), note="fully correlated channels, single-user fallback"
-        )
-    k1, k2 = _kappas(a, b, rho, power)
-    if k1 <= 0.0:
-        return PowerAllocation((power, 0.0))
-    if k2 <= 0.0:
-        return PowerAllocation((0.0, power))
-    return PowerAllocation((k2 / a, k1 / b))
+    (p1, p2, _), note = _bc_case_split(g1, g2, rho, cfg)
+    return PowerAllocation((p1, p2), note=note)
 
 
 def bc_capacity_two_user(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
@@ -241,23 +235,8 @@ def bc_capacity_two_user(g1: float, g2: float, rho: float, cfg: BcConfig) -> flo
 
         C = log2(1 + kappa1 + kappa2 + kappa1 kappa2 (1 - rho)).
     """
-    g1, g2, rho, power, s1, s2 = _check_two_user_inputs(g1, g2, rho, cfg)
-    a = g1 / s1
-    b = g2 / s2
-    if a <= 0.0 and b <= 0.0:
-        return 0.0
-    if b <= 0.0:
-        return math.log2(1.0 + power * a)
-    if a <= 0.0:
-        return math.log2(1.0 + power * b)
-    if 1.0 - rho < 1e-9:
-        return math.log2(1.0 + power * max(a, b))
-    k1, k2 = _kappas(a, b, rho, power)
-    if k1 <= 0.0:
-        return math.log2(1.0 + power * a)
-    if k2 <= 0.0:
-        return math.log2(1.0 + power * b)
-    return math.log2(1.0 + k1 + k2 + k1 * k2 * (1.0 - rho))
+    (_, _, det), _ = _bc_case_split(g1, g2, rho, cfg)
+    return math.log2(det)
 
 
 def bc_covariance_recovery(

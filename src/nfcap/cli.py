@@ -23,6 +23,7 @@ from .config import ScenarioError, default_scenario, load_scenario
 from .sweeps import (
     PRESETS,
     SweepResult,
+    csv_text,
     emit_csv,
     reproduce,
     run_bc,
@@ -157,17 +158,11 @@ def _load(args: argparse.Namespace):
     return scenario
 
 
-def _print_table(result: SweepResult) -> None:
-    print(",".join(result.columns))
-    for row in result.rows:
-        print(",".join(f"{v:.11e}" for v in row))
-
-
 def _deliver(result: SweepResult, out: str | None) -> int:
     if out:
         emit_csv(result, out)
     else:
-        _print_table(result)
+        sys.stdout.write(csv_text(result))
     if result.violations:
         for line in result.violations:
             print(f"verification: {line}", file=sys.stderr)

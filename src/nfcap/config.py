@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import _checks
 from .broadcast import BcConfig
 from .geometry import ArrayGeometry, UserLocation
 from .mac import MacConfig
@@ -281,7 +282,8 @@ def load_scenario(path: str) -> Scenario:
 
 
 def default_scenario() -> Scenario:
-    """The reference setup used when no scenario file is given."""
+    """The reference setup: what an empty file or no scenario file
+    gives, and what every ``sweeps.reproduce`` preset sweeps."""
     return _scenario_from_parser(configparser.ConfigParser(interpolation=None))
 
 
@@ -289,8 +291,10 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     _reject_unknown_keys(cp)
 
     frequency = _get_float(cp, "array", "frequency_hz", "2.4e9")
-    if frequency <= 0.0:
-        raise ScenarioError(f"[array] frequency_hz must be positive, got {frequency}")
+    try:
+        _checks.positive("frequency_hz", frequency)
+    except ValueError as exc:
+        raise ScenarioError(f"[array] {exc}") from None
     wavelength = 299792458.0 / frequency
 
     if cp.has_option("array", "m_per_axis") and (

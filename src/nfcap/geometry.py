@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
+from . import _checks, _kernels
 
 SPEED_OF_LIGHT = 299792458.0
 "Speed of light in m/s (exact SI value)."
@@ -48,16 +48,12 @@ class ArrayGeometry:
             if m % 2 == 0:
                 raise ValueError(
                     f"{name} must be odd (symmetric index set), got {m}")
-        if self.pitch_d <= 0:
-            raise ValueError(f"pitch_d must be positive, got {self.pitch_d}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        _checks.positive("pitch_d", self.pitch_d)
+        _checks.positive("wavelength", self.wavelength)
         if self.element_side == 0.0:
             object.__setattr__(self, "element_side",
                                self.wavelength / np.sqrt(4 * np.pi))
-        if self.element_side <= 0:
-            raise ValueError(
-                f"element_side must be positive, got {self.element_side}")
+        _checks.positive("element_side", self.element_side)
         if self.pitch_d < self.element_side:
             raise ValueError(
                 f"elements overlap: pitch_d {self.pitch_d} < element side "
@@ -68,8 +64,7 @@ class ArrayGeometry:
                        pitch_d: float | None = None,
                        element_side: float | None = None) -> "ArrayGeometry":
         "Build from carrier frequency; pitch defaults to half a wavelength."
-        if frequency_hz <= 0:
-            raise ValueError(f"frequency must be positive, got {frequency_hz}")
+        _checks.positive("frequency_hz", frequency_hz)
         lam = SPEED_OF_LIGHT / frequency_hz
         return cls(m_x=m_x, m_z=m_z,
                    pitch_d=lam / 2 if pitch_d is None else pitch_d,
@@ -108,8 +103,7 @@ class UserLocation:
     dir_z: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.range_r <= 0:
-            raise ValueError(f"range_r must be positive, got {self.range_r}")
+        _checks.positive("range_r", self.range_r)
         for name, ang in (("azimuth_theta", self.azimuth_theta),
                           ("elevation_phi", self.elevation_phi)):
             if not 0.0 < ang < np.pi:

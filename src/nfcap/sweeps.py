@@ -17,6 +17,10 @@ as a column and records every failing check as a violation;
 exact-vector oracles are only run at reduced array sizes (at most 65
 elements per axis), since the dense reference computations grow with
 the square of the element count.
+
+A figure-data preset is ``config.default_scenario()`` swept over one
+variable and run through the same scaffold: near field and far field,
+user 2 in its own direction and in user 1's.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .broadcast import (
     bc_region_two_user,
     linear_precoder_sum_rate,
 )
-from .config import Scenario, ScenarioError, db_to_linear
+from .config import Scenario, ScenarioError, SweepSpec, db_to_linear, default_scenario
 from .geometry import (
     ArrayGeometry,
     UserLocation,
@@ -78,6 +82,7 @@ from .stats import (
 __all__ = [
     "SweepResult",
     "CheckRow",
+    "csv_text",
     "emit_csv",
     "run_channel",
     "run_mac",
@@ -145,19 +150,19 @@ class SweepResult:
         return tuple(row[idx] for row in self.rows)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.11e}"
+def csv_text(result: SweepResult) -> str:
+    "The result table as CSV text with 12 significant digits, one line a row."
+    lines = [",".join(result.columns)]
+    lines += [",".join(f"{v:.11e}" for v in row) for row in result.rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
-    """Write the result table as UTF-8 CSV with 12 significant digits,
-    plus a sidecar provenance file at ``<path>.provenance.txt``.
+    """Write ``csv_text(result)`` as a UTF-8 file, plus a sidecar
+    provenance file at ``<path>.provenance.txt``.
     """
-    lines = [",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(csv_text(result))
     with open(path + ".provenance.txt", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(result.provenance)
 
@@ -742,106 +747,59 @@ def run_sweep(scenario: Scenario, verify: bool = False) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# figure-data presets
+# figure-data presets: the reference scenario swept
 
 
 _M_AXIS_GRID = (3, 5, 9, 15, 25, 35, 51, 75, 101, 151, 201, 251, 301, 351, 401, 451, 501, 551)
 _R2_GRID = tuple(0.5 * i for i in range(1, 61))
-_QUAD_NODES = 200
 
-
-def _reference_users(same_direction: bool, r2: float = 5.0) -> tuple[UserLocation, UserLocation]:
-    u1 = UserLocation(range_r=10.0, azimuth_theta=math.pi / 3, elevation_phi=2 * math.pi / 3)
-    if same_direction:
-        u2 = UserLocation(range_r=r2, azimuth_theta=math.pi / 3, elevation_phi=2 * math.pi / 3)
-    else:
-        u2 = UserLocation(range_r=r2, azimuth_theta=2 * math.pi / 3, elevation_phi=math.pi / 3)
-    return u1, u2
-
-
-def _reference_geometry(m_axis: int) -> ArrayGeometry:
-    return ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
-
-
-def _preset_link(kind: _Kind):
-    "The presets' link budget: 30 dB SNRs, or P = 1000 over unit noise."
-    return MacConfig((1000.0, 1000.0)) if kind.uplink else BcConfig(1000.0, (1.0, 1.0))
-
-
-def _preset_caps(
-    kind: _Kind, geom: ArrayGeometry, link, r2: float = 5.0
-) -> list[float]:
-    "Capacities C_nf_dd, C_nf_sd, C_ff_dd, C_ff_sd of the reference users."
-    caps = {}
-    for tag, same in (("dd", False), ("sd", True)):
-        u1, u2 = _reference_users(same, r2)
-        for model in ("NF", "FF"):
-            stats = _pair_stats(model, geom, u1, u2, _QUAD_NODES)
-            caps[model, tag] = kind.capacity(*stats, link)
-    return [caps[model, tag] for model in ("NF", "FF") for tag in ("dd", "sd")]
-
-
-def _preset_capacity_vs_m(name: str) -> SweepResult:
-    kind = _KINDS[name]
-    link = _preset_link(kind)
-    rows = []
-    for m_axis in _M_AXIS_GRID:
-        geom = _reference_geometry(m_axis)
-        c_asym = _c_asym(kind, "NF", geom, _reference_users(False), link)
-        rows.append((float(geom.m_total), *_preset_caps(kind, geom, link), c_asym))
-    provenance = (
-        f"tool = nfcap {__version__}\n"
-        f"command = reproduce {name}-vs-M\n"
-        f"preset = {name}-vs-M\n"
-        "array = square, 2.4 GHz, half-wavelength pitch\n"
-        f"m_per_axis = {','.join(str(m) for m in _M_AXIS_GRID)}\n"
-        "snr_linear = 1000.0\npower_linear = 1000.0\nnoise_vars = 1.0,1.0\n"
-        f"quadrature_nodes = {_QUAD_NODES}\n"
-        f"ccf_nf = {_ccf_path('NF', {m * m for m in _M_AXIS_GRID}, _QUAD_NODES)}\n"
-    )
-    return SweepResult(
-        ("M", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd", "C_asym"),
-        tuple(rows),
-        provenance,
-    )
-
-
-def _preset_mc_vs_r2() -> SweepResult:
-    kind = _KINDS["mc"]
-    m_axis = 551
-    geom = _reference_geometry(m_axis)
-    link = _preset_link(kind)
-    rows = tuple((r2, *_preset_caps(kind, geom, link, r2)) for r2 in _R2_GRID)
-    provenance = (
-        f"tool = nfcap {__version__}\n"
-        "command = reproduce mc-vs-r2\n"
-        "preset = mc-vs-r2\n"
-        f"array = {m_axis}x{m_axis}, 2.4 GHz, half-wavelength pitch\n"
-        f"r2_m = {','.join(repr(r) for r in _R2_GRID)}\n"
-        "power_linear = 1000.0\nnoise_vars = 1.0,1.0\n"
-        f"quadrature_nodes = {_QUAD_NODES}\n"
-        f"ccf_nf = {_ccf_path('NF', {geom.m_total}, _QUAD_NODES)}\n"
-    )
-    return SweepResult(
-        ("r2_m", "C_nf_dd", "C_nf_sd", "C_ff_dd", "C_ff_sd"), rows, provenance
-    )
-
-
-PRESETS: dict[str, Callable[[], SweepResult]] = {
-    "mac-vs-M": lambda: _preset_capacity_vs_m("mac"),
-    "bc-vs-M": lambda: _preset_capacity_vs_m("bc"),
-    "mc-vs-M": lambda: _preset_capacity_vs_m("mc"),
-    "mc-vs-r2": _preset_mc_vs_r2,
+# name -> (kind, swept variable, grid, array side; None keeps the scenario's)
+PRESETS: dict[str, tuple[str, str, tuple[float, ...], int | None]] = {
+    "mac-vs-M": ("mac", "m_per_axis", _M_AXIS_GRID, None),
+    "bc-vs-M": ("bc", "m_per_axis", _M_AXIS_GRID, None),
+    "mc-vs-M": ("mc", "m_per_axis", _M_AXIS_GRID, None),
+    "mc-vs-r2": ("mc", "r2_m", _R2_GRID, 551),
 }
 
 
 def reproduce(preset: str) -> SweepResult:
-    """Rebuild one of the bundled figure-data tables by name."""
+    """Rebuild one of the bundled figure-data tables by name.
+
+    A preset is ``default_scenario()`` swept over its grid and run four
+    times through the kind's runner: near field (nf) and far field (ff),
+    each with user 2 in its own direction (dd) and at user 1's angles
+    (sd), as ``direction = same`` places it. The table holds the swept
+    value, each run's capacity as C_<model>_<dd|sd> and, for the -vs-M
+    presets, whose first column is M = m_per_axis^2, the nf dd run's
+    c_asym as C_asym.
+    """
     if preset not in PRESETS:
         raise ScenarioError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    return PRESETS[preset]()
+    kind, variable, grid, side = PRESETS[preset]
+    base = default_scenario()
+    geom = base.geometry if side is None else replace(base.geometry, m_x=side, m_z=side)
+    base = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
+    u1, u2 = base.users
+    pairs = (("dd", base.users), ("sd", (u1, replace(u1, range_r=u2.range_r))))
+    runs = {
+        f"C_{model.lower()}_{tag}":
+            _run(replace(base, channel_model=model, users=users), False, kind)
+        for model in ("NF", "FF") for tag, users in pairs
+    }
+    columns = [variable, *runs]
+    xs = runs["C_nf_dd"].column(variable)
+    tables = [run.column(_KINDS[kind].columns[0]) for run in runs.values()]
+    if variable == "m_per_axis":
+        columns[0], xs = "M", [float(int(m) ** 2) for m in xs]
+        columns.append("C_asym")
+        tables.append(runs["C_nf_dd"].column("c_asym"))
+    provenance = _provenance(base, f"reproduce {preset}", False) + (
+        f"preset = {preset}: link.model NF and FF, user2 as above (dd) "
+        "and at user1's angles (sd)\n"
+    )
+    return SweepResult(tuple(columns), tuple(zip(xs, *tables)), provenance)
 
 
 # ---------------------------------------------------------------------------

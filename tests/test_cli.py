@@ -161,6 +161,32 @@ def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
     assert "odd positive integers, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("body", "needle"),
+    [
+        ("[array]\nfrequency_hz = nan\n", "[array] frequency_hz must be finite"),
+        ("[array]\nfrequency_hz = inf\n", "[array] frequency_hz must be finite"),
+        ("[array]\npitch_m = nan\n", "[array]: pitch_d must be finite"),
+        ("[array]\npitch_m = inf\n", "[array]: pitch_d must be finite"),
+        ("[array]\nelement_side_m = nan\n", "[array]: element_side must be finite"),
+        ("[user1]\nrange_m = nan\n", "[user1]: range_r must be finite"),
+        ("[user1]\nrange_m = inf\n", "[user1]: range_r must be finite"),
+        ("[user2]\nrange_m = nan\n", "[user2]: range_r must be finite"),
+        ("[sweep]\nvariable = r2_m\nvalues = nan\ntarget = channel\n",
+         "at sweep point r2_m=nan: range_r must be finite"),
+    ],
+)
+def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body, needle):
+    "NaN fails every comparison, so each of these is checked to be finite."
+    path = tmp_path / "nan.ini"
+    path.write_text(body)
+    assert main(["channel" if "[sweep]" not in body else "sweep",
+                 "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     "Run a fresh interpreter on this checkout's package, capturing real stderr."
     src = os.path.dirname(os.path.dirname(nfcap.__file__))
