@@ -8,10 +8,13 @@ sweeps take instead of the T=200 rule up to 200^2 elements, is timed on
 the reference users at 65x65, 151x151 and 199x199; the CCF rows also
 print the time per integrand evaluation (T^2 for the rule, m^2 for the
 element sum), which shows the crossover. The dense log-determinant oracle, which
-forms I + sum_k snr_k h_k h_k^H and factors it with the in-place blocked
-Cholesky kernel, is timed at the two sizes the verify paths use: 33x33
-(``nfcap verify``) and 65x65 (``mac --verify`` on the reference array),
-on the reference users at SNR 1000.
+forms the lower triangle of I + sum_k snr_k h_k h_k^H in block columns
+and factors them with the in-place blocked Cholesky kernel, is timed at
+the two sizes the verify paths use: 33x33 (``nfcap verify``) and 65x65
+(``mac --verify`` on the reference array), on the reference users at
+SNR 1000. Its rows also print the peak of the memory numpy allocates in
+one call, as traced by ``tracemalloc``, in units of 16 M^2 bytes (one
+complex M x M matrix): about 0.5 for the lower triangle alone.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -19,6 +22,7 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 import argparse
 import math
 import timeit
+import tracemalloc
 
 import numpy as np
 
@@ -105,6 +109,16 @@ def _best_seconds(func, args, repeat, number):
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
+def _traced_peak(func, args):
+    "Peak bytes that tracemalloc sees allocated during one call."
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5,
@@ -113,13 +127,17 @@ def main():
                         help="calls per repetition (default 3)")
     args = parser.parse_args()
 
-    header = f"{'kernel':<32} {'time':>12} {'per eval':>12}"
+    header = f"{'kernel':<32} {'time':>12} {'per eval':>12} {'peak/16M^2':>11}"
     print(header)
     print("-" * len(header))
     for name, func, call_args, evals in _workloads():
         seconds = _best_seconds(func, call_args, args.repeat, args.number)
-        per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else ""
-        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval}")
+        per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else " " * 12
+        peak = ""
+        if func is logdet_capacity_oracle:
+            order = len(call_args[0][0])
+            peak = f"{_traced_peak(func, call_args) / (16 * order**2):>11.3f}"
+        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval} {peak}".rstrip())
 
 
 if __name__ == "__main__":

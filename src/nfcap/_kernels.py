@@ -12,7 +12,8 @@ Six kernels, each one numpy function:
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
   the two channels, in real arithmetic on one plane per phase;
 * :func:`hpd_logdet` - ln det of a Hermitian positive-definite matrix by
-  a blocked Cholesky factorisation that overwrites the matrix.
+  a blocked Cholesky factorisation of its lower triangle, stored as
+  block columns that the factor overwrites.
 """
 
 import numpy as np
@@ -231,38 +232,46 @@ def mc_grid_best(g1: float, g2: float, ip: complex,
 # log-determinant of a Hermitian positive-definite matrix
 #
 # Left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-# section 4.2) on the lower triangle, in place: each block column J is
-# updated with the finished columns to its left, its diagonal block is
-# factored, and the panel below is solved against that small factor.
-# Beyond the matrix itself only block-column temporaries are allocated,
-# where np.linalg.cholesky keeps its input, a work copy and its output.
+# section 4.2) on the lower triangle, stored as block columns and
+# factored in place: each block column J is updated with the finished
+# block columns to its left, one gemm each, its diagonal block is
+# factored, and the panel below is multiplied by the inverse conjugate
+# transpose of that small factor, one more gemm. The upper triangle is
+# never stored; beyond the block columns only one block column of
+# temporaries is allocated.
 
 
 # Columns per block. On a 2-vCPU VM with 2 BLAS threads, one oracle call
-# (fresh process) took 2.19 s and 334 MB peak at M = 4225 and 89 ms at
-# M = 1089 with 128 columns, against 2.27 s, 351 MB and 108 ms with 256.
+# (fresh process, median of 5) took 1.6 s and 190 MB peak RSS at
+# M = 4225 and 55 ms at M = 1089 with 128 columns, against 1.55 s,
+# 203 MB and 73 ms with 256, and 1.95 s, 180 MB and 53 ms with 64. The
+# block columns take 16 (M^2 + M B) / 2 bytes, a panel temporary up to
+# 16 M B more.
 _CHOL_BLOCK_COLS = 128
 
 
-def hpd_logdet(a: np.ndarray) -> float:
-    """ln det of the Hermitian positive-definite matrix ``a``.
+def hpd_logdet(blocks: list[np.ndarray]) -> float:
+    """ln det of a Hermitian positive-definite matrix A of order n, given
+    by the block columns of its lower triangle.
 
-    The result, 2 sum ln L_ii, depends only on the lower triangle of
-    ``a``. ``a`` is overwritten: on return its lower triangle holds the
-    Cholesky factor L of a = L L^H. Raises ``np.linalg.LinAlgError``
-    when ``a`` is not positive definite.
+    With B = :data:`_CHOL_BLOCK_COLS` and j = J B, ``blocks[J]`` holds
+    rows j to n - 1 of columns j to min(j + B, n) - 1 of A; its top
+    square is the diagonal block, whose upper triangle is not read. The
+    blocks are overwritten: on return they hold the same rows and
+    columns of the Cholesky factor L of A = L L^H. The result is
+    2 sum ln L_ii. Raises ``np.linalg.LinAlgError`` when A is not
+    positive definite.
     """
-    n = a.shape[0]
-    diag = np.empty(n)
-    for j in range(0, n, _CHOL_BLOCK_COLS):
-        end = min(j + _CHOL_BLOCK_COLS, n)
-        cols = slice(j, end)
-        if j:
-            a[j:, cols] -= a[j:, :j] @ a[cols, :j].conj().T
-        factor = np.linalg.cholesky(a[cols, cols])
-        a[cols, cols] = factor
-        if end < n:
-            # panel = A_panel L_JJ^{-H}, solved as conj(L_JJ) panel^T = A_panel^T
-            a[end:, cols] = np.linalg.solve(factor.conj(), a[end:, cols].T).T
-        diag[cols] = factor.diagonal().real
+    diag = np.empty(len(blocks[0]))
+    for index, block in enumerate(blocks):
+        rows, width = block.shape
+        for left in blocks[:index]:
+            top = len(left) - rows
+            block -= left[top:] @ left[top:top + width].conj().T
+        factor = np.linalg.cholesky(block[:width])
+        block[:width] = factor
+        if rows > width:
+            block[width:] = block[width:] @ np.linalg.inv(factor).conj().T
+        start = len(diag) - rows
+        diag[start:start + width] = factor.diagonal().real
     return 2.0 * float(np.sum(np.log(diag)))

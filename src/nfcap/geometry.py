@@ -133,7 +133,7 @@ def epsilon(geom: ArrayGeometry, u: UserLocation) -> float:
     if eps >= 1.0:
         raise ValueError(
             f"user range {u.range_r} m is below the array pitch "
-            f"{geom.pitch_d} m (d/r = {eps:.3f} >= 1)")
+            f"{geom.pitch_d} m (d/r = {eps:.3g} >= 1)")
     return eps
 
 

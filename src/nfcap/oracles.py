@@ -3,13 +3,15 @@
 Everything here recomputes a quantity from first principles: dense
 log-determinants over the full antenna dimension, exhaustive grids over
 power splits and beam coefficients, and per-element scalar loops for
-gains and correlation. The log-determinants form the whole M x M matrix
-and factor all of it, by a blocked Cholesky that overwrites the matrix
-in place; there is no rank, Gram or determinant-lemma shortcut. None of
-the capacity or channel formula modules are imported; the only imports
-from the package are plain data containers, the shared input checks and
-the grid-scan and log-determinant kernels, so a bug in a closed form
-cannot leak into its own check.
+gains and correlation. The log-determinants form every entry of the
+lower triangle of the M x M matrix, in block columns, and factor all M
+columns by a blocked Cholesky that overwrites them in place. The upper
+triangle outside the diagonal blocks, which the factorisation never
+reads, is not stored; there is no rank, Gram or determinant-lemma
+shortcut. None of the capacity or channel formula modules are imported;
+the only imports from the package are plain data containers, the shared
+input checks and the grid-scan and log-determinant kernels, so a bug in
+a closed form cannot leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -48,12 +50,15 @@ def logdet_capacity_oracle(
 ) -> float:
     """Sum capacity by dense log-determinant over the antenna dimension.
 
-    Builds the full matrix I_M + sum_k snr_k h_k h_k^H, as one product
-    of the M x K matrix with columns sqrt(snr_k) h_k and its conjugate
-    transpose, and evaluates log2 det by an in-place blocked Cholesky
-    factorization of all M columns. No user count, rank, Gram or
-    determinant-lemma shortcut: this is the definition, evaluated
-    literally.
+    Builds every entry of the lower triangle of I_M + sum_k snr_k
+    h_k h_k^H, one block column at a time: with C the M x K matrix of
+    columns sqrt(snr_k) h_k, block column j holds C[j:] C[j:j+B]^H plus
+    1 on its diagonal, B = ``_kernels._CHOL_BLOCK_COLS``. It evaluates
+    log2 det by an in-place blocked Cholesky factorization of all M
+    columns. No user count, rank, Gram or determinant-lemma shortcut:
+    this is the definition, evaluated literally. Only the upper triangle
+    outside the diagonal blocks, which the factorization never reads,
+    is not formed.
     """
     if len(channels) != len(snrs):
         raise ValueError("channels and snrs must have equal length")
@@ -68,9 +73,14 @@ def logdet_capacity_oracle(
             f"dense oracle limited to {_MAX_DENSE_DIM} antennas, got {size}"
         )
     cols = np.stack([math.sqrt(snr) * vec for vec, snr in zip(vecs, snrs)], axis=1)
-    mat = cols @ cols.conj().T
-    mat.flat[:: size + 1] += 1.0
-    return _kernels.hpd_logdet(mat) / _LOG2
+    step = _kernels._CHOL_BLOCK_COLS
+    blocks = []
+    for j in range(0, size, step):
+        top = cols[j:j + step]
+        block = cols[j:] @ top.conj().T
+        block[: len(top)].flat[:: len(top) + 1] += 1.0
+        blocks.append(block)
+    return _kernels.hpd_logdet(blocks) / _LOG2
 
 
 def sic_rates_oracle(

@@ -115,6 +115,10 @@ TOL_MC_GRID_ONESIDED = 1e-3
 VERIFY_MAX_AXIS = 65
 
 _BC_GRID_POINTS = 100_000
+# Largest phase rounding (:func:`_phase_rounding`) of an NF user that
+# the runners accept. At 2.4 GHz it is reached near 3e7 m on a 3 x 3
+# array, and farther on larger ones.
+_MAX_PHASE_ROUNDING = 1e-6
 _MC_GRID_SPEC = (400, 400, 64)
 
 
@@ -286,9 +290,19 @@ def _pair_stats(
     ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
 
     The point runners memoise this for the length of one call, so an SNR
-    or power sweep evaluates its single channel once.
+    or power sweep evaluates its single channel once. An NF user whose
+    phases round by more than _MAX_PHASE_ROUNDING is refused before any
+    of them is computed.
     """
     if model == "NF":
+        for k, u in enumerate((u1, u2), 1):
+            err = _phase_rounding(geom, u.range_r)
+            if err > _MAX_PHASE_ROUNDING:
+                raise ValueError(
+                    f"[user{k}] range_m = {u.range_r:.3g} is beyond the NF "
+                    f"model's numerical range: rounding its phases moves "
+                    f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
+                )
         g1 = nf_gain_closed(geom, u1)
         g2 = nf_gain_closed(geom, u2)
         if _takes_element_sum(geom.m_total, nodes):
@@ -360,22 +374,30 @@ def _violation(variable: str, x: float, check: CheckRow) -> str:
     )
 
 
+def _phase_rounding(geom: ArrayGeometry, r: float) -> float:
+    """Error in sqrt(rho) of an NF correlation from rounding the phases
+    of users at up to range ``r``, eight times its estimate.
+
+    An element sum rounds each phase k0 d, of up to k0 r radians, to
+    double precision. Over the N elements those errors move sqrt(rho) =
+    |h1^H h2| / (|h1| |h2|) by about eps k0 r / sqrt(N) at random.
+    """
+    k0 = 2 * math.pi / geom.wavelength
+    return 8 * np.finfo(float).eps * k0 * r / math.sqrt(geom.m_total)
+
+
 def _ccf_elements_tolerance(
     geom: ArrayGeometry, users: Sequence[UserLocation], rho: float
 ) -> float:
     """Allowed distance of an NF element-sum correlation from the scalar
     oracle's ``rho``: TOL_CCF_ELEMENTS_REL relative, plus rounding.
 
-    Both sums round each phase k0 d, of up to k0 r_max radians, to
-    double precision. Over the N elements those errors move sqrt(rho) =
-    |h1^H h2| / (|h1| |h2|) by about eps k0 r_max / sqrt(N) at random,
-    and rho by 2 sqrt(rho) times that; eight times that is allowed. Near
-    a null of the correlation (rho below about 1e-8 at 33 x 33) that
-    term is the larger one.
+    Both sums round their phases, which moves rho by 2 sqrt(rho) times
+    the :func:`_phase_rounding` of the farther user. Near a null of the
+    correlation (rho below about 1e-8 at 33 x 33) that term is the
+    larger one.
     """
-    k0 = 2 * math.pi / geom.wavelength
-    r_max = max(u.range_r for u in users)
-    sqrt_err = 8 * np.finfo(float).eps * k0 * r_max / math.sqrt(geom.m_total)
+    sqrt_err = _phase_rounding(geom, max(u.range_r for u in users))
     return TOL_CCF_ELEMENTS_REL * rho + 2 * math.sqrt(rho) * sqrt_err
 
 

@@ -187,6 +187,34 @@ def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body
     assert needle in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("command", "body", "needle"),
+    [
+        # d/r in three significant digits, not 300 integer digits
+        ("channel", "[array]\npitch_m = 1e300\n", "(d/r = 1e+299 >= 1)"),
+        ("channel", "[user2]\nrange_m = 1e-300\n", "(d/r = 6.25e+298 >= 1)"),
+        # phases of about 5e301 rad: refused before any NF kernel runs
+        ("mac", "[user1]\nrange_m = 1e300\n", "error: [user1] range_m = 1e+300 is"),
+        ("channel", "[user2]\nrange_m = 1e300\n", "error: [user2] range_m = 1e+300 is"),
+        ("verify", "[user1]\nrange_m = 1e300\n", "error: [user1] range_m = 1e+300 is"),
+        ("region", "[user2]\nrange_m = 1e300\n", "error: [user2] range_m = 1e+300 is"),
+        ("sweep", "[sweep]\nvariable = r2_m\nvalues = 5 1e300\ntarget = mac\n",
+         "at sweep point r2_m=1e+300: [user2] range_m = 1e+300 is"),
+    ],
+)
+def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, body, needle):
+    path = tmp_path / "extreme.ini"
+    path.write_text(body)
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert needle in lines[0]
+    assert len(lines[0]) < 200
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     "Run a fresh interpreter on this checkout's package, capturing real stderr."
     src = os.path.dirname(os.path.dirname(nfcap.__file__))
