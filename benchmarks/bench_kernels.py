@@ -8,13 +8,16 @@ sweeps take instead of the T=200 rule up to 200^2 elements, is timed on
 the reference users at 65x65, 151x151 and 199x199; the CCF rows also
 print the time per integrand evaluation (T^2 for the rule, m^2 for the
 element sum), which shows the crossover. The dense log-determinant oracle, which
-forms the lower triangle of I + sum_k snr_k h_k h_k^H in block columns
-and factors them with the in-place blocked Cholesky kernel, is timed at
-the two sizes the verify paths use: 33x33 (``nfcap verify``) and 65x65
+forms the lower triangle of I + sum_k snr_k h_k h_k^H tile by tile as
+the Schur-split blocked Cholesky kernel reads it, is timed at the two
+sizes the verify paths use: 33x33 (``nfcap verify``) and 65x65
 (``mac --verify`` on the reference array), on the reference users at
 SNR 1000. Its rows also print the peak of the memory numpy allocates in
 one call, as traced by ``tracemalloc``, in units of 16 M^2 bytes (one
-complex M x M matrix): about 0.5 for the lower triangle alone.
+complex M x M matrix). The factor rows the kernel holds tend to 5/18 =
+0.28 of that; with the split rounded to whole blocks, square diagonal
+blocks and one gathered row block of temporaries the rows read about
+0.40 at 33x33 and 0.31 at 65x65 (the whole lower triangle is 0.5).
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """

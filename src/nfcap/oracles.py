@@ -4,14 +4,15 @@ Everything here recomputes a quantity from first principles: dense
 log-determinants over the full antenna dimension, exhaustive grids over
 power splits and beam coefficients, and per-element scalar loops for
 gains and correlation. The log-determinants form every entry of the
-lower triangle of the M x M matrix, in block columns, and factor all M
-columns by a blocked Cholesky that overwrites them in place. The upper
-triangle outside the diagonal blocks, which the factorisation never
-reads, is not stored; there is no rank, Gram or determinant-lemma
-shortcut. None of the capacity or channel formula modules are imported;
-the only imports from the package are plain data containers, the shared
-input checks and the grid-scan and log-determinant kernels, so a bug in
-a closed form cannot leak into its own check.
+lower triangle of the M x M matrix, one tile at a time as the blocked
+Cholesky kernel reads it, and factor all M columns. The kernel splits
+the matrix at about M / 3 columns and drops each factor row once no
+later step reads it, so about 5/18 of the M^2 entries are held at once;
+there is no rank, Gram or determinant-lemma shortcut. None of the
+capacity or channel formula modules are imported; the only imports from
+the package are plain data containers, the shared input checks and the
+grid-scan and log-determinant kernels, so a bug in a closed form cannot
+leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -50,15 +51,16 @@ def logdet_capacity_oracle(
 ) -> float:
     """Sum capacity by dense log-determinant over the antenna dimension.
 
-    Builds every entry of the lower triangle of I_M + sum_k snr_k
-    h_k h_k^H, one block column at a time: with C the M x K matrix of
-    columns sqrt(snr_k) h_k, block column j holds C[j:] C[j:j+B]^H plus
-    1 on its diagonal, B = ``_kernels._CHOL_BLOCK_COLS``. It evaluates
-    log2 det by an in-place blocked Cholesky factorization of all M
-    columns. No user count, rank, Gram or determinant-lemma shortcut:
-    this is the definition, evaluated literally. Only the upper triangle
-    outside the diagonal blocks, which the factorization never reads,
-    is not formed.
+    Forms every entry of the lower triangle of I_M + sum_k snr_k h_k h_k^H
+    and evaluates log2 det by a blocked Cholesky factorization of all M
+    columns (``_kernels.hpd_logdet``). With C the M x K matrix of columns
+    sqrt(snr_k) h_k, each tile the kernel reads is formed when it reads
+    it, as C[rows] C[cols]^H plus 1 on the diagonal of A. From M of a
+    few hundred up the kernel holds about 5 M^2 / 18 entries of A and of
+    its factor at once, against M^2 / 2 for the lower triangle. No user
+    count, rank, Gram or determinant-lemma shortcut: this is the
+    definition, evaluated literally. Only the upper triangle, which the
+    factorization never reads, is not formed.
     """
     if len(channels) != len(snrs):
         raise ValueError("channels and snrs must have equal length")
@@ -73,14 +75,25 @@ def logdet_capacity_oracle(
             f"dense oracle limited to {_MAX_DENSE_DIM} antennas, got {size}"
         )
     cols = np.stack([math.sqrt(snr) * vec for vec, snr in zip(vecs, snrs)], axis=1)
-    step = _kernels._CHOL_BLOCK_COLS
-    blocks = []
-    for j in range(0, size, step):
-        top = cols[j:j + step]
-        block = cols[j:] @ top.conj().T
-        block[: len(top)].flat[:: len(top) + 1] += 1.0
-        blocks.append(block)
-    return _kernels.hpd_logdet(blocks) / _LOG2
+    return _kernels.hpd_logdet(_IdentityPlusGram(cols)) / _LOG2
+
+
+class _IdentityPlusGram:
+    """I + C C^H for the rows of ``cols`` = C, indexed as a numpy array
+    would be; each tile is formed when it is indexed."""
+
+    def __init__(self, cols: np.ndarray):
+        self._cols = cols
+        self._index = np.arange(len(cols))
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        tile = self._cols[rows] @ self._cols[cols].conj().T
+        tile += np.equal.outer(self._index[rows], self._index[cols])
+        return tile
 
 
 def sic_rates_oracle(

@@ -119,6 +119,10 @@ _BC_GRID_POINTS = 100_000
 # the runners accept. At 2.4 GHz it is reached near 3e7 m on a 3 x 3
 # array, and farther on larger ones.
 _MAX_PHASE_ROUNDING = 1e-6
+# Largest range of an FF user that the runners accept. The highest power
+# of a range that the formulas and oracles take is the cube in
+# ``oracles.gain_sum_oracle``; beyond this it overflows.
+_MAX_FF_RANGE = np.finfo(float).max ** (1 / 3)
 _MC_GRID_SPEC = (400, 400, 64)
 
 
@@ -291,8 +295,8 @@ def _pair_stats(
 
     The point runners memoise this for the length of one call, so an SNR
     or power sweep evaluates its single channel once. An NF user whose
-    phases round by more than _MAX_PHASE_ROUNDING is refused before any
-    of them is computed.
+    phases round by more than _MAX_PHASE_ROUNDING, or an FF user farther
+    than _MAX_FF_RANGE, is refused before any of them is computed.
     """
     if model == "NF":
         for k, u in enumerate((u1, u2), 1):
@@ -310,6 +314,13 @@ def _pair_stats(
         else:
             rho = nf_ccf_quadrature(geom, u1, u2, nodes).value
     else:
+        for k, u in enumerate((u1, u2), 1):
+            if u.range_r > _MAX_FF_RANGE:
+                raise ValueError(
+                    f"[user{k}] range_m = {u.range_r:.3g} is beyond the FF "
+                    f"model's numerical range: the formulas take its cube, "
+                    f"finite only up to {_MAX_FF_RANGE:.3g} m"
+                )
         g1 = ff_gain_closed(geom, u1)
         g2 = ff_gain_closed(geom, u2)
         rho = ff_ccf_closed(geom, u1, u2)

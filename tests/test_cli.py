@@ -201,6 +201,11 @@ def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body
         ("region", "[user2]\nrange_m = 1e300\n", "error: [user2] range_m = 1e+300 is"),
         ("sweep", "[sweep]\nvariable = r2_m\nvalues = 5 1e300\ntarget = mac\n",
          "at sweep point r2_m=1e+300: [user2] range_m = 1e+300 is"),
+        # an FF gain takes the range squared, an FF oracle its cube
+        ("mac", "[link]\nmodel = ff\n[user1]\nrange_m = 1e200\n",
+         "error: [user1] range_m = 1e+200 is beyond the FF model's"),
+        ("bc", "[link]\nmodel = ff\n[user2]\nrange_m = 1e200\n",
+         "error: [user2] range_m = 1e+200 is beyond the FF model's"),
     ],
 )
 def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, body, needle):

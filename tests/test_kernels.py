@@ -69,15 +69,21 @@ def _hpd(n, cond, seed):
 _B = kernels._CHOL_BLOCK_COLS
 
 
-def _lower_blocks(a):
-    "The lower block columns of ``a`` that hpd_logdet takes, as copies."
-    return [a[j:, j:j + _B].copy() for j in range(0, len(a), _B)]
+def _lower(a):
+    "A copy of ``a`` that hpd_logdet may overwrite, NaN above the diagonal."
+    lower = np.tril(a)
+    lower[np.triu_indices(len(a), 1)] = np.nan
+    return lower
 
 
-@pytest.mark.parametrize("n", [1, _B - 1, _B, _B + 1, 2 * _B + 3, 1089])
+@pytest.mark.parametrize(
+    "n", [1, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 3, 3 * _B - 1, 3 * _B, 3 * _B + 1, 1089]
+)
 @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
 def test_hpd_logdet_matches_numpy_cholesky(n, cond):
-    """The blocked in-place factorisation gives numpy's log-determinant.
+    """The Schur-split factorisation gives numpy's log-determinant, with
+    no split up to n = 192, a split at B columns from 2B to 3B + 1 and
+    at 3B columns at n = 1089, and reads nothing above the diagonal.
 
     At condition 1e8 two correct orderings of one Cholesky factorisation
     differ by up to a few 1e-12 relative (numpy's own factor of a
@@ -86,19 +92,20 @@ def test_hpd_logdet_matches_numpy_cholesky(n, cond):
     """
     a = _hpd(n, cond, [n, int(math.log10(cond))])
     ref = 2.0 * float(np.sum(np.log(np.linalg.cholesky(a).diagonal().real)))
-    got = kernels.hpd_logdet(_lower_blocks(a))
+    got = kernels.hpd_logdet(_lower(a))
     assert got == pytest.approx(ref, rel=1e-11 if cond > 1e7 else 1e-12)
 
 
-@pytest.mark.parametrize("bad_row", [0, 2 * _B + 2])
+@pytest.mark.parametrize("bad_row", [0, _B + 2, 2 * _B + 2])
 def test_hpd_logdet_rejects_indefinite_matrix(bad_row):
-    "A negative pivot in the first or the last block is reported as numpy does."
+    """A negative pivot in A11, in the Schur complement or in the last
+    block is reported as numpy does (the split is at B columns here)."""
     a = _hpd(2 * _B + 3, 1e3, 7)
     a[bad_row, bad_row] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(a)
     with pytest.raises(np.linalg.LinAlgError):
-        kernels.hpd_logdet(_lower_blocks(a))
+        kernels.hpd_logdet(_lower(a))
 
 
 def test_quadrature_work_planes_are_cache_line_aligned():

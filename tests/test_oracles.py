@@ -84,9 +84,10 @@ def test_sic_rejects_snr_count_mismatch(snrs):
 
 
 def test_logdet_memory_is_one_lower_triangle(rng):
-    """At the verify size (33x33 elements) the oracle holds the lower
-    triangle of the M x M matrix and one block column of temporaries,
-    not the whole matrix."""
+    """At the verify size (33x33 elements) the oracle holds less than
+    the lower triangle of the M x M matrix, temporaries included: the
+    factor rows that later steps read (0.29 M^2 entries at M = 1089,
+    tending to 5/18 for large M) and one gathered row block."""
     m = 33 * 33
     h1, h2 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     tracemalloc.start()
@@ -95,7 +96,7 @@ def test_logdet_memory_is_one_lower_triangle(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * 16 * m * m
+    assert peak <= 0.5 * 16 * m * m
 
 
 @pytest.mark.parametrize("k", [2, 3])
