@@ -1,7 +1,6 @@
 """Input checks shared by the formula modules and the oracles.
 
-One coercer for channels, one check for the K x K Gram matrix that the
-K-user functions take, and one check per kind of scalar argument. A
+One coercer for channels and one check per kind of scalar argument. A
 channel is a complex 1-D array with one finite entry per element. Every
 error is a ValueError that names the argument and the bad value.
 """
@@ -38,16 +37,6 @@ def channel_vectors(
             raise ValueError(f"{name} has a non-finite entry")
         vecs.append(vec)
     return vecs
-
-
-def gram(value: np.ndarray, k: int) -> np.ndarray:
-    "A K x K complex Gram matrix with K = ``k`` and every entry finite."
-    mat = np.asarray(value, dtype=np.complex128)
-    if mat.shape != (k, k):
-        raise ValueError(f"gram must be {k} x {k} for {k} users, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("gram has a non-finite entry")
-    return mat
 
 
 def nonneg(name: str, value: float) -> float:

@@ -4,18 +4,15 @@ The sum capacity of the two-user downlink under a total power budget
 equals the capacity of a dual uplink with a joint power constraint. The
 optimal dual power split has a closed form. This module provides that
 split, the resulting capacity, recovery of the downlink transmit
-covariance matrices, region sampling, linear transmit precoders, an
-iterative water-filling solver for any number of users, and the
-far-field large-array limit. The near-field large-array limit is the
-two-user capacity at the saturated gains of
+covariance matrices, region sampling, linear transmit precoders, and
+the far-field large-array limit. The near-field large-array limit is
+the two-user capacity at the saturated gains of
 :func:`nfcap.stats.asymptotic_gains` with rho = 0.
 
 Scalar two-user routines take channel gains ``g1, g2`` and the squared
 correlation ``rho``. The covariance recovery and the region sampler
-take the two channel vectors, and the K-user water-filling takes the
-K x K Gram matrix G[i, j] = h_i^H h_j of the channels
-(:func:`nfcap.stats.gram_matrix`); each normalizes by the per-user
-noise variances internally.
+take the two channel vectors; each normalizes by the per-user noise
+variances internally.
 """
 
 from __future__ import annotations
@@ -28,22 +25,24 @@ import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
-from .mac import FfAsymptote, RatePoint, RateRegion, _logdet_bits, sic_rates_two_user
+from .mac import FfAsymptote, RatePoint, RateRegion, sic_rates_two_user
 from .stats import gram_matrix, gram_stats
 
 __all__ = [
     "BcConfig",
     "PowerAllocation",
     "CovariancePair",
-    "ConvergenceError",
     "bc_power_allocation_two_user",
     "bc_capacity_two_user",
     "bc_covariance_recovery",
     "bc_region_two_user",
-    "bc_capacity_general",
     "linear_precoder_sum_rate",
     "bc_asymptotics",
 ]
+
+# Past this a float64 square overflows; below it, it does not.
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class BcConfig:
@@ -149,20 +148,6 @@ class CovariancePair:
     @property
     def sigma2(self) -> np.ndarray:
         return self.scale2 * np.outer(self.beam2, self.beam2.conj())
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the iterative solver fails to converge.
-
-    Carries the best iterate found so the caller can still inspect or
-    reuse it: ``best_bits`` is the highest objective reached and
-    ``best_allocation`` the corresponding power split.
-    """
-
-    def __init__(self, message: str, best_bits: float, best_allocation: PowerAllocation):
-        super().__init__(message)
-        self.best_bits = best_bits
-        self.best_allocation = best_allocation
 
 
 def _bc_case_split(
@@ -368,103 +353,6 @@ def _upper_right_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float
     return upper
 
 
-def _waterfill(levels: np.ndarray, budget: float) -> np.ndarray:
-    """Solve max sum log(1 + p_k e_k) s.t. sum p = budget, p >= 0.
-
-    ``levels`` holds the effective gains e_k. The optimum is
-    p_k = max(0, mu - 1/e_k) with the water level mu fixed by the
-    budget over the active set.
-    """
-    inv = np.where(levels > 0.0, 1.0 / np.maximum(levels, 1e-300), np.inf)
-    order = np.argsort(inv)
-    sorted_inv = inv[order]
-    k = levels.size
-    mu = 0.0
-    active = 0
-    for m in range(k, 0, -1):
-        head = sorted_inv[:m]
-        if not np.all(np.isfinite(head)):
-            continue
-        candidate = (budget + float(head.sum())) / m
-        if candidate > head[-1]:
-            mu = candidate
-            active = m
-            break
-    powers = np.zeros(k)
-    if active > 0:
-        idx = order[:active]
-        powers[idx] = mu - inv[idx]
-    return np.maximum(powers, 0.0)
-
-
-def bc_capacity_general(
-    gram: np.ndarray,
-    cfg: BcConfig,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> tuple[float, PowerAllocation]:
-    """Downlink sum capacity for K users by iterative water-filling, from
-    the K x K Gram matrix G[i, j] = h_i^H h_j of their channels.
-
-    Maximizes log2 det(I + sum_k (p_k / var_k) h_k h_k^H) over
-    nonnegative powers with sum p_k = P. With hb_k = h_k / sqrt(var_k)
-    the noise-normalized channels, each round computes every user's
-    effective gain against the interference of the others,
-
-        e_k = hb_k^H (I + sum_{j != k} p_j hb_j hb_j^H)^{-1} hb_k,
-
-    water-fills on those gains, and damps the update by averaging with
-    K - 1 copies of the previous iterate, which makes the sum-power
-    iteration provably convergent. All linear algebra runs on the K x K
-    Gram matrix, so the cost does not grow with the array size. Stops
-    when the objective changes by less than ``tol`` bits; raises
-    :class:`ConvergenceError` carrying the best iterate otherwise.
-    """
-    k_users = cfg.num_users
-    inv_sd = 1.0 / np.sqrt(np.asarray(cfg.noise_var_per_user))
-    gram = _checks.gram(gram, k_users) * np.outer(inv_sd, inv_sd)
-    power = cfg.total_power_P
-    if k_users == 1:
-        return _logdet_bits(gram, np.array([power])), PowerAllocation((power,))
-
-    p = np.full(k_users, power / k_users)
-    best_bits = _logdet_bits(gram, p)
-    best_p = p.copy()
-    prev = best_bits
-    for _ in range(max_iter):
-        levels = np.empty(k_users)
-        for k in range(k_users):
-            others = [j for j in range(k_users) if j != k and p[j] > 0.0]
-            own = float(gram[k, k].real)
-            if not others:
-                levels[k] = own
-                continue
-            idx = np.asarray(others, dtype=np.intp)
-            # Woodbury identity on the K x K blocks: e_k = g_kk -
-            # c^H (diag(1/p) + G_oo)^{-1} c with c = G_ok.
-            cross = gram[np.ix_(idx, [k])]
-            core = np.diag(1.0 / p[idx]) + gram[np.ix_(idx, idx)]
-            solved = np.linalg.solve(core, cross)
-            levels[k] = own - float((cross.conj().T @ solved)[0, 0].real)
-        fresh = _waterfill(levels, power)
-        p = (fresh + (k_users - 1) * p) / k_users
-        total = p.sum()
-        if total > 0.0:
-            p *= power / total
-        bits = _logdet_bits(gram, p)
-        if bits > best_bits:
-            best_bits = bits
-            best_p = p.copy()
-        if abs(bits - prev) < tol:
-            return bits, PowerAllocation(tuple(p))
-        prev = bits
-    raise ConvergenceError(
-        f"no convergence within {max_iter} iterations",
-        best_bits,
-        PowerAllocation(tuple(best_p)),
-    )
-
-
 def linear_precoder_sum_rate(
     scheme: str,
     g1: float,
@@ -536,9 +424,13 @@ def bc_asymptotics(
     beta_k) and ``dynamic`` the distinct-direction expression
     log2((q + beta_1 + beta_2)^2 / (4 beta_1 beta_2) - 1), with
     q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k; the gap is
-    positive.
+    positive. ``dynamic`` is inf once the square of q + beta_1 + beta_2
+    overflows, which the runners refuse by name.
     """
     q, b1, b2 = _ff_budget(geom, users, cfg)
     static = math.log2(q / min(b1, b2))
-    dynamic = math.log2((q + b1 + b2) ** 2 / (4.0 * b1 * b2) - 1.0)
+    total = q + b1 + b2
+    if total > _SQRT_MAX:
+        return FfAsymptote(static=static, dynamic=math.inf)
+    dynamic = math.log2(total ** 2 / (4.0 * b1 * b2) - 1.0)
     return FfAsymptote(static=static, dynamic=dynamic)

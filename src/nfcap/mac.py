@@ -2,12 +2,8 @@
 achievable regions, linear combiners, and the far-field large-array
 limit.
 
-Two-user scalar formulas take the per-user effective gains ``g1, g2``,
-the squared channel correlation ``rho``, and per-user transmit SNRs.
-General-K routines take the K x K Gram matrix G[i, j] = h_i^H h_j of
-the channels (:func:`nfcap.stats.gram_matrix` builds it from channel
-vectors), whose entries hold every gain and correlation, so they remain
-exact for any correlation structure; they apply the SNRs themselves.
+The scalar formulas take the per-user effective gains ``g1, g2``, the
+squared channel correlation ``rho``, and per-user transmit SNRs.
 The near-field large-array limit is the two-user capacity at the
 saturated gains of :func:`nfcap.stats.asymptotic_gains` with rho = 0.
 """
@@ -17,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
@@ -30,14 +24,10 @@ __all__ = [
     "FfAsymptote",
     "sic_rates_two_user",
     "mac_capacity_two_user",
-    "mac_capacity_general",
-    "mac_corner_rates_general",
     "mac_region_two_user",
     "linear_combiner_sum_rate",
     "mac_asymptotics",
 ]
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -204,61 +194,6 @@ def mac_capacity_two_user(
             f"gamma=({gamma1}, {gamma2}), rho={rho}"
         )
     return math.log2(arg)
-
-
-def _logdet_bits(gram: np.ndarray, weights: np.ndarray) -> float:
-    """log2 det(I + D G D) with D = diag(sqrt(weights)): the sum capacity
-    of channels with Gram matrix G at per-user SNRs ``weights``.
-
-    Cholesky keeps this exact for the well-conditioned PSD case and fails
-    loudly (LinAlgError) if G is not positive semidefinite.
-    """
-    root = np.sqrt(weights)
-    mat = gram * np.outer(root, root)
-    chol = np.linalg.cholesky(np.eye(len(root)) + (mat + mat.conj().T) / 2.0)
-    return float(2.0 * np.sum(np.log(chol.diagonal().real)) / _LOG2)
-
-
-def mac_capacity_general(gram: np.ndarray, cfg: MacConfig) -> float:
-    """Uplink sum capacity for K users from the K x K Gram matrix of their
-    channels, G[i, j] = h_i^H h_j (see :func:`nfcap.stats.gram_matrix`).
-
-    Evaluates log2 det(I_K + D G D) with D = diag(sqrt(snr_k)), which
-    equals log2 det(I_M + sum_k snr_k h_k h_k^H); the cost does not grow
-    with the array size M.
-    """
-    gram = _checks.gram(gram, cfg.num_users)
-    return _logdet_bits(gram, np.asarray(cfg.snr_per_user))
-
-
-def mac_corner_rates_general(
-    gram: np.ndarray, cfg: MacConfig, order: Sequence[int]
-) -> tuple[float, ...]:
-    """Per-user SIC rates for an arbitrary decode order, K users, from the
-    K x K Gram matrix of their channels.
-
-    ``order`` is a permutation of 0..K-1 giving the decode sequence;
-    ``order[0]`` is decoded first (treating everyone later in the
-    sequence as interference) and ``order[-1]`` is decoded last,
-    interference free. User ``order[i]``'s rate is the capacity of the
-    not-yet-decoded set ``order[i:]`` minus that of ``order[i + 1:]``, so
-    the rates sum to the sum capacity for every order. Each of the K
-    suffix capacities is evaluated once; the empty set has capacity 0.
-    """
-    k = cfg.num_users
-    gram = _checks.gram(gram, k)
-    if sorted(order) != list(range(k)):
-        raise ValueError(
-            f"order must be a permutation of 0..{k - 1}, got {tuple(order)}"
-        )
-    snrs = np.asarray(cfg.snr_per_user)
-    seq = list(order)
-    caps = [_logdet_bits(gram[np.ix_(seq[i:], seq[i:])], snrs[seq[i:]])
-            for i in range(k)] + [0.0]
-    rates = [0.0] * k
-    for i, user in enumerate(seq):
-        rates[user] = max(0.0, caps[i] - caps[i + 1])
-    return tuple(rates)
 
 
 def mac_region_two_user(

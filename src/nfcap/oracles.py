@@ -35,7 +35,6 @@ __all__ = [
     "logdet_capacity_oracle",
     "sic_rates_oracle",
     "bc_power_grid_oracle",
-    "bc_simplex_grid_oracle",
     "mc_beam_grid_oracle",
     "gain_sum_oracle",
     "ccf_sum_oracle",
@@ -159,42 +158,6 @@ def bc_power_grid_oracle(
     idx = int(np.argmax(objective))
     split = (float(p1[idx]), float(p2[idx]))
     return float(objective[idx]), PowerAllocation(split)
-
-
-def bc_simplex_grid_oracle(
-    channels: Sequence[np.ndarray],
-    cfg: BcConfig,
-    steps: int = 200,
-) -> tuple[float, PowerAllocation]:
-    """Exhaustive simplex search for the three-user downlink.
-
-    Walks p1 and p2 over the grid {0, P/steps, ..., P} with the
-    remaining budget on p3, and scores every split with the dense
-    log-determinant oracle on noise-normalized channels. p3 is built
-    from the grid index rather than by subtraction so that roundoff
-    can never push it negative.
-    """
-    if len(channels) != 3 or cfg.num_users != 3:
-        raise ValueError("simplex oracle is written for exactly three users")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
-    vecs = _checks.channel_vectors(channels)
-    power = cfg.total_power_P
-    noise = cfg.noise_var_per_user
-    best = -math.inf
-    best_split = (power, 0.0, 0.0)
-    for i in range(steps + 1):
-        p1 = power * i / steps
-        for j in range(steps + 1 - i):
-            p2 = power * j / steps
-            p3 = power * (steps - i - j) / steps
-            bits = logdet_capacity_oracle(
-                vecs, [p1 / noise[0], p2 / noise[1], p3 / noise[2]]
-            )
-            if bits > best:
-                best = bits
-                best_split = (p1, p2, p3)
-    return best, PowerAllocation(best_split)
 
 
 def mc_beam_grid_oracle(

@@ -1,5 +1,5 @@
 """Downlink power allocation, sum capacity, covariance recovery, rate
-regions, iterative water-filling, and transmit precoding.
+regions, and transmit precoding.
 """
 
 import math
@@ -11,11 +11,9 @@ import pytest
 from conftest import REF_POWER, synth_pair
 from nfcap.broadcast import (
     BcConfig,
-    ConvergenceError,
     CovariancePair,
     PowerAllocation,
     bc_asymptotics,
-    bc_capacity_general,
     bc_capacity_two_user,
     bc_covariance_recovery,
     bc_power_allocation_two_user,
@@ -24,8 +22,8 @@ from nfcap.broadcast import (
 )
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.mac import FfAsymptote, RatePoint, sic_rates_two_user
-from nfcap.oracles import bc_power_grid_oracle, bc_simplex_grid_oracle
-from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, gram_matrix, ula_gain_closed
+from nfcap.oracles import bc_power_grid_oracle
+from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, ula_gain_closed
 
 UPA_LIMIT_BITS = 12.664609261026872
 
@@ -285,50 +283,6 @@ def test_region_is_convex_walk(rng):
     for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:]):
         cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         assert cross >= -1e-9
-
-
-def test_iwf_single_user_is_exact():
-    h = np.array([0.6 + 0.2j, -0.1 + 0.4j, 0.3 + 0j])
-    cfg = BcConfig(total_power_P=7.0, noise_var_per_user=(2.0,))
-    got, alloc = bc_capacity_general(gram_matrix([h]), cfg)
-    g = float(np.vdot(h, h).real)
-    assert got == pytest.approx(math.log2(1 + 7.0 * g / 2.0), rel=1e-12)
-    assert alloc.p_per_user == (7.0,)
-
-
-def test_iwf_two_user_matches_closed_form(ref_geometry, user1, user2_dd):
-    h1 = nf_channel_vector(ref_geometry, user1)
-    h2 = nf_channel_vector(ref_geometry, user2_dd)
-    cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
-    closed = bc_capacity_two_user(
-        gain_exact(h1), gain_exact(h2), ccf_exact(h1, h2), cfg
-    )
-    iterative, alloc = bc_capacity_general(gram_matrix([h1, h2]), cfg)
-    assert iterative == pytest.approx(closed, abs=1e-8)
-    assert alloc.total == pytest.approx(REF_POWER, rel=1e-9)
-
-
-def test_iwf_three_users_beats_simplex_grid(rng):
-    m = 16
-    h = [
-        (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        for _ in range(3)
-    ]
-    cfg = BcConfig(total_power_P=50.0, noise_var_per_user=(1.0, 0.8, 1.3))
-    iterative, _ = bc_capacity_general(gram_matrix(h), cfg)
-    grid, _ = bc_simplex_grid_oracle(h, cfg, steps=200)
-    assert iterative >= grid - 1e-9
-    assert iterative - grid < 2e-3
-
-
-def test_iwf_reports_best_iterate_on_nonconvergence():
-    h1, h2 = synth_pair(0.5, 0.9, 0.7, m=4)
-    cfg = BcConfig(total_power_P=20.0, noise_var_per_user=(1.0, 1.0))
-    with pytest.raises(ConvergenceError) as info:
-        bc_capacity_general(gram_matrix([h1, h2]), cfg, tol=0.0, max_iter=2)
-    err = info.value
-    assert math.isfinite(err.best_bits)
-    assert err.best_allocation.total == pytest.approx(20.0, rel=1e-9)
 
 
 def test_precoder_rates_and_limits(rng):

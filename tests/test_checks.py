@@ -1,6 +1,6 @@
-"""The shared input checks: the channel coercer, the Gram check, the
-scalar checks, and the formula and oracle entry points that now reject
-non-finite input.
+"""The shared input checks: the channel coercer, the scalar checks,
+and the formula and oracle entry points that now reject non-finite
+input.
 """
 
 import math
@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from nfcap import _checks
-from nfcap.broadcast import BcConfig, bc_capacity_general, linear_precoder_sum_rate
+from nfcap.broadcast import linear_precoder_sum_rate
 from nfcap.geometry import ArrayGeometry, nf_channel_vector
-from nfcap.mac import MacConfig, mac_capacity_general
 from nfcap.oracles import mc_beam_grid_oracle
-from nfcap.stats import ccf_exact, gain_exact, gram_matrix
+from nfcap.stats import ccf_exact, gain_exact
 
 
 def test_channel_vectors_keep_channel_entries_uncopied(user1, user2_dd):
@@ -35,15 +34,6 @@ def test_channel_vectors_coerce_and_name_the_bad_channel():
         _checks.channel_vectors([np.ones(2), np.ones(0)], ("h1", "h2"))
     with pytest.raises(ValueError, match=r"channels\[1\] has 3 entries, channels\[0\] has 2"):
         _checks.channel_vectors([np.ones(2), np.ones(3)])
-
-
-def test_gram_must_match_the_user_count():
-    gram = gram_matrix([np.ones(2), np.array([1.0, -1.0]), np.array([0.0, 1j])])
-    assert _checks.gram(gram, 3) is gram
-    with pytest.raises(ValueError, match=r"gram must be 2 x 2 for 2 users, got shape \(3, 3\)"):
-        mac_capacity_general(gram, MacConfig((1.0, 1.0)))
-    with pytest.raises(ValueError, match="gram must be 4 x 4"):
-        bc_capacity_general(gram, BcConfig(1.0, (1.0,) * 4))
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])

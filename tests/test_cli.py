@@ -206,6 +206,9 @@ def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body
          "error: [user1] range_m = 1e+200 is beyond the FF model's"),
         ("bc", "[link]\nmodel = ff\n[user2]\nrange_m = 1e200\n",
          "error: [user2] range_m = 1e+200 is beyond the FF model's"),
+        # within that range, the FF downlink limit squares about r^2
+        ("bc", "[link]\nmodel = ff\n[user1]\nrange_m = 1e100\n",
+         "error: c_asym = inf: the link budget is beyond"),
     ],
 )
 def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, body, needle):

@@ -10,7 +10,6 @@ import pytest
 from nfcap.broadcast import (
     BcConfig,
     PowerAllocation,
-    bc_capacity_general,
     bc_covariance_recovery,
     bc_region_two_user,
 )
@@ -24,7 +23,6 @@ from nfcap.geometry import (
     green_amplitude_ratio,
     nf_channel_vector,
 )
-from nfcap.mac import MacConfig, mac_capacity_general, mac_corner_rates_general
 from nfcap.multicast import Beamformer, mc_beamformer_two_user, mc_rate_given_beamformer
 from nfcap.oracles import logdet_capacity_oracle, mc_beam_grid_oracle
 from nfcap.stats import ccf_exact, gain_exact, gram_matrix
@@ -152,23 +150,11 @@ def test_nf_approaches_ff_at_long_range(ref_geometry):
     assert corr > 1.0 - 1e-6
 
 
-def _plain_gram(h1, h2):
-    "The Gram matrix by plain numpy, so a non-finite channel stays in it."
-    mat = np.stack([h1, h2], axis=1)
-    with np.errstate(all="ignore"):
-        return mat.conj().T @ mat
-
-
 _BC = BcConfig(10.0, (1.0, 1.0))
 _CHANNEL_ROUTINES = {
     "gram_matrix": lambda h1, h2: gram_matrix([h1, h2]),
     "gain_exact": lambda h1, h2: gain_exact(h1) + gain_exact(h2),
     "ccf_exact": ccf_exact,
-    "mac_capacity_general": lambda h1, h2: mac_capacity_general(
-        _plain_gram(h1, h2), MacConfig((10.0, 10.0))),
-    "mac_corner_rates_general": lambda h1, h2: mac_corner_rates_general(
-        _plain_gram(h1, h2), MacConfig((10.0, 10.0)), (0, 1)),
-    "bc_capacity_general": lambda h1, h2: bc_capacity_general(_plain_gram(h1, h2), _BC),
     "bc_covariance_recovery": lambda h1, h2: bc_covariance_recovery(
         h1, h2, PowerAllocation((4.0, 6.0)), _BC),
     "bc_region_two_user": lambda h1, h2: bc_region_two_user(h1, h2, _BC, 5),
@@ -188,8 +174,7 @@ _CHANNEL_ROUTINES = {
 @pytest.mark.parametrize("routine", sorted(_CHANNEL_ROUTINES))
 def test_channel_vector_rejects_nonfinite(routine, bad):
     """A NaN or infinite entry in either channel raises ValueError, and
-    nothing warns on the way; the K-user functions get the Gram matrix
-    that plain numpy makes of those channels."""
+    nothing warns on the way."""
     call = _CHANNEL_ROUTINES[routine]
     good = (np.array([1.0, 0.5j, 0.2]), np.array([0.3, 1.0, -0.4j]))
     call(*good)

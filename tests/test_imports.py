@@ -1,7 +1,10 @@
 """No module of the package or the tests imports a name it never uses,
-and no private module-level name of the package goes unreferenced."""
+no private module-level name of the package goes unreferenced, and
+every name a package module exports in ``__all__`` exists on it."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,21 @@ def test_no_dead_private_definitions():
     package = [path.read_text(encoding="utf-8") for path in PACKAGE]
     readers = [path.read_text(encoding="utf-8") for path in READERS]
     assert dead_definitions(package, readers) == []
+
+
+def stale_exports(module: types.ModuleType) -> list[str]:
+    "Names in ``module.__all__`` that are not attributes of ``module``."
+    return [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+
+
+def test_stale_export_scan_finds_missing_names():
+    module = types.ModuleType("m")
+    module.kept = 1
+    module.__all__ = ["kept", "gone"]
+    assert stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "nfcap" if path.stem == "__init__" else f"nfcap.{path.stem}"
+    assert stale_exports(importlib.import_module(name)) == []

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from conftest import REF_SNR, random_instance, synth_pair
-from nfcap import mac
 from nfcap.geometry import ArrayGeometry, UserLocation
 from nfcap.mac import (
     FfAsymptote,
@@ -16,16 +15,13 @@ from nfcap.mac import (
     RateRegion,
     linear_combiner_sum_rate,
     mac_asymptotics,
-    mac_capacity_general,
     mac_capacity_two_user,
-    mac_corner_rates_general,
     mac_region_two_user,
     sic_rates_two_user,
 )
 from nfcap.oracles import logdet_capacity_oracle
 from nfcap.stats import (
     asymptotic_gains,
-    gram_matrix,
     nf_ccf_quadrature,
     nf_gain_closed,
     ula_gain_closed,
@@ -84,60 +80,6 @@ def test_sic_clean_user_gets_single_user_rate():
     assert first.r2 == pytest.approx(math.log2(1 + s2 * g2), rel=1e-12)
     second = sic_rates_two_user(g1, g2, rho, s1, s2, "u2_first")
     assert second.r1 == pytest.approx(math.log2(1 + s1 * g1), rel=1e-12)
-
-
-def test_general_corner_rates_match_two_user_forms(rng):
-    for _ in range(25):
-        g1, g2, rho, s1, s2 = random_instance(rng)
-        h1, h2 = synth_pair(g1, g2, rho)
-        cfg = MacConfig(snr_per_user=(s1, s2))
-        for order, tag in (((0, 1), "u1_first"), ((1, 0), "u2_first")):
-            got = mac_corner_rates_general(gram_matrix([h1, h2]), cfg, order)
-            want = sic_rates_two_user(g1, g2, rho, s1, s2, tag)
-            assert got[0] == pytest.approx(want.r1, abs=1e-9)
-            assert got[1] == pytest.approx(want.r2, abs=1e-9)
-
-
-def test_general_capacity_handles_four_users(rng):
-    m = 16
-    h = (rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))) / math.sqrt(
-        2 * m
-    )
-    snrs = 10.0 ** (rng.uniform(0, 30, size=4) / 10.0)
-    cfg = MacConfig(snr_per_user=tuple(snrs))
-    closed = mac_capacity_general(gram_matrix(h), cfg)
-    oracle = logdet_capacity_oracle(list(h), list(snrs))
-    assert closed == pytest.approx(oracle, abs=1e-9)
-    rates = mac_corner_rates_general(gram_matrix(h), cfg, (2, 0, 3, 1))
-    assert sum(rates) == pytest.approx(closed, abs=1e-9)
-
-
-def test_corner_rates_factor_each_suffix_once(rng, monkeypatch):
-    "K = 4 log-determinants per decode order, one per non-empty suffix."
-    m = 16
-    h = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
-    cfg = MacConfig(snr_per_user=(10.0, 20.0, 5.0, 40.0))
-    gram = gram_matrix(h)
-    calls = []
-    real_logdet = mac._logdet_bits
-
-    def counting(sub, weights):
-        calls.append(sub.shape)
-        return real_logdet(sub, weights)
-
-    monkeypatch.setattr(mac, "_logdet_bits", counting)
-    rates = mac_corner_rates_general(gram, cfg, (2, 0, 3, 1))
-    assert calls == [(4, 4), (3, 3), (2, 2), (1, 1)]
-    assert sum(rates) == pytest.approx(
-        logdet_capacity_oracle(list(h), list(cfg.snr_per_user)), abs=1e-9
-    )
-
-
-def test_corner_order_must_be_permutation(rng):
-    h1, h2 = synth_pair(0.1, 0.2, 0.3)
-    cfg = MacConfig(snr_per_user=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        mac_corner_rates_general(gram_matrix([h1, h2]), cfg, (0, 0))
 
 
 def test_rate_point_and_region_containers():
