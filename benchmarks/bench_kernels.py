@@ -18,6 +18,10 @@ complex M x M matrix). The factor rows the kernel holds tend to 5/18 =
 0.28 of that; with the split rounded to whole blocks, square diagonal
 blocks and one gathered row block of temporaries the rows read about
 0.40 at 33x33 and 0.31 at 65x65 (the whole lower triangle is 0.5).
+The last two rows time the statistics (gains and T=200 correlation) of
+the 60 channels of the ``mc-vs-r2`` preset's NF sweep, 551x551 with user
+2 in its own direction, as the runners compute them: one after another,
+and on a pool of one thread per usable CPU.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -26,10 +30,12 @@ import argparse
 import math
 import timeit
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
-from nfcap import _kernels
+from nfcap import _kernels, sweeps
+from nfcap.config import SweepSpec, default_scenario
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.oracles import logdet_capacity_oracle
 
@@ -79,6 +85,28 @@ def _logdet_args(m_axis):
     return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
 
 
+def _r2_sweep_stats(scenario, applied, workers):
+    "The statistics of every point of a sweep, on ``workers`` threads."
+    with sweeps._channel_stats(scenario, applied, workers) as stats:
+        for geom, users, _, _ in applied:
+            stats(geom, users)
+
+
+def _r2_sweep_rows():
+    kind, variable, grid, side = sweeps.PRESETS["mc-vs-r2"]
+    base = default_scenario()
+    geom = replace(base.geometry, m_x=side, m_z=side)
+    scenario = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
+    applied = sweeps._applied_points(scenario, variable, scenario.sweep.values)
+    nodes = len(applied) * scenario.quadrature_nodes ** 2
+    workers = sweeps._worker_count()
+    return [
+        (f"r2 sweep stats {side} x{len(applied)} {label}", _r2_sweep_stats,
+         (scenario, applied, count), nodes)
+        for label, count in (("serial", 1), (f"{workers} threads", workers))
+    ]
+
+
 def _workloads():
     dist_args = _distance_args()
     dists = _kernels.element_distances(*dist_args)
@@ -104,6 +132,7 @@ def _workloads():
          (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64), None),
         *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
            None) for m in (33, 65)],
+        *_r2_sweep_rows(),
     ]
 
 

@@ -99,6 +99,7 @@ def sic_rates_oracle(
     channels: Sequence[np.ndarray],
     snrs: Sequence[float],
     order: Sequence[int],
+    capacities: dict[frozenset[int], float] | None = None,
 ) -> tuple[float, ...]:
     """Successive-decoding rates from dense log-determinant differences.
 
@@ -107,6 +108,11 @@ def sic_rates_oracle(
     not-yet-decoded set starting at i minus the capacity of the set
     starting at i + 1. Each of these K suffix capacities is evaluated
     once by :func:`logdet_capacity_oracle`; the empty set has capacity 0.
+
+    ``capacities``, when given, maps sets of user indices to capacities
+    already evaluated on these channels and SNRs. A suffix found there is
+    not evaluated again, and each one evaluated is added, so that calls
+    for several decode orders factor each user set once.
     """
     k = len(channels)
     if len(snrs) != k:
@@ -114,12 +120,16 @@ def sic_rates_oracle(
     if sorted(order) != list(range(k)):
         raise ValueError(f"order must be a permutation of 0..{k - 1}")
     seq = list(order)
-    caps = [
-        logdet_capacity_oracle(
-            [channels[j] for j in seq[i:]], [snrs[j] for j in seq[i:]]
-        )
-        for i in range(k)
-    ] + [0.0]
+    known = {} if capacities is None else capacities
+    caps = []
+    for i in range(k):
+        users = frozenset(seq[i:])
+        if users not in known:
+            known[users] = logdet_capacity_oracle(
+                [channels[j] for j in seq[i:]], [snrs[j] for j in seq[i:]]
+            )
+        caps.append(known[users])
+    caps.append(0.0)
     rates = [0.0] * k
     for i, user in enumerate(seq):
         rates[user] = caps[i] - caps[i + 1]

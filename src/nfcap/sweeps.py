@@ -5,7 +5,8 @@ deterministic CSV files, and rebuild the bundled figure-data presets.
 Row layout: the first column is the swept variable (or "point" for a
 single-shot scenario) and every later column is a named numeric output.
 Identical scenarios always produce identical bytes: nothing here reads
-clocks, hostnames, or global state.
+clocks, hostnames, or global state, and the number of usable CPUs, which
+sets how many threads compute a run's large NF channels, moves no bit.
 
 The four point runners share one scaffold: a kind (channel, mac, bc or
 mc) names its columns, the closed forms of a row, its large-array limit
@@ -25,14 +26,16 @@ user 2 in its own direction and in user 1's.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .broadcast import (
     BcConfig,
     CovariancePair,
@@ -293,20 +296,16 @@ def _pair_stats(
     exact element sum when the array has no more elements than the
     ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
 
-    The point runners memoise this for the length of one call, so an SNR
-    or power sweep evaluates its single channel once. An NF user whose
-    phases round by more than _MAX_PHASE_ROUNDING, or an FF user farther
-    than _MAX_FF_RANGE, is refused before any of them is computed.
+    The point runners compute this once per channel for the length of
+    one call (:func:`_channel_stats`), so an SNR or power sweep evaluates
+    its single channel once. An NF user whose phases round by more than
+    _MAX_PHASE_ROUNDING, or an FF user farther than _MAX_FF_RANGE, is
+    refused before any of them is computed.
     """
     if model == "NF":
-        for k, u in enumerate((u1, u2), 1):
-            err = _phase_rounding(geom, u.range_r)
-            if err > _MAX_PHASE_ROUNDING:
-                raise ValueError(
-                    f"[user{k}] range_m = {u.range_r:.3g} is beyond the NF "
-                    f"model's numerical range: rounding its phases moves "
-                    f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
-                )
+        refusal = _nf_range_refusal(geom, (u1, u2))
+        if refusal:
+            raise ValueError(refusal)
         g1 = nf_gain_closed(geom, u1)
         g2 = nf_gain_closed(geom, u2)
         if _takes_element_sum(geom.m_total, nodes):
@@ -325,6 +324,86 @@ def _pair_stats(
         g2 = ff_gain_closed(geom, u2)
         rho = ff_ccf_closed(geom, u1, u2)
     return g1, g2, rho
+
+
+def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str:
+    """Why the NF model cannot take ``users`` on ``geom``: the first whose
+    phases round by more than _MAX_PHASE_ROUNDING. Empty when it can."""
+    for k, u in enumerate(users, 1):
+        err = _phase_rounding(geom, u.range_r)
+        if err > _MAX_PHASE_ROUNDING:
+            return (
+                f"[user{k}] range_m = {u.range_r:.3g} is beyond the NF "
+                f"model's numerical range: rounding its phases moves "
+                f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
+            )
+    return ""
+
+
+def _worker_count() -> int:
+    "CPUs this process may run on."
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _applied_points(scenario: Scenario, variable: str, points) -> list:
+    "_apply_point of each point in turn, up to the first that it refuses."
+    applied = []
+    for value in points:
+        try:
+            applied.append(_apply_point(scenario, variable, value))
+        except ValueError:
+            break
+    return applied
+
+
+@contextlib.contextmanager
+def _channel_stats(scenario: Scenario, applied: Sequence[tuple], workers: int):
+    """Yield ``stats(geom, users)``, the :func:`_pair_stats` of a point's
+    channel, computed once per distinct channel of the run.
+
+    When ``workers`` > 1 and the NF run's ``applied`` points (from
+    :func:`_applied_points`) have two or more distinct channels whose
+    correlation sum has at least one kernel block of terms,
+    min(m_x m_z, T^2) >= _kernels._QUAD_BLOCK_NODES, those are submitted
+    in sweep order to that many threads; numpy releases the GIL inside
+    each plane operation. Each is the serial computation, so the values
+    are the same bits whatever the worker count, and a worker's
+    ValueError is raised when ``stats`` asks for that channel, at its own
+    point. Smaller sums hold the GIL for much of their time and stay on
+    the calling thread, as do FF runs and runs of one channel. The pool
+    is shut down, pending channels cancelled, when the run ends or fails.
+    """
+    model, nodes = scenario.channel_model, scenario.quadrature_nodes
+    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho), or its future
+    pool = None
+    if model == "NF" and workers > 1:
+        large = {
+            (geom, users[0], users[1]): None for geom, users, _, _ in applied
+            if min(geom.m_total, nodes * nodes) >= _kernels._QUAD_BLOCK_NODES
+        }
+        if len(large) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(min(workers, len(large)))
+            for channel in large:
+                memo[channel] = pool.submit(_pair_stats, model, *channel, nodes)
+
+    def stats(geom: ArrayGeometry, users: Sequence[UserLocation]):
+        channel = (geom, users[0], users[1])
+        found = memo.get(channel)
+        if found is None:
+            found = memo[channel] = _pair_stats(model, *channel, nodes)
+        elif not isinstance(found, tuple):
+            found = memo[channel] = found.result()
+        return found
+
+    try:
+        yield stats
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _exact_pair(
@@ -643,31 +722,34 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
     columns = (variable, "g1", "g2", "ccf", *kind.columns)
     if verify:
         columns += (*(name for name, _ in kind.oracle_columns), "verify_ok")
-    model, nodes = scenario.channel_model, scenario.quadrature_nodes
+    model = scenario.channel_model
     rows = []
     violations: list[str] = []
-    pair_stats = functools.cache(_pair_stats)
-    for value in points:
-        try:
-            geom, users, mac_cfg, bc_cfg = _apply_point(scenario, variable, value)
-            link = mac_cfg if kind.uplink else bc_cfg
-            stats = pair_stats(model, geom, users[0], users[1], nodes)
-            values = kind.formulas(*stats, link)
-            row = [_point_value(value), *stats, *values]
-            if kind.limit is not None:
-                row.append(_c_asym(kind, model, geom, users, link))
-            if verify:
-                _finite(columns, row)
-                _check_verify_size(geom)
-                checks = kind.verify(scenario, geom, users, link, stats, values)
-                row += [getattr(check, field)
-                        for (_, field), check in zip(kind.oracle_columns, checks)]
-                row.append(float(all(check.ok for check in checks)))
-                violations += [_violation(variable, row[0], check)
-                               for check in checks if not check.ok]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
+    applied = _applied_points(scenario, variable, points)
+    with _channel_stats(scenario, applied, _worker_count()) as pair_stats:
+        # past the last applied point, _apply_point raises the refusal
+        for value, point in zip(points, [*applied, None]):
+            try:
+                geom, users, mac_cfg, bc_cfg = point or _apply_point(
+                    scenario, variable, value)
+                link = mac_cfg if kind.uplink else bc_cfg
+                stats = pair_stats(geom, users)
+                values = kind.formulas(*stats, link)
+                row = [_point_value(value), *stats, *values]
+                if kind.limit is not None:
+                    row.append(_c_asym(kind, model, geom, users, link))
+                if verify:
+                    _finite(columns, row)
+                    _check_verify_size(geom)
+                    checks = kind.verify(scenario, geom, users, link, stats, values)
+                    row += [getattr(check, field)
+                            for (_, field), check in zip(kind.oracle_columns, checks)]
+                    row.append(float(all(check.ok for check in checks)))
+                    violations += [_violation(variable, row[0], check)
+                                   for check in checks if not check.ok]
+                rows.append(_finite(columns, row))
+            except ValueError as exc:
+                raise _point_error(exc, variable, value) from None
     return SweepResult(
         columns,
         tuple(rows),
@@ -850,7 +932,9 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     from the same check functions, with all closed forms fed the exact
     vector statistics past the channel rows, plus the paper's T x T
     rule against the correlation oracle and both uplink decode corners
-    against the successive-decoding oracle.
+    against the successive-decoding oracle. The rule's row is left out,
+    and the header says why, when a user of an FF scenario lies beyond
+    the range that the NF model, and so the rule, can take.
     """
     m_x = min(scenario.geometry.m_x, 33)
     m_z = min(scenario.geometry.m_z, 33)
@@ -867,19 +951,29 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
 
     stats = _pair_stats(model, geom, u1, u2, nodes)
     checks = _channel_checks(scenario, geom, users, stats)
-    # the paper's rule, which the NF sweeps take beyond T^2 elements
-    rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
-    if model == "NF":
-        rule_o = checks[2].oracle
+    # the paper's rule, which the NF sweeps take beyond T^2 elements; an
+    # FF scenario's users may lie beyond the NF model's range
+    rule_name = f"ccf quadrature T={nodes}"
+    refusal = _nf_range_refusal(geom, users)
+    if refusal:
+        header += f"\nno {rule_name} check: {refusal}"
     else:
-        rule_o = ccf_sum_oracle(geom, u1, u2, model="nf")
-    checks.append(_abs_check(f"ccf quadrature T={nodes}", rule, rule_o, TOL_CCF_ABS))
+        rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
+        if model == "NF":
+            rule_o = checks[2].oracle
+        else:
+            rule_o = ccf_sum_oracle(geom, u1, u2, model="nf")
+        checks.append(_abs_check(rule_name, rule, rule_o, TOL_CCF_ABS))
 
     vecs, exact = _exact_pair(model, geom, users)
-    checks.append(_mac_check(vecs, exact, scenario.mac_cfg))
+    mac = _mac_check(vecs, exact, scenario.mac_cfg)
+    checks.append(mac)
+    # the decode orders share the oracle's capacity of both users and
+    # take one single-user capacity each: three factorisations in all
+    capacities = {frozenset((0, 1)): mac.oracle}
     for order, tag in (("u1_first", (0, 1)), ("u2_first", (1, 0))):
         pair = sic_rates_two_user(*exact, *snrs, order)
-        rates_o = sic_rates_oracle(vecs, snrs, tag)
+        rates_o = sic_rates_oracle(vecs, snrs, tag, capacities)
         worst = max(abs(pair.r1 - rates_o[0]), abs(pair.r2 - rates_o[1]))
         checks.append(CheckRow(
             f"decode corner {order}", pair.r1 + pair.r2, sum(rates_o),

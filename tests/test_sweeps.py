@@ -3,14 +3,16 @@ provenance sidecars, the per-target runners with and without
 verification, sweep application, presets, and the verification report.
 """
 
+import concurrent.futures
 import importlib
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from conftest import synth_pair
-from nfcap import sweeps
+from nfcap import oracles, sweeps
 from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
 from nfcap.geometry import ArrayGeometry, nf_channel_vector
@@ -246,6 +248,37 @@ def test_verification_report_checks_the_rule_and_the_sweeps_ccf(
     assert rule.tolerance_note == "abs <= 0.001"
 
 
+def test_verification_report_drops_the_rule_for_users_beyond_the_nf_range(
+    tmp_path, capsys
+):
+    "An FF user at 1e50 m: no NF quadrature runs on it, so numpy warns of nothing."
+    path = tmp_path / "far.ini"
+    path.write_text("[link]\nmodel = ff\n[user1]\nrange_m = 1e50\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, header = verification_report(load_scenario(str(path)))
+        main(["verify", "--config", str(path)])
+    assert header.splitlines()[1].startswith(
+        "no ccf quadrature T=200 check: [user1] range_m = 1e+50 is beyond the NF model's"
+    )
+    assert len(rows) == 10
+    assert not any(row.name.startswith("ccf quadrature") for row in rows)
+    out = capsys.readouterr().out
+    assert header in out
+    assert "ccf quadrature T=200:" not in out
+
+
+def test_verification_report_factors_each_uplink_user_set_once(tmp_path, monkeypatch):
+    "The sum capacity and both decode orders: both users, then each alone."
+    calls = []
+    for module in (sweeps, oracles):
+        monkeypatch.setattr(module, "logdet_capacity_oracle",
+                            _recording(module.logdet_capacity_oracle, calls))
+    rows, _ = verification_report(_scenario(tmp_path, "[array]\nm_per_axis = 9\n"))
+    assert all(row.ok for row in rows)
+    assert [len(call[1]) for call in calls] == [2, 1, 1]
+
+
 def test_verification_report_caps_exact_size():
     scn = default_scenario()
     rows, header = verification_report(scn)
@@ -335,6 +368,78 @@ def test_nf_correlation_path_switches_past_t_squared(
     geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
     sweeps._pair_stats("NF", geom, user1, user2_dd, nodes)
     assert [call[0] for call in quadrature_calls] == [path]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    "The worker count of every thread pool the runners start, in turn."
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return started
+
+
+def _set_workers(monkeypatch, count):
+    monkeypatch.setattr(sweeps, "_worker_count", lambda: count)
+
+
+# 129^2 = 16641 elements: one kernel block of terms, so the channels of
+# an r2 sweep go to the pool
+R2_SWEEP_129 = "[array]\nm_per_axis = 129\n[sweep]\nvariable = r2_m\nvalues = {}\ntarget = mc\n"
+
+
+def test_statistics_pool_changes_no_bit(tmp_path, monkeypatch, pools):
+    "An r2 sweep at 129 x 129 and mc-vs-r2 print the same rows on one worker or two."
+    scn = _scenario(tmp_path, R2_SWEEP_129.format("2 3 4 5 6"))
+    rows = []
+    for workers in (1, 2):
+        _set_workers(monkeypatch, workers)
+        rows.append((run_mc(scn).rows, reproduce("mc-vs-r2").rows))
+    assert rows[0] == rows[1]
+    # the sweep, then the two NF runs of the preset; its FF runs take none
+    assert pools == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    ("values", "point"),
+    [
+        # refused by the NF range guard, on a worker
+        ("2 4 1e300 1e301", "r2_m=1e+300"),
+        # refused when the point is applied, after three were submitted
+        ("2 4 6 inf", "r2_m=inf"),
+    ],
+)
+def test_refused_sweep_point_is_named_on_any_worker_count(
+    tmp_path, monkeypatch, pools, values, point
+):
+    scn = _scenario(tmp_path, R2_SWEEP_129.format(values))
+    messages = []
+    for workers in (1, 2):
+        _set_workers(monkeypatch, workers)
+        with pytest.raises(ScenarioError) as info:
+            run_mc(scn)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"at sweep point {point}: ")
+    assert pools == [2]
+
+
+def test_ff_runs_and_single_channel_commands_start_no_pool(tmp_path, monkeypatch, pools):
+    _set_workers(monkeypatch, 2)
+    big = "[array]\nm_per_axis = 129\n"
+    run_mc(_scenario(tmp_path, "[link]\nmodel = ff\n" + R2_SWEEP_129.format("2 3 4")))
+    for variable, target in (("snr_db", "mac"), ("power_db", "bc")):
+        run_sweep(_scenario(
+            tmp_path, big + f"[sweep]\nvariable = {variable}\nvalues = 0 10 20\ntarget = {target}\n"
+        ))
+    run_mc(_scenario(tmp_path, big))
+    run_channel(default_scenario(), verify=True)
+    assert pools == []
 
 
 def test_runner_past_t_squared_prints_the_rule_bit_for_bit(tmp_path):
