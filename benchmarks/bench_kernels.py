@@ -7,18 +7,11 @@ converged rule at that size). The exact CCF element sum, which the NF
 sweeps take instead of the T=200 rule up to 200^2 elements, is timed on
 the reference users at 65x65, 151x151 and 199x199; the CCF rows also
 print the time per integrand evaluation (T^2 for the rule, m^2 for the
-element sum), which shows the crossover. The dense log-determinant oracle, which
-forms the lower triangle of I + sum_k snr_k h_k h_k^H tile by tile as
-the Schur-split blocked Cholesky kernel reads it, is timed at the two
-sizes the verify paths use: 33x33 (``nfcap verify``) and 65x65
-(``mac --verify`` on the reference array), on the reference users at
-SNR 1000. Its rows also print the peak of the memory numpy allocates in
-one call, as traced by ``tracemalloc``, in units of 16 M^2 bytes (one
-complex M x M matrix). The factor rows the kernel holds tend to 5/18 =
-0.28 of that; with the split rounded to whole blocks, square diagonal
-blocks and one gathered row block of temporaries the rows read about
-0.40 at 33x33 and 0.31 at 65x65 (the whole lower triangle is 0.5).
-The last two rows time the statistics (gains and T=200 correlation) of
+element sum), which shows the crossover. The uplink log-determinant
+oracle, one QR of the (M + 2) x 2 stack of I_2 over the two scaled
+channels, is timed at 33x33 and at 65x65 (the reference array and the
+largest that the verify paths take), on the reference users at SNR
+1000. The last two rows time the statistics (gains and T=200 correlation) of
 the 60 channels of the ``mc-vs-r2`` preset's NF sweep, 551x551 with user
 2 in its own direction, as the runners compute them: one after another,
 and on a pool of one thread per usable CPU.
@@ -29,7 +22,6 @@ Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 import argparse
 import math
 import timeit
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -141,16 +133,6 @@ def _best_seconds(func, args, repeat, number):
     return min(timer.repeat(repeat=repeat, number=number)) / number
 
 
-def _traced_peak(func, args):
-    "Peak bytes that tracemalloc sees allocated during one call."
-    tracemalloc.start()
-    try:
-        func(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5,
@@ -159,17 +141,13 @@ def main():
                         help="calls per repetition (default 3)")
     args = parser.parse_args()
 
-    header = f"{'kernel':<32} {'time':>12} {'per eval':>12} {'peak/16M^2':>11}"
+    header = f"{'kernel':<32} {'time':>12} {'per eval':>12}"
     print(header)
     print("-" * len(header))
     for name, func, call_args, evals in _workloads():
         seconds = _best_seconds(func, call_args, args.repeat, args.number)
-        per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else " " * 12
-        peak = ""
-        if func is logdet_capacity_oracle:
-            order = len(call_args[0][0])
-            peak = f"{_traced_peak(func, call_args) / (16 * order**2):>11.3f}"
-        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval} {peak}".rstrip())
+        per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else ""
+        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval}".rstrip())
 
 
 if __name__ == "__main__":

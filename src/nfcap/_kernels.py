@@ -1,6 +1,6 @@
 """Numpy kernels of the hot numeric loops.
 
-Six kernels, each one numpy function:
+Five kernels, each one numpy function:
 
 * :func:`element_distances` - exact element-to-user distances;
 * :func:`nf_entries` - spherical-wave channel entries from distances;
@@ -11,12 +11,7 @@ Six kernels, each one numpy function:
   elements with unit weights: the exact inner product and both norms of
   the two NF channel vectors, up to constants that cancel in the CCF;
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
-  the two channels, in real arithmetic on one plane per phase;
-* :func:`hpd_logdet` - ln det of a Hermitian positive-definite matrix by
-  a blocked Cholesky factorisation of its lower triangle, read one tile
-  at a time and split at about a third of its columns, so that factor
-  rows no later step reads are dropped and about 5/18 of the n^2
-  entries are held at once.
+  the two channels, in real arithmetic on one plane per phase.
 """
 
 import numpy as np
@@ -251,115 +246,3 @@ def mc_grid_best(g1: float, g2: float, ip: complex,
             ia, ib = divmod(flat, n_b)
             arg = (float(a_row[ia]), float(b_row[ib]), float(psi))
     return best, arg[0], arg[1], arg[2]
-
-
-# ---------------------------------------------------------------------------
-# log-determinant of a Hermitian positive-definite matrix
-#
-# Left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-# section 4.2) on the lower triangle, split as in the Schur-complement
-# identity
-#
-#     ln det A = ln det A11 + ln det(A22 - L21 L21^H),  L21 = A21 L11^-H,
-#
-# where A11 holds the first n1 columns, n / 3 rounded to whole blocks.
-# A11 is factored in place, one block column at a time: each is updated
-# with the finished block columns to its left, one gemm each, its
-# diagonal block is factored, and the panel below is multiplied by the
-# inverse conjugate transpose of that small factor, one more gemm. A21 is
-# formed in row blocks of B x n1, which the same step turns into L21
-# column block by column block; L11 is then dropped. Each block column
-# of A22 becomes a block column of the Schur complement once the products
-# of L21's row blocks with the row block on its diagonal are subtracted;
-# that row block is then dropped, as no later column reads it. The Schur
-# complement is factored in place by the same loop. Every entry of the
-# lower triangle is read once and only factor rows that no later step
-# reads are discarded, so at n1 = n / 3 both halves peak at about
-# 5 n^2 / 18 entries, n1 (n - n1) + n1^2 / 2 = (n - n1)^2 / 2 + n1^2 / 2,
-# against n^2 / 2 for the whole lower triangle (the triangle, rectangle
-# and triangle of Gustavson, Wasniewski, Dongarra & Langou, "Rectangular
-# Full Packed Format for Cholesky's Algorithm", ACM TOMS 37(2), 2010).
-
-
-# Columns per block. On a 2-vCPU VM with 2 BLAS threads, one oracle call
-# (fresh process, median of 5, sizes interleaved) took 2.0 s and 122 MB
-# peak RSS at M = 4225 and 85 ms at M = 1089 with 128 columns, against
-# 2.0 s, 129 MB and 101 ms with 256, and 2.3 s, 117 MB and 65 ms with 64;
-# single runs spread by up to 40% on that host. Diagonal blocks are
-# stored square and the split is rounded to whole blocks, so the factor
-# takes about 16 (5 M^2 / 18 + M B) bytes at its peak; one gathered
-# n1 x B row of L11 or B x n1 copy of a row block of L21 comes on top.
-_CHOL_BLOCK_COLS = 128
-
-
-def hpd_logdet(a) -> float:
-    """ln det of a Hermitian positive-definite matrix A of order n.
-
-    ``a`` is A as a numpy array, or any object with ``len(a) = n`` whose
-    ``a[r0:r1, c0:c1]`` returns that tile of A, so that the caller can
-    form each tile when it is read. Only tiles on or below the diagonal
-    are read, each once, and the strict upper triangle of a diagonal
-    tile is not read; the tiles are overwritten (an array is factored in
-    place). The result is 2 sum ln L_ii over the Cholesky factor L of
-    A = L L^H, computed by the Schur split above. Raises
-    ``np.linalg.LinAlgError`` when A is not positive definite.
-    """
-    step = _CHOL_BLOCK_COLS
-    order = len(a)
-    split = step * round(order / (3 * step))
-    diag = np.empty(order)
-    tail = [a[i:i + step, :split] for i in range(split, order, step)]
-    done = []
-    for j in range(0, split, step):
-        inv_h = _factor_column(a[j:split, j:j + step], done, diag[j:])
-        _solve_rows(tail, done, inv_h, j)
-    done = []  # L11: the Schur complement reads only L21
-    for k in range(split, order, step):
-        block = a[k:, k:k + step]
-        _subtract_rows(block, tail)
-        del tail[0]
-        _factor_column(block, done, diag[k:])
-    return 2.0 * float(np.sum(np.log(diag)))
-
-
-def _factor_column(block, done, diag):
-    """One left-looking step: factor ``block`` in place, write its pivots
-    to the head of ``diag``, append it to ``done``, the finished block
-    columns to its left, and return the inverse conjugate transpose of its
-    diagonal factor."""
-    width = block.shape[1]
-    for left in done:
-        top = len(left) - len(block)
-        block -= left[top:] @ left[top:top + width].conj().T
-    factor = np.linalg.cholesky(block[:width])
-    block[:width] = factor
-    inv_h = np.linalg.inv(factor).conj().T
-    if len(block) > width:
-        block[width:] = block[width:] @ inv_h
-    diag[:width] = factor.diagonal().real
-    done.append(block)
-    return inv_h
-
-
-def _solve_rows(tail, done, inv_h, start):
-    """Turn columns ``start`` to ``start + B - 1`` of the A21 row blocks
-    ``tail`` into L21, given L11's block columns ``done`` up to them.
-
-    Block row J of L11 left of the diagonal is gathered once for all row
-    blocks."""
-    width = len(inv_h)
-    row_h = np.empty((start, width), inv_h.dtype)
-    for p, left in zip(range(0, start, _CHOL_BLOCK_COLS), done):
-        row_h[p:p + _CHOL_BLOCK_COLS] = left[start - p:start - p + width].conj().T
-    for part in tail:
-        cols = part[:, start:start + width]
-        cols[:] = (cols - part[:, :start] @ row_h) @ inv_h
-
-
-def _subtract_rows(block, tail):
-    """Subtract L21 L21^H from the A22 block column ``block``: the
-    products of each row block in ``tail`` with ``tail[0]``, the row block
-    level with its diagonal."""
-    top_h = tail[0].conj().T
-    for i, part in zip(range(0, len(block), _CHOL_BLOCK_COLS), tail):
-        block[i:i + len(part)] -= part @ top_h

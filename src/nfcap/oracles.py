@@ -1,18 +1,16 @@
 """Brute-force reference computations for cross-checking closed forms.
 
-Everything here recomputes a quantity from first principles: dense
-log-determinants over the full antenna dimension, exhaustive grids over
-power splits and beam coefficients, and per-element scalar loops for
-gains and correlation. The log-determinants form every entry of the
-lower triangle of the M x M matrix, one tile at a time as the blocked
-Cholesky kernel reads it, and factor all M columns. The kernel splits
-the matrix at about M / 3 columns and drops each factor row once no
-later step reads it, so about 5/18 of the M^2 entries are held at once;
-there is no rank, Gram or determinant-lemma shortcut. None of the
-capacity or channel formula modules are imported; the only imports from
-the package are plain data containers, the shared input checks and the
-grid-scan and log-determinant kernels, so a bug in a closed form cannot
-leak into its own check.
+Everything here recomputes a quantity from first principles: uplink
+log-determinants from the channel vectors themselves, exhaustive grids
+over power splits and beam coefficients, and per-element scalar loops
+for gains and correlation. A log-determinant log2 det(I_M + C C^H), with
+C the M x K matrix of columns sqrt(snr_k) h_k, is evaluated through
+Sylvester's identity det(I_M + C C^H) = det(I_K + C^H C) as the squared
+diagonal of the R factor of the stacked (K + M) x K matrix [I_K; C], one
+Householder QR; C^H C is never formed. None of the capacity or channel
+formula modules are imported; the only imports from the package are
+plain data containers, the shared input checks and the grid-scan
+kernel, so a bug in a closed form cannot leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -41,25 +39,20 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_MAX_DENSE_DIM = 10_000
 
 
 def logdet_capacity_oracle(
     channels: Sequence[np.ndarray],
     snrs: Sequence[float],
 ) -> float:
-    """Sum capacity by dense log-determinant over the antenna dimension.
+    """Sum capacity log2 det(I_M + sum_k snr_k h_k h_k^H), by one QR.
 
-    Forms every entry of the lower triangle of I_M + sum_k snr_k h_k h_k^H
-    and evaluates log2 det by a blocked Cholesky factorization of all M
-    columns (``_kernels.hpd_logdet``). With C the M x K matrix of columns
-    sqrt(snr_k) h_k, each tile the kernel reads is formed when it reads
-    it, as C[rows] C[cols]^H plus 1 on the diagonal of A. From M of a
-    few hundred up the kernel holds about 5 M^2 / 18 entries of A and of
-    its factor at once, against M^2 / 2 for the lower triangle. No user
-    count, rank, Gram or determinant-lemma shortcut: this is the
-    definition, evaluated literally. Only the upper triangle, which the
-    factorization never reads, is not formed.
+    With C the M x K matrix of columns sqrt(snr_k) h_k, Sylvester's
+    identity gives det(I_M + C C^H) = det(I_K + C^H C) = det(R^H R) for
+    R the K x K factor of the Householder QR of [I_K; C], so the
+    capacity is 2 sum_i ln |R_ii| / ln 2. The QR holds (M + K) K entries
+    and never forms C^H C or C C^H, and nothing here is shared with the
+    formula path (no ``gram_matrix``, no ``gram_stats``).
     """
     if len(channels) != len(snrs):
         raise ValueError("channels and snrs must have equal length")
@@ -68,51 +61,23 @@ def logdet_capacity_oracle(
     vecs = _checks.channel_vectors(channels)
     if not vecs:
         return 0.0
-    size = vecs[0].size
-    if size > _MAX_DENSE_DIM:
-        raise ValueError(
-            f"dense oracle limited to {_MAX_DENSE_DIM} antennas, got {size}"
-        )
     cols = np.stack([math.sqrt(snr) * vec for vec, snr in zip(vecs, snrs)], axis=1)
-    return _kernels.hpd_logdet(_IdentityPlusGram(cols)) / _LOG2
-
-
-class _IdentityPlusGram:
-    """I + C C^H for the rows of ``cols`` = C, indexed as a numpy array
-    would be; each tile is formed when it is indexed."""
-
-    def __init__(self, cols: np.ndarray):
-        self._cols = cols
-        self._index = np.arange(len(cols))
-
-    def __len__(self) -> int:
-        return len(self._cols)
-
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        tile = self._cols[rows] @ self._cols[cols].conj().T
-        tile += np.equal.outer(self._index[rows], self._index[cols])
-        return tile
+    r = np.linalg.qr(np.vstack([np.eye(len(vecs)), cols]), mode="r")
+    return 2.0 * float(np.sum(np.log(np.abs(r.diagonal())))) / _LOG2
 
 
 def sic_rates_oracle(
     channels: Sequence[np.ndarray],
     snrs: Sequence[float],
     order: Sequence[int],
-    capacities: dict[frozenset[int], float] | None = None,
 ) -> tuple[float, ...]:
-    """Successive-decoding rates from dense log-determinant differences.
+    """Successive-decoding rates from log-determinant differences.
 
     ``order[0]`` is decoded first against all later users as
     interference. User ``order[i]``'s rate is the capacity of the
     not-yet-decoded set starting at i minus the capacity of the set
     starting at i + 1. Each of these K suffix capacities is evaluated
     once by :func:`logdet_capacity_oracle`; the empty set has capacity 0.
-
-    ``capacities``, when given, maps sets of user indices to capacities
-    already evaluated on these channels and SNRs. A suffix found there is
-    not evaluated again, and each one evaluated is added, so that calls
-    for several decode orders factor each user set once.
     """
     k = len(channels)
     if len(snrs) != k:
@@ -120,15 +85,12 @@ def sic_rates_oracle(
     if sorted(order) != list(range(k)):
         raise ValueError(f"order must be a permutation of 0..{k - 1}")
     seq = list(order)
-    known = {} if capacities is None else capacities
-    caps = []
-    for i in range(k):
-        users = frozenset(seq[i:])
-        if users not in known:
-            known[users] = logdet_capacity_oracle(
-                [channels[j] for j in seq[i:]], [snrs[j] for j in seq[i:]]
-            )
-        caps.append(known[users])
+    caps = [
+        logdet_capacity_oracle(
+            [channels[j] for j in seq[i:]], [snrs[j] for j in seq[i:]]
+        )
+        for i in range(k)
+    ]
     caps.append(0.0)
     rates = [0.0] * k
     for i, user in enumerate(seq):
@@ -218,7 +180,10 @@ def _element_sum(
 
     ``model`` picks the propagation law: "nf" uses the exact per-element
     distance in both amplitude and phase, "ff" uses a common amplitude
-    with the first-order phase ramp across the aperture.
+    with the first-order phase ramp across the aperture. The FF entries
+    leave out the common phase of the range r, which cancels in the
+    correlation and which the gain does not read: added to the ramp, it
+    would round the ramp away at ranges far beyond the aperture.
     """
     if model not in ("nf", "ff"):
         raise ValueError(f"model must be 'nf' or 'ff', got {model!r}")
@@ -249,9 +214,7 @@ def _element_sum(
                 entry = amp * cmath.exp(-2j * math.pi * dist / lam)
             else:
                 amp = amp_ff
-                phase_len = r * (
-                    1.0 - ix * eps * user.dir_x - iz * eps * user.dir_z
-                )
+                phase_len = -(ix * user.dir_x + iz * user.dir_z) * geom.pitch_d
                 entry = amp * cmath.exp(-2j * math.pi * phase_len / lam)
             entries.append(entry)
             norm_sq += amp * amp

@@ -58,56 +58,6 @@ def test_ccf_element_sum_is_inner_product_and_norms():
         assert n * own == pytest.approx(float(np.vdot(h, h).real), rel=1e-12)
 
 
-def _hpd(n, cond, seed):
-    "Random Hermitian positive-definite n x n, eigenvalues log-spaced in [1, cond]."
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    eig = np.logspace(0.0, math.log10(cond), n) if n > 1 else np.array([cond])
-    return (q * eig) @ q.conj().T
-
-
-_B = kernels._CHOL_BLOCK_COLS
-
-
-def _lower(a):
-    "A copy of ``a`` that hpd_logdet may overwrite, NaN above the diagonal."
-    lower = np.tril(a)
-    lower[np.triu_indices(len(a), 1)] = np.nan
-    return lower
-
-
-@pytest.mark.parametrize(
-    "n", [1, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 3, 3 * _B - 1, 3 * _B, 3 * _B + 1, 1089]
-)
-@pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
-def test_hpd_logdet_matches_numpy_cholesky(n, cond):
-    """The Schur-split factorisation gives numpy's log-determinant, with
-    no split up to n = 192, a split at B columns from 2B to 3B + 1 and
-    at 3B columns at n = 1089, and reads nothing above the diagonal.
-
-    At condition 1e8 two correct orderings of one Cholesky factorisation
-    differ by up to a few 1e-12 relative (numpy's own factor of a
-    symmetrically permuted copy does, over 20 draws at n = 129 and 259),
-    so the bound there is 1e-11; below it, 1e-12.
-    """
-    a = _hpd(n, cond, [n, int(math.log10(cond))])
-    ref = 2.0 * float(np.sum(np.log(np.linalg.cholesky(a).diagonal().real)))
-    got = kernels.hpd_logdet(_lower(a))
-    assert got == pytest.approx(ref, rel=1e-11 if cond > 1e7 else 1e-12)
-
-
-@pytest.mark.parametrize("bad_row", [0, _B + 2, 2 * _B + 2])
-def test_hpd_logdet_rejects_indefinite_matrix(bad_row):
-    """A negative pivot in A11, in the Schur complement or in the last
-    block is reported as numpy does (the split is at B columns here)."""
-    a = _hpd(2 * _B + 3, 1e3, 7)
-    a[bad_row, bad_row] = -1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(a)
-    with pytest.raises(np.linalg.LinAlgError):
-        kernels.hpd_logdet(_lower(a))
-
-
 def test_quadrature_work_planes_are_cache_line_aligned():
     planes = kernels._aligned_planes(8, 81, 200)
     starts = sorted(p.ctypes.data for p in planes)

@@ -4,15 +4,14 @@ each one is pinned here on cases with hand-checkable answers.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import REF_POWER, REF_SNR, synth_pair
-from nfcap import _kernels
+from conftest import REF_FREQ_HZ, REF_POWER, REF_SNR, synth_pair
+from nfcap import _kernels, oracles
 from nfcap.broadcast import BcConfig
-from nfcap.geometry import nf_channel_vector
+from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.oracles import (
     bc_power_grid_oracle,
     ccf_sum_oracle,
@@ -34,8 +33,6 @@ def test_logdet_edge_cases():
         logdet_capacity_oracle([h], [40.0, 1.0])
     with pytest.raises(ValueError):
         logdet_capacity_oracle([h], [-1.0])
-    with pytest.raises(ValueError):
-        logdet_capacity_oracle([np.ones(10_001, dtype=complex)], [1.0])
 
 
 def test_logdet_dense_agrees_with_gram_at_reference_size(
@@ -83,43 +80,65 @@ def test_sic_rejects_snr_count_mismatch(snrs):
         sic_rates_oracle([h1, h2], snrs, (0, 1))
 
 
-def test_logdet_memory_is_one_lower_triangle(rng):
-    """At the verify size (33x33 elements) the oracle holds less than
-    the lower triangle of the M x M matrix, temporaries included: the
-    factor rows that later steps read (0.29 M^2 entries at M = 1089,
-    tending to 5/18 for large M) and one gathered row block."""
-    m = 33 * 33
-    h1, h2 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    tracemalloc.start()
-    try:
-        logdet_capacity_oracle([h1, h2], [REF_SNR, REF_SNR])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5 * 16 * m * m
+def _literal_logdet_bits(channels, snrs):
+    "log2 det(I_M + sum_k snr_k h_k h_k^H), the M x M matrix formed in full."
+    cols = np.stack([math.sqrt(s) * h for h, s in zip(channels, snrs)], axis=1)
+    sign, logdet = np.linalg.slogdet(np.eye(len(cols)) + cols @ cols.conj().T)
+    assert sign == pytest.approx(1.0)
+    return logdet / math.log(2.0)
+
+
+def _nf_users(m_axis, *users):
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=REF_FREQ_HZ)
+    return [nf_channel_vector(geom, UserLocation(*u)) for u in users]
+
+
+_USER1 = (10.0, math.pi / 3, 2 * math.pi / 3)
+_USER2 = (5.0, 2 * math.pi / 3, math.pi / 3)
+_USER3 = (7.0, math.pi / 2, math.pi / 2)
+# 1 mm and 1e-6 rad from user 1: squared correlation above 1 - 1e-9
+_USER1_NEAR = (10.001, math.pi / 3 + 1e-6, 2 * math.pi / 3)
+
+
+@pytest.mark.parametrize(
+    ("m_axis", "users", "snr"),
+    [
+        (9, (_USER1,), REF_SNR),
+        (17, (_USER1, _USER2), REF_SNR),
+        (17, (_USER1, _USER2, _USER3), REF_SNR),
+        (17, (_USER1, _USER1_NEAR), REF_SNR),
+        (13, (_USER1, _USER2), 1e6),
+        (13, (_USER1, _USER1_NEAR, _USER3), 1e6),
+    ],
+)
+def test_logdet_matches_the_literal_definition(m_axis, users, snr):
+    """The QR of [I_K; C] against slogdet of the M x M matrix I + C C^H,
+    for one to three users, a near-collinear pair and a high SNR."""
+    channels = _nf_users(m_axis, *users)
+    snrs = [snr * (1.0 + 0.5 * k) for k in range(len(users))]
+    ref = _literal_logdet_bits(channels, snrs)
+    assert logdet_capacity_oracle(channels, snrs) == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_sic_factors_each_suffix_once(rng, monkeypatch, k):
-    "K factorisations per decoding order: one per non-empty suffix."
+    "K log-determinants per decoding order: one per non-empty suffix."
     m = 6
     channels = list(rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
     snrs = [10.0 * (i + 1) for i in range(k)]
     calls = []
-    real_logdet = _kernels.hpd_logdet
+    real_logdet = oracles.logdet_capacity_oracle
 
-    def counting(blocks):
-        calls.append(len(blocks[0]))
-        return real_logdet(blocks)
+    def counting(chans, snr_list):
+        calls.append(len(chans))
+        return real_logdet(chans, snr_list)
 
-    monkeypatch.setattr(_kernels, "hpd_logdet", counting)
+    monkeypatch.setattr(oracles, "logdet_capacity_oracle", counting)
     for order in ((0, 1), (1, 0)) if k == 2 else ((2, 0, 1), (0, 1, 2)):
         calls.clear()
         rates = sic_rates_oracle(channels, snrs, order)
-        assert calls == [m] * k
-        assert sum(rates) == pytest.approx(
-            logdet_capacity_oracle(channels, snrs), abs=1e-12
-        )
+        assert calls == list(range(k, 0, -1))
+        assert sum(rates) == pytest.approx(real_logdet(channels, snrs), abs=1e-12)
 
 
 @pytest.mark.parametrize(

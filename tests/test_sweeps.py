@@ -5,6 +5,7 @@ verification, sweep application, presets, and the verification report.
 
 import concurrent.futures
 import importlib
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import synth_pair
-from nfcap import oracles, sweeps
+from nfcap import sweeps
 from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
 from nfcap.geometry import ArrayGeometry, nf_channel_vector
@@ -257,7 +258,8 @@ def test_verification_report_drops_the_rule_for_users_beyond_the_nf_range(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows, header = verification_report(load_scenario(str(path)))
-        main(["verify", "--config", str(path)])
+        assert main(["verify", "--config", str(path)]) == 0
+    assert all(row.ok for row in rows)
     assert header.splitlines()[1].startswith(
         "no ccf quadrature T=200 check: [user1] range_m = 1e+50 is beyond the NF model's"
     )
@@ -268,21 +270,22 @@ def test_verification_report_drops_the_rule_for_users_beyond_the_nf_range(
     assert "ccf quadrature T=200:" not in out
 
 
-def test_verification_report_factors_each_uplink_user_set_once(tmp_path, monkeypatch):
-    "The sum capacity and both decode orders: both users, then each alone."
-    calls = []
-    for module in (sweeps, oracles):
-        monkeypatch.setattr(module, "logdet_capacity_oracle",
-                            _recording(module.logdet_capacity_oracle, calls))
-    rows, _ = verification_report(_scenario(tmp_path, "[array]\nm_per_axis = 9\n"))
-    assert all(row.ok for row in rows)
-    assert [len(call[1]) for call in calls] == [2, 1, 1]
-
-
 def test_verification_report_caps_exact_size():
-    scn = default_scenario()
-    rows, header = verification_report(scn)
-    assert "33x33" in header and "65x65" in header
+    "The default scenario's 65 x 65 array is checked as it is, not cut down."
+    rows, header = verification_report(default_scenario())
+    sizes = re.findall(r"(\d+)x(\d+)", header.splitlines()[0])
+    assert sizes and set(sizes) == {("65", "65")}
+    assert all(row.ok for row in rows)
+
+
+def test_verification_report_cuts_larger_arrays_to_the_verify_limit(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(sweeps, "VERIFY_MAX_AXIS", 9)
+    rows, header = verification_report(_scenario(tmp_path, "[array]\nm_per_axis = 11\n"))
+    assert header.splitlines()[0] == (
+        "exact-vector oracles run at 9x9 elements (scenario array 11x11)"
+    )
     assert all(row.ok for row in rows)
 
 
