@@ -5,14 +5,13 @@ equals the capacity of a dual uplink with a joint power constraint. The
 optimal dual power split has a closed form. This module provides that
 split, the resulting capacity, recovery of the downlink transmit
 covariance matrices, region sampling, linear transmit precoders, and
-the far-field large-array limit. The near-field large-array limit is
-the two-user capacity at the saturated gains of
-:func:`nfcap.stats.asymptotic_gains` with rho = 0.
+the large-array limit: the two-user capacity at the limit statistics
+of :func:`nfcap.stats.asymptotic_stats`, for either field model.
 
-Scalar two-user routines take channel gains ``g1, g2`` and the squared
-correlation ``rho``. The covariance recovery and the region sampler
-take the two channel vectors; each normalizes by the per-user noise
-variances internally.
+Scalar two-user routines, the region sampler among them, take channel
+gains ``g1, g2`` and the squared correlation ``rho``. The covariance
+recovery takes the two channel vectors and normalizes them by the
+per-user noise variances internally.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
-from .mac import FfAsymptote, RatePoint, RateRegion, sic_rates_two_user
-from .stats import gram_matrix, gram_stats
+from .mac import RatePoint, RateRegion, sic_rates_two_user
+from .stats import asymptotic_stats, gram_matrix
 
 __all__ = [
     "BcConfig",
@@ -39,10 +38,6 @@ __all__ = [
     "linear_precoder_sum_rate",
     "bc_asymptotics",
 ]
-
-# Past this a float64 square overflows; below it, it does not.
-_SQRT_MAX = math.sqrt(np.finfo(float).max)
-
 
 @dataclass(frozen=True)
 class BcConfig:
@@ -279,8 +274,9 @@ def bc_covariance_recovery(
 
 
 def bc_region_two_user(
-    h1: np.ndarray,
-    h2: np.ndarray,
+    g1: float,
+    g2: float,
+    rho: float,
     cfg: BcConfig,
     power_splits: int = 101,
 ) -> RateRegion:
@@ -295,7 +291,6 @@ def bc_region_two_user(
         raise ValueError(f"power_splits must be at least 2, got {power_splits}")
     if cfg.num_users != 2:
         raise ValueError("region construction needs exactly two noise variances")
-    g1, g2, rho = gram_stats(gram_matrix([h1, h2], ("h1", "h2")))
     s1, s2 = cfg.noise_var_per_user
     power = cfg.total_power_P
 
@@ -398,39 +393,20 @@ def linear_precoder_sum_rate(
     return total
 
 
-def _ff_budget(
-    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
-) -> tuple[float, float, float]:
-    """q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k of a two-user
-    far-field downlink at the ``geom.m_total`` = M elements of ``geom``:
-    the terms of both its downlink and its multicast limit.
-    """
-    if len(users) != 2 or cfg.num_users != 2:
-        raise ValueError("the far-field limit is defined for exactly two users")
-    q = geom.m_total * cfg.total_power_P * geom.element_area / (4.0 * math.pi)
-    b1, b2 = (u.range_r**2 * var / u.dir_y
-              for u, var in zip(users, cfg.noise_var_per_user))
-    return q, b1, b2
-
-
 def bc_asymptotics(
-    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
-) -> FfAsymptote:
-    """Large-array far-field downlink capacity of two users at the
-    ``geom.m_total`` = M elements of ``geom``.
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig, model: str
+) -> float:
+    """Large-array downlink capacity of two users: the sum capacity at
+    the :func:`nfcap.stats.asymptotic_stats` of ``model``.
 
-    The far-field gains keep growing with M, so capacity grows like
-    log M. ``static`` is the co-directional expression log2(q / min_k
-    beta_k) and ``dynamic`` the distinct-direction expression
-    log2((q + beta_1 + beta_2)^2 / (4 beta_1 beta_2) - 1), with
-    q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k; the gap is
-    positive. ``dynamic`` is inf once the square of q + beta_1 + beta_2
-    overflows, which the runners refuse by name.
+    In the far field that is the capacity at the ``geom.m_total`` = M
+    elements of ``geom``, which keeps growing like log M. With q = M P A
+    / (4 pi) and beta_k = r_k^2 var_k / proj_k, the paper's high-SNR
+    forms, log2(q / min_k beta_k) for users sharing one direction and
+    log2((q + beta_1 + beta_2)^2 / (4 beta_1 beta_2) - 1) for distinct
+    ones, are log2(2^C - 1) of this value C wherever water-filling keeps
+    both users on; the second form does not hold where it switches one off.
     """
-    q, b1, b2 = _ff_budget(geom, users, cfg)
-    static = math.log2(q / min(b1, b2))
-    total = q + b1 + b2
-    if total > _SQRT_MAX:
-        return FfAsymptote(static=static, dynamic=math.inf)
-    dynamic = math.log2(total ** 2 / (4.0 * b1 * b2) - 1.0)
-    return FfAsymptote(static=static, dynamic=dynamic)
+    if cfg.num_users != 2:
+        raise ValueError("the large-array limit is defined for exactly two users")
+    return bc_capacity_two_user(*asymptotic_stats(geom, users, model), cfg)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import _checks
 from .broadcast import BcConfig
-from .geometry import ArrayGeometry, UserLocation
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UserLocation
 from .mac import MacConfig
 
 __all__ = [
@@ -295,7 +295,7 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         _checks.positive("frequency_hz", frequency)
     except ValueError as exc:
         raise ScenarioError(f"[array] {exc}") from None
-    wavelength = 299792458.0 / frequency
+    wavelength = SPEED_OF_LIGHT / frequency
 
     if cp.has_option("array", "m_per_axis") and (
         cp.has_option("array", "m_x") or cp.has_option("array", "m_z")

@@ -172,14 +172,18 @@ def nf_channel_vector(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.comple
 
 
 def ff_channel_vector(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.complex128]:
-    "Planar-wave channel: index-free magnitude, linear phase ramp, same layout."
-    eps = epsilon(geom, u)
+    """Planar-wave channel: index-free magnitude, linear phase ramp, same layout.
+
+    Entry (ix, iz) has phase 2*pi/lambda * d * (ix*dir_x + iz*dir_z). The
+    common phase -2*pi*r/lambda of the range is left out: it cancels in
+    every inner product, and at far ranges rounding it would swamp the ramp.
+    """
+    epsilon(geom, u)
     ix = np.arange(geom.m_x) - (geom.m_x - 1) // 2
     iz = np.arange(geom.m_z) - (geom.m_z - 1) // 2
     X, Z = np.meshgrid(ix, iz, indexing="ij")
     amp = np.sqrt(geom.element_area * u.dir_y / (4 * np.pi * u.range_r**2))
-    phase = -2 * np.pi / geom.wavelength * u.range_r * (
-        1.0 - X * eps * u.dir_x - Z * eps * u.dir_z)
+    phase = 2 * np.pi / geom.wavelength * geom.pitch_d * (X * u.dir_x + Z * u.dir_z)
     return (amp * np.exp(1j * phase)).ravel()
 
 

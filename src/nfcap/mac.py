@@ -1,27 +1,26 @@
 """Uplink (multiple-access) capacity: SIC corner rates, sum capacity,
-achievable regions, linear combiners, and the far-field large-array
-limit.
+achievable regions, linear combiners, and the large-array limit.
 
 The scalar formulas take the per-user effective gains ``g1, g2``, the
-squared channel correlation ``rho``, and per-user transmit SNRs.
-The near-field large-array limit is the two-user capacity at the
-saturated gains of :func:`nfcap.stats.asymptotic_gains` with rho = 0.
+squared channel correlation ``rho``, and per-user transmit SNRs. The
+large-array limit of either field model is the two-user sum capacity
+at the limit statistics of :func:`nfcap.stats.asymptotic_stats`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
+from .stats import asymptotic_stats
 
 __all__ = [
     "MacConfig",
     "RatePoint",
     "RateRegion",
-    "FfAsymptote",
     "sic_rates_two_user",
     "mac_capacity_two_user",
     "mac_region_two_user",
@@ -294,53 +293,20 @@ def linear_combiner_sum_rate(
     return total
 
 
-@dataclass(frozen=True)
-class FfAsymptote:
-    """Large-array far-field capacity at a given element count.
-
-    ``static`` is the value when both users share one direction (their
-    channels stay fully correlated at every array size), ``dynamic`` the
-    value for distinct directions, and ``gap`` the distance
-    |dynamic - static| between them. Uplink and downlink gain from
-    distinct directions (dynamic >= static); multicast gains from a
-    shared one (static >= dynamic).
-    """
-
-    static: float
-    dynamic: float
-    gap: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gap", abs(self.dynamic - self.static))
-
-
 def mac_asymptotics(
-    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: MacConfig
-) -> FfAsymptote:
-    """Large-array far-field uplink capacity of two users at the
-    ``geom.m_total`` = M elements of ``geom``.
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: MacConfig, model: str
+) -> float:
+    """Large-array uplink capacity of two users: the sum capacity at the
+    :func:`nfcap.stats.asymptotic_stats` of ``model``.
 
-    The far-field gains keep growing linearly in M, so capacity grows
-    like log M without saturating. With t_k = snr_k proj_k / r_k^2,
-    static = log2(M A / (4 pi) (t1 + t2)) and dynamic adds the cross
-    term M^2 A^2 t1 t2 / (16 pi^2) inside the logarithm.
+    In the far field that is the capacity at the ``geom.m_total`` = M
+    elements of ``geom``, which keeps growing like log M. The paper's
+    high-SNR form, log2(M A / (4 pi) (t1 + t2)) for users sharing one
+    direction with the cross term M^2 A^2 t1 t2 / (16 pi^2) added inside
+    the logarithm for distinct ones (t_k = snr_k proj_k / r_k^2), is
+    log2(2^C - 1) of this value C.
     """
-    if len(users) != 2 or cfg.num_users != 2:
-        raise ValueError("the far-field limit is defined for exactly two users")
-    m_total = geom.m_total
-    area = geom.element_area
-    s1, s2 = cfg.snr_per_user
-    u1, u2 = users
-    t1 = s1 * u1.dir_y / u1.range_r**2
-    t2 = s2 * u2.dir_y / u2.range_r**2
-    base = m_total * area / (4.0 * math.pi) * (t1 + t2)
-    extra = (
-        m_total**2
-        * area**2
-        * s1
-        * s2
-        * u1.dir_y
-        * u2.dir_y
-        / (16.0 * math.pi**2 * u1.range_r**2 * u2.range_r**2)
-    )
-    return FfAsymptote(static=math.log2(base), dynamic=math.log2(base + extra))
+    if cfg.num_users != 2:
+        raise ValueError("the large-array limit is defined for exactly two users")
+    return mac_capacity_two_user(*asymptotic_stats(geom, users, model),
+                                 *cfg.snr_per_user)

@@ -6,9 +6,9 @@ forms with a three-way case split: when one user is weak enough the
 beam points straight at that user, otherwise the beam balances both
 users inside their channel span. Routines here also cover min-rate
 evaluation for arbitrary beamformers, the K-user capacity upper bound,
-and the far-field large-array limit. The near-field large-array limit
-is the two-user capacity at the saturated gains of
-:func:`nfcap.stats.asymptotic_gains` with rho = 0.
+and the large-array limit: the two-user capacity at the limit
+statistics of :func:`nfcap.stats.asymptotic_stats`, for either field
+model.
 
 Noise arguments are variances throughout, written sigma1, sigma2 with
 the squared symbol dropped from the names.
@@ -24,9 +24,8 @@ import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
-from .broadcast import BcConfig, _ff_budget
-from .mac import FfAsymptote
-from .stats import gram_matrix, gram_stats
+from .broadcast import BcConfig
+from .stats import asymptotic_stats, gram_matrix, gram_stats
 
 __all__ = [
     "Beamformer",
@@ -190,18 +189,20 @@ def mc_upper_bound(
 
 
 def mc_asymptotics(
-    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig
-) -> FfAsymptote:
-    """Large-array far-field multicast capacity of two users at the
-    ``geom.m_total`` = M elements of ``geom``.
+    geom: ArrayGeometry, users: Sequence[UserLocation], cfg: BcConfig, model: str
+) -> float:
+    """Large-array multicast capacity of two users: the capacity at the
+    :func:`nfcap.stats.asymptotic_stats` of ``model``.
 
-    Far-field capacity keeps growing like log M. With q = M P A / (4 pi)
-    and beta_k = r_k^2 var_k / proj_k, static = log2(q / max_k beta_k)
-    and dynamic = log2(q / (beta_1 + beta_2)); static exceeds dynamic
-    by at most 1 bit.
+    In the far field that is the capacity at the ``geom.m_total`` = M
+    elements of ``geom``, which keeps growing like log M. With q = M P A
+    / (4 pi) and beta_k = r_k^2 var_k / proj_k, the paper's high-SNR
+    forms, log2(q / max_k beta_k) for users sharing one direction and
+    log2(q / (beta_1 + beta_2)) for distinct ones, are log2(2^C - 1) of
+    this value C.
     """
-    q, b1, b2 = _ff_budget(geom, users, cfg)
-    return FfAsymptote(
-        static=math.log2(q / max(b1, b2)),
-        dynamic=math.log2(q / (b1 + b2)),
-    )
+    if cfg.num_users != 2:
+        raise ValueError("the large-array limit is defined for exactly two users")
+    (var1, var2), power = cfg.noise_var_per_user, cfg.total_power_P
+    return mc_capacity_two_user(*asymptotic_stats(geom, users, model),
+                                var1, var2, power)

@@ -9,7 +9,9 @@ would not even fit in memory. The capacity sweeps run on the closed-form
 gains. For the NF CCF they run the exact element sum
 (:func:`nf_ccf_elements`, no channel vector built) wherever the array
 has no more elements than the T x T rule has nodes, and the paper's rule
-(:func:`nf_ccf_quadrature`) beyond that.
+(:func:`nf_ccf_quadrature`) beyond that. :func:`asymptotic_stats` gives
+the statistics at which each capacity formula takes its large-array
+limit, for either field model.
 """
 
 from typing import NamedTuple, Sequence
@@ -141,6 +143,37 @@ def asymptotic_gains(geom: ArrayGeometry,
     if geom.m_x == 1:
         return tuple(asymptotic_ula_gain(geom, u) for u in users)
     return (asymptotic_nf_gain(geom.occupation_ratio),) * len(users)
+
+
+def _same_direction(u1: UserLocation, u2: UserLocation) -> bool:
+    return (
+        abs(u1.azimuth_theta - u2.azimuth_theta) < 1e-15
+        and abs(u1.elevation_phi - u2.elevation_phi) < 1e-15
+    )
+
+
+def asymptotic_stats(geom: ArrayGeometry, users: Sequence[UserLocation],
+                     model: str) -> tuple[float, float, float]:
+    """Gains and correlation (g1, g2, rho) of two users on a very large
+    array, at which a two-user capacity formula gives its large-array
+    limit.
+
+    ``model`` "nf" (either case): the saturated gains of
+    :func:`asymptotic_gains` with rho = 0, since users decorrelate. "ff":
+    the FF gains keep growing with M, so they are taken at the
+    ``geom.m_total`` elements of ``geom``, with rho = 1 when both users
+    share one direction and 0 otherwise.
+    """
+    if len(users) != 2:
+        raise ValueError("the large-array limit is defined for exactly two users")
+    key = model.lower()
+    if key == "nf":
+        return (*asymptotic_gains(geom, users), 0.0)
+    if key != "ff":
+        raise ValueError(f"model must be 'nf' or 'ff', got {model!r}")
+    u1, u2 = users
+    rho = 1.0 if _same_direction(u1, u2) else 0.0
+    return ff_gain_closed(geom, u1), ff_gain_closed(geom, u2), rho
 
 
 def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,

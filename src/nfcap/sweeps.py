@@ -53,7 +53,6 @@ from .geometry import (
     nf_channel_vector,
 )
 from .mac import (
-    FfAsymptote,
     MacConfig,
     linear_combiner_sum_rate,
     mac_asymptotics,
@@ -71,7 +70,6 @@ from .oracles import (
     sic_rates_oracle,
 )
 from .stats import (
-    asymptotic_gains,
     ff_ccf_closed,
     ff_gain_closed,
     gram_matrix,
@@ -422,13 +420,6 @@ def _check_verify_size(geom: ArrayGeometry) -> None:
         )
 
 
-def _same_direction(u1: UserLocation, u2: UserLocation) -> bool:
-    return (
-        abs(u1.azimuth_theta - u2.azimuth_theta) < 1e-15
-        and abs(u1.elevation_phi - u2.elevation_phi) < 1e-15
-    )
-
-
 # ---------------------------------------------------------------------------
 # checks, shared by every --verify and the verification report
 
@@ -594,25 +585,9 @@ def _mac_capacity(g1: float, g2: float, rho: float, cfg: MacConfig) -> float:
     return mac_capacity_two_user(g1, g2, rho, *cfg.snr_per_user)
 
 
-def _bc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
-    return bc_capacity_two_user(g1, g2, rho, cfg)
-
-
 def _mc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
     var1, var2 = cfg.noise_var_per_user
     return mc_capacity_two_user(g1, g2, rho, var1, var2, cfg.total_power_P)
-
-
-def _c_asym(kind: _Kind, model: str, geom: ArrayGeometry, users, link) -> float:
-    """The large-array value a runner prints. FF: the kind's limit at
-    M = geom.m_total, static when both users share a direction and
-    dynamic otherwise. NF: the kind's capacity at the saturated gains,
-    whose correlation vanishes.
-    """
-    if model == "FF":
-        asym = kind.limit(geom, users, link)
-        return asym.static if _same_direction(users[0], users[1]) else asym.dynamic
-    return kind.capacity(*asymptotic_gains(geom, users), 0.0, link)
 
 
 def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[float, ...]:
@@ -673,7 +648,8 @@ class _Kind:
     ``columns``: those of ``formulas(g1, g2, rho, link)``, then c_asym
     when ``limit`` is set.
     ``link`` is the point's MacConfig when ``uplink``, else its BcConfig.
-    ``limit(geom, users, link)`` is the kind's FF large-array limit.
+    ``limit(geom, users, link, model)`` is the kind's large-array limit,
+    its capacity at the limit statistics of the field model.
     Verification appends, for each check that ``verify`` returns in
     turn, the field of it that ``oracle_columns`` names, then verify_ok.
     Every function here calls the formulas through this module's
@@ -686,8 +662,7 @@ class _Kind:
     verify: Callable[..., list[CheckRow]]
     oracle_columns: tuple[tuple[str, str], ...]
     uplink: bool = False
-    capacity: Callable[..., float] | None = None
-    limit: Callable[..., FfAsymptote] | None = None
+    limit: Callable[..., float] | None = None
 
 
 _KINDS = {
@@ -699,18 +674,16 @@ _KINDS = {
         ("c_mac", "r1_u1_first", "r2_u1_first", "r1_u2_first", "r2_u2_first",
          "r_opt", "r_mrc", "r_zf", "c_asym"),
         _mac_formulas, _mac_verify, (("c_oracle", "oracle"),),
-        uplink=True, capacity=_mac_capacity,
-        limit=lambda *args: mac_asymptotics(*args),
+        uplink=True, limit=lambda *args: mac_asymptotics(*args),
     ),
     "bc": _Kind(
         ("c_bc", "p1", "p2", "r_mrt", "r_zf", "gamma_dl_mrt", "gamma_dl_zf", "c_asym"),
         _bc_formulas, _bc_verify, (("c_oracle", "oracle"), ("duality_gap", "closed")),
-        capacity=_bc_capacity, limit=lambda *args: bc_asymptotics(*args),
+        limit=lambda *args: bc_asymptotics(*args),
     ),
     "mc": _Kind(
         ("c_mc", "c_bound", "c_asym"), _mc_formulas, _mc_verify,
-        (("c_oracle", "oracle"),), capacity=_mc_capacity,
-        limit=lambda *args: mc_asymptotics(*args),
+        (("c_oracle", "oracle"),), limit=lambda *args: mc_asymptotics(*args),
     ),
 }
 
@@ -736,7 +709,7 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
                 values = kind.formulas(*stats, link)
                 row = [_point_value(value), *stats, *values]
                 if kind.limit is not None:
-                    row.append(_c_asym(kind, model, geom, users, link))
+                    row.append(kind.limit(geom, users, link, model))
                 if verify:
                     _finite(columns, row)
                     _check_verify_size(geom)
@@ -812,9 +785,10 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
 def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     """Rate-region boundary vertices at the scenario's nominal point.
 
-    ``mode`` "mac" samples the uplink pentagon from the closed-form
-    corner rates; "bc" sweeps dual power splits on explicit channel
-    vectors and returns the hull. Columns: vertex index, r1, r2.
+    Both modes take the statistics that ``nfcap mac`` and ``nfcap bc``
+    print. ``mode`` "mac" samples the uplink pentagon from the
+    closed-form corner rates; "bc" sweeps dual power splits and returns
+    the hull. Columns: vertex index, r1, r2.
     """
     key = mode.lower()
     if key not in ("mac", "bc"):
@@ -833,10 +807,7 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
         region = mac_region_two_user(g1, g2, rho, s1, s2)
     else:
         _finite(("c_bc",), (bc_capacity_two_user(g1, g2, rho, scenario.bc_cfg),))
-        build = nf_channel_vector if scenario.channel_model == "NF" else ff_channel_vector
-        region = bc_region_two_user(
-            build(geom, u1), build(geom, u2), scenario.bc_cfg
-        )
+        region = bc_region_two_user(g1, g2, rho, scenario.bc_cfg)
     rows = tuple(
         (float(i), v.r1, v.r2) for i, v in enumerate(region.vertices)
     )

@@ -21,9 +21,17 @@ from nfcap.broadcast import (
     linear_precoder_sum_rate,
 )
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
-from nfcap.mac import FfAsymptote, RatePoint, sic_rates_two_user
+from nfcap.mac import RatePoint, sic_rates_two_user
 from nfcap.oracles import bc_power_grid_oracle
-from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, ula_gain_closed
+from nfcap.stats import (
+    asymptotic_gains,
+    ccf_exact,
+    ff_gain_closed,
+    gain_exact,
+    gram_matrix,
+    gram_stats,
+    ula_gain_closed,
+)
 
 UPA_LIMIT_BITS = 12.664609261026872
 
@@ -248,7 +256,7 @@ def test_region_near_orthogonal_is_almost_rectangular(small_geometry, user1, use
     h1 = nf_channel_vector(small_geometry, user1)
     h2 = nf_channel_vector(small_geometry, user2_dd)
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
-    region = bc_region_two_user(h1, h2, cfg, power_splits=51)
+    region = bc_region_two_user(*gram_stats(gram_matrix([h1, h2])), cfg, power_splits=51)
     assert region.kind == "hull"
     assert region.vertices[0].as_tuple() == (0.0, 0.0)
     assert region.vertices[1].r2 == 0.0
@@ -265,7 +273,7 @@ def test_region_near_orthogonal_is_almost_rectangular(small_geometry, user1, use
 def test_region_hull_contains_sampled_corners(rng):
     h1, h2 = synth_pair(0.4, 0.7, 0.5, m=6)
     cfg = BcConfig(total_power_P=12.0, noise_var_per_user=(1.0, 2.0))
-    region = bc_region_two_user(h1, h2, cfg, power_splits=41)
+    region = bc_region_two_user(*gram_stats(gram_matrix([h1, h2])), cfg, power_splits=41)
     for split in (0.25, 0.5, 0.75):
         p1 = split * 12.0
         p2 = 12.0 - p1
@@ -278,7 +286,7 @@ def test_region_hull_contains_sampled_corners(rng):
 def test_region_is_convex_walk(rng):
     h1, h2 = synth_pair(0.4, 0.7, 0.5, m=6)
     cfg = BcConfig(total_power_P=12.0, noise_var_per_user=(1.0, 2.0))
-    region = bc_region_two_user(h1, h2, cfg, power_splits=41)
+    region = bc_region_two_user(*gram_stats(gram_matrix([h1, h2])), cfg, power_splits=41)
     pts = [v.as_tuple() for v in region.vertices[1:]]
     for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:]):
         cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
@@ -316,19 +324,39 @@ def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
     gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
     limit = bc_capacity_two_user(*gains, 0.0, cfg)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
+    assert bc_asymptotics(ref_geometry, [user1, user2_dd], cfg, "nf") == limit
 
 
 def test_ff_asymptote_gap_positive_across_sizes(user1, user2_dd):
+    """Where water-filling keeps both users on, the paper's FF downlink
+    forms are log2(2^C - 1) of the capacity C at the FF gains: with rho
+    = 1 ("static") log2(q / min beta), with rho = 0 ("dynamic")
+    log2((q + beta1 + beta2)^2 / (4 beta1 beta2) - 1), and dynamic
+    exceeds static. The limit of distinct directions is the rho = 0 one.
+    """
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
     # about a thousand and a million elements
     for m_x, m_z in ((1, 1001), (1001, 999)):
         geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
-        asym = bc_asymptotics(geom, [user1, user2_dd], cfg)
-        assert isinstance(asym, FfAsymptote)
-        assert asym.dynamic > asym.static
-        assert asym.gap > 0.0
+        users = [user1, user2_dd]
+        q = geom.m_total * REF_POWER * geom.element_area / (4 * math.pi)
+        b1, b2 = (u.range_r**2 / u.dir_y for u in users)
+        gains = [ff_gain_closed(geom, u) for u in users]
+        static = math.log2(2.0 ** bc_capacity_two_user(*gains, 1.0, cfg) - 1.0)
+        dynamic = math.log2(2.0 ** bc_asymptotics(geom, users, cfg, "ff") - 1.0)
+        assert static == pytest.approx(math.log2(q / min(b1, b2)), rel=1e-12)
+        assert dynamic >= static
+        # at a thousand elements water-filling puts all power on user 2
+        both_on = min(bc_power_allocation_two_user(*gains, 0.0, cfg).p_per_user) > 0.0
+        assert both_on == (m_x > 1)
+        if both_on:
+            assert dynamic == pytest.approx(
+                math.log2((q + b1 + b2) ** 2 / (4 * b1 * b2) - 1), rel=1e-12)
+            assert dynamic > static
     with pytest.raises(ValueError, match="exactly two users"):
-        bc_asymptotics(geom, [user1, user2_dd, user1], BcConfig(1.0, (1.0,) * 3))
+        bc_asymptotics(geom, [user1, user2_dd, user1], BcConfig(1.0, (1.0,) * 3), "ff")
+    with pytest.raises(ValueError, match="exactly two users"):
+        bc_asymptotics(geom, [user1, user2_dd], BcConfig(1.0, (1.0,) * 3), "ff")
 
 
 def test_ula_asymptote_close_at_ten_million_elements():

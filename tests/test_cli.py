@@ -10,6 +10,8 @@ import pytest
 
 import nfcap
 from nfcap.cli import build_parser, main
+from nfcap.config import load_scenario
+from nfcap.sweeps import run_bc, run_mac, run_mc
 
 
 def test_no_command_prints_usage_and_exits_one(capsys):
@@ -206,9 +208,6 @@ def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body
          "error: [user1] range_m = 1e+200 is beyond the FF model's"),
         ("bc", "[link]\nmodel = ff\n[user2]\nrange_m = 1e200\n",
          "error: [user2] range_m = 1e+200 is beyond the FF model's"),
-        # within that range, the FF downlink limit squares about r^2
-        ("bc", "[link]\nmodel = ff\n[user1]\nrange_m = 1e100\n",
-         "error: c_asym = inf: the link budget is beyond"),
     ],
 )
 def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, body, needle):
@@ -221,6 +220,33 @@ def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, b
     assert len(lines) == 1
     assert needle in lines[0]
     assert len(lines[0]) < 200
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("range_m", [2.0, 100.0, 1e6, 1e100])
+def test_ff_limit_is_the_capacity_at_the_limit_statistics(tmp_path, capsys, range_m):
+    """FF c_asym is the kind's capacity at the FF gains: never negative,
+    the printed capacity itself for users sharing a direction, and for
+    distinct ones at least the uplink and downlink capacity, which do not
+    increase with rho at equal gains."""
+    for direction in ("same", "own"):
+        body = f"[link]\nmodel = ff\n[user1]\nrange_m = {range_m!r}\n"
+        if direction == "same":
+            body += "[user2]\ndirection = same\n"
+        path = tmp_path / f"ff-{direction}.ini"
+        path.write_text(body)
+        scn = load_scenario(str(path))
+        for command, runner in (("mac", run_mac), ("bc", run_bc), ("mc", run_mc)):
+            assert main([command, "--config", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+            res = runner(scn)
+            row = dict(zip(res.columns, res.rows[0]))
+            capacity = row[f"c_{command}"]
+            assert row["c_asym"] >= 0.0
+            if direction == "same":
+                assert row["c_asym"] == capacity
+            elif command != "mc":
+                assert row["c_asym"] >= capacity
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:

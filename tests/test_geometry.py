@@ -11,7 +11,6 @@ from nfcap.broadcast import (
     BcConfig,
     PowerAllocation,
     bc_covariance_recovery,
-    bc_region_two_user,
 )
 from nfcap.geometry import (
     SPEED_OF_LIGHT,
@@ -129,14 +128,15 @@ def test_ff_entries_share_magnitude_and_ramp_phase(ref_geometry, user1):
         / (4 * math.pi * user1.range_r**2)
     )
     assert mags[0] == pytest.approx(amp, rel=1e-14)
-    eps = epsilon(ref_geometry, user1)
     lam = ref_geometry.wavelength
-    r = user1.range_r
+    d = ref_geometry.pitch_d
     mx, mz = 9, -20
     idx = (mx + 32) * 65 + (mz + 32)
-    phase_len = r * (1 - mx * eps * user1.dir_x - mz * eps * user1.dir_z)
-    expected = amp * np.exp(-2j * math.pi * phase_len / lam)
+    # the ramp alone: the common phase of the range is left out
+    phase = 2 * math.pi / lam * d * (mx * user1.dir_x + mz * user1.dir_z)
+    expected = amp * np.exp(1j * phase)
     assert vec[idx] == pytest.approx(expected, rel=1e-12)
+    assert vec[(ref_geometry.m_total - 1) // 2] == pytest.approx(amp, rel=1e-14)
 
 
 def test_nf_approaches_ff_at_long_range(ref_geometry):
@@ -157,7 +157,6 @@ _CHANNEL_ROUTINES = {
     "ccf_exact": ccf_exact,
     "bc_covariance_recovery": lambda h1, h2: bc_covariance_recovery(
         h1, h2, PowerAllocation((4.0, 6.0)), _BC),
-    "bc_region_two_user": lambda h1, h2: bc_region_two_user(h1, h2, _BC, 5),
     "mc_beamformer_two_user": lambda h1, h2: mc_beamformer_two_user(h1, h2, 1.0, 1.0),
     "mc_rate_given_beamformer": lambda h1, h2: mc_rate_given_beamformer(
         Beamformer(np.array([1.0, 0.0, 0.0])), [h1, h2], (1.0, 1.0), 10.0),

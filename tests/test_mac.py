@@ -9,7 +9,6 @@ import pytest
 from conftest import REF_SNR, random_instance, synth_pair
 from nfcap.geometry import ArrayGeometry, UserLocation
 from nfcap.mac import (
-    FfAsymptote,
     MacConfig,
     RatePoint,
     RateRegion,
@@ -22,6 +21,7 @@ from nfcap.mac import (
 from nfcap.oracles import logdet_capacity_oracle
 from nfcap.stats import (
     asymptotic_gains,
+    ff_gain_closed,
     nf_ccf_quadrature,
     nf_gain_closed,
     ula_gain_closed,
@@ -157,21 +157,36 @@ def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
     gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
     limit = mac_capacity_two_user(*gains, 0.0, REF_SNR, REF_SNR)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
+    cfg = MacConfig((REF_SNR, REF_SNR))
+    assert mac_asymptotics(ref_geometry, [user1, user2_dd], cfg, "NF") == limit
     direct = 2 * math.log2(1 + REF_SNR / (2 * math.pi))
     assert limit == pytest.approx(direct, rel=1e-12)
 
 
-def test_ff_asymptote_static_dynamic_gap(ref_geometry, user1, user2_dd):
+def _paper_form(c_asym: float) -> float:
+    "The paper's high-SNR FF limit: log2(2^C - 1) of the capacity C."
+    return math.log2(2.0**c_asym - 1.0)
+
+
+def test_ff_asymptote_static_dynamic_gap(ref_geometry, user1, user2_dd, user2_sd):
+    """The FF limit is the capacity at the FF gains, with rho = 1 for users
+    sharing a direction ("static") and 0 otherwise ("dynamic"); the
+    paper's forms are log2(2^C - 1) of it, and dynamic exceeds static."""
     cfg = MacConfig(snr_per_user=(REF_SNR, REF_SNR))
-    asym = mac_asymptotics(ref_geometry, [user1, user2_dd], cfg)
-    assert isinstance(asym, FfAsymptote)
     q = ref_geometry.m_total * ref_geometry.element_area / (4 * math.pi)
-    base = REF_SNR * (
-        user1.dir_y / user1.range_r**2 + user2_dd.dir_y / user2_dd.range_r**2
-    )
-    assert asym.static == pytest.approx(math.log2(q * base), rel=1e-12)
-    assert asym.dynamic > asym.static
-    assert asym.gap == pytest.approx(asym.dynamic - asym.static, rel=1e-12)
+    t1 = REF_SNR * user1.dir_y / user1.range_r**2
+    for u2, rho in ((user2_dd, 0.0), (user2_sd, 1.0)):
+        t2 = REF_SNR * u2.dir_y / u2.range_r**2
+        static = math.log2(q * (t1 + t2))
+        dynamic = math.log2(q * (t1 + t2) + q**2 * t1 * t2)
+        gains = [ff_gain_closed(ref_geometry, u) for u in (user1, u2)]
+        assert _paper_form(mac_capacity_two_user(*gains, 1.0, REF_SNR, REF_SNR)) \
+            == pytest.approx(static, rel=1e-12)
+        assert _paper_form(mac_capacity_two_user(*gains, 0.0, REF_SNR, REF_SNR)) \
+            == pytest.approx(dynamic, rel=1e-12)
+        assert dynamic > static
+        c_asym = mac_asymptotics(ref_geometry, [user1, u2], cfg, "ff")
+        assert c_asym == mac_capacity_two_user(*gains, rho, REF_SNR, REF_SNR)
 
 
 def test_ula_asymptote_approached_by_closed_gain():
@@ -190,12 +205,17 @@ def test_ula_asymptote_approached_by_closed_gain():
 
 
 def test_asymptotics_variant_validation(ref_geometry, user1, user2_dd):
-    """The FF closed form, the one variant left, takes exactly two users."""
+    """The large-array limit of either model takes exactly two users."""
     users = [user1, user2_dd, user1]
-    with pytest.raises(ValueError, match="exactly two users"):
-        mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0, 10.0)))
-    with pytest.raises(ValueError, match="exactly two users"):
-        mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0)))
+    for model in ("nf", "ff"):
+        with pytest.raises(ValueError, match="exactly two users"):
+            mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0, 10.0)), model)
+        with pytest.raises(ValueError, match="exactly two users"):
+            mac_asymptotics(ref_geometry, users, MacConfig((10.0, 10.0)), model)
+        with pytest.raises(ValueError, match="exactly two users"):
+            mac_asymptotics(ref_geometry, users[:2], MacConfig((10.0,) * 3), model)
+    with pytest.raises(ValueError, match="model must be"):
+        mac_asymptotics(ref_geometry, users[:2], MacConfig((10.0, 10.0)), "xf")
 
 
 @pytest.mark.xfail(

@@ -11,7 +11,6 @@ import pytest
 from conftest import REF_POWER, synth_pair
 from nfcap.broadcast import BcConfig
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
-from nfcap.mac import FfAsymptote
 from nfcap.multicast import (
     Beamformer,
     mc_asymptotics,
@@ -21,7 +20,13 @@ from nfcap.multicast import (
     mc_upper_bound,
 )
 from nfcap.oracles import mc_beam_grid_oracle
-from nfcap.stats import asymptotic_gains, ccf_exact, gain_exact, ula_gain_closed
+from nfcap.stats import (
+    asymptotic_gains,
+    ccf_exact,
+    ff_gain_closed,
+    gain_exact,
+    ula_gain_closed,
+)
 
 UPA_LIMIT_BITS = 6.332304630513436
 
@@ -157,6 +162,8 @@ def test_upa_asymptote_reference_value(ref_geometry, user1, user2_dd):
     gains = asymptotic_gains(ref_geometry, [user1, user2_dd])
     limit = mc_capacity_two_user(*gains, 0.0, 1.0, 1.0, REF_POWER)
     assert limit == pytest.approx(UPA_LIMIT_BITS, rel=1e-12)
+    cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
+    assert mc_asymptotics(ref_geometry, [user1, user2_dd], cfg, "nf") == limit
     direct = mc_capacity_two_user(
         1.0 / (2.0 * math.pi), 1.0 / (2.0 * math.pi), 0.0, 1.0, 1.0, REF_POWER
     )
@@ -178,32 +185,57 @@ def test_ula_asymptote_close_at_ten_million_elements():
     assert limit == pytest.approx(finite, abs=0.05)
 
 
+def _paper_forms(geom, users, cfg):
+    """The paper's FF multicast forms, log2(2^C - 1) of the capacity C at
+    the FF gains with rho = 1 ("static") and rho = 0 ("dynamic")."""
+    gains = [ff_gain_closed(geom, u) for u in users]
+    (var1, var2), power = cfg.noise_var_per_user, cfg.total_power_P
+    return tuple(
+        math.log2(2.0 ** mc_capacity_two_user(*gains, rho, var1, var2, power) - 1.0)
+        for rho in (1.0, 0.0)
+    )
+
+
 def test_ff_asymptote_gap_lies_in_unit_interval(user1, user2_dd):
+    """static = log2(q / max beta) and dynamic = log2(q / (beta1 + beta2)),
+    q = M P A / (4 pi) and beta_k = r_k^2 var_k / proj_k; the limit of
+    distinct directions is the rho = 0 capacity."""
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
+    users = [user1, user2_dd]
     # about a thousand and a million elements
     for m_x, m_z in ((1, 1001), (1001, 999)):
         geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
-        asym = mc_asymptotics(geom, [user1, user2_dd], cfg)
-        assert isinstance(asym, FfAsymptote)
-        assert asym.static > asym.dynamic
-        assert 0.0 < asym.gap <= 1.0
+        q = geom.m_total * REF_POWER * geom.element_area / (4 * math.pi)
+        b1, b2 = (u.range_r**2 / u.dir_y for u in users)
+        static, dynamic = _paper_forms(geom, users, cfg)
+        assert static == pytest.approx(math.log2(q / max(b1, b2)), rel=1e-12)
+        assert dynamic == pytest.approx(math.log2(q / (b1 + b2)), rel=1e-12)
+        assert 0.0 < static - dynamic <= 1.0
+        assert mc_asymptotics(geom, users, cfg, "ff") == mc_capacity_two_user(
+            *(ff_gain_closed(geom, u) for u in users), 0.0, 1.0, 1.0, REF_POWER)
 
 
 def test_ff_asymptote_equidistant_gap_is_one_bit(ref_geometry, user1):
+    "Users that share one range and direction: static - dynamic = 1 bit."
     twin = UserLocation(
         range_r=user1.range_r,
         azimuth_theta=user1.azimuth_theta,
         elevation_phi=user1.elevation_phi,
     )
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
-    asym = mc_asymptotics(ref_geometry, [user1, twin], cfg)
-    assert asym.gap == pytest.approx(1.0, abs=1e-12)
+    static, dynamic = _paper_forms(ref_geometry, [user1, twin], cfg)
+    assert static - dynamic == pytest.approx(1.0, abs=1e-12)
+    c_asym = mc_asymptotics(ref_geometry, [user1, twin], cfg, "ff")
+    assert math.log2(2.0**c_asym - 1.0) == static
 
 
 def test_asymptotics_validation(ref_geometry, user1, user2_dd):
-    """The FF closed form takes exactly two users."""
+    """The large-array limit of either model takes exactly two users."""
     users = [user1, user2_dd, user1]
-    with pytest.raises(ValueError, match="exactly two users"):
-        mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0, 1.0)))
-    with pytest.raises(ValueError, match="exactly two users"):
-        mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0)))
+    for model in ("nf", "ff"):
+        with pytest.raises(ValueError, match="exactly two users"):
+            mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0, 1.0)), model)
+        with pytest.raises(ValueError, match="exactly two users"):
+            mc_asymptotics(ref_geometry, users, BcConfig(10.0, (1.0, 1.0)), model)
+        with pytest.raises(ValueError, match="exactly two users"):
+            mc_asymptotics(ref_geometry, users[:2], BcConfig(10.0, (1.0,) * 3), model)

@@ -20,6 +20,7 @@ from nfcap.stats import (
     CcfEstimate,
     asymptotic_gains,
     asymptotic_nf_gain,
+    asymptotic_stats,
     asymptotic_ula_gain,
     ccf_exact,
     ff_ccf_closed,
@@ -231,6 +232,33 @@ def test_ff_ccf_generic_matches_exact_inner_product(ref_geometry, user1, user2_d
         ff_channel_vector(ref_geometry, user2_dd),
     )
     assert closed == pytest.approx(exact, rel=1e-9)
+
+
+def test_ff_ccf_of_exact_vectors_holds_at_far_range(ref_geometry, user1, user2_dd):
+    """At r1 = 1e50 m the exact FF vectors still give the closed-form
+    correlation: their phases carry the ramp, not the common range."""
+    far = UserLocation(1e50, user1.azimuth_theta, user1.elevation_phi)
+    exact = ccf_exact(
+        ff_channel_vector(ref_geometry, far),
+        ff_channel_vector(ref_geometry, user2_dd),
+    )
+    assert exact == pytest.approx(ff_ccf_closed(ref_geometry, far, user2_dd), rel=1e-9)
+
+
+def test_asymptotic_stats_of_each_model(ref_geometry, user1, user2_dd, user2_sd):
+    """NF: the saturated gains with rho = 0. FF: the FF gains at the
+    array's M, with rho = 1 for users sharing a direction, else 0."""
+    for u2 in (user2_dd, user2_sd):
+        users = [user1, u2]
+        nf = asymptotic_stats(ref_geometry, users, "NF")
+        assert nf == (*asymptotic_gains(ref_geometry, users), 0.0)
+        ff = asymptotic_stats(ref_geometry, users, "ff")
+        assert ff[:2] == tuple(ff_gain_closed(ref_geometry, u) for u in users)
+        assert ff[2] == (1.0 if u2 is user2_sd else 0.0)
+    with pytest.raises(ValueError, match="exactly two users"):
+        asymptotic_stats(ref_geometry, [user1, user2_dd, user1], "ff")
+    with pytest.raises(ValueError, match="model must be"):
+        asymptotic_stats(ref_geometry, [user1, user2_dd], "xf")
 
 
 def test_ff_ccf_single_axis_degenerate_matches_exact(small_geometry):

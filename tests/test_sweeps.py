@@ -5,6 +5,7 @@ verification, sweep application, presets, and the verification report.
 
 import concurrent.futures
 import importlib
+import math
 import re
 import sys
 import warnings
@@ -174,6 +175,16 @@ def test_region_runner_modes():
     assert max(r1_bc) > 0.0
     with pytest.raises(ScenarioError, match="mode"):
         run_region(scn, mode="mc")
+
+
+def test_region_bc_takes_the_statistics_that_bc_prints():
+    "The r1-axis vertex of the downlink region is log2(1 + P g1 / var1)."
+    scn = default_scenario()
+    g1 = run_bc(scn).column("g1")[0]
+    vertex = run_region(scn, mode="bc").rows[1]
+    cfg = scn.bc_cfg
+    expected = math.log2(1.0 + cfg.total_power_P * g1 / cfg.noise_var_per_user[0])
+    assert vertex[1:] == (pytest.approx(expected, abs=1e-12), 0.0)
 
 
 def test_sweep_over_array_size(tmp_path):
