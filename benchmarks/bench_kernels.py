@@ -11,10 +11,13 @@ element sum), which shows the crossover. The uplink log-determinant
 oracle, one QR of the (M + 2) x 2 stack of I_2 over the two scaled
 channels, is timed at 33x33 and at 65x65 (the reference array and the
 largest that the verify paths take), on the reference users at SNR
-1000. The last two rows time the statistics (gains and T=200 correlation) of
-the 60 channels of the ``mc-vs-r2`` preset's NF sweep, 551x551 with user
-2 in its own direction, as the runners compute them: one after another,
-and on a pool of one thread per usable CPU.
+1000. The multicast oracle, the convex dual that the verify paths run,
+is timed on the same 65x65 vectors at power 1000 and unit noise, beside
+the 400x400x64 primal beam-grid scan that it replaced. The last two
+rows time the statistics (gains and T=200 correlation) of the 60
+channels of the ``mc-vs-r2`` preset's NF sweep, 551x551 with user 2 in
+its own direction, as the runners compute them: one after another, and
+on a pool of one thread per usable CPU.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -29,7 +32,7 @@ import numpy as np
 from nfcap import _kernels, sweeps
 from nfcap.config import SweepSpec, default_scenario
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
-from nfcap.oracles import logdet_capacity_oracle
+from nfcap.oracles import logdet_capacity_oracle, mc_beam_grid_oracle
 
 FREQUENCY_HZ = 2.4e9
 WAVELENGTH = 299792458.0 / FREQUENCY_HZ
@@ -122,6 +125,8 @@ def _workloads():
         *elements,
         ("mc_grid_best 400x400x64", _kernels.mc_grid_best,
          (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64), None),
+        ("mc_beam_grid_oracle 65x65", mc_beam_grid_oracle,
+         (*_logdet_args(65)[0], (1.0, 1.0), 1000.0), None),
         *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
            None) for m in (33, 65)],
         *_r2_sweep_rows(),

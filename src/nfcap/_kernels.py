@@ -11,7 +11,9 @@ Five kernels, each one numpy function:
   elements with unit weights: the exact inner product and both norms of
   the two NF channel vectors, up to constants that cancel in the CCF;
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
-  the two channels, in real arithmetic on one plane per phase.
+  the two channels, in real arithmetic on one plane per phase. No
+  command runs it: the tests keep it as the primal that the multicast
+  oracle, an exact convex dual, bounds from above.
 """
 
 import numpy as np

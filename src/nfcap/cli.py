@@ -6,7 +6,7 @@ sweep grid) and print or save a table; ``region`` samples a rate-region
 boundary; ``sweep`` dispatches to the target named in the scenario's
 [sweep] section; ``reproduce`` rebuilds a bundled figure-data preset;
 ``verify`` cross-checks every closed form against its brute-force
-oracle at a reduced array size.
+oracle on the scenario's array, cut to 65 elements per axis beyond it.
 
 Exit codes: 0 on success, 1 for command-line usage errors, 2 for
 invalid scenarios or values, 3 when verification found a violation.
@@ -22,6 +22,7 @@ from . import __version__
 from .config import ScenarioError, default_scenario, load_scenario
 from .sweeps import (
     PRESETS,
+    VERIFY_MAX_AXIS,
     SweepResult,
     csv_text,
     emit_csv,
@@ -132,7 +133,8 @@ def build_parser() -> _Parser:
         help="cross-check closed forms against brute-force oracles",
         description=(
             "Cross-check every closed form against its brute-force oracle "
-            "at a reduced array size and report each comparison."
+            f"on the scenario's array, cut to {VERIFY_MAX_AXIS} elements per "
+            "axis beyond that, and report each comparison."
         ),
     )
     verify.add_argument("--config", metavar="PATH")

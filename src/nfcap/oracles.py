@@ -1,16 +1,17 @@
 """Brute-force reference computations for cross-checking closed forms.
 
 Everything here recomputes a quantity from first principles: uplink
-log-determinants from the channel vectors themselves, exhaustive grids
-over power splits and beam coefficients, and per-element scalar loops
-for gains and correlation. A log-determinant log2 det(I_M + C C^H), with
-C the M x K matrix of columns sqrt(snr_k) h_k, is evaluated through
-Sylvester's identity det(I_M + C C^H) = det(I_K + C^H C) as the squared
-diagonal of the R factor of the stacked (K + M) x K matrix [I_K; C], one
-Householder QR; C^H C is never formed. None of the capacity or channel
-formula modules are imported; the only imports from the package are
-plain data containers, the shared input checks and the grid-scan
-kernel, so a bug in a closed form cannot leak into its own check.
+log-determinants from the channel vectors themselves, an exhaustive grid
+over power splits, the multicast capacity as the minimum of its convex
+dual over one real variable, and per-element scalar loops for gains and
+correlation. A log-determinant log2 det(I_M + C C^H), with C the M x K
+matrix of columns sqrt(snr_k) h_k, is evaluated through Sylvester's
+identity det(I_M + C C^H) = det(I_K + C^H C) as the squared diagonal of
+the R factor of the stacked (K + M) x K matrix [I_K; C], one Householder
+QR; C^H C is never formed. None of the capacity or channel formula
+modules are imported; the only imports from the package are plain data
+containers and the shared input checks, so a bug in a closed form cannot
+leak into its own check.
 
 These routines favor clarity over speed and may be orders of magnitude
 slower than the formulas they validate.
@@ -24,10 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _checks, _kernels
+from . import _checks
 from .broadcast import BcConfig, PowerAllocation
 from .geometry import ArrayGeometry, UserLocation
-from .multicast import Beamformer
 
 __all__ = [
     "logdet_capacity_oracle",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# Points per scan of the multicast dual, and rescans after the first;
+# each narrows the bracket by 2/63, twelve to below a double's spacing.
+_MC_DUAL_POINTS = 64
+_MC_DUAL_ROUNDS = 12
 
 
 def logdet_capacity_oracle(
@@ -137,19 +141,22 @@ def mc_beam_grid_oracle(
     h2: np.ndarray,
     noise_vars: Sequence[float],
     P: float,
-    grid_spec: tuple[int, int, int] = (400, 400, 64),
-) -> tuple[float, Beamformer]:
-    """Best multicast rate over a dense beam grid in span{h1, h2}.
+) -> float:
+    """Two-user multicast capacity log2(1 + P min f) from its exact dual.
 
-    A component orthogonal to both channels only wastes norm, so the
-    search space is w = (a hb1 + b e^{j psi} hb2) / norm with hb_k the
-    noise-normalized channels, a and b on [0, 1] grids and psi on a
-    uniform phase grid; ``grid_spec`` gives the three grid sizes. The
-    scan itself runs on Gram scalars, never on length-M vectors.
+    For each lam in [0, 1], f(lam), the larger eigenvalue of
+    lam hb1 hb1^H + (1 - lam) hb2 hb2^H with hb_k the noise-normalized
+    channels, bounds max over unit w of min_k |hb_k^H w|^2 from above;
+    the joint numerical range of two Hermitian forms is convex, so the
+    least f equals it. With g_k = |hb_k|^2, c = |hb1^H hb2|^2, x = lam g1
+    and y = (1 - lam) g2, the form
+
+        f(lam) = (x + y + sqrt((x - y)^2 + 4 lam (1 - lam) c)) / 2
+
+    does not cancel where x = y. f is convex, so a scan of [0, 1] and
+    rescans of the two cells around each best point bracket its
+    minimiser. log1p keeps the precision of rates far below one bit.
     """
-    n_a, n_b, n_psi = grid_spec
-    if n_a < 2 or n_b < 2 or n_psi < 1:
-        raise ValueError(f"grid_spec too small: {grid_spec}")
     if len(noise_vars) != 2:
         raise ValueError("mc grid oracle needs exactly two noise variances")
     var1, var2 = (
@@ -157,20 +164,20 @@ def mc_beam_grid_oracle(
     )
     _checks.nonneg("P", P)
     v1, v2 = _checks.channel_vectors([h1, h2], ("h1", "h2"))
-    hb1 = v1 / math.sqrt(var1)
-    hb2 = v2 / math.sqrt(var2)
-    g1 = float(np.vdot(hb1, hb1).real)
-    g2 = float(np.vdot(hb2, hb2).real)
+    hb1, hb2 = v1 / math.sqrt(var1), v2 / math.sqrt(var2)
+    g1, g2 = (float(np.vdot(hb, hb).real) for hb in (hb1, hb2))
     if g1 <= 0.0 or g2 <= 0.0:
         raise ValueError("both channels must be nonzero")
-    ip = complex(np.vdot(hb1, hb2))
-    best, a, b, psi = _kernels.mc_grid_best(g1, g2, ip, n_a, n_b, n_psi)
-    raw = a * hb1 + b * np.exp(1j * psi) * hb2
-    norm = float(np.linalg.norm(raw))
-    if norm <= 0.0:
-        raw = hb1
-        norm = float(np.linalg.norm(raw))
-    return math.log2(1.0 + P * best), Beamformer(raw / norm)
+    c = abs(complex(np.vdot(hb1, hb2))) ** 2
+    lo, hi, best = 0.0, 1.0, math.inf
+    for _ in range(_MC_DUAL_ROUNDS + 1):
+        lam = np.linspace(lo, hi, _MC_DUAL_POINTS)
+        x, y = lam * g1, (1.0 - lam) * g2
+        f = (x + y + np.sqrt((x - y) ** 2 + 4.0 * lam * (1.0 - lam) * c)) / 2.0
+        i = int(np.argmin(f))
+        best = min(best, float(f[i]))
+        lo, hi = lam[max(i - 1, 0)], lam[min(i + 1, _MC_DUAL_POINTS - 1)]
+    return math.log1p(P * best) / _LOG2
 
 
 def _element_sum(

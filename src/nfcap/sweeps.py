@@ -100,7 +100,7 @@ __all__ = [
     "TOL_MAC_FORMULA_ABS",
     "TOL_BC_GRID_ONESIDED",
     "TOL_BC_DUALITY_ABS",
-    "TOL_MC_GRID_ONESIDED",
+    "TOL_MC_ABS",
     "VERIFY_MAX_AXIS",
 ]
 
@@ -111,7 +111,7 @@ TOL_FF_STATS_ABS = 1e-9
 TOL_MAC_FORMULA_ABS = 1e-9
 TOL_BC_GRID_ONESIDED = 1e-6
 TOL_BC_DUALITY_ABS = 1e-9
-TOL_MC_GRID_ONESIDED = 1e-3
+TOL_MC_ABS = 1e-9
 VERIFY_MAX_AXIS = 65
 
 _BC_GRID_POINTS = 100_000
@@ -123,7 +123,6 @@ _MAX_PHASE_ROUNDING = 1e-6
 # of a range that the formulas and oracles take is the cube in
 # ``oracles.gain_sum_oracle``; beyond this it overflows.
 _MAX_FF_RANGE = np.finfo(float).max ** (1 / 3)
-_MC_GRID_SPEC = (400, 400, 64)
 
 
 @dataclass(frozen=True)
@@ -513,7 +512,7 @@ def _channel_checks(
 
 def _mac_check(vecs, stats, cfg: MacConfig) -> CheckRow:
     "The uplink formula on exact statistics against the log-det oracle."
-    closed = _mac_capacity(*stats, cfg)
+    closed = mac_capacity_two_user(*stats, *cfg.snr_per_user)
     oracle = logdet_capacity_oracle(vecs, list(cfg.snr_per_user))
     return _abs_check("uplink sum capacity", closed, oracle, TOL_MAC_FORMULA_ABS)
 
@@ -564,30 +563,19 @@ def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
 
 
 def _mc_check(vecs, stats, cfg: BcConfig) -> CheckRow:
-    """The multicast formula on exact statistics: at most
-    TOL_MC_GRID_ONESIDED below the beam-grid oracle, and not above the
-    averaging upper bound.
+    """The multicast formula on exact statistics: within TOL_MC_ABS of
+    the convex-dual oracle on the vectors, and not above the averaging
+    upper bound.
     """
-    closed = _mc_capacity(*stats, cfg)
-    noise, power = cfg.noise_var_per_user, cfg.total_power_P
-    grid, _ = mc_beam_grid_oracle(vecs[0], vecs[1], noise, power, _MC_GRID_SPEC)
-    bound = mc_upper_bound(stats[:2], noise, power)
-    note = f"closed >= grid - {TOL_MC_GRID_ONESIDED:g}"
-    ok = grid - TOL_MC_GRID_ONESIDED <= closed <= bound + 1e-12
-    return CheckRow("multicast capacity", closed, grid, note, ok)
+    closed, bound = _mc_formulas(*stats, cfg)
+    oracle = mc_beam_grid_oracle(*vecs, cfg.noise_var_per_user, cfg.total_power_P)
+    note = f"abs <= {TOL_MC_ABS:g}, closed <= bound + 1e-12"
+    ok = abs(closed - oracle) <= TOL_MC_ABS and closed <= bound + 1e-12
+    return CheckRow("multicast capacity", closed, oracle, note, ok)
 
 
 # ---------------------------------------------------------------------------
 # the point runners: one scaffold, one kind per command
-
-
-def _mac_capacity(g1: float, g2: float, rho: float, cfg: MacConfig) -> float:
-    return mac_capacity_two_user(g1, g2, rho, *cfg.snr_per_user)
-
-
-def _mc_capacity(g1: float, g2: float, rho: float, cfg: BcConfig) -> float:
-    var1, var2 = cfg.noise_var_per_user
-    return mc_capacity_two_user(g1, g2, rho, var1, var2, cfg.total_power_P)
 
 
 def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[float, ...]:
@@ -774,9 +762,9 @@ def run_mc(scenario: Scenario, verify: bool = False) -> SweepResult:
     """Multicast outputs per sweep point: capacity, the averaging upper
     bound, and the relevant large-array value.
 
-    Verification runs the dense beam-grid oracle on explicit vectors;
-    the closed form must not fall more than the tolerance below the
-    grid and must respect the upper bound.
+    Verification runs the convex-dual oracle on explicit vectors; the
+    closed form must match it within the tolerance and respect the
+    upper bound.
     """
     return _run(scenario, verify, "mc")
 
@@ -814,7 +802,7 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     return SweepResult(
         ("vertex", "r1", "r2"),
         rows,
-        _provenance(scenario, f"region {key}", False),
+        _provenance(replace(scenario, sweep=None), f"region {key}", False),
     )
 
 

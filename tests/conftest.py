@@ -5,6 +5,7 @@ correlation.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from nfcap.geometry import ArrayGeometry, UserLocation
 REF_FREQ_HZ = 2.4e9
 REF_SNR = 1000.0
 REF_POWER = 1000.0
+# A 17 x 17 scenario whose multicast capacity the best beam of a
+# 400 x 400 x 64 beam grid misses by 2.9e-3 bits
+MC_BLIND_SPOT_INI = Path(__file__).parent / "data" / "mc_blind_spot.ini"
 
 
 @pytest.fixture(scope="session")

@@ -57,4 +57,4 @@ def test_nonfinite_snr_and_power_are_rejected(bad):
     h1 = np.array([1.0 + 0j, 0.0])
     h2 = np.array([0.6 + 0j, 0.8])
     with pytest.raises(ValueError, match="P must be finite"):
-        mc_beam_grid_oracle(h1, h2, (1.0, 1.0), bad, (5, 5, 4))
+        mc_beam_grid_oracle(h1, h2, (1.0, 1.0), bad)

@@ -163,7 +163,7 @@ _CHANNEL_ROUTINES = {
     "logdet_capacity_oracle": lambda h1, h2: logdet_capacity_oracle(
         [h1, h2], [10.0, 10.0]),
     "mc_beam_grid_oracle": lambda h1, h2: mc_beam_grid_oracle(
-        h1, h2, (1.0, 1.0), 10.0, (5, 5, 4)),
+        h1, h2, (1.0, 1.0), 10.0),
 }
 
 

@@ -9,11 +9,12 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import synth_pair
+from conftest import MC_BLIND_SPOT_INI, synth_pair
 from nfcap import sweeps
 from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
@@ -185,6 +186,19 @@ def test_region_bc_takes_the_statistics_that_bc_prints():
     cfg = scn.bc_cfg
     expected = math.log2(1.0 + cfg.total_power_P * g1 / cfg.noise_var_per_user[0])
     assert vertex[1:] == (pytest.approx(expected, abs=1e-12), 0.0)
+
+
+def test_region_provenance_describes_the_point_it_computes(tmp_path):
+    """region runs at the scenario's own array and ignores its [sweep]
+    section, so its provenance neither echoes the sweep nor describes
+    the correlation at the swept sizes."""
+    scn = _scenario(
+        tmp_path, "[sweep]\nvariable = m_per_axis\nvalues = 3 551\ntarget = mc\n"
+    )
+    text = run_region(scn).provenance
+    assert "sweep." not in text
+    assert text.endswith("ccf = element sum, since m_x*m_z <= T^2 = 40000\n")
+    assert text == run_region(replace(scn, sweep=None)).provenance
 
 
 def test_sweep_over_array_size(tmp_path):
@@ -497,6 +511,33 @@ def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch,
     assert "relative plus rounding" in res.violations[0]
     assert main(["channel", "--verify", "--config", str(path)]) == 3
     assert "verification found 1 violation(s)" in capsys.readouterr().err
+
+
+def test_mc_verify_fails_a_capacity_that_overstates(tmp_path, monkeypatch):
+    "A multicast capacity 1e-6 bits too high fails mc --verify and verify."
+    exact = sweeps.mc_capacity_two_user
+    monkeypatch.setattr(sweeps, "mc_capacity_two_user", lambda *a: exact(*a) + 1e-6)
+    scn = _scenario(tmp_path, "[array]\nm_per_axis = 21\n")
+    res = run_mc(scn, verify=True)
+    assert len(res.violations) == 1
+    assert "multicast capacity: closed" in res.violations[0]
+    failed = [row.name for row in verification_report(scn)[0] if not row.ok]
+    assert failed == ["multicast capacity"]
+
+
+def test_mc_verify_meets_the_capacity_a_beam_grid_misses(capsys):
+    """On this scenario the best beam of a 400 x 400 x 64 grid lies
+    2.9e-3 bits below the capacity. The oracle meets the closed form on
+    the exact statistics within 1e-9 bits. The printed c_mc takes the
+    closed-form gains, 4.9e-8 bits from it here."""
+    scn = load_scenario(str(MC_BLIND_SPOT_INI))
+    res = run_mc(scn, verify=True)
+    row = dict(zip(res.columns, res.rows[0]))
+    (check,) = [c for c in verification_report(scn)[0] if c.name == "multicast capacity"]
+    assert check.ok and check.abs_diff <= 1e-9
+    assert row["c_oracle"] == check.oracle
+    assert abs(row["c_mc"] - row["c_oracle"]) <= 1e-7
+    assert main(["mc", "--verify", "--config", str(MC_BLIND_SPOT_INI)]) == 0
 
 
 def test_verify_columns_are_the_report_oracles(tmp_path):
