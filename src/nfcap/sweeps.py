@@ -159,8 +159,10 @@ class SweepResult:
 
 def csv_text(result: SweepResult) -> str:
     "The result table as CSV text with 12 significant digits, one line a row."
+    # printf's %.11e writes the same text as format(v, ".11e")
+    row_format = ",".join(["%.11e"] * len(result.columns))
     lines = [",".join(result.columns)]
-    lines += [",".join(f"{v:.11e}" for v in row) for row in result.rows]
+    lines += [row_format % tuple(row) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 

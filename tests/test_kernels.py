@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nfcap._kernels as kernels
-from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
+from nfcap.geometry import ArrayGeometry, UserLocation, epsilon, nf_channel_vector
 
 
 def test_mc_grid_best_finds_single_user_optimum():
@@ -64,3 +64,59 @@ def test_quadrature_work_planes_are_cache_line_aligned():
     assert all(p.shape == (81, 200) and p.flags.c_contiguous for p in planes)
     assert all(start % 64 == 0 for start in starts)
     assert all(b - a >= 81 * 200 * 8 for a, b in zip(starts, starts[1:]))
+
+
+def _rule(m_axis, u1, u2, nodes=200):
+    "Nodes, weights and kernel arguments of the T x T rule, as the stats build them."
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
+    t = np.arange(1, nodes + 1)
+    delta = np.cos((2 * t - 1) * np.pi / (2 * nodes))
+    x = m_axis * epsilon(geom, u1) / 2 * delta
+    args = (u1.range_r / u2.range_r, u1.range_r, u2.range_r, 2 * np.pi / geom.wavelength,
+            u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z)
+    return x, np.sqrt(1.0 - delta**2), args
+
+
+_U1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
+
+
+@pytest.mark.parametrize("m_axis", [65, 551])
+@pytest.mark.parametrize("u2", [
+    UserLocation(5.0, 2 * math.pi / 3, math.pi / 3),
+    UserLocation(2.0, math.pi / 3, 2 * math.pi / 3),
+    _U1,
+], ids=["reference", "co-directional", "co-located"])
+def test_rule_phasor_matches_cos_and_sin(m_axis, u2):
+    """The rule's tangent half-angle phasor against cos and sin of the
+    same phase on the same T=200 nodes (the element-sum path of the block
+    function). Each node's phasor is within 2.2e-16 of (cos, sin), so
+    |dS| is bounded by a few 1e-16 of sum w w' (Q1 Q2)^-3/4; the largest
+    seen is 5.7e-18 of it (551 x 551, co-directional), and co-located
+    users give a zero phase and the same sum."""
+    x, w, args = _rule(m_axis, _U1, u2)
+    ups, _, _, _, px1, oz1, px2, oz2 = args
+    X, Z = x[:, None], x[None, :]
+    q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
+    q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
+    scale = w @ (q1 * q2) ** -0.75 @ w
+    rule = complex(*kernels._block_sums(x, x, w, w, args, False))
+    trig = complex(*kernels._block_sums(x, x, w, w, args, True)[:2])
+    assert abs(rule - trig) <= 4e-16 * scale
+
+
+@pytest.mark.parametrize("ph, k0", [
+    (0.0, 0.0),
+    (math.pi / 2, 1.0),
+    (math.pi, 1.0),
+    (1e9 + math.pi, 1.0),
+], ids=["zero", "half-pi", "pi", "1e9+pi"])
+def test_rule_phasor_is_finite_at_the_tangent_poles(ph, k0):
+    """One node at the origin, where Q1 = Q2 = 1: S is the phasor of
+    ph = k0 r1 - k0 r2 alone. With r1 = 2 r2 the subtraction is exact.
+    At the double nearest pi, tan(ph / 2) is about 1.6e16."""
+    r2 = ph if ph else 1.0
+    s = kernels.ccf_quadrature_sum(np.zeros(1), np.zeros(1), np.ones(1), 2.0, 2 * r2, r2,
+                                   k0, 0.1, 0.2, -0.1, 0.3)
+    assert k0 * (2 * r2) - k0 * r2 == ph
+    assert math.isfinite(s.real) and math.isfinite(s.imag)
+    assert abs(s - complex(math.cos(ph), math.sin(ph))) <= 1e-15

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import MC_BLIND_SPOT_INI, synth_pair
@@ -24,6 +25,7 @@ from nfcap.stats import ccf_exact, nf_ccf_quadrature
 from nfcap.sweeps import (
     PRESETS,
     SweepResult,
+    csv_text,
     emit_csv,
     reproduce,
     run_bc,
@@ -88,6 +90,19 @@ def test_emit_csv_writes_data_and_sidecar(tmp_path):
     empty = SweepResult(columns=("a",), rows=(), provenance="p\n")
     emit_csv(empty, str(tmp_path / "empty.csv"))
     assert (tmp_path / "empty.csv").read_text() == "a\n"
+
+
+def test_csv_text_formats_each_value_as_format_e11():
+    """Each CSV field is format(v, ".11e"): signed zero, the smallest
+    subnormal, the largest double, numpy scalars and integral floats."""
+    rows = (
+        (-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3.0),
+        (np.float64(2.0), -7.0, 1e22, np.float64(-2.5e-300), 5.96759163094e-09),
+    )
+    res = SweepResult(columns=("a", "b", "c", "d", "e"), rows=rows, provenance="p")
+    expected = ["a,b,c,d,e"] + [",".join(format(v, ".11e") for v in row) for row in rows]
+    assert csv_text(res) == "\n".join(expected) + "\n"
+    assert csv_text(res).splitlines()[1].startswith("-0.00000000000e+00,4.94065645841e-324,")
 
 
 def test_channel_point_reproduces_reference_stats():
