@@ -20,8 +20,8 @@ dual that the verify paths run, is timed on the same 65x65 vectors at
 power 1000 and unit noise, beside the 400x400x64 primal beam-grid scan
 that it replaced. The last two rows time the statistics (gains and T=200
 correlation) of the 60 channels of the ``mc-vs-r2`` preset's NF sweep,
-551x551 with user 2 in its own direction, as the runners compute them:
-one after another, and on a pool of one thread per usable CPU.
+551x551 with user 2 in its own direction: each channel alone, and in
+the one batched pass around their shared user 1 that the runners take.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -114,11 +114,18 @@ def _logdet_args(m_axis):
     return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
 
 
-def _r2_sweep_stats(scenario, applied, workers):
-    "The statistics of every point of a sweep, on ``workers`` threads."
-    with sweeps._channel_stats(scenario, applied, workers) as stats:
-        for geom, users, _, _ in applied:
-            stats(geom, users)
+def _per_channel_stats(scenario, applied):
+    "The statistics of every point of a sweep, each channel alone."
+    for geom, users, _, _ in applied:
+        sweeps._pair_stats(scenario.channel_model, geom, users[0], users[1],
+                           scenario.quadrature_nodes)
+
+
+def _batched_stats(scenario, applied):
+    "The statistics of every point of a sweep, as the runners compute them."
+    stats = sweeps._channel_stats(scenario, applied)
+    for geom, users, _, _ in applied:
+        stats(geom, users)
 
 
 def _r2_sweep_rows():
@@ -128,11 +135,9 @@ def _r2_sweep_rows():
     scenario = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
     applied = sweeps._applied_points(scenario, variable, scenario.sweep.values)
     nodes = len(applied) * scenario.quadrature_nodes ** 2
-    workers = sweeps._worker_count()
     return [
-        (f"r2 sweep stats {side} x{len(applied)} {label}", _r2_sweep_stats,
-         (scenario, applied, count), nodes)
-        for label, count in (("serial", 1), (f"{workers} threads", workers))
+        (f"r2 sweep stats {side} x{len(applied)} {label}", func, (scenario, applied), nodes)
+        for label, func in (("per channel", _per_channel_stats), ("batched", _batched_stats))
     ]
 
 
@@ -181,13 +186,13 @@ def main():
                         help="calls per repetition (default 3)")
     args = parser.parse_args()
 
-    header = f"{'kernel':<32} {'time':>12} {'per eval':>12}"
+    header = f"{'kernel':<36} {'time':>12} {'per eval':>12}"
     print(header)
     print("-" * len(header))
     for name, func, call_args, evals in _workloads():
         seconds = _best_seconds(func, call_args, args.repeat, args.number)
         per_eval = f"{seconds / evals * 1e9:>10.1f}ns" if evals else ""
-        print(f"{name:<32} {seconds * 1e3:>10.3f}ms {per_eval}".rstrip())
+        print(f"{name:<36} {seconds * 1e3:>10.3f}ms {per_eval}".rstrip())
 
 
 if __name__ == "__main__":

@@ -4,16 +4,22 @@ Five kernels, each one numpy function:
 
 * :func:`element_distances` - exact element-to-user distances;
 * :func:`nf_entries` - spherical-wave channel entries from distances;
-* :func:`ccf_quadrature_sum` - the weighted double sum of the NF
+* :func:`ccf_quadrature_sums` - the weighted double sum of the NF
   correlation integral, in real arithmetic on row blocks, with the
   cosine and sine of its phase taken from one tangent of the half phase;
-* :func:`ccf_element_sum` - the same integrand summed over the array's
+* :func:`ccf_element_sums` - the same integrand summed over the array's
   elements with unit weights: the exact inner product and both norms of
   the two NF channel vectors, up to constants that cancel in the CCF;
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
   the two channels, in real arithmetic on one plane per phase. No
   command runs it: the tests keep it as the primal that the multicast
   oracle, an exact convex dual, bounds from above.
+
+The two correlation kernels take user 1 and a list of second users and
+run one pass: each block of nodes builds user 1's planes once and then
+each channel's own. A channel's sums are the same bits whatever else is
+in the list, so :func:`ccf_quadrature_sum` and :func:`ccf_element_sum`,
+the one-channel forms, are calls with a list of one.
 """
 
 import numpy as np
@@ -59,14 +65,20 @@ def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarr
 
 # Rows of x per block: about 16k nodes, so the eight work planes of a
 # block (about 1 MB) stay in cache at every T. The planes are allocated
-# once per call and reused by every block.
+# once per call and reused by every block and channel.
 _QUAD_BLOCK_NODES = 16384
 
 
 def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
     "Weighted double sum of the two oscillatory CCF kernels."
-    re, im = _block_sums(x, z, w, w, (ups, r1, r2, k0, px1, oz1, px2, oz2), False)
-    return complex(re, im)
+    return ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, [(ups, r2, px2, oz2)])[0]
+
+
+def ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, seconds) -> list[complex]:
+    """:func:`ccf_quadrature_sum` of user 1 with each second user
+    ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass."""
+    return [complex(re, im) for re, im in _ccf_sums(x, z, w, w, r1, k0, px1, oz1,
+                                                    seconds, False)]
 
 
 def ccf_element_sum(m_x, m_z, eps1, ups, r1, r2, k0, px1, oz1, px2, oz2
@@ -78,23 +90,17 @@ def ccf_element_sum(m_x, m_z, eps1, ups, r1, r2, k0, px1, oz1, px2, oz2
     eps1 * (ix, iz), so that |S|^2 / (N1 N2) is the exact CCF of the two
     NF channel vectors.
     """
+    return ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, [(ups, r2, px2, oz2)])[0]
+
+
+def ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds
+                     ) -> list[tuple[complex, float, float]]:
+    """:func:`ccf_element_sum` of user 1 with each second user
+    ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass."""
     x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
     z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
-    re, im, n1, n2 = _block_sums(x, z, np.ones(m_x), np.ones(m_z),
-                                 (ups, r1, r2, k0, px1, oz1, px2, oz2), True)
-    return complex(re, im), n1, n2
-
-
-def _block_sums(x, z, wx, wz, args, norms):
-    "Sums of :func:`_quad_block` over row blocks of x."
-    rows = max(1, _QUAD_BLOCK_NODES // len(z))
-    planes = _aligned_planes(8, min(rows, len(x)), len(z))
-    totals = (0.0,) * (4 if norms else 2)
-    for start in range(0, len(x), rows):
-        block = slice(start, start + rows)
-        sums = _quad_block(x[block], z, wx[block], wz, *args, planes, norms)
-        totals = tuple(t + s for t, s in zip(totals, sums))
-    return totals
+    sums = _ccf_sums(x, z, np.ones(m_x), np.ones(m_z), r1, k0, px1, oz1, seconds, True)
+    return [(complex(re, im), n1, n2) for re, im, n1, n2 in sums]
 
 
 def _aligned_planes(count, rows, cols):
@@ -114,72 +120,93 @@ def _aligned_planes(count, rows, cols):
             for k in range(count)]
 
 
-def _quad_block(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2, planes, norms):
-    # Real arithmetic on (rows, T) planes, x down the rows and z along
-    # the columns: f1*f2 = amp * (cos + j sin) of the one phase
-    # p1 - p2 = k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2), with amp = (Q1 Q2)^{-3/4},
-    # and the weights enter as wx @ plane @ wz. Returns the real and
-    # imaginary parts of the sum and, with ``norms``, the sums of
-    # Q1^{-3/2} and Q2^{-3/2} taken from the same square roots.
-    #
-    # Q1 = x^2 + z^2 - 2 px1 x - 2 oz1 z + 1 and
-    # Q2 = ups^2 (x^2 + z^2) - 2 ups px2 x - 2 ups oz2 z + 1 are summed
-    # in that order, from row and column vectors. p1 - p2 rounds by up to
-    # half an ulp of a few hundred radians, and the sum cancels by up to
-    # 1e4 (65x65, reference users), which would move S by 1e-12 relative
-    # to the product of the two exponentials. So the rounding error err
-    # of that subtraction (Knuth's TwoSum) is kept to first order:
-    # cos(ph + err) = cos ph - err sin ph, sin(ph + err) = sin ph + err cos ph.
-    #
-    # Without ``norms`` (the T x T rule), cos ph and sin ph come from t =
-    # tan(ph / 2) by the half-angle (Weierstrass) substitution
-    # (:func:`_tangent_phasor`). Halving ph is exact, numpy's tangent
-    # reduces its own argument, and t^2 cannot overflow: at the double
-    # nearest pi/2, t is about 1.6e16. The rule's nodes spread ph over
-    # hundreds of radians; there numpy's float64 cos and sin cost about 20
-    # and 13 ns an element where its vectorised tan costs about 2.5 ns, and
-    # the phasor stays within 2.2e-16 of theirs. The element sum keeps cos
-    # and sin of ph: its correlations are the ones held to 1e-10 relative,
-    # and the substitution moved the twelfth digit of one printed
-    # correlation near a null.
-    q1, q2, amp, phase, back, err, cos, tmp = (p[:len(x)] for p in planes)
-    X = x[:, None]
+def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
+    """Per second user (ups, r2, px2, oz2) of ``seconds``: the real and
+    imaginary parts of S and, with ``norms``, the sums N1 and N2 of
+    Q1^{-3/2} and Q2^{-3/2}, taken from the same square roots.
+
+    Real arithmetic on (rows, T) planes, x down the rows and z along the
+    columns, block by block of rows of x: f1*f2 = amp * (cos + j sin) of
+    the one phase p1 - p2 = k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2), with amp =
+    (Q1 Q2)^{-3/4}, and the weights enter as wx @ plane @ wz. Each block
+    builds user 1's planes once, x^2 + z^2, Q1 and p1 (and its part of
+    N1), and then each channel's own Q2, amp, phase and sums. A channel's
+    sums take the same operations in the same order, block after block,
+    whatever other channels share the pass, so they are the same bits as
+    a pass of that channel alone.
+
+    Q1 = x^2 + z^2 - 2 px1 x - 2 oz1 z + 1 and
+    Q2 = ups^2 (x^2 + z^2) - 2 ups px2 x - 2 ups oz2 z + 1 are summed in
+    that order, from row and column vectors. p1 - p2 rounds by up to half
+    an ulp of a few hundred radians, and the sum cancels by up to 1e4
+    (65x65, reference users), which would move S by 1e-12 relative to the
+    product of the two exponentials. So the rounding error err of that
+    subtraction (Knuth's TwoSum) is kept to first order:
+    cos(ph + err) = cos ph - err sin ph, sin(ph + err) = sin ph + err cos ph.
+
+    Without ``norms`` (the T x T rule), cos ph and sin ph come from t =
+    tan(ph / 2) by the half-angle (Weierstrass) substitution
+    (:func:`_tangent_phasor`). Halving ph is exact, numpy's tangent
+    reduces its own argument, and t^2 cannot overflow: at the double
+    nearest pi/2, t is about 1.6e16. The rule's nodes spread ph over
+    hundreds of radians; there numpy's float64 cos and sin cost about 20
+    and 13 ns an element where its vectorised tan costs about 2.5 ns, and
+    the phasor stays within 2.2e-16 of theirs. The element sum keeps cos
+    and sin of ph: its correlations are the ones held to 1e-10 relative,
+    and the substitution moved the twelfth digit of one printed
+    correlation near a null.
+    """
+    rows = max(1, _QUAD_BLOCK_NODES // len(z))
+    planes = _aligned_planes(8, min(rows, len(x)), len(z))
+    totals = [(0.0,) * (4 if norms else 2) for _ in seconds]
     Z = z[None, :]
-    np.add(X * X, Z * Z, out=q1)
-    np.multiply(ups * ups, q1, out=q2)
-    q1 -= 2 * px1 * X
-    q1 -= 2 * oz1 * Z
-    q1 += 1.0
-    q2 -= 2 * ups * px2 * X
-    q2 -= 2 * ups * oz2 * Z
-    q2 += 1.0
-    np.multiply(q1, q2, out=amp)
-    amp **= -0.75
-    norm_sums = []
-    for q, kr in ((q1, k0 * r1), (q2, k0 * r2)):
-        root = np.sqrt(q, out=q)
-        if norms:
-            np.multiply(root, root, out=tmp)
-            tmp *= root
-            norm_sums.append(wx @ np.reciprocal(tmp, out=tmp) @ wz)
-        root *= kr
-    p1, p2 = q1, q2
-    np.subtract(p1, p2, out=phase)
-    np.subtract(phase, p1, out=back)
-    np.subtract(phase, back, out=err)
-    np.subtract(p1, err, out=err)
-    err -= np.add(p2, back, out=tmp)
-    if norms:
-        np.cos(phase, out=cos)
-        sin = np.sin(phase, out=phase)
-    else:
-        cos, sin = _tangent_phasor(phase, cos, back)
-    re = np.subtract(cos, np.multiply(err, sin, out=tmp), out=tmp)
-    im = np.multiply(err, cos, out=err)
-    im += sin
-    re *= amp
-    im *= amp
-    return (wx @ re @ wz, wx @ im @ wz, *norm_sums)
+    for start in range(0, len(x), rows):
+        X = x[start:start + rows, None]
+        bx = wx[start:start + rows]
+        sq, q1, p1, q2, amp, phase, back, err = (p[:len(X)] for p in planes)
+        np.add(X * X, Z * Z, out=sq)
+        np.subtract(sq, 2 * px1 * X, out=q1)
+        q1 -= 2 * oz1 * Z
+        q1 += 1.0
+        np.sqrt(q1, out=p1)
+        n1 = (_norm_sum(p1, bx, wz, back),) if norms else ()
+        p1 *= k0 * r1
+        for c, (ups, r2, px2, oz2) in enumerate(seconds):
+            np.multiply(ups * ups, sq, out=q2)
+            q2 -= 2 * ups * px2 * X
+            q2 -= 2 * ups * oz2 * Z
+            q2 += 1.0
+            np.multiply(q1, q2, out=amp)
+            amp **= -0.75
+            p2 = np.sqrt(q2, out=q2)
+            n2 = (_norm_sum(p2, bx, wz, back),) if norms else ()
+            p2 *= k0 * r2
+            np.subtract(p1, p2, out=phase)
+            np.subtract(phase, p1, out=back)
+            np.subtract(phase, back, out=err)
+            np.subtract(p1, err, out=err)
+            err -= np.add(p2, back, out=p2)
+            # p2 is spent, so its plane takes the cosine
+            if norms:
+                cos = np.cos(phase, out=p2)
+                sin = np.sin(phase, out=phase)
+            else:
+                cos, sin = _tangent_phasor(phase, p2, back)
+            re = np.subtract(cos, np.multiply(err, sin, out=back), out=back)
+            im = np.multiply(err, cos, out=err)
+            im += sin
+            re *= amp
+            im *= amp
+            sums = (bx @ re @ wz, bx @ im @ wz, *n1, *n2)
+            totals[c] = tuple(t + s for t, s in zip(totals[c], sums))
+    return totals
+
+
+def _norm_sum(root, wx, wz, tmp):
+    "wx @ root^-3 @ wz, with ``tmp`` as the work plane."
+    np.multiply(root, root, out=tmp)
+    tmp *= root
+    return wx @ np.reciprocal(tmp, out=tmp) @ wz
 
 
 def _tangent_phasor(phase, cos, den):

@@ -185,28 +185,7 @@ def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,
     error (notably for co-located users); the clamped value is what the
     capacity formulas consume.
     """
-    if nodes_T < 2:
-        raise ValueError(f"nodes_T must be at least 2, got {nodes_T}")
-    eps1 = epsilon(geom, u1)
-    epsilon(geom, u2)
-    r1, r2 = u1.range_r, u2.range_r
-    ups = r1 / r2
-    t = np.arange(1, nodes_T + 1)
-    delta = np.cos((2 * t - 1) * np.pi / (2 * nodes_T))
-    w = np.sqrt(1.0 - delta**2)
-    x = geom.m_x * eps1 / 2 * delta
-    z = geom.m_z * eps1 / 2 * delta
-    k0 = 2 * np.pi / geom.wavelength
-    s = _kernels.ccf_quadrature_sum(x, z, w, ups, r1, r2, k0,
-                                    u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z)
-    m_total = geom.m_total
-    area = geom.element_area
-    pref = 1.0
-    for u, g in ((u1, nf_gain_closed(geom, u1)), (u2, nf_gain_closed(geom, u2))):
-        pref *= (np.pi * m_total * area * u.dir_y
-                 / (16 * u.range_r**2 * g * nodes_T**2))
-    raw = float(pref * abs(s) ** 2)
-    return CcfEstimate(value=min(max(raw, 0.0), 1.0), raw=raw)
+    return nf_ccf_batch(geom, u1, (u2,), nodes_T)[0]
 
 
 def nf_ccf_elements(geom: ArrayGeometry, u1: UserLocation,
@@ -221,14 +200,46 @@ def nf_ccf_elements(geom: ArrayGeometry, u1: UserLocation,
     Rounding can put the raw ratio of co-located users a few ulps above
     1; the value is clamped to 1.
     """
+    return nf_ccf_batch(geom, u1, (u2,))[0]
+
+
+def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
+                 seconds: Sequence[UserLocation],
+                 nodes_T: int | None = None) -> list[CcfEstimate]:
+    """NF CCF of user 1 with each user of ``seconds``, in one kernel pass:
+    the exact element sum (:func:`nf_ccf_elements`) when ``nodes_T`` is
+    None, else the ``nodes_T`` x ``nodes_T`` rule
+    (:func:`nf_ccf_quadrature`). Each estimate is the same bits as that
+    function gives for its pair alone.
+    """
+    if nodes_T is not None and nodes_T < 2:
+        raise ValueError(f"nodes_T must be at least 2, got {nodes_T}")
     eps1 = epsilon(geom, u1)
-    epsilon(geom, u2)
-    r1, r2 = u1.range_r, u2.range_r
-    s, n1, n2 = _kernels.ccf_element_sum(
-        geom.m_x, geom.m_z, eps1, r1 / r2, r1, r2, 2 * np.pi / geom.wavelength,
-        u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z)
-    raw = float(abs(s) ** 2 / (n1 * n2))
-    return CcfEstimate(value=min(raw, 1.0), raw=raw)
+    for u2 in seconds:
+        epsilon(geom, u2)
+    r1 = u1.range_r
+    k0 = 2 * np.pi / geom.wavelength
+    pairs = [(r1 / u2.range_r, u2.range_r, u2.dir_x, u2.dir_z) for u2 in seconds]
+    if nodes_T is None:
+        sums = _kernels.ccf_element_sums(geom.m_x, geom.m_z, eps1, r1, k0,
+                                         u1.dir_x, u1.dir_z, pairs)
+        raws = [float(abs(s) ** 2 / (n1 * n2)) for s, n1, n2 in sums]
+    else:
+        t = np.arange(1, nodes_T + 1)
+        delta = np.cos((2 * t - 1) * np.pi / (2 * nodes_T))
+        w = np.sqrt(1.0 - delta**2)
+        x = geom.m_x * eps1 / 2 * delta
+        z = geom.m_z * eps1 / 2 * delta
+        sums = _kernels.ccf_quadrature_sums(x, z, w, r1, k0, u1.dir_x, u1.dir_z, pairs)
+        own = [_rule_factor(geom, u, nodes_T) for u in (u1, *seconds)]
+        raws = [float(own[0] * f2 * abs(s) ** 2) for f2, s in zip(own[1:], sums)]
+    return [CcfEstimate(value=min(max(raw, 0.0), 1.0), raw=raw) for raw in raws]
+
+
+def _rule_factor(geom: ArrayGeometry, u: UserLocation, nodes_T: int) -> float:
+    "One user's factor of the rule's CCF prefactor, by which |S|^2 is scaled."
+    return (np.pi * geom.m_total * geom.element_area * u.dir_y
+            / (16 * u.range_r**2 * nf_gain_closed(geom, u) * nodes_T**2))
 
 
 def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> float:

@@ -5,8 +5,8 @@ deterministic CSV files, and rebuild the bundled figure-data presets.
 Row layout: the first column is the swept variable (or "point" for a
 single-shot scenario) and every later column is a named numeric output.
 Identical scenarios always produce identical bytes: nothing here reads
-clocks, hostnames, or global state, and the number of usable CPUs, which
-sets how many threads compute a run's large NF channels, moves no bit.
+clocks, hostnames, or global state, and a run's NF correlations, computed
+together where they share user 1, are the same bits as each pair alone.
 
 The four point runners share one scaffold: a kind (channel, mac, bc or
 mc) names its columns, the closed forms of a row, its large-array limit
@@ -25,16 +25,14 @@ user 2 in its own direction and in user 1's.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .broadcast import (
     BcConfig,
     CovariancePair,
@@ -49,6 +47,7 @@ from .config import Scenario, ScenarioError, SweepSpec, db_to_linear, default_sc
 from .geometry import (
     ArrayGeometry,
     UserLocation,
+    epsilon,
     ff_channel_vector,
     nf_channel_vector,
 )
@@ -74,6 +73,7 @@ from .stats import (
     ff_gain_closed,
     gram_matrix,
     gram_stats,
+    nf_ccf_batch,
     nf_ccf_elements,
     nf_ccf_quadrature,
     nf_gain_closed,
@@ -338,11 +338,14 @@ def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str
     return ""
 
 
-def _worker_count() -> int:
-    "CPUs this process may run on."
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _nf_refuses(geom: ArrayGeometry, users: Sequence[UserLocation]) -> bool:
+    "Whether :func:`_pair_stats` refuses the NF channel of ``users``."
+    try:
+        for u in users:
+            epsilon(geom, u)
+    except ValueError:
+        return True
+    return bool(_nf_range_refusal(geom, users))
 
 
 def _applied_points(scenario: Scenario, variable: str, points) -> list:
@@ -356,52 +359,41 @@ def _applied_points(scenario: Scenario, variable: str, points) -> list:
     return applied
 
 
-@contextlib.contextmanager
-def _channel_stats(scenario: Scenario, applied: Sequence[tuple], workers: int):
-    """Yield ``stats(geom, users)``, the :func:`_pair_stats` of a point's
+def _channel_stats(scenario: Scenario, applied: Sequence[tuple]):
+    """``stats(geom, users)``, the :func:`_pair_stats` of a point's
     channel, computed once per distinct channel of the run.
 
-    When ``workers`` > 1 and the NF run's ``applied`` points (from
-    :func:`_applied_points`) have two or more distinct channels whose
-    correlation sum has at least one kernel block of terms,
-    min(m_x m_z, T^2) >= _kernels._QUAD_BLOCK_NODES, those are submitted
-    in sweep order to that many threads; numpy releases the GIL inside
-    each plane operation. Each is the serial computation, so the values
-    are the same bits whatever the worker count, and a worker's
-    ValueError is raised when ``stats`` asks for that channel, at its own
-    point. Smaller sums hold the GIL for much of their time and stay on
-    the calling thread, as do FF runs and runs of one channel. The pool
-    is shut down, pending channels cancelled, when the run ends or fails.
+    The distinct NF channels of the ``applied`` points (from
+    :func:`_applied_points`) are grouped by array and user 1, and each
+    group of two or more is computed up front in one :func:`nf_ccf_batch`
+    pass, which gives each correlation the same bits as its pair alone.
+    A group of one is :func:`_pair_stats`, made when its point asks for
+    it, as is every channel of an FF run. A channel that the NF model
+    refuses is left out of its group, so that :func:`_pair_stats` raises
+    the refusal at its own point.
     """
     model, nodes = scenario.channel_model, scenario.quadrature_nodes
-    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho), or its future
-    pool = None
-    if model == "NF" and workers > 1:
-        large = {
-            (geom, users[0], users[1]): None for geom, users, _, _ in applied
-            if min(geom.m_total, nodes * nodes) >= _kernels._QUAD_BLOCK_NODES
-        }
-        if len(large) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(min(workers, len(large)))
-            for channel in large:
-                memo[channel] = pool.submit(_pair_stats, model, *channel, nodes)
+    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho)
+    groups: dict = {}  # (geom, u1) -> {u2: None}, in sweep order
+    if model == "NF":
+        for geom, users, _, _ in applied:
+            if not _nf_refuses(geom, users[:2]):
+                groups.setdefault((geom, users[0]), {})[users[1]] = None
+    for (geom, u1), seconds in groups.items():
+        if len(seconds) > 1:
+            path = None if _takes_element_sum(geom.m_total, nodes) else nodes
+            g1 = nf_gain_closed(geom, u1)
+            for u2, est in zip(seconds, nf_ccf_batch(geom, u1, list(seconds), path)):
+                memo[geom, u1, u2] = (g1, nf_gain_closed(geom, u2), est.value)
 
     def stats(geom: ArrayGeometry, users: Sequence[UserLocation]):
         channel = (geom, users[0], users[1])
         found = memo.get(channel)
         if found is None:
             found = memo[channel] = _pair_stats(model, *channel, nodes)
-        elif not isinstance(found, tuple):
-            found = memo[channel] = found.result()
         return found
 
-    try:
-        yield stats
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    return stats
 
 
 def _exact_pair(
@@ -688,30 +680,30 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
     rows = []
     violations: list[str] = []
     applied = _applied_points(scenario, variable, points)
-    with _channel_stats(scenario, applied, _worker_count()) as pair_stats:
-        # past the last applied point, _apply_point raises the refusal
-        for value, point in zip(points, [*applied, None]):
-            try:
-                geom, users, mac_cfg, bc_cfg = point or _apply_point(
-                    scenario, variable, value)
-                link = mac_cfg if kind.uplink else bc_cfg
-                stats = pair_stats(geom, users)
-                values = kind.formulas(*stats, link)
-                row = [_point_value(value), *stats, *values]
-                if kind.limit is not None:
-                    row.append(kind.limit(geom, users, link, model))
-                if verify:
-                    _finite(columns, row)
-                    _check_verify_size(geom)
-                    checks = kind.verify(scenario, geom, users, link, stats, values)
-                    row += [getattr(check, field)
-                            for (_, field), check in zip(kind.oracle_columns, checks)]
-                    row.append(float(all(check.ok for check in checks)))
-                    violations += [_violation(variable, row[0], check)
-                                   for check in checks if not check.ok]
-                rows.append(_finite(columns, row))
-            except ValueError as exc:
-                raise _point_error(exc, variable, value) from None
+    pair_stats = _channel_stats(scenario, applied)
+    # past the last applied point, _apply_point raises the refusal
+    for value, point in zip(points, [*applied, None]):
+        try:
+            geom, users, mac_cfg, bc_cfg = point or _apply_point(
+                scenario, variable, value)
+            link = mac_cfg if kind.uplink else bc_cfg
+            stats = pair_stats(geom, users)
+            values = kind.formulas(*stats, link)
+            row = [_point_value(value), *stats, *values]
+            if kind.limit is not None:
+                row.append(kind.limit(geom, users, link, model))
+            if verify:
+                _finite(columns, row)
+                _check_verify_size(geom)
+                checks = kind.verify(scenario, geom, users, link, stats, values)
+                row += [getattr(check, field)
+                        for (_, field), check in zip(kind.oracle_columns, checks)]
+                row.append(float(all(check.ok for check in checks)))
+                violations += [_violation(variable, row[0], check)
+                               for check in checks if not check.ok]
+            rows.append(_finite(columns, row))
+        except ValueError as exc:
+            raise _point_error(exc, variable, value) from None
     return SweepResult(
         columns,
         tuple(rows),

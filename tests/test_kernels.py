@@ -78,14 +78,16 @@ def _rule(m_axis, u1, u2, nodes=200):
 
 
 _U1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
-
-
-@pytest.mark.parametrize("m_axis", [65, 551])
-@pytest.mark.parametrize("u2", [
+# second users: reference (dd), co-directional (sd) and co-located
+_SECONDS = [
     UserLocation(5.0, 2 * math.pi / 3, math.pi / 3),
     UserLocation(2.0, math.pi / 3, 2 * math.pi / 3),
     _U1,
-], ids=["reference", "co-directional", "co-located"])
+]
+
+
+@pytest.mark.parametrize("m_axis", [65, 551])
+@pytest.mark.parametrize("u2", _SECONDS, ids=["reference", "co-directional", "co-located"])
 def test_rule_phasor_matches_cos_and_sin(m_axis, u2):
     """The rule's tangent half-angle phasor against cos and sin of the
     same phase on the same T=200 nodes (the element-sum path of the block
@@ -94,14 +96,51 @@ def test_rule_phasor_matches_cos_and_sin(m_axis, u2):
     seen is 5.7e-18 of it (551 x 551, co-directional), and co-located
     users give a zero phase and the same sum."""
     x, w, args = _rule(m_axis, _U1, u2)
-    ups, _, _, _, px1, oz1, px2, oz2 = args
+    ups, r1, r2, k0, px1, oz1, px2, oz2 = args
     X, Z = x[:, None], x[None, :]
     q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
     q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
     scale = w @ (q1 * q2) ** -0.75 @ w
-    rule = complex(*kernels._block_sums(x, x, w, w, args, False))
-    trig = complex(*kernels._block_sums(x, x, w, w, args, True)[:2])
+    rule, trig = (
+        complex(*kernels._ccf_sums(x, x, w, w, r1, k0, px1, oz1, [(ups, r2, px2, oz2)],
+                                   norms)[0][:2])
+        for norms in (False, True))
     assert abs(rule - trig) <= 4e-16 * scale
+
+
+@pytest.mark.parametrize("m_axis", [551, 199], ids=["rule-551", "elements-199"])
+def test_batched_correlation_sums_are_the_one_channel_bits(m_axis):
+    """User 1 with the three second users in one pass, in the reverse
+    order and in a batch of one each: every channel's sums are the bits
+    of its one-channel call, whatever else shares the pass. Both take
+    several kernel blocks: the T = 200 rule at 551 x 551 runs 200 rows of
+    nodes, 81 a block, and the element sum at 199 x 199 199 rows, 82 a
+    block."""
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
+    x, w, (_, r1, _, k0, px1, oz1, _, _) = _rule(m_axis, _U1, _U1)
+    if m_axis == 551:
+        rows = len(x)
+
+        def alone(ups, r2, px2, oz2):
+            return kernels.ccf_quadrature_sum(x, x, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
+
+        def batch(seconds):
+            return kernels.ccf_quadrature_sums(x, x, w, r1, k0, px1, oz1, seconds)
+    else:
+        rows, eps1 = m_axis, epsilon(geom, _U1)
+
+        def alone(ups, r2, px2, oz2):
+            return kernels.ccf_element_sum(m_axis, m_axis, eps1, ups, r1, r2, k0,
+                                           px1, oz1, px2, oz2)
+
+        def batch(seconds):
+            return kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1, seconds)
+    assert rows > kernels._QUAD_BLOCK_NODES // rows
+    seconds = [(r1 / u.range_r, u.range_r, u.dir_x, u.dir_z) for u in _SECONDS]
+    expected = [alone(*second) for second in seconds]
+    assert batch(seconds) == expected
+    assert batch(seconds[::-1]) == expected[::-1]
+    assert [batch([second])[0] for second in seconds] == expected
 
 
 @pytest.mark.parametrize("ph, k0", [

@@ -152,17 +152,18 @@ def test_quadrature_kernel_matches_two_exponential_form(
 ):
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
     u1, u2 = UserLocation(*_U1), UserLocation(*user2)
-    calls = []
-    kernel = _kernels.ccf_quadrature_sum
+    calls = []  # in the argument order of ccf_quadrature_sum
+    batch = _kernels.ccf_quadrature_sums
 
-    def recording(*args):
-        calls.append(args)
-        return kernel(*args)
+    def recording(x, z, w, r1, k0, px1, oz1, seconds):
+        calls.extend((x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
+                     for ups, r2, px2, oz2 in seconds)
+        return batch(x, z, w, r1, k0, px1, oz1, seconds)
 
-    monkeypatch.setattr(_kernels, "ccf_quadrature_sum", recording)
+    monkeypatch.setattr(_kernels, "ccf_quadrature_sums", recording)
     est = nf_ccf_quadrature(geom, u1, u2, nodes)
     (args,) = calls
-    got = kernel(*args)
+    got = _kernels.ccf_quadrature_sum(*args)
     want = _two_exponential_sum(*args)
     # 1e-13, not just 1e-12: a one-phase kernel without the TwoSum term
     # is 5e-13 off on the reference pair at 65x65, T=200, enough to move

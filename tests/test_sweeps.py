@@ -3,7 +3,6 @@ provenance sidecars, the per-target runners with and without
 verification, sweep application, presets, and the verification report.
 """
 
-import concurrent.futures
 import importlib
 import math
 import re
@@ -341,10 +340,19 @@ def test_preset_matches_stored_table(tmp_path, name):
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    "Arguments of every call the runners make to the NF correlation, on either path."
+    """One entry per NF correlation the runners compute, on either path,
+    per pair or in a batch: the path's function name and the pair."""
     calls = []
     for name in ("nf_ccf_elements", "nf_ccf_quadrature"):
         monkeypatch.setattr(sweeps, name, _recording(getattr(sweeps, name), calls))
+    batch = sweeps.nf_ccf_batch
+
+    def recording(geom, u1, seconds, nodes_T=None):
+        path = "nf_ccf_elements" if nodes_T is None else "nf_ccf_quadrature"
+        calls.extend((path, geom, u1, u2) for u2 in seconds)
+        return batch(geom, u1, seconds, nodes_T)
+
+    monkeypatch.setattr(sweeps, "nf_ccf_batch", recording)
     return calls
 
 
@@ -414,66 +422,68 @@ def test_nf_correlation_path_switches_past_t_squared(
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    "The worker count of every thread pool the runners start, in turn."
-    started = []
+def batches(monkeypatch):
+    "The number of channels of each batch of NF correlations the runners compute, in turn."
+    sizes = []
+    batch = sweeps.nf_ccf_batch
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recording(geom, u1, seconds, nodes_T=None):
+        sizes.append(len(seconds))
+        return batch(geom, u1, seconds, nodes_T)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return started
-
-
-def _set_workers(monkeypatch, count):
-    monkeypatch.setattr(sweeps, "_worker_count", lambda: count)
+    monkeypatch.setattr(sweeps, "nf_ccf_batch", recording)
+    return sizes
 
 
-# 129^2 = 16641 elements: one kernel block of terms, so the channels of
-# an r2 sweep go to the pool
+def _per_pair(monkeypatch):
+    "Make the runners compute every channel by _pair_stats, alone, at its own point."
+    monkeypatch.setattr(sweeps, "_channel_stats", lambda scenario, applied: (
+        lambda geom, users: sweeps._pair_stats(
+            scenario.channel_model, geom, users[0], users[1], scenario.quadrature_nodes)))
+
+
+# 129^2 = 16641 elements: the element sum takes two kernel blocks
 R2_SWEEP_129 = "[array]\nm_per_axis = 129\n[sweep]\nvariable = r2_m\nvalues = {}\ntarget = mc\n"
 
 
-def test_statistics_pool_changes_no_bit(tmp_path, monkeypatch, pools):
-    "An r2 sweep at 129 x 129 and mc-vs-r2 print the same rows on one worker or two."
+def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches):
+    """An r2 sweep at 129 x 129 (element sum) and mc-vs-r2 (the T x T
+    rule at 551 x 551) print the same rows as _pair_stats of each point."""
     scn = _scenario(tmp_path, R2_SWEEP_129.format("2 3 4 5 6"))
-    rows = []
-    for workers in (1, 2):
-        _set_workers(monkeypatch, workers)
-        rows.append((run_mc(scn).rows, reproduce("mc-vs-r2").rows))
-    assert rows[0] == rows[1]
+    batched = (run_mc(scn).rows, reproduce("mc-vs-r2").rows)
     # the sweep, then the two NF runs of the preset; its FF runs take none
-    assert pools == [2, 2, 2]
+    assert batches == [5, 60, 60]
+    _per_pair(monkeypatch)
+    assert (run_mc(scn).rows, reproduce("mc-vs-r2").rows) == batched
+    assert batches == [5, 60, 60]
 
 
 @pytest.mark.parametrize(
-    ("values", "point"),
+    ("values", "point", "batched"),
     [
-        # refused by the NF range guard, on a worker
-        ("2 4 1e300 1e301", "r2_m=1e+300"),
-        # refused when the point is applied, after three were submitted
-        ("2 4 6 inf", "r2_m=inf"),
+        # refused by the NF range guard, and left out of the batch
+        pytest.param("2 4 1e300 1e301", "r2_m=1e+300", [2], id="2 4 1e300 1e301-r2_m=1e+300"),
+        # refused when the point is applied, after three were batched
+        pytest.param("2 4 6 inf", "r2_m=inf", [3], id="2 4 6 inf-r2_m=inf"),
     ],
 )
-def test_refused_sweep_point_is_named_on_any_worker_count(
-    tmp_path, monkeypatch, pools, values, point
+def test_refused_sweep_point_is_named_at_its_own_point(
+    tmp_path, monkeypatch, batches, values, point, batched
 ):
     scn = _scenario(tmp_path, R2_SWEEP_129.format(values))
     messages = []
-    for workers in (1, 2):
-        _set_workers(monkeypatch, workers)
+    for per_pair in (False, True):
+        if per_pair:
+            _per_pair(monkeypatch)
         with pytest.raises(ScenarioError) as info:
             run_mc(scn)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"at sweep point {point}: ")
-    assert pools == [2]
+    assert batches == batched
 
 
-def test_ff_runs_and_single_channel_commands_start_no_pool(tmp_path, monkeypatch, pools):
-    _set_workers(monkeypatch, 2)
+def test_ff_runs_and_single_channel_commands_never_call_the_batch(tmp_path, batches):
     big = "[array]\nm_per_axis = 129\n"
     run_mc(_scenario(tmp_path, "[link]\nmodel = ff\n" + R2_SWEEP_129.format("2 3 4")))
     for variable, target in (("snr_db", "mac"), ("power_db", "bc")):
@@ -482,7 +492,7 @@ def test_ff_runs_and_single_channel_commands_start_no_pool(tmp_path, monkeypatch
         ))
     run_mc(_scenario(tmp_path, big))
     run_channel(default_scenario(), verify=True)
-    assert pools == []
+    assert batches == []
 
 
 def test_runner_past_t_squared_prints_the_rule_bit_for_bit(tmp_path):
@@ -509,23 +519,32 @@ def test_provenance_names_the_correlation_path(tmp_path):
 
 
 def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch, capsys):
-    "A correlation 1e-6 relative off the element sum fails channel --verify."
-    exact = sweeps.nf_ccf_elements
+    """A correlation 1e-6 relative off the element sum fails channel
+    --verify, computed per pair at one point or batched over an r2 sweep."""
+    exact, batch = sweeps.nf_ccf_elements, sweeps.nf_ccf_batch
 
-    def off(*args):
-        est = exact(*args)
+    def off(est):
         return est._replace(value=est.value * (1 + 1e-6))
 
-    monkeypatch.setattr(sweeps, "nf_ccf_elements", off)
+    corrupt = {
+        "nf_ccf_elements": lambda *args: off(exact(*args)),
+        "nf_ccf_batch": lambda *args: list(map(off, batch(*args))),
+    }
     path = tmp_path / "scn.ini"
-    path.write_text("[array]\nm_per_axis = 21\n")
-    res = run_channel(load_scenario(str(path)), verify=True)
-    assert dict(zip(res.columns, res.rows[0]))["verify_ok"] == 0.0
-    assert len(res.violations) == 1
-    assert "ccf: closed" in res.violations[0]
-    assert "relative plus rounding" in res.violations[0]
-    assert main(["channel", "--verify", "--config", str(path)]) == 3
-    assert "verification found 1 violation(s)" in capsys.readouterr().err
+    for seam, sweep, points in (
+        ("nf_ccf_elements", "", 1),
+        ("nf_ccf_batch", "[sweep]\nvariable = r2_m\nvalues = 4 5\n", 2),
+    ):
+        path.write_text("[array]\nm_per_axis = 21\n" + sweep)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, seam, corrupt[seam])
+            res = run_channel(load_scenario(str(path)), verify=True)
+            assert main(["channel", "--verify", "--config", str(path)]) == 3
+        assert res.column("verify_ok") == (0.0,) * points
+        assert len(res.violations) == points
+        assert all("ccf: closed" in v and "relative plus rounding" in v
+                   for v in res.violations)
+        assert f"verification found {points} violation(s)" in capsys.readouterr().err
 
 
 def test_mc_verify_fails_a_capacity_that_overstates(tmp_path, monkeypatch):
