@@ -22,6 +22,12 @@ that it replaced. The last two rows time the statistics (gains and T=200
 correlation) of the 60 channels of the ``mc-vs-r2`` preset's NF sweep,
 551x551 with user 2 in its own direction: each channel alone, and in
 the one batched pass around their shared user 1 that the runners take.
+The four ``ff sweep 2500`` rows time one FF run of the default scenario
+(65x65) over 2500 points of each swept variable, with the target the FF
+sweeps of the benchmark give it: array side (channel), SNR (mac), power
+(bc) and user 2's range (mc). Their time is per run and their "per
+eval" per point; the run evaluates each formula once on the arrays of
+all its points.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -114,18 +120,11 @@ def _logdet_args(m_axis):
     return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
 
 
-def _per_channel_stats(scenario, applied):
+def _per_channel_stats(scenario, channels):
     "The statistics of every point of a sweep, each channel alone."
-    for geom, users, _, _ in applied:
+    for geom, users in channels:
         sweeps._pair_stats(scenario.channel_model, geom, users[0], users[1],
                            scenario.quadrature_nodes)
-
-
-def _batched_stats(scenario, applied):
-    "The statistics of every point of a sweep, as the runners compute them."
-    stats = sweeps._channel_stats(scenario, applied)
-    for geom, users, _, _ in applied:
-        stats(geom, users)
 
 
 def _r2_sweep_rows():
@@ -133,11 +132,33 @@ def _r2_sweep_rows():
     base = default_scenario()
     geom = replace(base.geometry, m_x=side, m_z=side)
     scenario = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
-    applied = sweeps._applied_points(scenario, variable, scenario.sweep.values)
-    nodes = len(applied) * scenario.quadrature_nodes ** 2
+    channels = [sweeps._swept(scenario, variable, x)[:2] for x in grid]
+    nodes = len(channels) * scenario.quadrature_nodes ** 2
     return [
-        (f"r2 sweep stats {side} x{len(applied)} {label}", func, (scenario, applied), nodes)
-        for label, func in (("per channel", _per_channel_stats), ("batched", _batched_stats))
+        (f"r2 sweep stats {side} x{len(channels)} {label}", func, (scenario, channels), nodes)
+        for label, func in (("per channel", _per_channel_stats),
+                            ("batched", sweeps._nf_stats))
+    ]
+
+
+FF_SWEEP_POINTS = 2500
+# (swept variable, target, grid) of each FF sweep: odd array sides from
+# 3 to 9999, SNR and power from 0 to 80 dB, user 2 from 2 m to 60 m
+FF_SWEEPS = (
+    ("m_per_axis", "channel", tuple(float(m) for m in range(3, 4 * FF_SWEEP_POINTS, 4))),
+    ("snr_db", "mac", tuple(np.linspace(0.0, 80.0, FF_SWEEP_POINTS).tolist())),
+    ("power_db", "bc", tuple(np.linspace(0.0, 80.0, FF_SWEEP_POINTS).tolist())),
+    ("r2_m", "mc", tuple(np.linspace(2.0, 60.0, FF_SWEEP_POINTS).tolist())),
+)
+
+
+def _ff_sweep_rows():
+    "One FF run of each swept variable over 2500 points, as ``nfcap sweep`` runs it."
+    base = replace(default_scenario(), channel_model="FF")
+    return [
+        (f"ff sweep {len(grid)} {variable} {target}", sweeps._run,
+         (replace(base, sweep=SweepSpec(variable, grid, target)), False, target), len(grid))
+        for variable, target, grid in FF_SWEEPS
     ]
 
 
@@ -170,6 +191,7 @@ def _workloads():
         *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
            None) for m in (33, 65)],
         *_r2_sweep_rows(),
+        *_ff_sweep_rows(),
     ]
 
 

@@ -8,10 +8,13 @@ covariance matrices, region sampling, linear transmit precoders, and
 the large-array limit: the two-user capacity at the limit statistics
 of :func:`nfcap.stats.asymptotic_stats`, for either field model.
 
-Scalar two-user routines, the region sampler among them, take channel
-gains ``g1, g2`` and the squared correlation ``rho``. The covariance
-recovery takes the two channel vectors and normalizes them by the
-per-user noise variances internally.
+The two-user routines, the region sampler among them, take channel
+gains ``g1, g2`` and the squared correlation ``rho``. The closed forms
+take each of them, and the power budget of a :class:`BcConfig`, as a
+float or a numpy array: arrays broadcast and give one value per
+element, the bits the same floats would give, and a call on floats
+alone returns floats. The covariance recovery takes the two channel
+vectors and normalizes them by the per-user noise variances internally.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ __all__ = [
 class BcConfig:
     """Total transmit power and per-user noise variances for a downlink.
 
-    ``total_power_P`` is the sum-power budget in linear units.
-    ``noise_var_per_user[k]`` is user k's receiver noise variance.
+    ``total_power_P`` is the sum-power budget in linear units, or an
+    array of budgets. ``noise_var_per_user[k]`` is user k's receiver
+    noise variance.
     """
 
     total_power_P: float
@@ -77,13 +81,15 @@ class PowerAllocation:
     note: str = ""
 
     def __post_init__(self) -> None:
-        for k, p in enumerate(self.p_per_user):
-            if not math.isfinite(p) or p < -1e-12:
-                raise ValueError(f"p_per_user[{k}] must be nonnegative, got {p}")
+        powers = (
+            _checks.checked(p, lambda v: np.isfinite(v) & (v >= -1e-12),
+                            f"p_per_user[{k}] must be nonnegative")
+            for k, p in enumerate(self.p_per_user)
+        )
         object.__setattr__(
             self,
             "p_per_user",
-            tuple(max(0.0, float(p)) for p in self.p_per_user),
+            tuple(_checks.result(np.maximum(p, 0.0)) for p in powers),
         )
 
     @property
@@ -145,13 +151,22 @@ class CovariancePair:
         return self.scale2 * np.outer(self.beam2, self.beam2.conj())
 
 
-def _bc_case_split(
-    g1: float, g2: float, rho: float, cfg: BcConfig
-) -> tuple[tuple[float, float, float], str]:
-    """Resolve the two-user downlink's branches.
+_BC_NOTES = (
+    "",
+    "both channels vanish",
+    "user 2 channel vanishes",
+    "user 1 channel vanishes",
+    "fully correlated channels, single-user fallback",
+)
 
-    Returns ((p1, p2, det), note): the optimal dual-uplink power split,
-    det = 2^C for the sum capacity C, and the fallback the split took.
+
+def _bc_case_split(g1, g2, rho, cfg: BcConfig):
+    """Resolve the two-user downlink's branches, element by element.
+
+    Returns (p1, p2, det, case): the optimal dual-uplink power split,
+    det = 2^C for the sum capacity C, and the index in _BC_NOTES of the
+    fallback the split took. Every branch is evaluated on every element
+    and each element takes the first whose condition holds.
     """
     g1 = _checks.nonneg("g1", g1)
     g2 = _checks.nonneg("g2", g2)
@@ -160,30 +175,37 @@ def _bc_case_split(
         raise ValueError(
             f"two-user routine needs 2 noise variances, got {cfg.num_users}"
         )
-    power = cfg.total_power_P
-    a = g1 / cfg.noise_var_per_user[0]
-    b = g2 / cfg.noise_var_per_user[1]
-    to1 = (power, 0.0, 1.0 + power * a)
-    to2 = (0.0, power, 1.0 + power * b)
-    if a <= 0.0 and b <= 0.0:
-        return (0.0, 0.0, 1.0), "both channels vanish"
-    if b <= 0.0:
-        return to1, "user 2 channel vanishes"
-    if a <= 0.0:
-        return to2, "user 1 channel vanishes"
-    if 1.0 - rho < 1e-9:
-        return to1 if a >= b else to2, "fully correlated channels, single-user fallback"
-    one_minus = 1.0 - rho
-    # b - a before the sum: it is exact when a and b are within a factor
-    # of two, where (x - a) + b would lose x to cancellation
-    x = power * a * b * one_minus
-    k1 = (x + (b - a)) / (2.0 * a * one_minus)
-    k2 = (x + (a - b)) / (2.0 * b * one_minus)
-    if k1 <= 0.0:
-        return to1, ""
-    if k2 <= 0.0:
-        return to2, ""
-    return (k2 / a, k1 / b, 1.0 + k1 + k2 + k1 * k2 * one_minus), ""
+    power = np.asarray(cfg.total_power_P)
+    with np.errstate(all="ignore"):
+        a = np.asarray(g1) / cfg.noise_var_per_user[0]
+        b = np.asarray(g2) / cfg.noise_var_per_user[1]
+        one_minus = 1.0 - rho
+        # b - a before the sum: it is exact when a and b are within a
+        # factor of two, where (x - a) + b would lose x to cancellation
+        x = power * a * b * one_minus
+        k1 = (x + (b - a)) / (2.0 * a * one_minus)
+        k2 = (x + (a - b)) / (2.0 * b * one_minus)
+        to1 = (power, 0.0, 1.0 + power * a)
+        to2 = (0.0, power, 1.0 + power * b)
+        inner = (k2 / a, k1 / b, 1.0 + k1 + k2 + k1 * k2 * one_minus)
+    correlated = one_minus < 1e-9
+    # (condition, (p1, p2, det), note), in the order the branches are tried
+    branches = (
+        ((a <= 0.0) & (b <= 0.0), (0.0, 0.0, 1.0), 1),
+        (b <= 0.0, to1, 2),
+        (a <= 0.0, to2, 3),
+        (correlated & (a >= b), to1, 4),
+        (correlated, to2, 4),
+        (k1 <= 0.0, to1, 0),
+        (k2 <= 0.0, to2, 0),
+        (True, inner, 0),
+    )
+    taken = len(branches) - 1
+    for k in reversed(range(taken)):
+        taken = np.where(branches[k][0], k, taken)
+    out = [np.choose(taken, [split[j] for _, split, _ in branches]) for j in range(3)]
+    case = np.choose(taken, [note for *_, note in branches])
+    return tuple(_checks.result(v) for v in (*out, case))
 
 
 def bc_power_allocation_two_user(
@@ -200,9 +222,11 @@ def bc_power_allocation_two_user(
     and otherwise the split is (kappa2 / a, kappa1 / b), which always
     sums to P. Fully correlated channels (1 - rho below 1e-9) degenerate
     to a scalar channel; all power then goes to the user with the larger
-    noise-weighted gain and the fallback is recorded in ``note``.
+    noise-weighted gain and the fallback is recorded in ``note``: one
+    string, or an array of one per element.
     """
-    (p1, p2, _), note = _bc_case_split(g1, g2, rho, cfg)
+    p1, p2, _, case = _bc_case_split(g1, g2, rho, cfg)
+    note = _BC_NOTES[case] if np.ndim(case) == 0 else np.array(_BC_NOTES)[case]
     return PowerAllocation((p1, p2), note=note)
 
 
@@ -215,8 +239,8 @@ def bc_capacity_two_user(g1: float, g2: float, rho: float, cfg: BcConfig) -> flo
 
         C = log2(1 + kappa1 + kappa2 + kappa1 kappa2 (1 - rho)).
     """
-    (_, _, det), _ = _bc_case_split(g1, g2, rho, cfg)
-    return math.log2(det)
+    _, _, det, _ = _bc_case_split(g1, g2, rho, cfg)
+    return _checks.log2(det)
 
 
 def bc_covariance_recovery(
@@ -381,15 +405,17 @@ def linear_precoder_sum_rate(
     if len(snrs) != 2:
         raise ValueError(f"per_user_snr_hat must have 2 entries, got {len(snrs)}")
 
-    def loss(x: float) -> float:
+    def loss(x):
         if key == "mrt":
             return x * z / (1.0 + x * z)
         return z
 
     total = 0.0
-    for own_gain, own_snr, other_snr in ((g1, snrs[0], snrs[1]), (g2, snrs[1], snrs[0])):
-        x = other_snr * own_gain
-        total += math.log2(1.0 + own_snr * own_gain * (1.0 - loss(x)))
+    with np.errstate(all="ignore"):
+        for own_gain, own_snr, other_snr in ((g1, snrs[0], snrs[1]),
+                                             (g2, snrs[1], snrs[0])):
+            x = other_snr * own_gain
+            total += _checks.log2(1.0 + own_snr * own_gain * (1.0 - loss(x)))
     return total
 
 

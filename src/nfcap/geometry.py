@@ -24,7 +24,9 @@ class ArrayGeometry:
     """Uniform planar (or linear) array in the xz-plane.
 
     m_x, m_z
-        Odd element counts along x and z.
+        Odd element counts along x and z. The closed-form statistics of
+        ``nfcap.stats`` also take a float array of them, one size per
+        sweep point; they are exact while m_x * m_z < 2^53.
     pitch_d
         Center-to-center element spacing in meters, shared by both axes.
     element_side
@@ -43,6 +45,10 @@ class ArrayGeometry:
 
     def __post_init__(self) -> None:
         for name, m in (("m_x", self.m_x), ("m_z", self.m_z)):
+            if np.ndim(m) > 0:
+                _checks.checked(m, lambda v: (v >= 1) & (v % 2 == 1),
+                                f"{name} must hold odd positive integers")
+                continue
             if not isinstance(m, (int, np.integer)) or m < 1:
                 raise ValueError(f"{name} must be a positive integer, got {m!r}")
             if m % 2 == 0:
@@ -91,6 +97,10 @@ class ArrayGeometry:
 class UserLocation:
     """Single-antenna user position in range/angle form.
 
+    ``range_r`` may be an array of ranges along one direction, one per
+    sweep point, which the closed-form statistics of ``nfcap.stats``
+    take.
+
     Direction cosines are cached at construction: dir_x along the array's
     x axis, dir_y boresight, dir_z along the z axis.
     """
@@ -128,12 +138,15 @@ class UserLocation:
 
 
 def epsilon(geom: ArrayGeometry, u: UserLocation) -> float:
-    "Pitch-to-range ratio d/r; rejects users closer than one pitch."
+    """Pitch-to-range ratio d/r, one per range of ``u``; rejects users
+    closer than one pitch."""
     eps = geom.pitch_d / u.range_r
-    if eps >= 1.0:
+    near = np.asarray(eps >= 1.0)
+    if near.any():
+        r, e = (u.range_r, eps) if near.ndim == 0 else _checks.first(near, u.range_r, eps)
         raise ValueError(
-            f"user range {u.range_r} m is below the array pitch "
-            f"{geom.pitch_d} m (d/r = {eps:.3g} >= 1)")
+            f"user range {r} m is below the array pitch "
+            f"{geom.pitch_d} m (d/r = {e:.3g} >= 1)")
     return eps
 
 

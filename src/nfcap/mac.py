@@ -1,17 +1,21 @@
 """Uplink (multiple-access) capacity: SIC corner rates, sum capacity,
 achievable regions, linear combiners, and the large-array limit.
 
-The scalar formulas take the per-user effective gains ``g1, g2``, the
-squared channel correlation ``rho``, and per-user transmit SNRs. The
-large-array limit of either field model is the two-user sum capacity
-at the limit statistics of :func:`nfcap.stats.asymptotic_stats`.
+The formulas take the per-user effective gains ``g1, g2``, the squared
+channel correlation ``rho``, and per-user transmit SNRs, each a float or
+a numpy array. Arrays broadcast against each other and the result is an
+array of one value per element, the bits the same floats would give; a
+call on floats alone returns floats. The large-array limit of either
+field model is the two-user sum capacity at the limit statistics of
+:func:`nfcap.stats.asymptotic_stats`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import _checks
 from .geometry import ArrayGeometry, UserLocation
@@ -61,11 +65,12 @@ class RatePoint:
     r2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("r1", self.r1), ("r2", self.r2)):
-            if not math.isfinite(value) or value < -1e-9:
-                raise ValueError(f"{name} must be a nonnegative rate, got {value}")
-        object.__setattr__(self, "r1", max(0.0, float(self.r1)))
-        object.__setattr__(self, "r2", max(0.0, float(self.r2)))
+        for name in ("r1", "r2"):
+            value = _checks.checked(
+                getattr(self, name), lambda v: np.isfinite(v) & (v >= -1e-9),
+                f"{name} must be a nonnegative rate",
+            )
+            object.__setattr__(self, name, _checks.result(np.maximum(value, 0.0)))
 
     @property
     def sum_rate(self) -> float:
@@ -150,14 +155,15 @@ def sic_rates_two_user(
     key = order.lower()
     if key not in ("u1_first", "u2_first"):
         raise ValueError(f"order must be 'u1_first' or 'u2_first', got {order!r}")
-    x1, x2 = gamma1 * g1, gamma2 * g2
-    cross = gamma1 * gamma2 * g1 * g2 * (1.0 - rho)
-    if key == "u1_first":
-        r1 = math.log2(1.0 + (x1 + cross) / (1.0 + x2))
-        r2 = math.log2(1.0 + x2)
-    else:
-        r1 = math.log2(1.0 + x1)
-        r2 = math.log2(1.0 + (x2 + cross) / (1.0 + x1))
+    with np.errstate(all="ignore"):
+        x1, x2 = gamma1 * g1, gamma2 * g2
+        cross = gamma1 * gamma2 * g1 * g2 * (1.0 - rho)
+        if key == "u1_first":
+            r1 = _checks.log2(1.0 + (x1 + cross) / (1.0 + x2))
+            r2 = _checks.log2(1.0 + x2)
+        else:
+            r1 = _checks.log2(1.0 + x1)
+            r2 = _checks.log2(1.0 + (x2 + cross) / (1.0 + x1))
     return RatePoint(r1, r2)
 
 
@@ -180,19 +186,22 @@ def mac_capacity_two_user(
     gamma1 = _checks.nonneg("gamma1", gamma1)
     gamma2 = _checks.nonneg("gamma2", gamma2)
     rho = _checks.rho(rho)
-    arg = (
-        1.0
-        + gamma1 * g1
-        + gamma2 * g2
-        + gamma1 * gamma2 * g1 * g2 * (1.0 - rho)
-    )
-    if not math.isfinite(arg):
+    with np.errstate(all="ignore"):
+        arg = (
+            1.0
+            + gamma1 * g1
+            + gamma2 * g2
+            + gamma1 * gamma2 * g1 * g2 * (1.0 - rho)
+        )
+    bad = ~np.isfinite(arg)
+    if bad.any():
+        g1, g2, gamma1, gamma2, rho = _checks.first(bad, g1, g2, gamma1, gamma2, rho)
         raise ValueError(
             "uplink capacity overflows: 1 + gamma1*g1 + gamma2*g2 + "
             f"gamma1*gamma2*g1*g2*(1 - rho) is not finite for g=({g1}, {g2}), "
             f"gamma=({gamma1}, {gamma2}), rho={rho}"
         )
-    return math.log2(arg)
+    return _checks.log2(arg)
 
 
 def mac_region_two_user(
@@ -279,17 +288,18 @@ def linear_combiner_sum_rate(
     if key not in ("opt", "mrc", "zf"):
         raise ValueError(f"scheme must be 'opt', 'mrc', or 'zf', got {scheme!r}")
 
-    def loss(x_other: float) -> float:
+    def loss(x_other):
         if key == "opt":
             return x_other * z / (1.0 + x_other)
         if key == "mrc":
             return x_other * z / (1.0 + x_other * z)
         return z
 
-    x1, x2 = gamma1 * g1, gamma2 * g2
     total = 0.0
-    for own, other in ((x1, x2), (x2, x1)):
-        total += math.log2(1.0 + own * (1.0 - loss(other)))
+    with np.errstate(all="ignore"):
+        x1, x2 = gamma1 * g1, gamma2 * g2
+        for own, other in ((x1, x2), (x2, x1)):
+            total += _checks.log2(1.0 + own * (1.0 - loss(other)))
     return total
 
 

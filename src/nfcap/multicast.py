@@ -11,7 +11,10 @@ statistics of :func:`nfcap.stats.asymptotic_stats`, for either field
 model.
 
 Noise arguments are variances throughout, written sigma1, sigma2 with
-the squared symbol dropped from the names.
+the squared symbol dropped from the names. The capacity and the bound
+take each gain, the correlation and the power as a float or a numpy
+array: arrays broadcast and give one value per element, the bits the
+same floats would give, and a call on floats alone returns floats.
 """
 
 from __future__ import annotations
@@ -83,29 +86,31 @@ def mc_rate_given_beamformer(
     return math.log2(1.0 + P * worst)
 
 
-def _mc_case_split(
-    g1: float, g2: float, rho: float, var1: float, var2: float
-) -> tuple[int, float, float, float]:
-    """Resolve the three-branch optimum.
+def _mc_case_split(g1, g2, rho, var1, var2):
+    """Resolve the three-branch optimum, element by element.
 
     Returns (branch, eta, mu1, mu2) where branch 1 or 2 means a pure
     matched beam to that user and branch 3 the balanced interior
-    solution with effective gain eta = g1 g2 (1 - rho) / chi.
+    solution with effective gain eta = g1 g2 (1 - rho) / chi. Every
+    branch is evaluated on every element and each element takes the
+    first whose condition holds.
     """
-    a = g1 / var1
-    b = g2 / var2
-    if a <= rho * b:
-        return 1, a, 1.0, 0.0
-    if b <= rho * a:
-        return 2, b, 0.0, 1.0
-    s1 = math.sqrt(var1)
-    s2 = math.sqrt(var2)
-    root = s1 * s2 * math.sqrt(g1 * g2 * rho)
-    chi = var2 * g1 + var1 * g2 - 2.0 * root
-    eta = g1 * g2 * (1.0 - rho) / chi
-    mu1 = (var1 * g2 - root) / chi
-    mu2 = (var2 * g1 - root) / chi
-    return 3, eta, mu1, mu2
+    with np.errstate(all="ignore"):
+        a = np.asarray(g1) / var1
+        b = np.asarray(g2) / var2
+        s1 = np.sqrt(var1)
+        s2 = np.sqrt(var2)
+        root = s1 * s2 * np.sqrt(g1 * g2 * rho)
+        chi = var2 * g1 + var1 * g2 - 2.0 * root
+        eta = g1 * g2 * (1.0 - rho) / chi
+        mu1 = (var1 * g2 - root) / chi
+        mu2 = (var2 * g1 - root) / chi
+        first, second = a <= rho * b, b <= rho * a
+
+    def branch(one, two, three):
+        return _checks.result(np.where(first, one, np.where(second, two, three)))
+
+    return branch(1, 2, 3), branch(a, b, eta), branch(1.0, 0.0, mu1), branch(0.0, 1.0, mu2)
 
 
 def mc_beamformer_two_user(
@@ -164,10 +169,10 @@ def mc_capacity_two_user(
     _checks.nonneg("P", P)
     var1 = _checks.positive("sigma1", sigma1)
     var2 = _checks.positive("sigma2", sigma2)
-    if g1 <= 0.0 or g2 <= 0.0:
-        return 0.0
     _, eta, _, _ = _mc_case_split(g1, g2, rho, var1, var2)
-    return math.log2(1.0 + P * eta)
+    with np.errstate(all="ignore"):
+        cap = _checks.log2(1.0 + P * eta)
+    return _checks.result(np.where((g1 <= 0.0) | (g2 <= 0.0), 0.0, cap))
 
 
 def mc_upper_bound(
@@ -182,10 +187,11 @@ def mc_upper_bound(
         raise ValueError("gains and noise_vars must be equal-length and nonempty")
     _checks.nonneg("P", P)
     total = 0.0
-    for k, (g, var) in enumerate(zip(gains, noise_vars)):
-        total += (_checks.nonneg(f"gains[{k}]", g)
-                  / _checks.positive(f"noise_vars[{k}]", var))
-    return math.log2(1.0 + P * total / len(gains))
+    with np.errstate(all="ignore"):
+        for k, (g, var) in enumerate(zip(gains, noise_vars)):
+            total += (_checks.nonneg(f"gains[{k}]", g)
+                      / _checks.positive(f"noise_vars[{k}]", var))
+        return _checks.log2(1.0 + P * total / len(gains))
 
 
 def mc_asymptotics(

@@ -99,8 +99,10 @@ def nf_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
 
 
 def ff_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
-    "FF gain M*A*Psi/(4*pi*r^2); exact for planar-wave vectors."
-    return geom.m_total * geom.element_area * u.dir_y / (4 * np.pi * u.range_r**2)
+    """FF gain M*A*Psi/(4*pi*r^2); exact for planar-wave vectors. An
+    array of sizes or of ranges gives an array of gains."""
+    return (geom.m_total * geom.element_area * u.dir_y
+            / (4 * np.pi * _checks.square(u.range_r)))
 
 
 def ula_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
@@ -126,7 +128,8 @@ def asymptotic_nf_gain(xi: float) -> float:
 
 
 def asymptotic_ula_gain(geom: ArrayGeometry, u: UserLocation) -> float:
-    "Large-M limit of ula_gain_closed (does not require m_x = 1)."
+    """Large-M limit of ula_gain_closed (does not require m_x = 1); an
+    array of ranges gives an array of gains."""
     eps = epsilon(geom, u)
     return (geom.occupation_ratio * eps * u.dir_y
             / (2 * np.pi * (1 - u.dir_z**2)))
@@ -138,11 +141,15 @@ def asymptotic_gains(geom: ArrayGeometry,
     the single-column limit when m_x = 1, else the planar xi/2.
 
     With these gains and zero correlation, since users decorrelate, a
-    two-user capacity formula gives its large-array limit.
+    two-user capacity formula gives its large-array limit. An array of
+    sizes gives each element the limit of its own size.
     """
-    if geom.m_x == 1:
-        return tuple(asymptotic_ula_gain(geom, u) for u in users)
-    return (asymptotic_nf_gain(geom.occupation_ratio),) * len(users)
+    column = np.asarray(geom.m_x) == 1
+    planar = asymptotic_nf_gain(geom.occupation_ratio)
+    if not column.any():
+        return (planar,) * len(users)
+    return tuple(_checks.result(np.where(column, asymptotic_ula_gain(geom, u), planar))
+                 for u in users)
 
 
 def _same_direction(u1: UserLocation, u2: UserLocation) -> bool:
@@ -162,7 +169,8 @@ def asymptotic_stats(geom: ArrayGeometry, users: Sequence[UserLocation],
     :func:`asymptotic_gains` with rho = 0, since users decorrelate. "ff":
     the FF gains keep growing with M, so they are taken at the
     ``geom.m_total`` elements of ``geom``, with rho = 1 when both users
-    share one direction and 0 otherwise.
+    share one direction and 0 otherwise. An array of sizes or of ranges
+    gives arrays of gains.
     """
     if len(users) != 2:
         raise ValueError("the large-array limit is defined for exactly two users")
@@ -249,7 +257,8 @@ def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> fl
     with the limit value 1 when the direction-cosine offset on that axis
     vanishes. The product matches the exact FF inner product to rounding
     in every case, including users that share one direction cosine, and
-    is exactly 1 when they share both.
+    is exactly 1 when they share both. An array of sizes gives an array
+    of correlations.
     """
     k0d = 2 * np.pi / geom.wavelength * geom.pitch_d
     dphi = k0d * (u1.dir_x - u2.dir_x)
@@ -258,4 +267,4 @@ def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> fl
     den_z = 1.0 - np.cos(dome)
     ratio_x = geom.m_x**2 if abs(den_x) < 1e-12 else (1.0 - np.cos(geom.m_x * dphi)) / den_x
     ratio_z = geom.m_z**2 if abs(den_z) < 1e-12 else (1.0 - np.cos(geom.m_z * dome)) / den_z
-    return float(ratio_x * ratio_z / geom.m_total**2)
+    return _checks.result(ratio_x * ratio_z / geom.m_total**2)

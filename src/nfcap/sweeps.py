@@ -10,7 +10,12 @@ together where they share user 1, are the same bits as each pair alone.
 
 The four point runners share one scaffold: a kind (channel, mac, bc or
 mc) names its columns, the closed forms of a row, its large-array limit
-and the checks its verification mode runs. Each check is one function
+and the checks its verification mode runs. A run sets the swept
+variable to the array of its points, so the closed forms take arrays
+in and give arrays out, one value per point: each formula is called
+once per run, with the bits that a float gives on each point, and a
+single point is a float in and a float out. A point that fails is named
+as a run of it alone names it. Each check is one function
 returning a :class:`CheckRow`, and ``verification_report`` calls the
 same functions, so a check has one name, tolerance and pass rule
 whichever path runs it. Verification mode appends each check's oracle
@@ -32,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _checks
 from .broadcast import (
     BcConfig,
     CovariancePair,
@@ -219,27 +224,36 @@ def _sweep_points(scenario: Scenario) -> tuple[str, tuple[float | None, ...]]:
     return scenario.sweep.variable, scenario.sweep.values
 
 
-def _apply_point(
-    scenario: Scenario, variable: str, value: float | None
-) -> tuple[ArrayGeometry, tuple[UserLocation, ...], MacConfig, BcConfig]:
-    geom = scenario.geometry
-    users = scenario.users
-    mac_cfg = scenario.mac_cfg
-    bc_cfg = scenario.bc_cfg
-    if value is None:
+def _swept(scenario: Scenario, variable: str, values):
+    """The scenario's array, users, MacConfig and BcConfig with
+    ``variable`` set to ``values``: None leaves the scenario as it is, a
+    float sets one point, and an array makes the swept field an array of
+    one value per point.
+    """
+    geom, users = scenario.geometry, scenario.users
+    mac_cfg, bc_cfg = scenario.mac_cfg, scenario.bc_cfg
+    if values is None:
         return geom, users, mac_cfg, bc_cfg
     if variable == "m_per_axis":
-        geom = replace(geom, m_x=int(value), m_z=int(value))
+        m = int(values) if np.ndim(values) == 0 else values
+        geom = replace(geom, m_x=m, m_z=m)
     elif variable == "r2_m":
-        users = (users[0], replace(users[1], range_r=float(value)))
+        users = (users[0], replace(users[1], range_r=values))
     elif variable == "snr_db":
-        snr = db_to_linear(value)
+        snr = _db_to_linear(values)
         mac_cfg = replace(mac_cfg, snr_per_user=(snr,) * mac_cfg.num_users)
     elif variable == "power_db":
-        bc_cfg = replace(bc_cfg, total_power_P=db_to_linear(value))
+        bc_cfg = replace(bc_cfg, total_power_P=_db_to_linear(values))
     else:
         raise ScenarioError(f"unsupported sweep variable {variable!r}")
     return geom, users, mac_cfg, bc_cfg
+
+
+def _db_to_linear(values):
+    "db_to_linear of a float, or of each element of an array."
+    if np.ndim(values) == 0:
+        return db_to_linear(values)
+    return np.array([db_to_linear(v) for v in values.tolist()])
 
 
 def _point_error(exc: ValueError, variable: str, value: float | None) -> ScenarioError:
@@ -294,9 +308,11 @@ def _pair_stats(
     exact element sum when the array has no more elements than the
     ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
 
-    The point runners compute this once per channel for the length of
-    one call (:func:`_channel_stats`), so an SNR or power sweep evaluates
-    its single channel once. An NF user whose phases round by more than
+    The FF closed forms also take an array of sizes or of user 2's
+    ranges (:func:`_swept`), and give arrays of one value per point. The
+    point runners compute NF statistics once per distinct channel of one
+    call (:func:`_nf_stats`), so an SNR or power sweep evaluates its
+    single channel once. An NF user whose phases round by more than
     _MAX_PHASE_ROUNDING, or an FF user farther than _MAX_FF_RANGE, is
     refused before any of them is computed.
     """
@@ -312,9 +328,11 @@ def _pair_stats(
             rho = nf_ccf_quadrature(geom, u1, u2, nodes).value
     else:
         for k, u in enumerate((u1, u2), 1):
-            if u.range_r > _MAX_FF_RANGE:
+            far = np.asarray(u.range_r) > _MAX_FF_RANGE
+            if far.any():
+                (r,) = _checks.first(far, u.range_r)
                 raise ValueError(
-                    f"[user{k}] range_m = {u.range_r:.3g} is beyond the FF "
+                    f"[user{k}] range_m = {r:.3g} is beyond the FF "
                     f"model's numerical range: the formulas take its cube, "
                     f"finite only up to {_MAX_FF_RANGE:.3g} m"
                 )
@@ -348,52 +366,50 @@ def _nf_refuses(geom: ArrayGeometry, users: Sequence[UserLocation]) -> bool:
     return bool(_nf_range_refusal(geom, users))
 
 
-def _applied_points(scenario: Scenario, variable: str, points) -> list:
-    "_apply_point of each point in turn, up to the first that it refuses."
-    applied = []
-    for value in points:
-        try:
-            applied.append(_apply_point(scenario, variable, value))
-        except ValueError:
-            break
-    return applied
+def _nf_stats(scenario: Scenario, channels: Sequence[tuple]) -> list[tuple]:
+    """The :func:`_pair_stats` of each NF channel ``(geom, users)`` in
+    turn, computed once per distinct channel.
 
-
-def _channel_stats(scenario: Scenario, applied: Sequence[tuple]):
-    """``stats(geom, users)``, the :func:`_pair_stats` of a point's
-    channel, computed once per distinct channel of the run.
-
-    The distinct NF channels of the ``applied`` points (from
-    :func:`_applied_points`) are grouped by array and user 1, and each
-    group of two or more is computed up front in one :func:`nf_ccf_batch`
-    pass, which gives each correlation the same bits as its pair alone.
-    A group of one is :func:`_pair_stats`, made when its point asks for
-    it, as is every channel of an FF run. A channel that the NF model
-    refuses is left out of its group, so that :func:`_pair_stats` raises
-    the refusal at its own point.
+    The distinct channels are grouped by array and user 1, and each
+    group of two or more is computed up front in one
+    :func:`nf_ccf_batch` pass, which gives each correlation the same bits
+    as its pair alone. A group of one is :func:`_pair_stats`. A channel
+    that the NF model refuses is left out of its group, so that
+    :func:`_pair_stats` raises the refusal.
     """
-    model, nodes = scenario.channel_model, scenario.quadrature_nodes
+    nodes = scenario.quadrature_nodes
     memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho)
     groups: dict = {}  # (geom, u1) -> {u2: None}, in sweep order
-    if model == "NF":
-        for geom, users, _, _ in applied:
-            if not _nf_refuses(geom, users[:2]):
-                groups.setdefault((geom, users[0]), {})[users[1]] = None
+    for geom, users in channels:
+        if not _nf_refuses(geom, users[:2]):
+            groups.setdefault((geom, users[0]), {})[users[1]] = None
     for (geom, u1), seconds in groups.items():
         if len(seconds) > 1:
             path = None if _takes_element_sum(geom.m_total, nodes) else nodes
             g1 = nf_gain_closed(geom, u1)
             for u2, est in zip(seconds, nf_ccf_batch(geom, u1, list(seconds), path)):
                 memo[geom, u1, u2] = (g1, nf_gain_closed(geom, u2), est.value)
-
-    def stats(geom: ArrayGeometry, users: Sequence[UserLocation]):
+    stats = []
+    for geom, users in channels:
         channel = (geom, users[0], users[1])
-        found = memo.get(channel)
-        if found is None:
-            found = memo[channel] = _pair_stats(model, *channel, nodes)
-        return found
-
+        if channel not in memo:
+            memo[channel] = _pair_stats("NF", *channel, nodes)
+        stats.append(memo[channel])
     return stats
+
+
+def _run_stats(scenario: Scenario, variable: str, points, geom, users):
+    """(g1, g2, rho) of the run's ``points`` on the :func:`_swept` array
+    ``geom`` and ``users``: each a float, or an array of one per point.
+    FF statistics are the closed forms on those arrays; NF ones those of
+    :func:`_nf_stats`, on one channel unless the array or user 2 moves.
+    """
+    if scenario.channel_model == "FF":
+        return _pair_stats("FF", geom, users[0], users[1], scenario.quadrature_nodes)
+    if len(points) == 1 or variable not in ("m_per_axis", "r2_m"):
+        return _nf_stats(scenario, [(geom, users)])[0]
+    channels = [_swept(scenario, variable, x)[:2] for x in points]
+    return tuple(np.array(column) for column in zip(*_nf_stats(scenario, channels)))
 
 
 def _exact_pair(
@@ -572,7 +588,7 @@ def _mc_check(vecs, stats, cfg: BcConfig) -> CheckRow:
 # the point runners: one scaffold, one kind per command
 
 
-def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[float, ...]:
+def _mac_formulas(g1, g2, rho, cfg: MacConfig) -> tuple:
     s1, s2 = cfg.snr_per_user
     cap = mac_capacity_two_user(g1, g2, rho, s1, s2)
     ca = sic_rates_two_user(g1, g2, rho, s1, s2, "u1_first")
@@ -583,7 +599,7 @@ def _mac_formulas(g1: float, g2: float, rho: float, cfg: MacConfig) -> tuple[flo
     ])
 
 
-def _bc_formulas(g1: float, g2: float, rho: float, cfg: BcConfig) -> tuple[float, ...]:
+def _bc_formulas(g1, g2, rho, cfg: BcConfig) -> tuple:
     cap = bc_capacity_two_user(g1, g2, rho, cfg)
     alloc = bc_power_allocation_two_user(g1, g2, rho, cfg)
     power = cfg.total_power_P
@@ -591,11 +607,12 @@ def _bc_formulas(g1: float, g2: float, rho: float, cfg: BcConfig) -> tuple[float
     snr_hats = (power / 2.0 / var1, power / 2.0 / var2)
     r_mrt = linear_precoder_sum_rate("mrt", g1, g2, rho, snr_hats)
     r_zf = linear_precoder_sum_rate("zf", g1, g2, rho, snr_hats)
-    return (cap, *alloc.p_per_user, r_mrt, r_zf,
-            r_mrt / cap if cap > 0 else 1.0, r_zf / cap if cap > 0 else 1.0)
+    with np.errstate(all="ignore"):
+        gammas = [np.where(cap > 0, np.divide(r, cap), 1.0) for r in (r_mrt, r_zf)]
+    return (cap, *alloc.p_per_user, r_mrt, r_zf, *gammas)
 
 
-def _mc_formulas(g1: float, g2: float, rho: float, cfg: BcConfig) -> tuple[float, float]:
+def _mc_formulas(g1, g2, rho, cfg: BcConfig) -> tuple:
     (var1, var2), power = cfg.noise_var_per_user, cfg.total_power_P
     cap = mc_capacity_two_user(g1, g2, rho, var1, var2, power)
     return cap, mc_upper_bound((g1, g2), (var1, var2), power)
@@ -629,11 +646,16 @@ class _Kind:
     A row is the swept variable, g1, g2, ccf, then the values under
     ``columns``: those of ``formulas(g1, g2, rho, link)``, then c_asym
     when ``limit`` is set.
-    ``link`` is the point's MacConfig when ``uplink``, else its BcConfig.
+    ``link`` is the run's MacConfig when ``uplink``, else its BcConfig.
     ``limit(geom, users, link, model)`` is the kind's large-array limit,
     its capacity at the limit statistics of the field model.
+    ``formulas`` and ``limit`` are called once per run, on the
+    :func:`_swept` arrays of the run's points: each takes and returns
+    floats and arrays of one value per point.
     Verification appends, for each check that ``verify`` returns in
-    turn, the field of it that ``oracle_columns`` names, then verify_ok.
+    turn, the field of it that ``oracle_columns`` names, then verify_ok;
+    ``verify(scenario, geom, users, link, stats, values)`` runs on one
+    point, with the statistics and the values past them of its row.
     Every function here calls the formulas through this module's
     attributes, so that a test or a tracer that replaces one sees every
     call.
@@ -673,43 +695,87 @@ _KINDS = {
 def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
     kind = _KINDS[command]
     variable, points = _sweep_points(scenario)
-    columns = (variable, "g1", "g2", "ccf", *kind.columns)
-    if verify:
-        columns += (*(name for name, _ in kind.oracle_columns), "verify_ok")
-    model = scenario.channel_model
-    rows = []
-    violations: list[str] = []
-    applied = _applied_points(scenario, variable, points)
-    pair_stats = _channel_stats(scenario, applied)
-    # past the last applied point, _apply_point raises the refusal
-    for value, point in zip(points, [*applied, None]):
-        try:
-            geom, users, mac_cfg, bc_cfg = point or _apply_point(
-                scenario, variable, value)
-            link = mac_cfg if kind.uplink else bc_cfg
-            stats = pair_stats(geom, users)
-            values = kind.formulas(*stats, link)
-            row = [_point_value(value), *stats, *values]
-            if kind.limit is not None:
-                row.append(kind.limit(geom, users, link, model))
-            if verify:
-                _finite(columns, row)
-                _check_verify_size(geom)
-                checks = kind.verify(scenario, geom, users, link, stats, values)
-                row += [getattr(check, field)
-                        for (_, field), check in zip(kind.oracle_columns, checks)]
-                row.append(float(all(check.ok for check in checks)))
-                violations += [_violation(variable, row[0], check)
-                               for check in checks if not check.ok]
-            rows.append(_finite(columns, row))
-        except ValueError as exc:
-            raise _point_error(exc, variable, value) from None
+    try:
+        columns, rows, violations = _table(scenario, kind, variable, points, verify)
+    except ValueError as exc:
+        raise _first_failure(scenario, kind, variable, points, verify, exc) from None
     return SweepResult(
         columns,
         tuple(rows),
         _provenance(scenario, command, verify),
         tuple(violations),
     )
+
+
+def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool):
+    """The columns, rows and violations of the sweep ``points``.
+
+    Each formula is evaluated once, on the arrays of all points, and
+    each verification check once per point. Raises ValueError if a point
+    fails: the error of the point, when there is one.
+    """
+    values = points[0] if len(points) == 1 else np.array(points)
+    geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, values)
+    link = mac_cfg if kind.uplink else bc_cfg
+    stats = _run_stats(scenario, variable, points, geom, users)
+    table = [[_point_value(x) for x in points], *stats, *kind.formulas(*stats, link)]
+    if kind.limit is not None:
+        table.append(kind.limit(geom, users, link, scenario.channel_model))
+    columns = (variable, "g1", "g2", "ccf", *kind.columns)
+    # a value the points share is one float in every row
+    rows = list(zip(*(np.asarray(column).tolist() if np.ndim(column) else
+                      [float(column)] * len(points) for column in table)))
+    finite = np.ones(len(points), dtype=bool)
+    for column in table:
+        finite &= np.isfinite(column)
+    if not finite.all():
+        _finite(columns, rows[int(np.flatnonzero(~finite)[0])])
+    violations: list[str] = []
+    if verify:
+        columns += (*(name for name, _ in kind.oracle_columns), "verify_ok")
+        for i, (x, row) in enumerate(zip(points, rows)):
+            geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, x)
+            _check_verify_size(geom)
+            checks = kind.verify(scenario, geom, users, mac_cfg if kind.uplink else bc_cfg,
+                                 row[1:4], row[4:])
+            oracles = [getattr(check, field)
+                       for (_, field), check in zip(kind.oracle_columns, checks)]
+            rows[i] = _finite(columns, (*row, *oracles, float(all(c.ok for c in checks))))
+            violations += [_violation(variable, row[0], check)
+                           for check in checks if not check.ok]
+    return columns, rows, violations
+
+
+def _first_failure(
+    scenario: Scenario, kind: _Kind, variable: str, points, verify: bool, exc: ValueError
+) -> ScenarioError:
+    """The error of the first of ``points`` that fails, in sweep order:
+    that of a run of it alone, named. ``exc`` is the error of a run of
+    all of them.
+
+    The points before the first that the sweep cannot be set to are
+    run together, so that their NF channels are batched as they are in
+    a run without that point.
+    """
+    if len(points) == 1:
+        return _point_error(exc, variable, points[0])
+    for k, x in enumerate(points):
+        try:
+            _swept(scenario, variable, x)
+        except ValueError as refusal:
+            try:
+                if k:
+                    _table(scenario, kind, variable, points[:k], verify)
+            except ValueError as earlier:
+                return _first_failure(scenario, kind, variable, points[:k], verify, earlier)
+            return _point_error(refusal, variable, x)
+    for x in points:
+        try:
+            _table(scenario, kind, variable, (x,), verify)
+        except ValueError as failure:
+            return _point_error(failure, variable, x)
+    # every point passes alone: report the run's own error as it is
+    return _point_error(exc, variable, None)
 
 
 def run_channel(scenario: Scenario, verify: bool = False) -> SweepResult:
@@ -829,6 +895,21 @@ PRESETS: dict[str, tuple[str, str, tuple[float, ...], int | None]] = {
 }
 
 
+def _preset_scenarios(preset: str) -> tuple[Scenario, dict[str, Scenario]]:
+    """The swept reference scenario of ``preset``, and the scenario of
+    each of its four runs under its column name."""
+    kind, variable, grid, side = PRESETS[preset]
+    base = default_scenario()
+    geom = base.geometry if side is None else replace(base.geometry, m_x=side, m_z=side)
+    base = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
+    u1, u2 = base.users
+    pairs = (("dd", base.users), ("sd", (u1, replace(u1, range_r=u2.range_r))))
+    return base, {
+        f"C_{model.lower()}_{tag}": replace(base, channel_model=model, users=users)
+        for model in ("NF", "FF") for tag, users in pairs
+    }
+
+
 def reproduce(preset: str) -> SweepResult:
     """Rebuild one of the bundled figure-data tables by name.
 
@@ -844,17 +925,9 @@ def reproduce(preset: str) -> SweepResult:
         raise ScenarioError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    kind, variable, grid, side = PRESETS[preset]
-    base = default_scenario()
-    geom = base.geometry if side is None else replace(base.geometry, m_x=side, m_z=side)
-    base = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
-    u1, u2 = base.users
-    pairs = (("dd", base.users), ("sd", (u1, replace(u1, range_r=u2.range_r))))
-    runs = {
-        f"C_{model.lower()}_{tag}":
-            _run(replace(base, channel_model=model, users=users), False, kind)
-        for model in ("NF", "FF") for tag, users in pairs
-    }
+    kind, variable, _, _ = PRESETS[preset]
+    base, scenarios = _preset_scenarios(preset)
+    runs = {label: _run(scenario, False, kind) for label, scenario in scenarios.items()}
     columns = [variable, *runs]
     xs = runs["C_nf_dd"].column(variable)
     tables = [run.column(_KINDS[kind].columns[0]) for run in runs.values()]

@@ -2,6 +2,7 @@
 plumbing through to the runners, and the verify subcommand.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -279,3 +280,66 @@ def test_import_and_channel_emit_no_warning():
     proc = _run_cli("-m", "nfcap.cli", "channel")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+_LOW_DB = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+_RANGES = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("before", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    ("body", "variable", "target", "bad", "above", "message"),
+    [
+        pytest.param(
+            "", "snr_db", "mac", 3000.0, [3010.0 + 10 * k for k in range(6)],
+            "error: at sweep point snr_db=3000.0: uplink capacity overflows: 1 + "
+            "gamma1*g1 + gamma2*g2 + gamma1*gamma2*g1*g2*(1 - rho) is not finite for "
+            "g=(0.0031408141355424466, 0.012552999941342702), gamma=(1e+300, 1e+300), "
+            "rho=3.5312136975778126e-08",
+            id="uplink-overflow"),
+        pytest.param(
+            "", "power_db", "bc", 3000.0, [3010.0 + 10 * k for k in range(6)],
+            "error: at sweep point power_db=3000.0: c_bc = inf: the link budget is "
+            "beyond the floating-point range of the formulas",
+            id="c_bc-inf"),
+        pytest.param(
+            "", "power_db", "mc", 3100.0, [3110.0 + 10 * k for k in range(6)],
+            "error: at sweep point power_db=3100.0: 3100.0 dB overflows a float "
+            "(at most about 3082 dB)",
+            id="beyond-float"),
+        pytest.param(
+            "[link]\nmodel = ff\n", "r2_m", "mc", 1e200, [(k + 2) * 1e200 for k in range(6)],
+            "error: at sweep point r2_m=1e+200: [user2] range_m = 1e+200 is beyond the "
+            "FF model's numerical range: the formulas take its cube, finite only up to "
+            "5.64e+102 m",
+            id="ff-range"),
+        pytest.param(
+            "", "r2_m", "mac", 1e300, [(k + 2) * 1e300 for k in range(6)],
+            "error: at sweep point r2_m=1e+300: [user2] range_m = 1e+300 is beyond the "
+            "NF model's numerical range: rounding its phases moves sqrt(rho) by about "
+            "1.37e+285, above 1e-06",
+            id="nf-refusal"),
+        # NaN is left where it is by the sort, so the ranges after it come last
+        pytest.param(
+            "", "r2_m", "mc", math.nan, None,
+            "error: at sweep point r2_m=nan: range_r must be finite and positive, got nan",
+            id="nan-range"),
+    ],
+)
+def test_sweep_names_its_first_bad_point(
+    tmp_path, capsys, body, variable, target, bad, above, message, before
+):
+    """A 7-point sweep with one bad value first, in the middle or last
+    (and, but for NaN, only worse ones after it) names that point, with
+    the error a run of it alone raises."""
+    good = _LOW_DB if variable != "r2_m" else _RANGES
+    after = above[: 6 - before] if above else good[before:]
+    values = [*good[:before], bad, *after]
+    path = tmp_path / "sweep.ini"
+    path.write_text(body + f"[sweep]\nvariable = {variable}\nvalues = "
+                    + " ".join(repr(v) for v in values) + f"\ntarget = {target}\n")
+    assert main(["sweep", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]

@@ -436,10 +436,11 @@ def batches(monkeypatch):
 
 
 def _per_pair(monkeypatch):
-    "Make the runners compute every channel by _pair_stats, alone, at its own point."
-    monkeypatch.setattr(sweeps, "_channel_stats", lambda scenario, applied: (
-        lambda geom, users: sweeps._pair_stats(
-            scenario.channel_model, geom, users[0], users[1], scenario.quadrature_nodes)))
+    "Make the runners compute every NF channel by _pair_stats, alone, in sweep order."
+    monkeypatch.setattr(sweeps, "_nf_stats", lambda scenario, channels: [
+        sweeps._pair_stats(
+            scenario.channel_model, geom, users[0], users[1], scenario.quadrature_nodes)
+        for geom, users in channels])
 
 
 # 129^2 = 16641 elements: the element sum takes two kernel blocks
@@ -601,3 +602,19 @@ def test_every_traced_name_resolves():
         sys.path.remove(str(perfbench))
     for module, attr, _ in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+@pytest.mark.parametrize("preset", ["mac-vs-M", "mc-vs-r2"])
+def test_uplink_and_downlink_never_exceed_their_limit(preset):
+    """On every run of the presets' scenarios (the -vs-M sweeps share
+    one), NF and FF, dd and sd, c_mac and c_bc stay at or below c_asym.
+    Multicast need not: a common stream gains from correlation (README)."""
+    for label, scenario in sweeps._preset_scenarios(preset)[1].items():
+        for kind in ("mac", "bc"):
+            res = sweeps._run(replace(scenario, sweep=replace(scenario.sweep, target=kind)),
+                              False, kind)
+            over = [(row[0], c, limit)
+                    for row, c, limit in zip(res.rows, res.column(f"c_{kind}"),
+                                             res.column("c_asym"))
+                    if c > limit + 1e-12]
+            assert over == [], (label, kind)
