@@ -18,10 +18,11 @@ stack of I_2 over the two scaled channels, is timed at 33x33 and at
 on the reference users at SNR 1000. The multicast oracle, the convex
 dual that the verify paths run, is timed on the same 65x65 vectors at
 power 1000 and unit noise, beside the 400x400x64 primal beam-grid scan
-that it replaced. The last two rows time the statistics (gains and T=200
-correlation) of the 60 channels of the ``mc-vs-r2`` preset's NF sweep,
-551x551 with user 2 in its own direction: each channel alone, and in
-the one batched pass around their shared user 1 that the runners take.
+that it replaced. The two ``r2 sweep ccf`` rows time the T=200
+correlations of the 60 channels of the ``mc-vs-r2`` preset's NF sweep,
+551x551 with user 2 in its own direction: one ``nf_ccf_batch`` call per
+channel, and the one call around their shared user 1 that the runners
+make.
 The four ``ff sweep 2500`` rows time one FF run of the default scenario
 (65x65) over 2500 points of each swept variable, with the target the FF
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
@@ -43,6 +44,7 @@ from nfcap import _kernels, sweeps
 from nfcap.config import SweepSpec, default_scenario
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.oracles import logdet_capacity_oracle, mc_beam_grid_oracle
+from nfcap.stats import nf_ccf_batch
 
 FREQUENCY_HZ = 2.4e9
 WAVELENGTH = 299792458.0 / FREQUENCY_HZ
@@ -120,24 +122,23 @@ def _logdet_args(m_axis):
     return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
 
 
-def _per_channel_stats(scenario, channels):
-    "The statistics of every point of a sweep, each channel alone."
-    for geom, users in channels:
-        sweeps._pair_stats(scenario.channel_model, geom, users[0], users[1],
-                           scenario.quadrature_nodes)
+def _per_channel_ccf(geom, u1, seconds, nodes_T):
+    "The correlation of user 1 with each of ``seconds``, one call a channel."
+    for u2 in seconds:
+        nf_ccf_batch(geom, u1, [u2], nodes_T)
 
 
 def _r2_sweep_rows():
-    kind, variable, grid, side = sweeps.PRESETS["mc-vs-r2"]
+    _, _, grid, side = sweeps.PRESETS["mc-vs-r2"]
     base = default_scenario()
     geom = replace(base.geometry, m_x=side, m_z=side)
-    scenario = replace(base, geometry=geom, sweep=SweepSpec(variable, grid, kind))
-    channels = [sweeps._swept(scenario, variable, x)[:2] for x in grid]
-    nodes = len(channels) * scenario.quadrature_nodes ** 2
+    u1, u2 = base.users
+    seconds = [replace(u2, range_r=r) for r in grid]
+    nodes = base.quadrature_nodes
     return [
-        (f"r2 sweep stats {side} x{len(channels)} {label}", func, (scenario, channels), nodes)
-        for label, func in (("per channel", _per_channel_stats),
-                            ("batched", sweeps._nf_stats))
+        (f"r2 sweep ccf {side} x{len(seconds)} {label}", func,
+         (geom, u1, seconds, nodes), len(seconds) * nodes**2)
+        for label, func in (("per channel", _per_channel_ccf), ("batched", nf_ccf_batch))
     ]
 
 

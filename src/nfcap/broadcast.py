@@ -318,15 +318,14 @@ def bc_region_two_user(
     s1, s2 = cfg.noise_var_per_user
     power = cfg.total_power_P
 
+    p1 = power * np.arange(power_splits) / (power_splits - 1)
+    gamma1, gamma2 = p1 / s1, (power - p1) / s2
+    a, b = (sic_rates_two_user(g1, g2, rho, gamma1, gamma2, order)
+            for order in ("u1_first", "u2_first"))
+    # both corners of each split in turn
     points: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i in range(power_splits):
-        p1 = power * i / (power_splits - 1)
-        p2 = power - p1
-        gamma1 = p1 / s1
-        gamma2 = p2 / s2
-        for order in ("u1_first", "u2_first"):
-            corner = sic_rates_two_user(g1, g2, rho, gamma1, gamma2, order)
-            points.append(corner.as_tuple())
+    for a1, a2, b1, b2 in zip(a.r1.tolist(), a.r2.tolist(), b.r1.tolist(), b.r2.tolist()):
+        points += [(a1, a2), (b1, b2)]
     points.append((math.log2(1.0 + power * g1 / s1), 0.0))
     points.append((0.0, math.log2(1.0 + power * g2 / s2)))
 

@@ -6,10 +6,11 @@ products of channels are taken outside the oracles, and serve as ground
 truth. The closed forms trade the sums for integrals (gain) or a
 Chebyshev-Gauss rule (CCF), which stay cheap at apertures where a vector
 would not even fit in memory. The capacity sweeps run on the closed-form
-gains. For the NF CCF they run the exact element sum
-(:func:`nf_ccf_elements`, no channel vector built) wherever the array
+gains. For the NF CCF they call :func:`nf_ccf_batch` once per array and
+user 1, on one channel or many: the exact element sum (as
+:func:`nf_ccf_elements`, no channel vector built) wherever the array
 has no more elements than the T x T rule has nodes, and the paper's rule
-(:func:`nf_ccf_quadrature`) beyond that. :func:`asymptotic_stats` gives
+(as :func:`nf_ccf_quadrature`) beyond that. :func:`asymptotic_stats` gives
 the statistics at which each capacity formula takes its large-array
 limit, for either field model.
 """

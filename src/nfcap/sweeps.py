@@ -5,8 +5,9 @@ deterministic CSV files, and rebuild the bundled figure-data presets.
 Row layout: the first column is the swept variable (or "point" for a
 single-shot scenario) and every later column is a named numeric output.
 Identical scenarios always produce identical bytes: nothing here reads
-clocks, hostnames, or global state, and a run's NF correlations, computed
-together where they share user 1, are the same bits as each pair alone.
+clocks, hostnames, or global state, and a run's NF correlations, one
+batch for each array and user 1 (:func:`_stats`), a batch of one
+included, are the same bits as each pair alone.
 
 The four point runners share one scaffold: a kind (channel, mac, bc or
 mc) names its columns, the closed forms of a row, its large-array limit
@@ -52,7 +53,6 @@ from .config import Scenario, ScenarioError, SweepSpec, db_to_linear, default_sc
 from .geometry import (
     ArrayGeometry,
     UserLocation,
-    epsilon,
     ff_channel_vector,
     nf_channel_vector,
 )
@@ -79,7 +79,6 @@ from .stats import (
     gram_matrix,
     gram_stats,
     nf_ccf_batch,
-    nf_ccf_elements,
     nf_ccf_quadrature,
     nf_gain_closed,
 )
@@ -295,38 +294,24 @@ def _point_value(value: float | None) -> float:
     return 0.0 if value is None else float(value)
 
 
-def _pair_stats(
-    model: str,
-    geom: ArrayGeometry,
-    u1: UserLocation,
-    u2: UserLocation,
-    nodes: int,
-) -> tuple[float, float, float]:
-    """Gains and correlation (g1, g2, rho) of one channel.
+def _stats(scenario: Scenario, variable: str, points, geom, users):
+    """Gains and correlation (g1, g2, rho) of the run's ``points`` on the
+    :func:`_swept` array ``geom`` and ``users``: each a float, or an array
+    of one value per point.
 
-    NF gains are the paper's closed forms. The NF correlation is the
-    exact element sum when the array has no more elements than the
-    ``nodes`` x ``nodes`` rule has nodes, and the rule otherwise.
-
-    The FF closed forms also take an array of sizes or of user 2's
-    ranges (:func:`_swept`), and give arrays of one value per point. The
-    point runners compute NF statistics once per distinct channel of one
-    call (:func:`_nf_stats`), so an SNR or power sweep evaluates its
-    single channel once. An NF user whose phases round by more than
+    FF statistics are the closed forms on those arrays. NF gains are the
+    paper's closed forms, and the NF correlation is the exact element sum
+    when the array has no more elements than the T x T rule has nodes,
+    the rule otherwise. NF statistics are computed once per distinct
+    channel, one unless the array or user 2 moves: the channels are
+    grouped by array and user 1, and each group is one
+    :func:`nf_ccf_batch` pass, which gives each correlation the same bits
+    as its pair alone. An NF user whose phases round by more than
     _MAX_PHASE_ROUNDING, or an FF user farther than _MAX_FF_RANGE, is
-    refused before any of them is computed.
+    refused, at the first such point, before any sum runs.
     """
-    if model == "NF":
-        refusal = _nf_range_refusal(geom, (u1, u2))
-        if refusal:
-            raise ValueError(refusal)
-        g1 = nf_gain_closed(geom, u1)
-        g2 = nf_gain_closed(geom, u2)
-        if _takes_element_sum(geom.m_total, nodes):
-            rho = nf_ccf_elements(geom, u1, u2).value
-        else:
-            rho = nf_ccf_quadrature(geom, u1, u2, nodes).value
-    else:
+    u1, u2 = users[:2]
+    if scenario.channel_model == "FF":
         for k, u in enumerate((u1, u2), 1):
             far = np.asarray(u.range_r) > _MAX_FF_RANGE
             if far.any():
@@ -336,10 +321,24 @@ def _pair_stats(
                     f"model's numerical range: the formulas take its cube, "
                     f"finite only up to {_MAX_FF_RANGE:.3g} m"
                 )
-        g1 = ff_gain_closed(geom, u1)
-        g2 = ff_gain_closed(geom, u2)
-        rho = ff_ccf_closed(geom, u1, u2)
-    return g1, g2, rho
+        return ff_gain_closed(geom, u1), ff_gain_closed(geom, u2), ff_ccf_closed(geom, u1, u2)
+    moves = len(points) > 1 and variable in ("m_per_axis", "r2_m")
+    channels = [_swept(scenario, variable, x)[:2] for x in points] if moves else [(geom, users)]
+    groups: dict = {}  # (geom, u1) -> {u2: None}, in sweep order
+    for g, (v1, v2, *_) in channels:
+        refusal = _nf_range_refusal(g, (v1, v2))
+        if refusal:
+            raise ValueError(refusal)
+        groups.setdefault((g, v1), {})[v2] = None
+    nodes = scenario.quadrature_nodes
+    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho)
+    for (g, v1), seconds in groups.items():
+        path = None if _takes_element_sum(g.m_total, nodes) else nodes
+        g1 = nf_gain_closed(g, v1)
+        for v2, est in zip(seconds, nf_ccf_batch(g, v1, list(seconds), path)):
+            memo[g, v1, v2] = (g1, nf_gain_closed(g, v2), est.value)
+    stats = [memo[g, v1, v2] for g, (v1, v2, *_) in channels]
+    return tuple(np.array(column) for column in zip(*stats)) if moves else stats[0]
 
 
 def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str:
@@ -354,62 +353,6 @@ def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str
                 f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
             )
     return ""
-
-
-def _nf_refuses(geom: ArrayGeometry, users: Sequence[UserLocation]) -> bool:
-    "Whether :func:`_pair_stats` refuses the NF channel of ``users``."
-    try:
-        for u in users:
-            epsilon(geom, u)
-    except ValueError:
-        return True
-    return bool(_nf_range_refusal(geom, users))
-
-
-def _nf_stats(scenario: Scenario, channels: Sequence[tuple]) -> list[tuple]:
-    """The :func:`_pair_stats` of each NF channel ``(geom, users)`` in
-    turn, computed once per distinct channel.
-
-    The distinct channels are grouped by array and user 1, and each
-    group of two or more is computed up front in one
-    :func:`nf_ccf_batch` pass, which gives each correlation the same bits
-    as its pair alone. A group of one is :func:`_pair_stats`. A channel
-    that the NF model refuses is left out of its group, so that
-    :func:`_pair_stats` raises the refusal.
-    """
-    nodes = scenario.quadrature_nodes
-    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho)
-    groups: dict = {}  # (geom, u1) -> {u2: None}, in sweep order
-    for geom, users in channels:
-        if not _nf_refuses(geom, users[:2]):
-            groups.setdefault((geom, users[0]), {})[users[1]] = None
-    for (geom, u1), seconds in groups.items():
-        if len(seconds) > 1:
-            path = None if _takes_element_sum(geom.m_total, nodes) else nodes
-            g1 = nf_gain_closed(geom, u1)
-            for u2, est in zip(seconds, nf_ccf_batch(geom, u1, list(seconds), path)):
-                memo[geom, u1, u2] = (g1, nf_gain_closed(geom, u2), est.value)
-    stats = []
-    for geom, users in channels:
-        channel = (geom, users[0], users[1])
-        if channel not in memo:
-            memo[channel] = _pair_stats("NF", *channel, nodes)
-        stats.append(memo[channel])
-    return stats
-
-
-def _run_stats(scenario: Scenario, variable: str, points, geom, users):
-    """(g1, g2, rho) of the run's ``points`` on the :func:`_swept` array
-    ``geom`` and ``users``: each a float, or an array of one per point.
-    FF statistics are the closed forms on those arrays; NF ones those of
-    :func:`_nf_stats`, on one channel unless the array or user 2 moves.
-    """
-    if scenario.channel_model == "FF":
-        return _pair_stats("FF", geom, users[0], users[1], scenario.quadrature_nodes)
-    if len(points) == 1 or variable not in ("m_per_axis", "r2_m"):
-        return _nf_stats(scenario, [(geom, users)])[0]
-    channels = [_swept(scenario, variable, x)[:2] for x in points]
-    return tuple(np.array(column) for column in zip(*_nf_stats(scenario, channels)))
 
 
 def _exact_pair(
@@ -643,9 +586,9 @@ def _mc_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
 class _Kind:
     """What one point runner prints and checks.
 
-    A row is the swept variable, g1, g2, ccf, then the values under
-    ``columns``: those of ``formulas(g1, g2, rho, link)``, then c_asym
-    when ``limit`` is set.
+    A row is the swept variable, then g1, g2 and ccf of :func:`_stats`,
+    then the values under ``columns``: those of
+    ``formulas(g1, g2, rho, link)``, then c_asym when ``limit`` is set.
     ``link`` is the run's MacConfig when ``uplink``, else its BcConfig.
     ``limit(geom, users, link, model)`` is the kind's large-array limit,
     its capacity at the limit statistics of the field model.
@@ -717,7 +660,7 @@ def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool)
     values = points[0] if len(points) == 1 else np.array(points)
     geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, values)
     link = mac_cfg if kind.uplink else bc_cfg
-    stats = _run_stats(scenario, variable, points, geom, users)
+    stats = _stats(scenario, variable, points, geom, users)
     table = [[_point_value(x) for x in points], *stats, *kind.formulas(*stats, link)]
     if kind.limit is not None:
         table.append(kind.limit(geom, users, link, scenario.channel_model))
@@ -841,12 +784,7 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     key = mode.lower()
     if key not in ("mac", "bc"):
         raise ScenarioError(f"region mode must be 'mac' or 'bc', got {mode!r}")
-    geom = scenario.geometry
-    users = scenario.users
-    u1, u2 = users[0], users[1]
-    g1, g2, rho = _pair_stats(
-        scenario.channel_model, geom, u1, u2, scenario.quadrature_nodes
-    )
+    g1, g2, rho = _stats(scenario, "point", (None,), scenario.geometry, scenario.users)
     # The nominal capacity first, so an overflowing link budget is
     # reported the way `nfcap mac` or `nfcap bc` reports it.
     if key == "mac":
@@ -974,7 +912,7 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     snrs = list(scenario.mac_cfg.snr_per_user)
     bc_cfg = scenario.bc_cfg
 
-    stats = _pair_stats(model, geom, u1, u2, nodes)
+    stats = _stats(scenario, "point", (None,), geom, users)
     checks = _channel_checks(scenario, geom, users, stats)
     # the paper's rule, which the NF sweeps take beyond T^2 elements; an
     # FF scenario's users may lie beyond the NF model's range

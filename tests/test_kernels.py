@@ -1,6 +1,8 @@
 """Numpy kernels of the hot loops, called through their public names."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +161,13 @@ def test_rule_phasor_is_finite_at_the_tangent_poles(ph, k0):
     assert k0 * (2 * r2) - k0 * r2 == ph
     assert math.isfinite(s.real) and math.isfinite(s.imag)
     assert abs(s - complex(math.cos(ph), math.sin(ph))) <= 1e-15
+
+
+def test_kernel_benchmark_rows_each_run_once():
+    "Every row of benchmarks/bench_kernels.py runs, so a renamed seam fails here."
+    path = Path(__file__).parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for _, func, args, _ in bench._workloads():
+        func(*args)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import MC_BLIND_SPOT_INI, synth_pair
-from nfcap import sweeps
+from nfcap import stats, sweeps
 from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
 from nfcap.geometry import ArrayGeometry, nf_channel_vector
@@ -340,11 +340,9 @@ def test_preset_matches_stored_table(tmp_path, name):
 
 @pytest.fixture
 def quadrature_calls(monkeypatch):
-    """One entry per NF correlation the runners compute, on either path,
-    per pair or in a batch: the path's function name and the pair."""
+    """One entry per NF correlation the runners compute, each in an
+    nf_ccf_batch call: the path's function name and the pair."""
     calls = []
-    for name in ("nf_ccf_elements", "nf_ccf_quadrature"):
-        monkeypatch.setattr(sweeps, name, _recording(getattr(sweeps, name), calls))
     batch = sweeps.nf_ccf_batch
 
     def recording(geom, u1, seconds, nodes_T=None):
@@ -354,14 +352,6 @@ def quadrature_calls(monkeypatch):
 
     monkeypatch.setattr(sweeps, "nf_ccf_batch", recording)
     return calls
-
-
-def _recording(func, calls):
-    def recording(*args):
-        calls.append((func.__name__, *args))
-        return func(*args)
-
-    return recording
 
 
 @pytest.mark.parametrize(
@@ -417,7 +407,8 @@ def test_nf_correlation_path_switches_past_t_squared(
 ):
     "The element sum while m_x*m_z <= T^2, the T x T rule one size past it."
     geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
-    sweeps._pair_stats("NF", geom, user1, user2_dd, nodes)
+    run_channel(replace(default_scenario(), geometry=geom, users=(user1, user2_dd),
+                        quadrature_nodes=nodes))
     assert [call[0] for call in quadrature_calls] == [path]
 
 
@@ -436,11 +427,11 @@ def batches(monkeypatch):
 
 
 def _per_pair(monkeypatch):
-    "Make the runners compute every NF channel by _pair_stats, alone, in sweep order."
-    monkeypatch.setattr(sweeps, "_nf_stats", lambda scenario, channels: [
-        sweeps._pair_stats(
-            scenario.channel_model, geom, users[0], users[1], scenario.quadrature_nodes)
-        for geom, users in channels])
+    """Make the runners compute every NF correlation alone, one pair to a
+    call of the stats module's nf_ccf_batch, past any recording."""
+    batch = stats.nf_ccf_batch
+    monkeypatch.setattr(sweeps, "nf_ccf_batch", lambda geom, u1, seconds, nodes_T=None: [
+        batch(geom, u1, [u2], nodes_T)[0] for u2 in seconds])
 
 
 # 129^2 = 16641 elements: the element sum takes two kernel blocks
@@ -449,7 +440,7 @@ R2_SWEEP_129 = "[array]\nm_per_axis = 129\n[sweep]\nvariable = r2_m\nvalues = {}
 
 def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches):
     """An r2 sweep at 129 x 129 (element sum) and mc-vs-r2 (the T x T
-    rule at 551 x 551) print the same rows as _pair_stats of each point."""
+    rule at 551 x 551) print the same rows as each pair alone."""
     scn = _scenario(tmp_path, R2_SWEEP_129.format("2 3 4 5 6"))
     batched = (run_mc(scn).rows, reproduce("mc-vs-r2").rows)
     # the sweep, then the two NF runs of the preset; its FF runs take none
@@ -462,10 +453,14 @@ def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches
 @pytest.mark.parametrize(
     ("values", "point", "batched"),
     [
-        # refused by the NF range guard, and left out of the batch
-        pytest.param("2 4 1e300 1e301", "r2_m=1e+300", [2], id="2 4 1e300 1e301-r2_m=1e+300"),
+        # refused by the NF range guard before any sum runs, so each
+        # point before it is then run alone
+        pytest.param("2 4 1e300 1e301", "r2_m=1e+300", [1, 1], id="2 4 1e300 1e301-r2_m=1e+300"),
         # refused when the point is applied, after three were batched
         pytest.param("2 4 6 inf", "r2_m=inf", [3], id="2 4 6 inf-r2_m=inf"),
+        # the points before the one that cannot be applied fail in turn,
+        # at the range guard: the first of them that fails alone is named
+        pytest.param("2 1e300 inf", "r2_m=1e+300", [1], id="2 1e300 inf-r2_m=1e+300"),
     ],
 )
 def test_refused_sweep_point_is_named_at_its_own_point(
@@ -484,7 +479,9 @@ def test_refused_sweep_point_is_named_at_its_own_point(
     assert batches == batched
 
 
-def test_ff_runs_and_single_channel_commands_never_call_the_batch(tmp_path, batches):
+def test_ff_runs_take_no_batch_and_single_channel_commands_a_batch_of_one(
+    tmp_path, batches
+):
     big = "[array]\nm_per_axis = 129\n"
     run_mc(_scenario(tmp_path, "[link]\nmodel = ff\n" + R2_SWEEP_129.format("2 3 4")))
     for variable, target in (("snr_db", "mac"), ("power_db", "bc")):
@@ -493,7 +490,7 @@ def test_ff_runs_and_single_channel_commands_never_call_the_batch(tmp_path, batc
         ))
     run_mc(_scenario(tmp_path, big))
     run_channel(default_scenario(), verify=True)
-    assert batches == []
+    assert batches == [1, 1, 1, 1]
 
 
 def test_runner_past_t_squared_prints_the_rule_bit_for_bit(tmp_path):
@@ -521,24 +518,17 @@ def test_provenance_names_the_correlation_path(tmp_path):
 
 def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch, capsys):
     """A correlation 1e-6 relative off the element sum fails channel
-    --verify, computed per pair at one point or batched over an r2 sweep."""
-    exact, batch = sweeps.nf_ccf_elements, sweeps.nf_ccf_batch
+    --verify, at one point or over an r2 sweep."""
+    batch = sweeps.nf_ccf_batch
 
-    def off(est):
-        return est._replace(value=est.value * (1 + 1e-6))
+    def off(*args):
+        return [est._replace(value=est.value * (1 + 1e-6)) for est in batch(*args)]
 
-    corrupt = {
-        "nf_ccf_elements": lambda *args: off(exact(*args)),
-        "nf_ccf_batch": lambda *args: list(map(off, batch(*args))),
-    }
     path = tmp_path / "scn.ini"
-    for seam, sweep, points in (
-        ("nf_ccf_elements", "", 1),
-        ("nf_ccf_batch", "[sweep]\nvariable = r2_m\nvalues = 4 5\n", 2),
-    ):
+    for sweep, points in (("", 1), ("[sweep]\nvariable = r2_m\nvalues = 4 5\n", 2)):
         path.write_text("[array]\nm_per_axis = 21\n" + sweep)
         with monkeypatch.context() as patch:
-            patch.setattr(sweeps, seam, corrupt[seam])
+            patch.setattr(sweeps, "nf_ccf_batch", off)
             res = run_channel(load_scenario(str(path)), verify=True)
             assert main(["channel", "--verify", "--config", str(path)]) == 3
         assert res.column("verify_ok") == (0.0,) * points
