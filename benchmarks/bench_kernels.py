@@ -15,14 +15,17 @@ Where numpy's float64 tangent is not vectorised, the two rows come out
 close. The uplink log-determinant oracle, one QR of the (M + 2) x 2
 stack of I_2 over the two scaled channels, is timed at 33x33 and at
 65x65 (the reference array and the largest that the verify paths take),
-on the reference users at SNR 1000. The multicast oracle, the convex
-dual that the verify paths run, is timed on the same 65x65 vectors at
-power 1000 and unit noise, beside the 400x400x64 primal beam-grid scan
-that it replaced. The two ``r2 sweep ccf`` rows time the T=200
-correlations of the 60 channels of the ``mc-vs-r2`` preset's NF sweep,
-551x551 with user 2 in its own direction: one ``nf_ccf_batch`` call per
-channel, and the one call around their shared user 1 that the runners
-make.
+on the reference users at SNR 1000. The numpy element oracles that the
+channel checks of the verify paths run are timed on the reference users:
+the gain at 65x65, and the correlation at 65x65 and at 551x551 (the
+largest preset array); their "per eval" is per array element. The
+multicast oracle, the convex dual that the verify paths run, is timed
+on the log-determinant's 65x65 vectors at power 1000 and unit noise,
+beside the 400x400x64 primal beam-grid scan that it replaced. The two
+``r2 sweep ccf`` rows time the T=200 correlations of the 60 channels of
+the ``mc-vs-r2`` preset's NF sweep, 551x551 with user 2 in its own
+direction: one ``nf_ccf_batch`` call per channel, and the one call
+around their shared user 1 that the runners make.
 The four ``ff sweep 2500`` rows time one FF run of the default scenario
 (65x65) over 2500 points of each swept variable, with the target the FF
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
@@ -43,7 +46,12 @@ import numpy as np
 from nfcap import _kernels, sweeps
 from nfcap.config import SweepSpec, default_scenario
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
-from nfcap.oracles import logdet_capacity_oracle, mc_beam_grid_oracle
+from nfcap.oracles import (
+    ccf_sum_oracle,
+    gain_sum_oracle,
+    logdet_capacity_oracle,
+    mc_beam_grid_oracle,
+)
 from nfcap.stats import nf_ccf_batch
 
 FREQUENCY_HZ = 2.4e9
@@ -113,13 +121,29 @@ def _element_args(m_axis):
     return (m_axis, m_axis, (WAVELENGTH / 2.0) / 10.0, *rest)
 
 
-def _logdet_args(m_axis):
+def _reference_pair(m_axis):
+    "The m_axis x m_axis array and the reference users."
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=FREQUENCY_HZ)
     users = (UserLocation(range_r=10.0, azimuth_theta=math.pi / 3,
                           elevation_phi=2 * math.pi / 3),
              UserLocation(range_r=5.0, azimuth_theta=2 * math.pi / 3,
                           elevation_phi=math.pi / 3))
+    return geom, users
+
+
+def _logdet_args(m_axis):
+    geom, users = _reference_pair(m_axis)
     return [nf_channel_vector(geom, u) for u in users], [1000.0, 1000.0]
+
+
+def _element_oracle_rows():
+    small, (u1, u2) = _reference_pair(65)
+    large, _ = _reference_pair(551)
+    return [
+        ("gain_sum_oracle 65x65", gain_sum_oracle, (small, u1), small.m_total),
+        ("ccf_sum_oracle 65x65", ccf_sum_oracle, (small, u1, u2), small.m_total),
+        ("ccf_sum_oracle 551x551", ccf_sum_oracle, (large, u1, u2), large.m_total),
+    ]
 
 
 def _per_channel_ccf(geom, u1, seconds, nodes_T):
@@ -191,6 +215,7 @@ def _workloads():
          (*_logdet_args(65)[0], (1.0, 1.0), 1000.0), None),
         *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
            None) for m in (33, 65)],
+        *_element_oracle_rows(),
         *_r2_sweep_rows(),
         *_ff_sweep_rows(),
     ]

@@ -3,23 +3,25 @@
 Everything here recomputes a quantity from first principles: uplink
 log-determinants from the channel vectors themselves, an exhaustive grid
 over power splits, the multicast capacity as the minimum of its convex
-dual over one real variable, and per-element scalar loops for gains and
-correlation. A log-determinant log2 det(I_M + C C^H), with C the M x K
-matrix of columns sqrt(snr_k) h_k, is evaluated through Sylvester's
-identity det(I_M + C C^H) = det(I_K + C^H C) as the squared diagonal of
-the R factor of the stacked (K + M) x K matrix [I_K; C], one Householder
-QR; C^H C is never formed. None of the capacity or channel formula
+dual over one real variable, and gains and correlation from every
+element's entry, each one numpy evaluation of this module's own
+distance law over the array's index grid. A log-determinant
+log2 det(I_M + C C^H), with C the M x K matrix of columns
+sqrt(snr_k) h_k, is evaluated through Sylvester's identity
+det(I_M + C C^H) = det(I_K + C^H C) as the squared diagonal of the R
+factor of the stacked (K + M) x K matrix [I_K; C], one Householder QR;
+C^H C is never formed. None of the capacity or channel formula
 modules are imported; the only imports from the package are plain data
 containers and the shared input checks, so a bug in a closed form cannot
 leak into its own check.
 
-These routines favor clarity over speed and may be orders of magnitude
-slower than the formulas they validate.
+The routines are written for clarity, not speed. An element oracle costs
+about 0.2 ms per user at 65 x 65 elements and tens of milliseconds at
+551 x 551.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
@@ -182,8 +184,9 @@ def mc_beam_grid_oracle(
 
 def _element_sum(
     geom: ArrayGeometry, user: UserLocation, model: str = "nf"
-) -> tuple[list[complex], float]:
-    """Per-element channel entries by plain scalar arithmetic.
+) -> tuple[np.ndarray, float]:
+    """Channel entries over the (m_x, m_z) index grid, and their squared
+    norm, in one numpy evaluation from this module's own distance law.
 
     ``model`` picks the propagation law: "nf" uses the exact per-element
     distance in both amplitude and phase, "ff" uses a common amplitude
@@ -199,39 +202,34 @@ def _element_sum(
     if eps >= 1.0:
         raise ValueError("user range must exceed the element pitch")
     area = geom.element_area
-    lam = geom.wavelength
-    entries: list[complex] = []
-    norm_sq = 0.0
     half_x = (geom.m_x - 1) // 2
     half_z = (geom.m_z - 1) // 2
-    amp_ff = math.sqrt(area * user.dir_y / (4.0 * math.pi * r * r))
-    for ix in range(-half_x, half_x + 1):
-        for iz in range(-half_z, half_z + 1):
-            if model == "nf":
-                quad = (
-                    (ix * ix + iz * iz) * eps * eps
-                    - 2.0 * ix * eps * user.dir_x
-                    - 2.0 * iz * eps * user.dir_z
-                    + 1.0
-                )
-                dist = r * math.sqrt(quad)
-                amp = math.sqrt(
-                    area * r * user.dir_y / (4.0 * math.pi * dist**3)
-                )
-                entry = amp * cmath.exp(-2j * math.pi * dist / lam)
-            else:
-                amp = amp_ff
-                phase_len = -(ix * user.dir_x + iz * user.dir_z) * geom.pitch_d
-                entry = amp * cmath.exp(-2j * math.pi * phase_len / lam)
-            entries.append(entry)
-            norm_sq += amp * amp
-    return entries, norm_sq
+    ix = np.arange(-half_x, half_x + 1.0)[:, None]
+    iz = np.arange(-half_z, half_z + 1.0)[None, :]
+    if model == "nf":
+        quad = (
+            (ix * ix + iz * iz) * eps * eps
+            - 2.0 * ix * eps * user.dir_x
+            - 2.0 * iz * eps * user.dir_z
+            + 1.0
+        )
+        path = r * np.sqrt(quad)
+        amp = np.sqrt(area * r * user.dir_y / (4.0 * math.pi * path**3))
+    else:
+        path = -(ix * user.dir_x + iz * user.dir_z) * geom.pitch_d
+        amp = np.full(path.shape, math.sqrt(area * user.dir_y / (4.0 * math.pi * r * r)))
+    # the phase in real arithmetic: numpy divides a complex array by a
+    # float as by a complex number, and rounds a quarter of the quotients
+    # differently from the real division
+    phase = -2.0 * math.pi * path / geom.wavelength
+    entries = amp * np.exp(1j * phase)
+    return entries, float(np.sum(amp * amp))
 
 
 def gain_sum_oracle(
     geom: ArrayGeometry, user: UserLocation, model: str = "nf"
 ) -> float:
-    """Channel gain accumulated element by element with scalar math."""
+    """Channel gain, the sum of the squared entry magnitudes over the array."""
     _, norm_sq = _element_sum(geom, user, model)
     return norm_sq
 
@@ -244,7 +242,4 @@ def ccf_sum_oracle(
     """
     e1, n1 = _element_sum(geom, u1, model)
     e2, n2 = _element_sum(geom, u2, model)
-    inner = complex(0.0)
-    for a, b in zip(e1, e2):
-        inner += a.conjugate() * b
-    return abs(inner) ** 2 / (n1 * n2)
+    return abs(complex(np.vdot(e1, e2))) ** 2 / (n1 * n2)

@@ -21,8 +21,9 @@ returning a :class:`CheckRow`, and ``verification_report`` calls the
 same functions, so a check has one name, tolerance and pass rule
 whichever path runs it. Verification mode appends each check's oracle
 as a column and records every failing check as a violation;
-exact-vector oracles are only run at up to 65 elements per axis, since
-the scalar per-element oracles take a few microseconds per element.
+exact-vector oracles are only run at up to ``VERIFY_MAX_AXIS`` = 65
+elements per axis, which stays until the checks bound the printed
+number at the printed size (ROADMAP item 12).
 
 A figure-data preset is ``config.default_scenario()`` swept over one
 variable and run through the same scaffold: near field and far field,
@@ -51,6 +52,7 @@ from .broadcast import (
 )
 from .config import Scenario, ScenarioError, SweepSpec, db_to_linear, default_scenario
 from .geometry import (
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     UserLocation,
     ff_channel_vector,
@@ -343,13 +345,16 @@ def _stats(scenario: Scenario, variable: str, points, geom, users):
 
 def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str:
     """Why the NF model cannot take ``users`` on ``geom``: the first whose
-    phases round by more than _MAX_PHASE_ROUNDING. Empty when it can."""
+    phases round by more than _MAX_PHASE_ROUNDING. Empty when it can.
+    The bound falls with the carrier frequency and rises with the element
+    count, so the message names both."""
     for k, u in enumerate(users, 1):
         err = _phase_rounding(geom, u.range_r)
         if err > _MAX_PHASE_ROUNDING:
             return (
                 f"[user{k}] range_m = {u.range_r:.3g} is beyond the NF "
-                f"model's numerical range: rounding its phases moves "
+                f"model's numerical range at {SPEED_OF_LIGHT / geom.wavelength:.3g} Hz "
+                f"on {geom.m_x}x{geom.m_z} elements: phase rounding moves "
                 f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
             )
     return ""
@@ -421,7 +426,7 @@ def _phase_rounding(geom: ArrayGeometry, r: float) -> float:
 def _ccf_elements_tolerance(
     geom: ArrayGeometry, users: Sequence[UserLocation], rho: float
 ) -> float:
-    """Allowed distance of an NF element-sum correlation from the scalar
+    """Allowed distance of an NF element-sum correlation from the element
     oracle's ``rho``: TOL_CCF_ELEMENTS_REL relative, plus rounding.
 
     Both sums round their phases, which moves rho by 2 sqrt(rho) times
@@ -436,8 +441,8 @@ def _ccf_elements_tolerance(
 def _channel_checks(
     scenario: Scenario, geom: ArrayGeometry, users: Sequence[UserLocation], stats
 ) -> list[CheckRow]:
-    """Both gains and the correlation ``stats`` against per-element scalar
-    sums. NF gains are held to TOL_GAIN_REL relative. The NF correlation
+    """Both gains and the correlation ``stats`` against the per-element
+    sums of the element oracles. NF gains are held to TOL_GAIN_REL relative. The NF correlation
     is held to TOL_CCF_ELEMENTS_REL relative plus rounding where it is the
     element sum, and to TOL_CCF_ABS where it is the T x T rule.
     """

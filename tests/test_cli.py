@@ -224,6 +224,26 @@ def test_extreme_range_or_pitch_exits_two_naming_it(tmp_path, capsys, command, b
 
 
 @pytest.mark.filterwarnings("error")
+def test_nf_range_refusal_names_the_frequency_and_array(tmp_path, capsys):
+    """The NF range bound falls as the carrier frequency rises: 1e8 m is
+    within it at 2.4 GHz on 65 x 65 elements and beyond it at 24 GHz,
+    and the refusal names the frequency and array that set it."""
+    path = tmp_path / "far.ini"
+    body = "[user2]\nrange_m = 1e8\n"
+    path.write_text(body)
+    assert main(["channel", "--config", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text("[array]\nfrequency_hz = 2.4e10\n" + body)
+    assert main(["channel", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: [user2] range_m = 1e+08 is beyond the NF model's numerical range "
+        "at 2.4e+10 Hz on 65x65 elements: phase rounding moves sqrt(rho) by about "
+    )
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("range_m", [2.0, 100.0, 1e6, 1e100])
 def test_ff_limit_is_the_capacity_at_the_limit_statistics(tmp_path, capsys, range_m):
     """FF c_asym is the kind's capacity at the FF gains: never negative,
@@ -317,8 +337,8 @@ _RANGES = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         pytest.param(
             "", "r2_m", "mac", 1e300, [(k + 2) * 1e300 for k in range(6)],
             "error: at sweep point r2_m=1e+300: [user2] range_m = 1e+300 is beyond the "
-            "NF model's numerical range: rounding its phases moves sqrt(rho) by about "
-            "1.37e+285, above 1e-06",
+            "NF model's numerical range at 2.4e+09 Hz on 65x65 elements: phase rounding "
+            "moves sqrt(rho) by about 1.37e+285, above 1e-06",
             id="nf-refusal"),
         # NaN is left where it is by the sort, so the ranges after it come last
         pytest.param(

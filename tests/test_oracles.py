@@ -3,7 +3,10 @@ must be right before they are trusted to judge any closed form, so
 each one is pinned here on cases with hand-checkable answers.
 """
 
+import ast
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +289,149 @@ def test_element_sums_match_closed_forms_ff(small_geometry, user1, user2_dd):
     assert ccf_sum == pytest.approx(closed, abs=1e-9)
     with pytest.raises(ValueError):
         gain_sum_oracle(small_geometry, user1, model="fresnel")
+
+
+def _scalar_element_sum(geom, user, model="nf"):
+    """The element oracle as plain scalar arithmetic, one element at a
+    time: its entries in index order (x outer, z inner) and their squared
+    norm, accumulated in that order."""
+    r = user.range_r
+    eps = geom.pitch_d / r
+    area = geom.element_area
+    lam = geom.wavelength
+    entries = []
+    norm_sq = 0.0
+    half_x = (geom.m_x - 1) // 2
+    half_z = (geom.m_z - 1) // 2
+    amp_ff = math.sqrt(area * user.dir_y / (4.0 * math.pi * r * r))
+    for ix in range(-half_x, half_x + 1):
+        for iz in range(-half_z, half_z + 1):
+            if model == "nf":
+                quad = (
+                    (ix * ix + iz * iz) * eps * eps
+                    - 2.0 * ix * eps * user.dir_x
+                    - 2.0 * iz * eps * user.dir_z
+                    + 1.0
+                )
+                dist = r * math.sqrt(quad)
+                amp = math.sqrt(area * r * user.dir_y / (4.0 * math.pi * dist**3))
+                entry = amp * cmath.exp(-2j * math.pi * dist / lam)
+            else:
+                amp = amp_ff
+                phase_len = -(ix * user.dir_x + iz * user.dir_z) * geom.pitch_d
+                entry = amp * cmath.exp(-2j * math.pi * phase_len / lam)
+            entries.append(entry)
+            norm_sq += amp * amp
+    return entries, norm_sq
+
+
+def _scalar_ccf(geom, u1, u2, model):
+    e1, n1 = _scalar_element_sum(geom, u1, model)
+    e2, n2 = _scalar_element_sum(geom, u2, model)
+    inner = complex(0.0)
+    for a, b in zip(e1, e2):
+        inner += a.conjugate() * b
+    return abs(inner) ** 2 / (n1 * n2)
+
+
+def _reference_pairs(m_axis):
+    """(name, user 1, user 2): distinct users, co-located users, users in
+    one direction at two ranges, and, from 3 elements per axis, user 2
+    in the direction of the first null of the FF correlation along x."""
+    u1, u2 = UserLocation(*_USER1), UserLocation(*_USER2)
+    pairs = [
+        ("distinct", u1, u2),
+        ("co-located", u1, u1),
+        ("co-directional", u1, UserLocation(4.0, *_USER1[1:])),
+    ]
+    if m_axis > 1:
+        _, theta, phi = _USER1
+        # half-wavelength pitch: the x sum of the FF correlation vanishes
+        # where m_x (dir_x1 - dir_x2) / 2 is a whole number
+        dir_x2 = math.sin(phi) * math.cos(theta) - 2.0 / m_axis
+        theta2 = math.acos(dir_x2 / math.sin(phi))
+        pairs.append(("null", UserLocation(50.0, theta, phi), UserLocation(50.0, theta2, phi)))
+    return pairs
+
+
+@pytest.mark.parametrize("model", ["nf", "ff"])
+@pytest.mark.parametrize("m_axis", [1, 3, 9, 25, 65])
+def test_element_sums_match_the_scalar_reference(m_axis, model):
+    """The numpy element oracle against the same law evaluated one element
+    at a time: entries, gains within 1e-12 relative and rho within 1e-12
+    absolute, including rho = 1 and rho near a null."""
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=REF_FREQ_HZ)
+    for name, u1, u2 in _reference_pairs(m_axis):
+        for user in (u1, u2):
+            entries, norm_sq = oracles._element_sum(geom, user, model)
+            ref_entries, ref_norm_sq = _scalar_element_sum(geom, user, model)
+            scale = max(abs(e) for e in ref_entries)
+            assert np.max(np.abs(entries.ravel() - ref_entries)) <= 1e-12 * scale, name
+            assert gain_sum_oracle(geom, user, model) == norm_sq
+            assert norm_sq == pytest.approx(ref_norm_sq, rel=1e-12, abs=0.0), name
+        rho = ccf_sum_oracle(geom, u1, u2, model)
+        ref_rho = _scalar_ccf(geom, u1, u2, model)
+        assert rho == pytest.approx(ref_rho, rel=0.0, abs=1e-12), name
+        if name == "co-located":
+            assert rho == pytest.approx(1.0, abs=1e-12)
+        elif name == "null":
+            assert ref_rho < 1e-4
+
+
+# What the oracles may take from the package: the shared input checks and
+# plain data containers, none of the code that they check
+_ORACLE_IMPORTS = {
+    (".", "_checks"),
+    (".broadcast", "BcConfig"),
+    (".broadcast", "PowerAllocation"),
+    (".geometry", "ArrayGeometry"),
+    (".geometry", "UserLocation"),
+}
+
+
+def _package_imports(source):
+    """(module, name) of every import of ``source`` from the package,
+    with the module written relative to it (``.geometry``, or ``.`` for
+    the package itself); ``import nfcap.x`` gives (``.x``, None)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "." + module
+            elif module == "nfcap" or module.startswith("nfcap."):
+                module = "." + module[len("nfcap."):]
+            else:
+                continue
+            found |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                ("." + alias.name[len("nfcap."):], None)
+                for alias in node.names
+                if alias.name == "nfcap" or alias.name.startswith("nfcap.")
+            }
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from . import _kernels\n",
+        "from .stats import gain_exact\n",
+        "from .geometry import ArrayGeometry, nf_channel_vector\n",
+        "from nfcap.geometry import element_distances\n",
+        "import nfcap.stats\n",
+    ],
+)
+def test_import_scan_flags_the_code_under_check(source):
+    assert not _package_imports(source) <= _ORACLE_IMPORTS
+
+
+def test_oracles_import_only_checks_and_containers():
+    """The oracles stay independent of the code they check: from the
+    package they import the input checks and data containers alone."""
+    path = Path(oracles.__file__)
+    assert _package_imports(path.read_text(encoding="utf-8")) <= _ORACLE_IMPORTS
 
 
 def test_element_sums_are_deterministic(small_geometry, user1, user2_dd):
