@@ -7,12 +7,8 @@ converged rule at that size). The exact CCF element sum, which the NF
 sweeps take instead of the T=200 rule up to 200^2 elements, is timed on
 the reference users at 65x65, 151x151 and 199x199; the CCF rows also
 print the time per integrand evaluation (T^2 for the rule, m^2 for the
-element sum), which shows the crossover. The two ``rule phasor 16k``
-rows time the cosine and sine of one 81x200 block of the rule's phase
-(the first kernel block at the preset geometry, T=200): by ``np.cos``
-and ``np.sin``, and by the tangent half-angle form that the rule uses.
-Where numpy's float64 tangent is not vectorised, the two rows come out
-close. The uplink log-determinant oracle, one QR of the (M + 2) x 2
+element sum), which shows the crossover. The uplink log-determinant
+oracle, one QR of the (M + 2) x 2
 stack of I_2 over the two scaled channels, is timed at 33x33 and at
 65x65 (the reference array and the largest that the verify paths take),
 on the reference users at SNR 1000. The numpy element oracles that the
@@ -22,10 +18,14 @@ largest preset array); their "per eval" is per array element. The
 multicast oracle, the convex dual that the verify paths run, is timed
 on the log-determinant's 65x65 vectors at power 1000 and unit noise,
 beside the 400x400x64 primal beam-grid scan that it replaced. The two
-``r2 sweep ccf`` rows time the T=200 correlations of the 60 channels of
-the ``mc-vs-r2`` preset's NF sweep, 551x551 with user 2 in its own
+``r2 sweep ccf 551`` rows time the T=200 correlations of the 60 channels
+of the ``mc-vs-r2`` preset's NF sweep, 551x551 with user 2 in its own
 direction: one ``nf_ccf_batch`` call per channel, and the one call
-around their shared user 1 that the runners make.
+around their shared user 1 that the runners make. The ``r2 sweep ccf
+65 x200`` row times, in that one call, the element sums of a 200-point
+``r2_m`` sweep of the default scenario (65x65, user 2 from 2 m to 20 m),
+like the one of the benchmark's ``sweeps-nf-65`` workload. The "per
+eval" of the r2 rows is per channel and rule node or element.
 The four ``ff sweep 2500`` rows time one FF run of the default scenario
 (65x65) over 2500 points of each swept variable, with the target the FF
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
@@ -86,36 +86,6 @@ def _quad_args(m_axis=65, nodes=200, same_direction=False, r2=5.0):
     return x, z, w, r1 / r2, r1, r2, k0, px1, oz1, px2, oz2
 
 
-def _phase_block():
-    "The rule's phase on its first kernel block at the preset geometry, T=200."
-    x, z, _, ups, r1, r2, k0, px1, oz1, px2, oz2 = _quad_args(551, 200, True, 2.0)
-    X = x[:_kernels._QUAD_BLOCK_NODES // len(z), None]
-    Z = z[None, :]
-    q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
-    q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
-    return k0 * r1 * np.sqrt(q1) - k0 * r2 * np.sqrt(q2)
-
-
-def _phasor_cos_sin(phase, work, cos, den):
-    np.copyto(work, phase)
-    np.cos(work, out=cos)
-    np.sin(work, out=work)
-
-
-def _phasor_tangent(phase, work, cos, den):
-    np.copyto(work, phase)
-    _kernels._tangent_phasor(work, cos, den)
-
-
-def _phasor_rows():
-    phase = _phase_block()
-    planes = [np.empty_like(phase) for _ in range(3)]
-    return [
-        (f"rule phasor 16k {label}", func, (phase, *planes), phase.size)
-        for label, func in (("cos+sin", _phasor_cos_sin), ("tan", _phasor_tangent))
-    ]
-
-
 def _element_args(m_axis):
     x, z, w, *rest = _quad_args(m_axis)
     return (m_axis, m_axis, (WAVELENGTH / 2.0) / 10.0, *rest)
@@ -159,10 +129,14 @@ def _r2_sweep_rows():
     u1, u2 = base.users
     seconds = [replace(u2, range_r=r) for r in grid]
     nodes = base.quadrature_nodes
+    small = base.geometry
+    near = [replace(u2, range_r=r) for r in np.linspace(2.0, 20.0, 200)]
     return [
-        (f"r2 sweep ccf {side} x{len(seconds)} {label}", func,
-         (geom, u1, seconds, nodes), len(seconds) * nodes**2)
-        for label, func in (("per channel", _per_channel_ccf), ("batched", nf_ccf_batch))
+        *[(f"r2 sweep ccf {side} x{len(seconds)} {label}", func,
+           (geom, u1, seconds, nodes), len(seconds) * nodes**2)
+          for label, func in (("per channel", _per_channel_ccf), ("batched", nf_ccf_batch))],
+        (f"r2 sweep ccf {small.m_x} x{len(near)} batched", nf_ccf_batch,
+         (small, u1, near), len(near) * small.m_total),
     ]
 
 
@@ -207,7 +181,6 @@ def _workloads():
         ("element_distances 301x301", _kernels.element_distances, dist_args, None),
         ("nf_entries 301x301", _kernels.nf_entries, (dists, 1.2e-4, WAVELENGTH), None),
         *quad,
-        *_phasor_rows(),
         *elements,
         ("mc_grid_best 400x400x64", _kernels.mc_grid_best,
          (0.8, 0.3, 0.05 - 0.02j, 400, 400, 64), None),

@@ -5,8 +5,9 @@ Five kernels, each one numpy function:
 * :func:`element_distances` - exact element-to-user distances;
 * :func:`nf_entries` - spherical-wave channel entries from distances;
 * :func:`ccf_quadrature_sums` - the weighted double sum of the NF
-  correlation integral, in real arithmetic on row blocks, with the
-  cosine and sine of its phase taken from one tangent of the half phase;
+  correlation integral, in real arithmetic on row blocks: the half
+  phase from d1^2 - d2^2 over d1 + d2, with no cancellation, and the
+  cosine and sine of the phase from one tangent of it;
 * :func:`ccf_element_sums` - the same integrand summed over the array's
   elements with unit weights: the exact inner product and both norms of
   the two NF channel vectors, up to constants that cancel in the CCF;
@@ -63,8 +64,8 @@ def nf_entries(dists: np.ndarray, amp_num: float, wavelength: float) -> np.ndarr
 # A sqrt(Psi1 Psi2) / (4 pi r1 r2) that the CCF ratio cancels.
 
 
-# Rows of x per block: about 16k nodes, so the eight work planes of a
-# block (about 1 MB) stay in cache at every T. The planes are allocated
+# Rows of x per block: about 16k nodes, so the six work planes of a
+# block (about 0.8 MB) stay in cache at every T. The planes are allocated
 # once per call and reused by every block and channel.
 _QUAD_BLOCK_NODES = 16384
 
@@ -122,105 +123,108 @@ def _aligned_planes(count, rows, cols):
 
 def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
     """Per second user (ups, r2, px2, oz2) of ``seconds``: the real and
-    imaginary parts of S and, with ``norms``, the sums N1 and N2 of
-    Q1^{-3/2} and Q2^{-3/2}, taken from the same square roots.
+    imaginary parts of S and, with ``norms`` (unit weights only), the
+    sums N1 and N2 of Q1^{-3/2} and Q2^{-3/2}.
 
     Real arithmetic on (rows, T) planes, x down the rows and z along the
-    columns, block by block of rows of x: f1*f2 = amp * (cos + j sin) of
-    the one phase p1 - p2 = k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2), with amp =
-    (Q1 Q2)^{-3/4}, and the weights enter as wx @ plane @ wz. Each block
-    builds user 1's planes once, x^2 + z^2, Q1 and p1 (and its part of
-    N1), and then each channel's own Q2, amp, phase and sums. A channel's
+    columns, block by block of rows of x. With rho = r2 / r1, user 2
+    enters through Q2' = rho^2 Q2 = (d2 / r1)^2, so the phase of f1*f2 is
+    k0 r1 (sqrt(Q1) - sqrt(Q2')). That difference of square roots is
+    taken as (Q1 - Q2') / (sqrt(Q1) + sqrt(Q2')) (Goldberg, ACM Comput.
+    Surv. 23(1), 1991), so the half phase h = k0 r1 (sqrt(Q1) -
+    sqrt(Q2')) / 2 rounds relative to itself, not to the hundreds of
+    radians of each user's own phase, and needs no correction term.
+    Q1, Q2' and k0 r1 (Q1 - Q2') / 2 are each one column plus one row
+    (:func:`_quadratic`), from coefficients taken in long double
+    (:func:`_coefficients`).
+
+    The phasor comes from t = tan h by the half-angle (Weierstrass)
+    substitution, cos 2h = (1 - t^2) / (1 + t^2) and
+    sin 2h = 2t / (1 + t^2): numpy's vectorised tangent costs about 2.5
+    ns an element where its float64 cos and sin cost about 20 and 13 ns
+    at these arguments. t^2 cannot overflow: at the double nearest pi/2,
+    t is about 1.6e16. With a1 = wx wz Q1^{-3/4}, user 1's plane, and
+    g = Q2'^{-3/4} / (1 + t^2), Re S = rho^{3/2} sum a1 (1 - t^2) g and
+    Im S = 2 rho^{3/2} sum a1 t g. Each sum is one ``np.einsum``, not
+    ``np.vdot``: OpenBLAS threads its dot product above 10000 terms, and
+    on a 2-vCPU VM a 16k-term ``np.vdot`` took 6 to 12 ms, waking those
+    threads, where ``np.einsum`` took 0.02 to 0.2 ms.
+
+    Each block builds user 1's planes once, sqrt(Q1) and a1 (and its part
+    of N1), and then each channel's own in four more planes. A channel's
     sums take the same operations in the same order, block after block,
     whatever other channels share the pass, so they are the same bits as
     a pass of that channel alone.
-
-    Q1 = x^2 + z^2 - 2 px1 x - 2 oz1 z + 1 and
-    Q2 = ups^2 (x^2 + z^2) - 2 ups px2 x - 2 ups oz2 z + 1 are summed in
-    that order, from row and column vectors. p1 - p2 rounds by up to half
-    an ulp of a few hundred radians, and the sum cancels by up to 1e4
-    (65x65, reference users), which would move S by 1e-12 relative to the
-    product of the two exponentials. So the rounding error err of that
-    subtraction (Knuth's TwoSum) is kept to first order:
-    cos(ph + err) = cos ph - err sin ph, sin(ph + err) = sin ph + err cos ph.
-
-    Without ``norms`` (the T x T rule), cos ph and sin ph come from t =
-    tan(ph / 2) by the half-angle (Weierstrass) substitution
-    (:func:`_tangent_phasor`). Halving ph is exact, numpy's tangent
-    reduces its own argument, and t^2 cannot overflow: at the double
-    nearest pi/2, t is about 1.6e16. The rule's nodes spread ph over
-    hundreds of radians; there numpy's float64 cos and sin cost about 20
-    and 13 ns an element where its vectorised tan costs about 2.5 ns, and
-    the phasor stays within 2.2e-16 of theirs. The element sum keeps cos
-    and sin of ph: its correlations are the ones held to 1e-10 relative,
-    and the substitution moved the twelfth digit of one printed
-    correlation near a null.
     """
     rows = max(1, _QUAD_BLOCK_NODES // len(z))
-    planes = _aligned_planes(8, min(rows, len(x)), len(z))
+    planes = _aligned_planes(6, min(rows, len(x)), len(z))
+    one = (1.0, 2 * px1, 2 * oz1, 1.0)  # Q1 = (x^2 + z^2) - 2 px1 x - 2 oz1 z + 1
+    q2s, phases, scales = _coefficients(r1, k0, px1, oz1, seconds)
     totals = [(0.0,) * (4 if norms else 2) for _ in seconds]
-    Z = z[None, :]
     for start in range(0, len(x), rows):
         X = x[start:start + rows, None]
-        bx = wx[start:start + rows]
-        sq, q1, p1, q2, amp, phase, back, err = (p[:len(X)] for p in planes)
-        np.add(X * X, Z * Z, out=sq)
-        np.subtract(sq, 2 * px1 * X, out=q1)
-        q1 -= 2 * oz1 * Z
-        q1 += 1.0
-        np.sqrt(q1, out=p1)
-        n1 = (_norm_sum(p1, bx, wz, back),) if norms else ()
-        p1 *= k0 * r1
-        for c, (ups, r2, px2, oz2) in enumerate(seconds):
-            np.multiply(ups * ups, sq, out=q2)
-            q2 -= 2 * ups * px2 * X
-            q2 -= 2 * ups * oz2 * Z
-            q2 += 1.0
-            np.multiply(q1, q2, out=amp)
-            amp **= -0.75
-            p2 = np.sqrt(q2, out=q2)
-            n2 = (_norm_sum(p2, bx, wz, back),) if norms else ()
-            p2 *= k0 * r2
-            np.subtract(p1, p2, out=phase)
-            np.subtract(phase, p1, out=back)
-            np.subtract(phase, back, out=err)
-            np.subtract(p1, err, out=err)
-            err -= np.add(p2, back, out=p2)
-            # p2 is spent, so its plane takes the cosine
-            if norms:
-                cos = np.cos(phase, out=p2)
-                sin = np.sin(phase, out=phase)
-            else:
-                cos, sin = _tangent_phasor(phase, p2, back)
-            re = np.subtract(cos, np.multiply(err, sin, out=back), out=back)
-            im = np.multiply(err, cos, out=err)
-            im += sin
-            re *= amp
-            im *= amp
-            sums = (bx @ re @ wz, bx @ im @ wz, *n1, *n2)
-            totals[c] = tuple(t + s for t, s in zip(totals[c], sums))
-    return totals
+        s1, a1, s2, t, g, re = (p[:len(X)] for p in planes)
+        np.sqrt(_quadratic(one, X, z, s1), out=s1)
+        np.multiply(wx[start:start + rows, None], wz, out=re)
+        np.divide(re, _three_quarters(s1, a1), out=a1)
+        n1 = (np.einsum("ij,ij->", a1, a1),) if norms else ()
+        for c, (q2, phase) in enumerate(zip(q2s, phases)):
+            np.sqrt(_quadratic(q2, X, z, s2), out=s2)
+            _quadratic(phase, X, z, t)
+            t /= np.add(s1, s2, out=g)
+            np.tan(t, out=t)
+            np.reciprocal(_three_quarters(s2, g), out=g)
+            n2 = (np.einsum("ij,ij->", g, g),) if norms else ()
+            tt = np.multiply(t, t, out=s2)
+            np.subtract(1.0, tt, out=re)
+            tt += 1.0
+            g /= tt
+            re *= g
+            g *= t
+            sums = (np.einsum("ij,ij->", a1, re), np.einsum("ij,ij->", a1, g), *n1, *n2)
+            totals[c] = tuple(u + v for u, v in zip(totals[c], sums))
+    return [(scale * s_re, scale * 2 * s_im, *norm[:1], *(n * scale * scale for n in norm[1:]))
+            for scale, (s_re, s_im, *norm) in zip(scales, totals)]
 
 
-def _norm_sum(root, wx, wz, tmp):
-    "wx @ root^-3 @ wz, with ``tmp`` as the work plane."
-    np.multiply(root, root, out=tmp)
-    tmp *= root
-    return wx @ np.reciprocal(tmp, out=tmp) @ wz
+def _coefficients(r1, k0, px1, oz1, seconds):
+    """Per second user (ups, r2, px2, oz2): the coefficients (a, b, c, d)
+    of Q2' = rho^2 Q2 and of k0 r1 (Q1 - Q2') / 2, each
+    a (x^2 + z^2) - b x - c z + d, and rho^{3/2}, with rho = r2 / r1.
+
+    They are taken in long double and rounded once to float64. On two
+    200-point r2 sweeps at 65x65 that puts rho up to 8.2e-12 and 1.2e-11
+    relative from a long-double evaluation of the sums (medians 1.6e-12);
+    rounded step by step in float64, the coefficients put it up to
+    1.4e-11 and 3.3e-11 from it (medians 1.4e-12). rho ups is
+    1 + O(1e-16), so 1 - (rho ups)^2, the x^2 + z^2 term of Q1 - Q2', is
+    kept to about 1e-3 of itself.
+    Co-located users give Q2' = Q1 and no phase exactly.
+    """
+    ld = np.longdouble
+    ups, r2, px2, oz2 = np.array(seconds, dtype=ld).reshape(-1, 4).T
+    rho = r2 / ld(r1)
+    a = rho * ups * (rho * ups)
+    b = 2 * rho * rho * ups
+    half = ld(k0) * ld(r1) / 2
+    q2s = np.stack([a, b * px2, b * oz2, rho * rho], axis=1)
+    phases = half * np.stack([1 - a, 2 * ld(px1) - b * px2, 2 * ld(oz1) - b * oz2,
+                              1 - rho * rho], axis=1)
+    return q2s.astype(float), phases.astype(float), (rho * np.sqrt(rho)).astype(float)
 
 
-def _tangent_phasor(phase, cos, den):
-    """cos and sin of ``phase`` from t = tan(phase / 2): cos ph =
-    (1 - t^2) / (1 + t^2) and sin ph = 2 t / (1 + t^2). The cosine goes
-    into ``cos``, the sine over ``phase``; ``den`` is a work plane."""
-    t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
-    np.multiply(t, t, out=den)
-    np.subtract(1.0, den, out=cos)
-    den += 1.0
-    cos /= den
-    sin = np.multiply(t, 2.0, out=phase)
-    sin /= den
-    return cos, sin
+def _quadratic(coef, X, z, out):
+    """a (X^2 + z^2) - b X - c z + d into ``out``: the column of X and
+    the row of z, added."""
+    a, b, c, d = coef
+    return np.add(a * X * X - b * X + d, a * z * z - c * z, out=out)
+
+
+def _three_quarters(root, out):
+    "Q^{3/4} = sqrt(Q) * sqrt(sqrt(Q)) from ``root`` = sqrt(Q), into ``out``."
+    np.sqrt(root, out=out)
+    out *= root
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,29 @@ def random_instance(rng: np.random.Generator):
     rho = rng.uniform(0.0, 1.0)
     snr1, snr2 = 10.0 ** (rng.uniform(0.0, 40.0, size=2) / 10.0)
     return g1, g2, rho, snr1, snr2
+
+
+def long_double_ccf_sums(x, z, wx, wz, ups, r1, r2, k0, px1, oz1, px2, oz2):
+    """The NF CCF double sum over the nodes (x, z) with weights wx wz,
+    S = sum wx wz (Q1 Q2)^-3/4 exp(j (k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2))),
+    in np.longdouble from the same double arguments the kernels take.
+
+    Returns S, its scale sum wx wz (Q1 Q2)^-3/4 and the norms
+    N_k = sum Q_k^-3/2, as Python floats. The x87 long double carries 64
+    bits, so each phase of a few hundred radians rounds by about 1e-17,
+    against about 3e-14 in float64.
+    """
+    ld = np.longdouble
+    assert np.finfo(ld).eps < 1e-18, "the reference needs an extended long double"
+    X, Z = np.asarray(x, ld)[:, None], np.asarray(z, ld)[None, :]
+    ups, r1, r2, k0, px1, oz1, px2, oz2 = (ld(v) for v in (ups, r1, r2, k0, px1, oz1,
+                                                            px2, oz2))
+    sq = X * X + Z * Z
+    q1 = sq - 2 * px1 * X - 2 * oz1 * Z + 1
+    q2 = ups * ups * sq - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1
+    root = np.sqrt(q1 * q2)
+    amp = np.outer(np.asarray(wx, ld), np.asarray(wz, ld)) / (root * np.sqrt(root))
+    phase = k0 * r1 * np.sqrt(q1) - k0 * r2 * np.sqrt(q2)
+    s = complex(float(np.sum(amp * np.cos(phase))), float(np.sum(amp * np.sin(phase))))
+    n1, n2 = (float(np.sum(1 / (q * np.sqrt(q)))) for q in (q1, q2))
+    return s, float(np.sum(amp)), n1, n2

@@ -316,7 +316,7 @@ _RANGES = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
             "error: at sweep point snr_db=3000.0: uplink capacity overflows: 1 + "
             "gamma1*g1 + gamma2*g2 + gamma1*gamma2*g1*g2*(1 - rho) is not finite for "
             "g=(0.0031408141355424466, 0.012552999941342702), gamma=(1e+300, 1e+300), "
-            "rho=3.5312136975778126e-08",
+            "rho=3.5312136976008195e-08",
             id="uplink-overflow"),
         pytest.param(
             "", "power_db", "bc", 3000.0, [3010.0 + 10 * k for k in range(6)],

@@ -2,11 +2,13 @@
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import long_double_ccf_sums
 import nfcap._kernels as kernels
 from nfcap.geometry import ArrayGeometry, UserLocation, epsilon, nf_channel_vector
 
@@ -60,6 +62,33 @@ def test_ccf_element_sum_is_inner_product_and_norms():
         assert n * own == pytest.approx(float(np.vdot(h, h).real), rel=1e-12)
 
 
+def test_ccf_coefficients_round_once_from_the_exact_values():
+    """The column-plus-row coefficients of Q2' = rho^2 Q2 and of
+    k0 r1 (Q1 - Q2') / 2 against exact rationals of the double arguments,
+    for user 2 jittered around the reference pair: each within an ulp of
+    its exact value. The x^2 + z^2 term of the phase, k0 r1 (1 - (rho
+    ups)^2) / 2, is a cancellation of order 1e-16 k0 r1; it is held to
+    1e-18 k0 r1, where float64 arithmetic misses it by about 1e-16 k0 r1."""
+    rng = np.random.default_rng(7)
+    r1, k0, px1, oz1 = 10.0, 2 * math.pi / 0.125, 0.43, -0.5
+    seconds = [(r1 / r2, r2, px2, oz2) for r2, px2, oz2 in zip(
+        rng.uniform(2.0, 20.0, 20), rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.5, 0.5, 20))]
+    q2s, phases, scales = kernels._coefficients(r1, k0, px1, oz1, seconds)
+    half = Fraction(k0) * Fraction(r1) / 2
+    for (ups, r2, px2, oz2), q2, phase, scale in zip(seconds, q2s, phases, scales):
+        rho = Fraction(r2) / Fraction(r1)
+        a = (rho * Fraction(ups)) ** 2
+        b = 2 * rho * rho * Fraction(ups)
+        want_q2 = (a, b * Fraction(px2), b * Fraction(oz2), rho * rho)
+        want_phase = tuple(half * v for v in (1 - a, 2 * Fraction(px1) - b * Fraction(px2),
+                                              2 * Fraction(oz1) - b * Fraction(oz2),
+                                              1 - rho * rho))
+        for got, want in zip((*q2, *phase[1:]), (*want_q2, *want_phase[1:])):
+            assert abs(Fraction(float(got)) - want) <= Fraction(math.ulp(float(want)))
+        assert abs(Fraction(float(phase[0])) - want_phase[0]) <= Fraction(1e-18) * half
+        assert scale == pytest.approx(float(rho) ** 1.5, rel=1e-15)
+
+
 def test_quadrature_work_planes_are_cache_line_aligned():
     planes = kernels._aligned_planes(8, 81, 200)
     starts = sorted(p.ctypes.data for p in planes)
@@ -88,26 +117,28 @@ _SECONDS = [
 ]
 
 
-@pytest.mark.parametrize("m_axis", [65, 551])
+@pytest.mark.parametrize("m_axis", [65, 199])
 @pytest.mark.parametrize("u2", _SECONDS, ids=["reference", "co-directional", "co-located"])
-def test_rule_phasor_matches_cos_and_sin(m_axis, u2):
-    """The rule's tangent half-angle phasor against cos and sin of the
-    same phase on the same T=200 nodes (the element-sum path of the block
-    function). Each node's phasor is within 2.2e-16 of (cos, sin), so
-    |dS| is bounded by a few 1e-16 of sum w w' (Q1 Q2)^-3/4; the largest
-    seen is 5.7e-18 of it (551 x 551, co-directional), and co-located
-    users give a zero phase and the same sum."""
-    x, w, args = _rule(m_axis, _U1, u2)
-    ups, r1, r2, k0, px1, oz1, px2, oz2 = args
-    X, Z = x[:, None], x[None, :]
-    q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
-    q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
-    scale = w @ (q1 * q2) ** -0.75 @ w
-    rule, trig = (
-        complex(*kernels._ccf_sums(x, x, w, w, r1, k0, px1, oz1, [(ups, r2, px2, oz2)],
-                                   norms)[0][:2])
-        for norms in (False, True))
-    assert abs(rule - trig) <= 4e-16 * scale
+def test_element_sum_rho_matches_long_double(m_axis, u2):
+    """The element-sum correlation against the same sums in long double.
+    The reference pair at 65 x 65 is the default scenario, a null of the
+    correlation (rho = 3.5e-8). The bound is the rho that an error of
+    2e-15 of sum (Q1 Q2)^-3/4 in S makes, plus 1e-14 relative for the
+    norms. At the null that bound is 2.0e-11 of rho; the kernel is
+    within 1.8e-12 of it, and a kernel that subtracts the two phases
+    k0 r1 sqrt(Q1) and k0 r2 sqrt(Q2) and corrects the rounding of that
+    subtraction by TwoSum within 4.7e-12."""
+    geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
+    eps1 = epsilon(geom, _U1)
+    _, _, args = _rule(m_axis, _U1, u2)
+    s, n1, n2 = kernels.ccf_element_sum(m_axis, m_axis, eps1, *args)
+    x = (np.arange(m_axis) - (m_axis - 1) // 2) * eps1
+    ones = np.ones(m_axis)
+    want_s, scale, want_n1, want_n2 = long_double_ccf_sums(x, x, ones, ones, *args)
+    want = abs(want_s) ** 2 / (want_n1 * want_n2)
+    rho = abs(s) ** 2 / (n1 * n2)
+    bound = 1e-14 * want + 2 * math.sqrt(want) * 2e-15 * scale / math.sqrt(want_n1 * want_n2)
+    assert abs(rho - want) <= bound
 
 
 @pytest.mark.parametrize("m_axis", [551, 199], ids=["rule-551", "elements-199"])
@@ -152,15 +183,20 @@ def test_batched_correlation_sums_are_the_one_channel_bits(m_axis):
     (1e9 + math.pi, 1.0),
 ], ids=["zero", "half-pi", "pi", "1e9+pi"])
 def test_rule_phasor_is_finite_at_the_tangent_poles(ph, k0):
-    """One node at the origin, where Q1 = Q2 = 1: S is the phasor of
-    ph = k0 r1 - k0 r2 alone. With r1 = 2 r2 the subtraction is exact.
-    At the double nearest pi, tan(ph / 2) is about 1.6e16."""
+    """One node, and one element, at the origin, where Q1 = Q2 = 1: S is
+    the phasor of ph = k0 r1 - k0 r2 alone. With r1 = 2 r2 the
+    subtraction is exact, and so is the kernel's half phase
+    (k0 r1 / 2) (1 - 1/4) / (1 + 1/2) on these cases. At the double
+    nearest pi, tan(ph / 2) is about 1.6e16."""
     r2 = ph if ph else 1.0
-    s = kernels.ccf_quadrature_sum(np.zeros(1), np.zeros(1), np.ones(1), 2.0, 2 * r2, r2,
-                                   k0, 0.1, 0.2, -0.1, 0.3)
+    args = (2.0, 2 * r2, r2, k0, 0.1, 0.2, -0.1, 0.3)
+    rule = kernels.ccf_quadrature_sum(np.zeros(1), np.zeros(1), np.ones(1), *args)
+    elements, n1, n2 = kernels.ccf_element_sum(1, 1, 0.01, *args)
     assert k0 * (2 * r2) - k0 * r2 == ph
-    assert math.isfinite(s.real) and math.isfinite(s.imag)
-    assert abs(s - complex(math.cos(ph), math.sin(ph))) <= 1e-15
+    for s in (rule, elements):
+        assert math.isfinite(s.real) and math.isfinite(s.imag)
+        assert abs(s - complex(math.cos(ph), math.sin(ph))) <= 1e-15
+    assert n1 == 1.0 and n2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kernel_benchmark_rows_each_run_once():

@@ -8,14 +8,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfcap import _kernels
+from conftest import long_double_ccf_sums
+from nfcap import _kernels, sweeps
 from nfcap.geometry import (
     ArrayGeometry,
     UserLocation,
     ff_channel_vector,
     nf_channel_vector,
 )
+from nfcap.oracles import ccf_sum_oracle
 from nfcap.stats import (
     CcfEstimate,
     asymptotic_gains,
@@ -121,17 +125,6 @@ def test_nf_ccf_quadrature_self_pair_clamps_to_one(ref_geometry, user1):
     assert est.value == 1.0
 
 
-def _two_exponential_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2):
-    "The quadrature double sum as first written: two complex exponentials."
-    X, Z = np.meshgrid(x, z, indexing="ij")
-    W = np.outer(w, w)
-    q1 = X * X + Z * Z - 2 * px1 * X - 2 * oz1 * Z + 1.0
-    q2 = ups * ups * (X * X + Z * Z) - 2 * ups * px2 * X - 2 * ups * oz2 * Z + 1.0
-    f1 = np.exp(1j * k0 * r1 * np.sqrt(q1)) / q1**0.75
-    f2 = np.exp(-1j * k0 * r2 * np.sqrt(q2)) / q2**0.75
-    return complex(np.sum(W * f1 * f2))
-
-
 _U1 = (10.0, math.pi / 3, 2 * math.pi / 3)
 
 
@@ -150,6 +143,9 @@ _U1 = (10.0, math.pi / 3, 2 * math.pi / 3)
 def test_quadrature_kernel_matches_two_exponential_form(
     monkeypatch, nodes, m_axis, user2
 ):
+    """The rule's double sum of the two exponentials against the same sum
+    in long double, from the arguments that nf_ccf_quadrature passes the
+    kernel, to 2e-15 of sum w w' (Q1 Q2)^-3/4."""
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
     u1, u2 = UserLocation(*_U1), UserLocation(*user2)
     calls = []  # in the argument order of ccf_quadrature_sum
@@ -163,14 +159,20 @@ def test_quadrature_kernel_matches_two_exponential_form(
     monkeypatch.setattr(_kernels, "ccf_quadrature_sums", recording)
     est = nf_ccf_quadrature(geom, u1, u2, nodes)
     (args,) = calls
-    got = _kernels.ccf_quadrature_sum(*args)
-    want = _two_exponential_sum(*args)
-    # 1e-13, not just 1e-12: a one-phase kernel without the TwoSum term
-    # is 5e-13 off on the reference pair at 65x65, T=200, enough to move
-    # the last printed digit of about one correlation in ten
-    assert abs(got - want) <= 1e-13 * abs(want)
+    x, z, w, ups, r1, r2, k0, *dirs = args
+    want, scale, _, _ = long_double_ccf_sums(x, z, w, w, ups, r1, r2, k0, *dirs)
+
+    def miss(k):
+        return abs(_kernels.ccf_quadrature_sum(x, z, w, ups, r1, r2, k, *dirs) - want)
+
+    # float64 rounding of the sum is up to 9e-16 of its scale on these cases
+    assert miss(k0) <= 2e-15 * scale
     if u2 == u1:
         assert est.raw > 1.0 and est.value == 1.0
+    else:
+        # negative control: k0 off by 1e-12 moves S by 4e-14 of the scale
+        # or more; co-located users have no phase for k0 to move
+        assert miss(k0 * (1 + 1e-12)) > 2e-15 * scale
 
 
 @pytest.mark.parametrize(
@@ -195,6 +197,45 @@ def test_nf_ccf_elements_matches_exact_vectors(m_x, m_z, user2):
     assert est.value == pytest.approx(min(exact, 1.0), rel=1e-10)
     assert est.raw == pytest.approx(exact, rel=1e-10)
     assert est.value <= 1.0
+
+
+_ANGLES = st.floats(0.1, math.pi - 0.1)
+_ODD_SIDES = st.integers(0, 32).map(lambda k: 2 * k + 1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    _ODD_SIDES,
+    _ODD_SIDES,
+    st.floats(0.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.sampled_from(["co-located", "co-directional", "apart"]),
+    st.tuples(_ANGLES, _ANGLES, _ANGLES, _ANGLES),
+)
+def test_nf_ccf_elements_holds_at_the_domain_edges(m_x, m_z, reach, log_ratio, pair,
+                                                   angles):
+    """The element sum against the element oracle, on arrays of up to 65
+    per axis, with r2 / r1 from 1e-2 to 1e2 and the farther user from 10 m
+    out to the largest range that the NF model takes: within the
+    tolerance that ``--verify`` holds it to. Co-located users give a raw
+    correlation of 1 to rounding."""
+    geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
+    edge = sweeps._MAX_PHASE_ROUNDING / sweeps._phase_rounding(geom, 1.0) * (1 - 1e-12)
+    far = 10.0 ** (1.0 + reach * (math.log10(edge) - 1.0))
+    near = far / 10.0 ** abs(log_ratio)
+    az1, el1, az2, el2 = angles
+    if pair == "co-located":
+        u1 = u2 = UserLocation(far, az1, el1)
+    else:
+        r1, r2 = (far, near) if log_ratio < 0 else (near, far)
+        u1 = UserLocation(r1, az1, el1)
+        u2 = UserLocation(r2, *((az1, el1) if pair == "co-directional" else (az2, el2)))
+    assert sweeps._nf_range_refusal(geom, (u1, u2)) == ""
+    est = nf_ccf_elements(geom, u1, u2)
+    oracle = ccf_sum_oracle(geom, u1, u2)
+    assert abs(est.value - oracle) <= sweeps._ccf_elements_tolerance(geom, (u1, u2), oracle)
+    if pair == "co-located":
+        assert est.raw == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
 
 
 def test_nf_ccf_elements_rejects_user_inside_pitch(ref_geometry, user1):
