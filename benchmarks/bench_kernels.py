@@ -31,7 +31,9 @@ The four ``ff sweep 2500`` rows time one FF run of the default scenario
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
 (bc) and user 2's range (mc). Their time is per run and their "per
 eval" per point; the run evaluates each formula once on the arrays of
-all its points.
+all its points. The ``csv_text`` rows write the 13-column table of the
+``snr_db`` (mac) run as CSV text, all 2500 rows and its first row alone;
+their "per eval" is per value.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -161,6 +163,20 @@ def _ff_sweep_rows():
     ]
 
 
+def _csv_rows():
+    """``sweeps.csv_text`` on the 13-column table of the 2500-point FF
+    ``snr_db`` run of ``_ff_sweep_rows`` and on its first row alone."""
+    base = replace(default_scenario(), channel_model="FF")
+    variable, target, grid = FF_SWEEPS[1]
+    table = sweeps._run(replace(base, sweep=SweepSpec(variable, grid, target)), False, target)
+    first = replace(table, rows=table.rows[:1])
+    return [
+        (f"csv_text {len(t.rows)}x{len(t.columns)}", sweeps.csv_text, (t,),
+         len(t.rows) * len(t.columns))
+        for t in (table, first)
+    ]
+
+
 def _workloads():
     dist_args = _distance_args()
     dists = _kernels.element_distances(*dist_args)
@@ -191,6 +207,7 @@ def _workloads():
         *_element_oracle_rows(),
         *_r2_sweep_rows(),
         *_ff_sweep_rows(),
+        *_csv_rows(),
     ]
 
 

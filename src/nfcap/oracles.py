@@ -38,6 +38,7 @@ __all__ = [
     "mc_beam_grid_oracle",
     "gain_sum_oracle",
     "ccf_sum_oracle",
+    "pair_sum_oracle",
 ]
 
 _LOG2 = math.log(2.0)
@@ -240,6 +241,16 @@ def ccf_sum_oracle(
     """Squared correlation of two users' channels, from explicit
     per-element sums: |sum conj(h1_i) h2_i|^2 / (sum |h1_i|^2 sum |h2_i|^2).
     """
+    return pair_sum_oracle(geom, u1, u2, model)[2]
+
+
+def pair_sum_oracle(
+    geom: ArrayGeometry, u1: UserLocation, u2: UserLocation, model: str = "nf"
+) -> tuple[float, float, float]:
+    """Both gains and the squared correlation (g1, g2, rho) of two users'
+    channels, from one element evaluation per user: the values that
+    :func:`gain_sum_oracle` and :func:`ccf_sum_oracle` give.
+    """
     e1, n1 = _element_sum(geom, u1, model)
     e2, n2 = _element_sum(geom, u2, model)
-    return abs(complex(np.vdot(e1, e2))) ** 2 / (n1 * n2)
+    return n1, n2, abs(complex(np.vdot(e1, e2))) ** 2 / (n1 * n2)

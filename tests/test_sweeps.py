@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MC_BLIND_SPOT_INI, synth_pair
 from nfcap import stats, sweeps
@@ -102,6 +104,86 @@ def test_csv_text_formats_each_value_as_format_e11():
     expected = ["a,b,c,d,e"] + [",".join(format(v, ".11e") for v in row) for row in rows]
     assert csv_text(res) == "\n".join(expected) + "\n"
     assert csv_text(res).splitlines()[1].startswith("-0.00000000000e+00,4.94065645841e-324,")
+
+
+def _percent_csv(result):
+    "The table as one % line per row writes it: the reference of csv_text."
+    row_format = ",".join(["%.11e"] * len(result.columns))
+    lines = [",".join(result.columns)]
+    lines += [row_format % tuple(row) for row in result.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_table(values, width):
+    """A SweepResult of ``values`` in rows of ``width``, the last padded
+    with 1.0, ordered by the first column with nan last."""
+    values = [float(v) for v in values] + [1.0] * (-len(values) % width)
+    rows = [tuple(values[i:i + width]) for i in range(0, len(values), width)]
+    rows.sort(key=lambda row: (math.isnan(row[0]), row[0]))
+    return SweepResult(tuple(f"c{k}" for k in range(width)), tuple(rows), "p")
+
+
+def _around(values):
+    "Each of ``values`` with the doubles on either side of it."
+    values = np.array(values)
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, np.inf),
+                               np.nextafter(values, -np.inf)])
+
+
+_POWERS_OF_TEN = [float(f"1e{k}") for k in range(-330, 310)]
+_CSV_FIXED = {
+    "zeros and subnormals": [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+                             2.2250738585072014e-308],
+    "nan and inf": [math.nan, math.inf, -math.inf, -math.nan],
+    "exponent of 100 or more": _around([1e-99, 1e99, 1e100, 1e-100, 9.99999999999e99,
+                                        -1e150, 1.7976931348623157e308, 1e-300]),
+    "powers of ten": _around(_POWERS_OF_TEN),
+    "9.999999999995e k": _around([float(f"9.999999999995e{k}") for k in range(-110, 111)]),
+    # the nearest doubles to 12-digit ties, where 10^(e - 11) is inexact
+    "ties": _around([float(f"{10**11 + 7919 * i}5e{i % 190 - 110}") for i in range(2000)]),
+}
+
+
+@pytest.mark.parametrize("width", [1, 13])
+@pytest.mark.parametrize("name", list(_CSV_FIXED))
+def test_csv_text_matches_percent_on_fixed_values(name, width):
+    table = _csv_table(_CSV_FIXED[name], width)
+    assert csv_text(table) == _percent_csv(table)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_csv_text_matches_percent_on_empty_and_single_rows(rows):
+    table = _csv_table([2.5, -0.0, math.nan, 1e-5, 7.0][:5 * rows], 5)
+    assert csv_text(table) == _percent_csv(table)
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+_LOG_UNIFORM = st.floats(-323.0, 308.0).map(lambda x: 10.0**x)
+_TIES = st.builds(lambda m, k: float(f"{m}5e{k}"),
+                  st.integers(10**11, 10**12 - 1), st.integers(-120, 100))
+_CSV_TABLES = st.integers(1, 13).flatmap(lambda width: st.lists(
+    st.one_of(_BIT_PATTERNS, _LOG_UNIFORM, _TIES), max_size=12 * width,
+).map(lambda values: _csv_table(values, width)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_CSV_TABLES)
+def test_csv_text_matches_percent_on_drawn_tables(table):
+    """Rows of raw bit patterns, log-uniform magnitudes and the nearest
+    doubles to 12-digit ties, 1 to 13 values wide."""
+    assert csv_text(table) == _percent_csv(table)
+
+
+def test_csv_text_needs_its_tie_slack(monkeypatch):
+    """Negative control: with no slack about a tie, the numpy path rounds
+    some of the fixed ties the wrong way."""
+    monkeypatch.setattr(sweeps, "_TIE_SLACK", 0.0)
+    table = _csv_table(_CSV_FIXED["ties"], 1)
+    wrong = [(a, b) for a, b in zip(csv_text(table).splitlines(),
+                                     _percent_csv(table).splitlines()) if a != b]
+    assert wrong
 
 
 def test_channel_point_reproduces_reference_stats():
