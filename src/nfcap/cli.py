@@ -1,12 +1,6 @@
-"""Console entry point.
-
-Subcommands map onto the runner functions in :mod:`nfcap.sweeps`:
-``channel``, ``mac``, ``bc``, and ``mc`` evaluate one scenario (or its
-sweep grid) and print or save a table; ``region`` samples a rate-region
-boundary; ``sweep`` dispatches to the target named in the scenario's
-[sweep] section; ``reproduce`` rebuilds a bundled figure-data preset;
-``verify`` cross-checks every closed form against its brute-force
-oracle on the scenario's array, cut to 65 elements per axis beyond it.
+"""Console entry point: each subcommand maps onto a runner in
+:mod:`nfcap.sweeps`, and the table ``_COMMANDS`` below drives parsing,
+``--help`` and the usage lines.
 
 Exit codes: 0 on success, 1 for command-line usage errors, 2 for
 invalid scenarios or values, 3 when verification found a violation.
@@ -14,145 +8,157 @@ invalid scenarios or values, 3 when verification found a violation.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
 from . import __version__
 from .config import ScenarioError, default_scenario, load_scenario
-from .sweeps import (
-    PRESETS,
-    VERIFY_MAX_AXIS,
-    SweepResult,
-    csv_text,
-    emit_csv,
-    reproduce,
-    run_bc,
-    run_channel,
-    run_mac,
-    run_mc,
-    run_region,
-    run_sweep,
-    verification_report,
-)
+from .sweeps import (PRESETS, VERIFY_MAX_AXIS, SweepResult, csv_text, emit_csv,
+                     reproduce, run_bc, run_channel, run_mac, run_mc, run_region,
+                     run_sweep, verification_report)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_INVALID = 2
 _EXIT_VERIFY = 3
 
-_QUADRATURE_T_HELP = (
-    "nodes per axis T of the NF correlation's Chebyshev-Gauss rule, which "
-    "is used where the array has more than T^2 elements; smaller arrays "
-    "take the exact element sum (default 200)"
-)
+_CONFIG = ("--config", "PATH",
+           "scenario file (INI); omitted means the built-in reference setup")
+_OUT = ("--out", "PATH", "write CSV here (plus a .provenance.txt sidecar) instead of stdout")
+_VERIFY = ("--verify", None, "also run brute-force oracles and flag disagreeing rows")
+_QUADRATURE_T = ("--quadrature-T", "T", "nodes per axis T of the NF correlation's "
+                 "Chebyshev-Gauss rule, which is used where the array has more than "
+                 "T^2 elements; smaller arrays take the exact element sum (default 200)")
+_POINT = (_CONFIG, _OUT, _VERIFY, _QUADRATURE_T)
+
+# Each command's one-line help and its options as (flag, metavar or None for
+# a switch, help). A tuple metavar lists the allowed values; a name without
+# dashes is a required positional. Parsing, --help and usage lines read this.
+_COMMANDS = {
+    "channel": ("channel gains and correlation per scenario point", _POINT),
+    "mac": ("uplink capacity, decode corners, and combiner rates", _POINT),
+    "bc": ("downlink capacity, power split, and precoder rates", _POINT),
+    "mc": ("multicast capacity and its averaging upper bound", _POINT),
+    "region": ("rate-region boundary vertices", (
+        ("--mode", ("mac", "bc"), "uplink pentagon or downlink hull (default: mac)"),
+        _CONFIG, _OUT, _QUADRATURE_T)),
+    "sweep": ("run the sweep defined in the scenario's [sweep] section", _POINT),
+    "reproduce": ("rebuild a bundled figure-data table by preset name", (
+        _OUT, ("preset", tuple(sorted(PRESETS)), "the table to rebuild"))),
+    "verify": ("cross-check closed forms against brute-force oracles, cut to "
+               f"{VERIFY_MAX_AXIS} elements per axis", (_CONFIG, _QUADRATURE_T)),
+}
+_TOP = ("Near-field two-user capacity: closed forms, oracles and sweeps.",
+        (("--version", None, "print the version and exit"),))
+_HELP = ("--help", None, "print this help and exit")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with status 1."""
-
-    def error(self, message: str) -> "argparse.NoReturn":  # type: ignore[name-defined]
-        self.print_usage(sys.stderr)
-        self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _shown(flag: str, metavar) -> str:
+    if isinstance(metavar, tuple):
+        metavar = "{" + ",".join(metavar) + "}"
+    return metavar if flag[0] != "-" else f"{flag} {metavar}" if metavar else flag
 
 
-def _add_common(sub: argparse.ArgumentParser, verify_flag: bool = True) -> None:
-    sub.add_argument(
-        "--config",
-        metavar="PATH",
-        help="scenario file (INI); omitted means the built-in reference setup",
-    )
-    sub.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write CSV here (plus a .provenance.txt sidecar) instead of stdout",
-    )
-    if verify_flag:
-        sub.add_argument(
-            "--verify",
-            action="store_true",
-            help="also run brute-force oracles and flag disagreeing rows",
-        )
-    sub.add_argument(
-        "--quadrature-T",
-        type=int,
-        metavar="T",
-        dest="quadrature_t",
-        help=_QUADRATURE_T_HELP,
-    )
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: nfcap [-h] [--version] COMMAND ..."
+    return " ".join([f"usage: nfcap {command} [-h]"] + [
+        f"[{_shown(flag, metavar)}]" if flag[0] == "-" else _shown(flag, metavar)
+        for flag, metavar, _ in _COMMANDS[command][1]])
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="nfcap", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--version", action="version", version=f"nfcap {__version__}"
-    )
-    subs = parser.add_subparsers(dest="command", metavar="COMMAND")
+def _help(command: str | None) -> str:
+    import textwrap
 
-    for name, text in (
-        ("channel", "channel gains and correlation per scenario point"),
-        ("mac", "uplink capacity, decode corners, and combiner rates"),
-        ("bc", "downlink capacity, power split, and precoder rates"),
-        ("mc", "multicast capacity and its averaging upper bound"),
-    ):
-        sub = subs.add_parser(name, help=text, description=text)
-        _add_common(sub)
-
-    region = subs.add_parser(
-        "region",
-        help="rate-region boundary vertices",
-        description="Sample a two-user rate-region boundary.",
-    )
-    region.add_argument(
-        "--mode",
-        choices=("mac", "bc"),
-        default="mac",
-        help="uplink pentagon or downlink hull (default: mac)",
-    )
-    _add_common(region, verify_flag=False)
-
-    sweep = subs.add_parser(
-        "sweep",
-        help="run the sweep defined in the scenario file",
-        description="Run the sweep defined in the scenario's [sweep] section.",
-    )
-    _add_common(sweep)
-
-    repro = subs.add_parser(
-        "reproduce",
-        help="rebuild a bundled figure-data table",
-        description="Rebuild a bundled figure-data table by preset name.",
-    )
-    repro.add_argument("preset", choices=sorted(PRESETS))
-    repro.add_argument("--out", metavar="PATH", help="write CSV here")
-
-    verify = subs.add_parser(
-        "verify",
-        help="cross-check closed forms against brute-force oracles",
-        description=(
-            "Cross-check every closed form against its brute-force oracle "
-            f"on the scenario's array, cut to {VERIFY_MAX_AXIS} elements per "
-            "axis beyond that, and report each comparison."
-        ),
-    )
-    verify.add_argument("--config", metavar="PATH")
-    verify.add_argument(
-        "--quadrature-T",
-        type=int,
-        metavar="T",
-        dest="quadrature_t",
-        help=_QUADRATURE_T_HELP,
-    )
-    return parser
+    text, options = _COMMANDS[command] if command else _TOP
+    commands = [] if command else [(name, line) for name, (line, _) in _COMMANDS.items()]
+    rows = [("-h, --help", _HELP[2])] + [(_shown(f, m), line) for f, m, line in options]
+    width = 4 + max(len(left) for left, _ in commands + rows)
+    lines = [_usage(command), "", text]
+    for title, group in (("commands", commands), ("options", rows)):
+        if group:
+            lines += ["", f"{title}:"] + [textwrap.fill(
+                right, 79, initial_indent=f"  {left}".ljust(width),
+                subsequent_indent=" " * width) for left, right in group]
+    return "\n".join(lines) + "\n"
 
 
-def _load(args: argparse.Namespace):
-    scenario = (
-        load_scenario(args.config) if args.config else default_scenario()
-    )
-    quad = getattr(args, "quadrature_t", None)
+def _fail(command: str | None, message: str) -> NoReturn:
+    "Exit 1 after the usage line and ``nfcap COMMAND: error: MESSAGE``."
+    prog = "nfcap" if command is None else f"nfcap {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(_EXIT_USAGE)
+
+
+def _value(command: str | None, flag: str, metavar, text: str):
+    if isinstance(metavar, tuple) and text not in metavar:
+        _fail(command, f"argument {flag}: invalid choice: {text!r} "
+                       f"(choose from {', '.join(map(repr, metavar))})")
+    if flag != "--quadrature-T":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        _fail(command, f"argument {flag}: invalid int value: {text!r}")
+
+
+def _is_flag(arg: str) -> bool:
+    "Whether `arg` reads as a flag: a lone dash and negative numbers do not."
+    return arg[:1] == "-" and arg != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", arg)
+
+
+def _parse(argv: list[str]) -> dict | None:
+    """The command and its values by flag, or None if no command is given.
+    Takes ``--flag value``, ``--flag=value`` and unique prefixes of long
+    flags; a value may start with a dash only as a negative number, the
+    last of a repeated flag wins and ``--`` ends the flags. Exits 0 after
+    --help or --version and 1 on a usage error."""
+    args, command, values, positionals = iter(argv), None, {}, []
+    for arg in args:
+        if arg == "--" and command:
+            positionals += args
+            break
+        options = (_HELP, *(_COMMANDS[command] if command else _TOP)[1])
+        name, eq, inline = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        hits = [o for o in options if o[0] == name] or [
+            o for o in options if name[:2] == "--" and name[2:] and o[0].startswith(name)]
+        if len(hits) != 1:  # a value, an unknown flag or an ambiguous prefix
+            if _is_flag(arg):
+                _fail(command, f"unrecognized arguments: {arg}")
+            if command:
+                positionals.append(arg)
+            else:
+                command = _value(None, "COMMAND", tuple(_COMMANDS), arg)
+            continue
+        flag, metavar, _ = hits[0]
+        if metavar is None and eq:
+            _fail(command, f"argument {flag}: ignored explicit argument {inline!r}")
+        if flag in ("--help", "--version"):
+            sys.stdout.write(_help(command) if flag == "--help" else f"nfcap {__version__}\n")
+            raise SystemExit(_EXIT_OK)
+        if metavar is not None and not eq:
+            inline = next(args, None)
+            if inline is None or _is_flag(inline):
+                _fail(command, f"argument {flag}: expected one argument")
+        values[flag] = True if metavar is None else _value(command, flag, metavar, inline)
+    wanted = [o for o in _COMMANDS[command][1] if o[0][0] != "-"] if command else []
+    for (name, metavar, _), text in zip(wanted, positionals):
+        values[name] = _value(command, name, metavar, text)
+    if len(positionals) < len(wanted):
+        _fail(command, f"the following arguments are required: {wanted[len(positionals)][0]}")
+    if positionals[len(wanted):]:
+        _fail(command, f"unrecognized arguments: {' '.join(positionals[len(wanted):])}")
+    return dict(values, command=command) if command else None
+
+
+def _load(args: dict):
+    config = args.get("--config")
+    scenario = load_scenario(config) if config else default_scenario()
+    quad = args.get("--quadrature-T")
     if quad is not None:
         if quad < 2:
             raise ScenarioError(f"--quadrature-T must be at least 2, got {quad}")
@@ -176,7 +182,7 @@ def _deliver(result: SweepResult, out: str | None) -> int:
     return _EXIT_OK
 
 
-def _run_verify_report(args: argparse.Namespace) -> int:
+def _run_verify_report(args: dict) -> int:
     scenario = _load(args)
     checks, header = verification_report(scenario)
     print(header)
@@ -195,33 +201,26 @@ def _run_verify_report(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "reproduce":
-        return _deliver(reproduce(args.preset), args.out)
-    if args.command == "verify":
+def _dispatch(args: dict) -> int:
+    command = args["command"]
+    if command == "reproduce":
+        return _deliver(reproduce(args["preset"]), args.get("--out"))
+    if command == "verify":
         return _run_verify_report(args)
     scenario = _load(args)
-    verify = bool(getattr(args, "verify", False))
-    if args.command == "channel":
-        result = run_channel(scenario, verify)
-    elif args.command == "mac":
-        result = run_mac(scenario, verify)
-    elif args.command == "bc":
-        result = run_bc(scenario, verify)
-    elif args.command == "mc":
-        result = run_mc(scenario, verify)
-    elif args.command == "region":
-        result = run_region(scenario, args.mode)
+    if command == "region":
+        result = run_region(scenario, args.get("--mode", "mac"))
     else:
-        result = run_sweep(scenario, verify)
-    return _deliver(result, args.out)
+        runner = {"channel": run_channel, "mac": run_mac, "bc": run_bc,
+                  "mc": run_mc, "sweep": run_sweep}[command]
+        result = runner(scenario, "--verify" in args)
+    return _deliver(result, args.get("--out"))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        print(_usage(None), file=sys.stderr)
         return _EXIT_USAGE
     try:
         return _dispatch(args)

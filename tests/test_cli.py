@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import nfcap
-from nfcap.cli import build_parser, main
+from nfcap.cli import main
 from nfcap.config import load_scenario
 from nfcap.sweeps import run_bc, run_mac, run_mc
 
@@ -111,11 +111,100 @@ def test_reproduce_rejects_unknown_preset():
     assert info.value.code == 1
 
 
-def test_parser_lists_all_subcommands():
-    parser = build_parser()
-    text = parser.format_help()
+def test_parser_lists_all_subcommands(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr().out
     for name in ("channel", "mac", "bc", "mc", "region", "sweep", "reproduce", "verify"):
         assert name in text
+
+
+@pytest.mark.parametrize(
+    ("argv", "needle"),
+    [
+        (["frob"], "nfcap: error: argument COMMAND: invalid choice: 'frob'"),
+        (["channel", "--fast"], "error: unrecognized arguments: --fast"),
+        (["mac", "--config"], "error: argument --config: expected one argument"),
+        (["channel", "--quadrature-T", "x"],
+         "error: argument --quadrature-T: invalid int value: 'x'"),
+        (["region", "--mode", "xy"], "error: argument --mode: invalid choice: 'xy'"),
+        (["reproduce"], "error: the following arguments are required: preset"),
+        (["reproduce", "capacity-vs-weather"],
+         "error: argument preset: invalid choice: 'capacity-vs-weather'"),
+        # an option's value may start with "-" only if it reads as a number
+        (["channel", "--config", "--out"], "error: argument --config: expected one argument"),
+    ],
+    ids=["command", "flag", "missing-value", "int", "mode", "no-preset", "preset",
+         "flag-as-value"],
+)
+def test_usage_errors_exit_one_with_usage_and_reason(capsys, argv, needle):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nfcap")
+    assert needle in captured.err.splitlines()[-1]
+
+
+def test_option_spellings_reach_the_same_settings(tmp_path, capsys):
+    "--flag=value, a unique prefix and a repeated option as argparse read them."
+    path = tmp_path / "small.ini"
+    path.write_text("[array]\nm_per_axis = 17\n")
+    assert main(["channel", "--config", str(path)]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["channel", f"--config={path}"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert main(["channel"]) == 0
+    assert capsys.readouterr().out != spaced
+
+    assert main(["channel", "--quadrature-T", "50"]) == 0
+    full = capsys.readouterr().out
+    assert main(["channel", "--quad", "50"]) == 0
+    assert capsys.readouterr().out == full
+
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main(["mc", "--out", str(first), "--out", str(last)]) == 0
+    assert last.exists() and not first.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_quadrature_nodes_reach_the_scenario_check(capsys):
+    assert main(["channel", "--quadrature-T", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --quadrature-T must be at least 2, got -5\n"
+
+
+_COMMAND_FLAGS = {
+    "channel": ["--config", "--out", "--verify", "--quadrature-T"],
+    "mac": ["--config", "--out", "--verify", "--quadrature-T"],
+    "bc": ["--config", "--out", "--verify", "--quadrature-T"],
+    "mc": ["--config", "--out", "--verify", "--quadrature-T"],
+    "region": ["--mode", "--config", "--out", "--quadrature-T"],
+    "sweep": ["--config", "--out", "--verify", "--quadrature-T"],
+    "reproduce": ["--out", "mac-vs-M", "bc-vs-M", "mc-vs-M", "mc-vs-r2"],
+    "verify": ["--config", "--quadrature-T"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_command_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "-h"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: nfcap {command} ")
+    for flag in ["--help", *_COMMAND_FLAGS[command]]:
+        assert flag in captured.out
+
+
+def test_version_is_printed_alone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr() == (f"nfcap {nfcap.__version__}\n", "")
 
 
 @pytest.mark.parametrize(
@@ -293,6 +382,23 @@ def test_verify_on_overflowed_link_budget_prints_one_line(tmp_path, power_db):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: c_bc = inf")
+
+
+def test_module_help_runs_as_a_script():
+    proc = _run_cli("-m", "nfcap.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: nfcap")
+    for name in _COMMAND_FLAGS:
+        assert name in proc.stdout
+
+
+def test_channel_loads_no_argument_parser_machinery():
+    "A command pays for parsing its own arguments and nothing more."
+    proc = _run_cli("-c", "import sys, nfcap.cli; nfcap.cli.main(['channel']); "
+                    "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_and_channel_emit_no_warning():
