@@ -19,8 +19,8 @@ Five kernels, each one numpy function:
 The two correlation kernels take user 1 and a list of second users and
 run one pass: each block of nodes builds user 1's planes once and then
 each channel's own. A channel's sums are the same bits whatever else is
-in the list, so :func:`ccf_quadrature_sum` and :func:`ccf_element_sum`,
-the one-channel forms, are calls with a list of one.
+in the list, so one channel's sums are a call with a list of one, as
+:func:`ccf_quadrature_sum` makes it.
 """
 
 import numpy as np
@@ -82,22 +82,13 @@ def ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, seconds) -> list[complex]:
                                                     seconds, False)]
 
 
-def ccf_element_sum(m_x, m_z, eps1, ups, r1, r2, k0, px1, oz1, px2, oz2
-                    ) -> tuple[complex, float, float]:
-    """Element sums of the NF CCF: (S, N1, N2).
-
-    S = sum_i (Q1 Q2)^{-3/4} exp(j (k0 r1 sqrt(Q1) - k0 r2 sqrt(Q2))) and
-    N_k = sum_i Q_k^{-3/2} over the m_x x m_z elements at offsets
-    eps1 * (ix, iz), so that |S|^2 / (N1 N2) is the exact CCF of the two
-    NF channel vectors.
-    """
-    return ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, [(ups, r2, px2, oz2)])[0]
-
-
 def ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds
                      ) -> list[tuple[complex, float, float]]:
-    """:func:`ccf_element_sum` of user 1 with each second user
-    ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass."""
+    """Element sums (S, N1, N2) of the NF CCF of user 1 with each second
+    user ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass: S and
+    N_k = sum_i Q_k^{-3/2} over the m_x x m_z elements at offsets
+    eps1 * (ix, iz), so that |S|^2 / (N1 N2) is the exact CCF of the two
+    NF channel vectors."""
     x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
     z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
     sums = _ccf_sums(x, z, np.ones(m_x), np.ones(m_z), r1, k0, px1, oz1, seconds, True)

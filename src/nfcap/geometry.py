@@ -131,11 +131,6 @@ class UserLocation:
         if abs(unit - 1.0) > 1e-12:
             raise ValueError(f"direction cosines not unit length: {unit!r}")
 
-    @property
-    def position(self) -> NDArray[np.float64]:
-        "Cartesian position vector."
-        return self.range_r * np.array([self.dir_x, self.dir_y, self.dir_z])
-
 
 def epsilon(geom: ArrayGeometry, u: UserLocation) -> float:
     """Pitch-to-range ratio d/r, one per range of ``u``; rejects users
@@ -148,21 +143,6 @@ def epsilon(geom: ArrayGeometry, u: UserLocation) -> float:
             f"user range {r} m is below the array pitch "
             f"{geom.pitch_d} m (d/r = {e:.3g} >= 1)")
     return eps
-
-
-def element_distance(geom: ArrayGeometry, u: UserLocation,
-                     mx: int, mz: int) -> float:
-    "Exact distance from the (mx, mz) element to the user, in meters."
-    half_x = (geom.m_x - 1) // 2
-    half_z = (geom.m_z - 1) // 2
-    if not -half_x <= mx <= half_x:
-        raise IndexError(f"mx = {mx} outside [-{half_x}, {half_x}]")
-    if not -half_z <= mz <= half_z:
-        raise IndexError(f"mz = {mz} outside [-{half_z}, {half_z}]")
-    eps = epsilon(geom, u)
-    q = (mx * mx + mz * mz) * eps * eps \
-        - 2 * mx * eps * u.dir_x - 2 * mz * eps * u.dir_z + 1.0
-    return u.range_r * np.sqrt(q)
 
 
 def _all_distances(geom: ArrayGeometry, u: UserLocation) -> NDArray[np.float64]:

@@ -72,13 +72,6 @@ class RatePoint:
             )
             object.__setattr__(self, name, _checks.result(np.maximum(value, 0.0)))
 
-    @property
-    def sum_rate(self) -> float:
-        return self.r1 + self.r2
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.r1, self.r2)
-
 
 @dataclass(frozen=True)
 class RateRegion:
@@ -103,28 +96,6 @@ class RateRegion:
         if len(self.vertices) < 3:
             raise ValueError("a rate region needs at least 3 boundary vertices")
         object.__setattr__(self, "vertices", tuple(self.vertices))
-
-    @property
-    def sum_capacity(self) -> float:
-        return max(v.sum_rate for v in self.vertices)
-
-    def contains(self, point: RatePoint, slack: float = 1e-9) -> bool:
-        """Check membership by comparing against every boundary facet.
-
-        The vertex walk runs counterclockwise from (0, 0) along the r1
-        axis and back down the r2 axis, so interior points lie on the
-        left of every directed edge; a point belongs iff no edge sees it
-        on the right by more than ``slack``.
-        """
-        pts = [v.as_tuple() for v in self.vertices]
-        x, y = point.r1, point.r2
-        if x < -slack or y < -slack:
-            return False
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            cross = (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0)
-            if cross < -slack:
-                return False
-        return True
 
 
 def sic_rates_two_user(

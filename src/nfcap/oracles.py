@@ -241,16 +241,21 @@ def ccf_sum_oracle(
     """Squared correlation of two users' channels, from explicit
     per-element sums: |sum conj(h1_i) h2_i|^2 / (sum |h1_i|^2 sum |h2_i|^2).
     """
-    return pair_sum_oracle(geom, u1, u2, model)[2]
+    return pair_sum_oracle(geom, u1, u2, model)[1][2]
 
 
 def pair_sum_oracle(
     geom: ArrayGeometry, u1: UserLocation, u2: UserLocation, model: str = "nf"
-) -> tuple[float, float, float]:
-    """Both gains and the squared correlation (g1, g2, rho) of two users'
-    channels, from one element evaluation per user: the values that
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float, float]]:
+    """Both users' flattened channel entries, z index fastest, and their
+    gains and squared correlation (g1, g2, rho), from one element
+    evaluation per user: the gains and rho are the values that
     :func:`gain_sum_oracle` and :func:`ccf_sum_oracle` give.
+
+    rho is taken as (|h1^H h2| / sqrt(g1) / sqrt(g2))^2: FF gains fall as
+    1/r^2, and beyond about 1e77 m |h1^H h2|^2 and g1 g2 fall below the
+    smallest normal double.
     """
-    e1, n1 = _element_sum(geom, u1, model)
-    e2, n2 = _element_sum(geom, u2, model)
-    return n1, n2, abs(complex(np.vdot(e1, e2))) ** 2 / (n1 * n2)
+    (e1, n1), (e2, n2) = (_element_sum(geom, u, model) for u in (u1, u2))
+    rho = (abs(complex(np.vdot(e1, e2))) / math.sqrt(n1) / math.sqrt(n2)) ** 2
+    return (e1.ravel(), e2.ravel()), (n1, n2, rho)

@@ -7,10 +7,10 @@ truth. The closed forms trade the sums for integrals (gain) or a
 Chebyshev-Gauss rule (CCF), which stay cheap at apertures where a vector
 would not even fit in memory. The capacity sweeps run on the closed-form
 gains. For the NF CCF they call :func:`nf_ccf_batch` once per array and
-user 1, on one channel or many: the exact element sum (as
-:func:`nf_ccf_elements`, no channel vector built) wherever the array
-has no more elements than the T x T rule has nodes, and the paper's rule
-(as :func:`nf_ccf_quadrature`) beyond that. :func:`asymptotic_stats` gives
+user 1, on one channel or many: the exact element sum (no channel
+vector built) wherever the array has no more elements than the T x T
+rule has nodes, and the paper's rule (as :func:`nf_ccf_quadrature`)
+beyond that. :func:`asymptotic_stats` gives
 the statistics at which each capacity formula takes its large-array
 limit, for either field model.
 """
@@ -197,29 +197,16 @@ def nf_ccf_quadrature(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation,
     return nf_ccf_batch(geom, u1, (u2,), nodes_T)[0]
 
 
-def nf_ccf_elements(geom: ArrayGeometry, u1: UserLocation,
-                    u2: UserLocation) -> CcfEstimate:
-    """Exact NF CCF from the element sum, without building the vectors.
-
-    Sums the quadrature's integrand at the m_x x m_z element offsets with
-    unit weights, which gives h1^H h2 and both squared norms of the two
-    NF channel vectors up to constants that cancel in the ratio: the
-    value is ``ccf_exact`` of the two ``nf_channel_vector``s. It costs
-    one integrand evaluation per element, against T^2 for the rule.
-    Rounding can put the raw ratio of co-located users a few ulps above
-    1; the value is clamped to 1.
-    """
-    return nf_ccf_batch(geom, u1, (u2,))[0]
-
-
 def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
                  seconds: Sequence[UserLocation],
                  nodes_T: int | None = None) -> list[CcfEstimate]:
-    """NF CCF of user 1 with each user of ``seconds``, in one kernel pass:
-    the exact element sum (:func:`nf_ccf_elements`) when ``nodes_T`` is
-    None, else the ``nodes_T`` x ``nodes_T`` rule
-    (:func:`nf_ccf_quadrature`). Each estimate is the same bits as that
-    function gives for its pair alone.
+    """NF CCF of user 1 with each user of ``seconds``, in one kernel pass,
+    each estimate the same bits as a batch of its pair alone: the
+    ``nodes_T`` x ``nodes_T`` rule (:func:`nf_ccf_quadrature`) or, with
+    ``nodes_T`` None, the exact element sum. That sums the rule's
+    integrand at the element offsets with unit weights, no vector built:
+    its value is ``ccf_exact`` of the two ``nf_channel_vector``s, clamped
+    to 1 where rounding puts co-located users a few ulps above it.
     """
     if nodes_T is not None and nodes_T < 2:
         raise ValueError(f"nodes_T must be at least 2, got {nodes_T}")

@@ -19,8 +19,10 @@ single point is a float in and a float out. A point that fails is named
 as a run of it alone names it. Each check is one function
 returning a :class:`CheckRow`, and ``verification_report`` calls the
 same functions, so a check has one name, tolerance and pass rule
-whichever path runs it. Verification mode appends each check's oracle
-as a column and records every failing check as a violation;
+whichever path runs it. The checks of a point all read one exact pair,
+both users' element entries and their (g1, g2, rho), from one
+``pair_sum_oracle`` evaluation. Verification mode appends each check's
+oracle as a column and records every failing check as a violation;
 exact-vector oracles are only run at up to ``VERIFY_MAX_AXIS`` = 65
 elements per axis, which stays until the checks bound the printed
 number at the printed size (ROADMAP item 12).
@@ -80,8 +82,6 @@ from .oracles import (
 from .stats import (
     ff_ccf_closed,
     ff_gain_closed,
-    gram_matrix,
-    gram_stats,
     nf_ccf_batch,
     nf_ccf_quadrature,
     nf_gain_closed,
@@ -127,13 +127,14 @@ _BC_GRID_POINTS = 100_000
 # the runners accept. At 2.4 GHz it is reached near 3e7 m on a 3 x 3
 # array, and farther on larger ones.
 _MAX_PHASE_ROUNDING = 1e-6
-# Largest range of an FF user that the runners accept. The highest power
-# of a range that the formulas and oracles take is the cube in
-# ``oracles.gain_sum_oracle``; beyond this it overflows.
+# Largest range of an FF user that the runners accept, max^(1/3). The FF
+# gain and the FF element oracle take the range squared, which stays
+# finite up to max^(1/2); where the bound should sit is ROADMAP item 2.
 _MAX_FF_RANGE = np.finfo(float).max ** (1 / 3)
-# A name of this module, where perfbench's tracer wraps it, though the
-# channel checks take both gains from pair_sum_oracle
-gain_sum_oracle = gain_sum_oracle
+# Names of this module, where perfbench's tracer wraps them, though the
+# checks take every channel and exact statistic from pair_sum_oracle
+gain_sum_oracle, nf_channel_vector, ff_channel_vector = (
+    gain_sum_oracle, nf_channel_vector, ff_channel_vector)
 
 # csv_text: values per block, bytes per field, the tie slack of a scaled
 # mantissa, and 10^k for k = -110..110 at index k + 110, each rounded
@@ -413,8 +414,7 @@ def _stats(scenario: Scenario, variable: str, points, geom, users):
                 (r,) = _checks.first(far, u.range_r)
                 raise ValueError(
                     f"[user{k}] range_m = {r:.3g} is beyond the FF "
-                    f"model's numerical range: the formulas take its cube, "
-                    f"finite only up to {_MAX_FF_RANGE:.3g} m"
+                    f"model's numerical range, which ends at {_MAX_FF_RANGE:.3g} m"
                 )
         return ff_gain_closed(geom, u1), ff_gain_closed(geom, u2), ff_ccf_closed(geom, u1, u2)
     moves = len(points) > 1 and variable in ("m_per_axis", "r2_m")
@@ -451,15 +451,6 @@ def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str
                 f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
             )
     return ""
-
-
-def _exact_pair(
-    model: str, geom: ArrayGeometry, users: Sequence[UserLocation]
-) -> tuple[list, tuple[float, float, float]]:
-    "Both users' channel vectors and their exact (g1, g2, rho), rho <= 1."
-    build = nf_channel_vector if model == "NF" else ff_channel_vector
-    vecs = [build(geom, u) for u in users]
-    return vecs, gram_stats(gram_matrix(vecs))
 
 
 def _check_verify_size(geom: ArrayGeometry) -> None:
@@ -532,17 +523,17 @@ def _ccf_elements_tolerance(
 
 
 def _channel_checks(
-    scenario: Scenario, geom: ArrayGeometry, users: Sequence[UserLocation], stats
+    scenario: Scenario, geom: ArrayGeometry, users: Sequence[UserLocation], stats, exact
 ) -> list[CheckRow]:
-    """Both gains and the correlation ``stats`` against the per-element
-    sums of the element oracles, one evaluation per user. NF gains are
+    """Both gains and the correlation ``stats`` against the ``exact``
+    (g1, g2, rho) of the point's :func:`pair_sum_oracle`. NF gains are
     held to TOL_GAIN_REL relative. The NF correlation is held to
     TOL_CCF_ELEMENTS_REL relative plus rounding where it is the element
     sum, and to TOL_CCF_ABS where it is the T x T rule.
     """
     model = scenario.channel_model
     gain_tol = TOL_GAIN_REL if model == "NF" else TOL_FF_STATS_ABS
-    *gains, oracle = pair_sum_oracle(geom, users[0], users[1], model=model.lower())
+    *gains, oracle = exact
     checks = []
     for k, (closed, gain) in enumerate(zip(stats[:2], gains)):
         rel = abs(closed - gain) / gain if gain > 0 else 0.0
@@ -586,7 +577,7 @@ def _bc_duality_checks(vecs, stats, cfg: BcConfig) -> list[CheckRow]:
     """
     alloc = bc_power_allocation_two_user(*stats, cfg)
     covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, cfg)
-    gap = _duality_gap(covs, vecs, alloc, cfg)
+    gap = _duality_gap(covs, vecs, stats, alloc, cfg)
     return [
         _abs_check("downlink duality", gap, 0.0, TOL_BC_DUALITY_ABS),
         CheckRow(
@@ -596,20 +587,21 @@ def _bc_duality_checks(vecs, stats, cfg: BcConfig) -> list[CheckRow]:
     ]
 
 
-def _duality_gap(covs: CovariancePair, vecs, alloc, cfg: BcConfig) -> float:
+def _duality_gap(covs: CovariancePair, vecs, stats, alloc, cfg: BcConfig) -> float:
     """Worst per-user difference between downlink rates achieved by the
     recovered covariances ``covs`` and the dual-uplink successive-decoding
-    rates.
+    rates of the exact statistics ``stats`` of ``vecs``.
     """
-    e1 = vecs[0] / math.sqrt(cfg.noise_var_per_user[0])
-    e2 = vecs[1] / math.sqrt(cfg.noise_var_per_user[1])
+    (var1, var2), (g1, g2, rho) = cfg.noise_var_per_user, stats
+    e1 = vecs[0] / math.sqrt(var1)
+    e2 = vecs[1] / math.sqrt(var2)
     q11 = covs.quad(1, e1)
     q21 = covs.quad(1, e2)
     q22 = covs.quad(2, e2)
     r1_dl = math.log2(1.0 + q11)
     r2_dl = math.log2(1.0 + q22 / (1.0 + q21))
     p1, p2 = alloc.p_per_user
-    dual = sic_rates_two_user(*gram_stats(gram_matrix([e1, e2])), p1, p2, "u1_first")
+    dual = sic_rates_two_user(g1 / var1, g2 / var2, rho, p1, p2, "u1_first")
     return max(abs(r1_dl - dual.r1), abs(r2_dl - dual.r2))
 
 
@@ -659,25 +651,21 @@ def _mc_formulas(g1, g2, rho, cfg: BcConfig) -> tuple:
     return cap, mc_upper_bound((g1, g2), (var1, var2), power)
 
 
-def _channel_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
-    return _channel_checks(scenario, geom, users, stats)
+def _channel_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
+    return _channel_checks(scenario, geom, users, stats, pair[1])
 
 
-def _mac_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
-    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
-    return [_mac_check(vecs, exact, link)]
+def _mac_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
+    return [_mac_check(*pair, link)]
 
 
-def _bc_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
+def _bc_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
     # the grid check takes the printed capacity and its own statistics
-    grid = _bc_grid_check(values[0], stats, link)
-    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
-    return [grid, *_bc_duality_checks(vecs, exact, link)]
+    return [_bc_grid_check(values[0], stats, link), *_bc_duality_checks(*pair, link)]
 
 
-def _mc_verify(scenario, geom, users, link, stats, values) -> list[CheckRow]:
-    vecs, exact = _exact_pair(scenario.channel_model, geom, users)
-    return [_mc_check(vecs, exact, link)]
+def _mc_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
+    return [_mc_check(*pair, link)]
 
 
 @dataclass(frozen=True)
@@ -695,8 +683,9 @@ class _Kind:
     floats and arrays of one value per point.
     Verification appends, for each check that ``verify`` returns in
     turn, the field of it that ``oracle_columns`` names, then verify_ok;
-    ``verify(scenario, geom, users, link, stats, values)`` runs on one
-    point, with the statistics and the values past them of its row.
+    ``verify(scenario, geom, users, link, stats, values, pair)`` runs on
+    one point, with the statistics and the values past them of its row
+    and the point's one :func:`pair_sum_oracle` evaluation.
     Every function here calls the formulas through this module's
     attributes, so that a test or a tracer that replaces one sees every
     call.
@@ -777,8 +766,9 @@ def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool)
         for i, (x, row) in enumerate(zip(points, rows)):
             geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, x)
             _check_verify_size(geom)
+            pair = pair_sum_oracle(geom, users[0], users[1], scenario.channel_model.lower())
             checks = kind.verify(scenario, geom, users, mac_cfg if kind.uplink else bc_cfg,
-                                 row[1:4], row[4:])
+                                 row[1:4], row[4:], pair)
             oracles = [getattr(check, field)
                        for (_, field), check in zip(kind.oracle_columns, checks)]
             rows[i] = _finite(columns, (*row, *oracles, float(all(c.ok for c in checks))))
@@ -1011,7 +1001,8 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     bc_cfg = scenario.bc_cfg
 
     stats = _stats(scenario, "point", (None,), geom, users)
-    checks = _channel_checks(scenario, geom, users, stats)
+    vecs, exact = pair_sum_oracle(geom, u1, u2, model.lower())
+    checks = _channel_checks(scenario, geom, users, stats, exact)
     # the paper's rule, which the NF sweeps take beyond T^2 elements; an
     # FF scenario's users may lie beyond the NF model's range
     rule_name = f"ccf quadrature T={nodes}"
@@ -1020,21 +1011,16 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
         header += f"\nno {rule_name} check: {refusal}"
     else:
         rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
-        if model == "NF":
-            rule_o = checks[2].oracle
-        else:
-            rule_o = ccf_sum_oracle(geom, u1, u2, model="nf")
+        rule_o = exact[2] if model == "NF" else ccf_sum_oracle(geom, u1, u2, model="nf")
         checks.append(_abs_check(rule_name, rule, rule_o, TOL_CCF_ABS))
 
-    vecs, exact = _exact_pair(model, geom, users)
-    mac = _mac_check(vecs, exact, scenario.mac_cfg)
-    checks.append(mac)
+    checks.append(_mac_check(vecs, exact, scenario.mac_cfg))
     for order, tag in (("u1_first", (0, 1)), ("u2_first", (1, 0))):
-        pair = sic_rates_two_user(*exact, *snrs, order)
+        corner = sic_rates_two_user(*exact, *snrs, order)
         rates_o = sic_rates_oracle(vecs, snrs, tag)
-        worst = max(abs(pair.r1 - rates_o[0]), abs(pair.r2 - rates_o[1]))
+        worst = max(abs(corner.r1 - rates_o[0]), abs(corner.r2 - rates_o[1]))
         checks.append(CheckRow(
-            f"decode corner {order}", pair.r1 + pair.r2, sum(rates_o),
+            f"decode corner {order}", corner.r1 + corner.r2, sum(rates_o),
             f"per-rate abs <= {TOL_MAC_FORMULA_ABS:g}", worst <= TOL_MAC_FORMULA_ABS,
         ))
 

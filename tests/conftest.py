@@ -71,6 +71,19 @@ def synth_pair(g1: float, g2: float, rho: float, m: int = 8):
     return h1, h2
 
 
+def region_contains(region, r1: float, r2: float, slack: float = 1e-9) -> bool:
+    """Whether the rate pair (r1, r2) lies in ``region``: the vertex walk
+    runs counterclockwise from (0, 0) along the r1 axis and back down the
+    r2 axis, so a point inside lies on the left of every directed edge,
+    and belongs iff no edge sees it on the right by more than ``slack``.
+    """
+    if r1 < -slack or r2 < -slack:
+        return False
+    pts = [(v.r1, v.r2) for v in region.vertices]
+    return all((x1 - x0) * (r2 - y0) - (y1 - y0) * (r1 - x0) >= -slack
+               for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+
+
 def random_instance(rng: np.random.Generator):
     "Random gains in [1e-8, 1], correlation in [0, 1], SNRs in [0, 40] dB."
     g1, g2 = 10.0 ** rng.uniform(-8, 0, size=2)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import REF_POWER, synth_pair
+from conftest import REF_POWER, region_contains, synth_pair
 from nfcap.broadcast import (
     BcConfig,
     CovariancePair,
@@ -21,7 +21,7 @@ from nfcap.broadcast import (
     linear_precoder_sum_rate,
 )
 from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
-from nfcap.mac import RatePoint, sic_rates_two_user
+from nfcap.mac import sic_rates_two_user
 from nfcap.oracles import bc_power_grid_oracle
 from nfcap.stats import (
     asymptotic_gains,
@@ -258,16 +258,17 @@ def test_region_near_orthogonal_is_almost_rectangular(small_geometry, user1, use
     cfg = BcConfig(total_power_P=REF_POWER, noise_var_per_user=(1.0, 1.0))
     region = bc_region_two_user(*gram_stats(gram_matrix([h1, h2])), cfg, power_splits=51)
     assert region.kind == "hull"
-    assert region.vertices[0].as_tuple() == (0.0, 0.0)
+    origin = region.vertices[0]
+    assert (origin.r1, origin.r2) == (0.0, 0.0)
     assert region.vertices[1].r2 == 0.0
     assert region.vertices[-1].r1 == 0.0
     g1 = gain_exact(h1)
     g2 = gain_exact(h2)
-    inner = RatePoint(
+    assert region_contains(
+        region,
         0.999 * math.log2(1 + REF_POWER / 2 * g1),
         0.999 * math.log2(1 + REF_POWER / 2 * g2),
     )
-    assert region.contains(inner)
 
 
 def test_region_hull_contains_sampled_corners(rng):
@@ -278,16 +279,14 @@ def test_region_hull_contains_sampled_corners(rng):
         p1 = split * 12.0
         p2 = 12.0 - p1
         corner = sic_rates_two_user(0.4, 0.7 / 2.0, 0.5, p1, p2, "u1_first")
-        assert region.contains(
-            RatePoint(corner.r1 - 1e-9, corner.r2 - 1e-9), slack=1e-6
-        )
+        assert region_contains(region, corner.r1 - 1e-9, corner.r2 - 1e-9, slack=1e-6)
 
 
 def test_region_is_convex_walk(rng):
     h1, h2 = synth_pair(0.4, 0.7, 0.5, m=6)
     cfg = BcConfig(total_power_P=12.0, noise_var_per_user=(1.0, 2.0))
     region = bc_region_two_user(*gram_stats(gram_matrix([h1, h2])), cfg, power_splits=41)
-    pts = [v.as_tuple() for v in region.vertices[1:]]
+    pts = [(v.r1, v.r2) for v in region.vertices[1:]]
     for (x0, y0), (x1, y1), (x2, y2) in zip(pts, pts[1:], pts[2:]):
         cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         assert cross >= -1e-9

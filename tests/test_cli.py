@@ -293,7 +293,7 @@ def test_non_finite_geometry_or_range_exits_two_naming_it(tmp_path, capsys, body
         ("region", "[user2]\nrange_m = 1e300\n", "error: [user2] range_m = 1e+300 is"),
         ("sweep", "[sweep]\nvariable = r2_m\nvalues = 5 1e300\ntarget = mac\n",
          "at sweep point r2_m=1e+300: [user2] range_m = 1e+300 is"),
-        # an FF gain takes the range squared, an FF oracle its cube
+        # an FF gain and the FF element oracle take the range squared
         ("mac", "[link]\nmodel = ff\n[user1]\nrange_m = 1e200\n",
          "error: [user1] range_m = 1e+200 is beyond the FF model's"),
         ("bc", "[link]\nmodel = ff\n[user2]\nrange_m = 1e200\n",
@@ -437,8 +437,7 @@ _RANGES = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         pytest.param(
             "[link]\nmodel = ff\n", "r2_m", "mc", 1e200, [(k + 2) * 1e200 for k in range(6)],
             "error: at sweep point r2_m=1e+200: [user2] range_m = 1e+200 is beyond the "
-            "FF model's numerical range: the formulas take its cube, finite only up to "
-            "5.64e+102 m",
+            "FF model's numerical range, which ends at 5.64e+102 m",
             id="ff-range"),
         pytest.param(
             "", "r2_m", "mac", 1e300, [(k + 2) * 1e300 for k in range(6)],

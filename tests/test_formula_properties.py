@@ -332,9 +332,10 @@ def test_limits_over_ranges_sizes_and_link_values_are_the_scalar_bits(
 
 def test_floats_in_give_floats_out():
     cfg = BcConfig(1000.0, (1.0, 1.0))
+    corner = sic_rates_two_user(0.5, 0.2, 0.3, 10.0, 10.0, "u1_first")
     values = [
         mac_capacity_two_user(0.5, 0.2, 0.3, 10.0, 10.0),
-        *sic_rates_two_user(0.5, 0.2, 0.3, 10.0, 10.0, "u1_first").as_tuple(),
+        corner.r1, corner.r2,
         linear_combiner_sum_rate("opt", 0.5, 0.2, 0.3, 10.0, 10.0),
         bc_capacity_two_user(0.5, 0.2, 0.3, cfg),
         *bc_power_allocation_two_user(0.5, 0.2, 0.3, cfg).p_per_user,

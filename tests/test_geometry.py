@@ -16,7 +16,6 @@ from nfcap.geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     UserLocation,
-    element_distance,
     epsilon,
     ff_channel_vector,
     green_amplitude_ratio,
@@ -72,10 +71,6 @@ def test_user_location_rejects_boundary_angles():
         UserLocation(range_r=-2.0, azimuth_theta=1.0, elevation_phi=1.0)
 
 
-def test_position_lies_at_range(user1):
-    assert np.linalg.norm(user1.position) == pytest.approx(10.0, rel=1e-14)
-
-
 def test_epsilon_and_limit(ref_geometry, user1):
     eps = epsilon(ref_geometry, user1)
     assert eps == pytest.approx(ref_geometry.pitch_d / 10.0, rel=1e-15)
@@ -86,22 +81,6 @@ def test_epsilon_and_limit(ref_geometry, user1):
         epsilon(ref_geometry, too_close)
 
 
-def test_element_distance_center_and_offset(ref_geometry, user1):
-    "The central element sits exactly at the user range."
-    assert element_distance(ref_geometry, user1, 0, 0) == pytest.approx(
-        10.0, rel=1e-15
-    )
-    d = ref_geometry.pitch_d
-    pos = user1.position
-    mx, mz = 7, -4
-    expected = math.sqrt(
-        (pos[0] - mx * d) ** 2 + pos[1] ** 2 + (pos[2] - mz * d) ** 2
-    )
-    assert element_distance(ref_geometry, user1, mx, mz) == pytest.approx(
-        expected, rel=1e-13
-    )
-
-
 def test_nf_entries_match_direct_construction(ref_geometry, user1):
     "Each entry: amplitude from the exact distance, phase at 2 pi d / lambda."
     vec = nf_channel_vector(ref_geometry, user1)
@@ -109,8 +88,10 @@ def test_nf_entries_match_direct_construction(ref_geometry, user1):
     area = ref_geometry.element_area
     lam = ref_geometry.wavelength
     r = user1.range_r
+    d = ref_geometry.pitch_d
+    x, y, z = (r * c for c in (user1.dir_x, user1.dir_y, user1.dir_z))
     for mx, mz in ((0, 0), (32, 32), (-32, 11), (5, -17)):
-        dist = element_distance(ref_geometry, user1, mx, mz)
+        dist = math.sqrt((x - mx * d) ** 2 + y**2 + (z - mz * d) ** 2)
         amp = math.sqrt(area * r * user1.dir_y / (4 * math.pi * dist**3))
         expected = amp * np.exp(-2j * math.pi * dist / lam)
         idx = (mx + 32) * 65 + (mz + 32)

@@ -50,10 +50,10 @@ def test_ccf_element_sum_is_inner_product_and_norms():
     u1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
     u2 = UserLocation(4.0, 2 * math.pi / 3, math.pi / 3)
     h1, h2 = (nf_channel_vector(geom, u) for u in (u1, u2))
-    s, n1, n2 = kernels.ccf_element_sum(
-        17, 41, geom.pitch_d / 10.0, 2.5, 10.0, 4.0, 2 * np.pi / geom.wavelength,
-        u1.dir_x, u1.dir_z, u2.dir_x, u2.dir_z,
-    )
+    s, n1, n2 = kernels.ccf_element_sums(
+        17, 41, geom.pitch_d / 10.0, 10.0, 2 * np.pi / geom.wavelength,
+        u1.dir_x, u1.dir_z, [(2.5, 4.0, u2.dir_x, u2.dir_z)],
+    )[0]
     area = geom.element_area
     cross = area * math.sqrt(u1.dir_y * u2.dir_y) / (4 * np.pi * 10.0 * 4.0)
     assert s * cross == pytest.approx(complex(np.vdot(h1, h2)), rel=1e-12)
@@ -131,7 +131,9 @@ def test_element_sum_rho_matches_long_double(m_axis, u2):
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
     eps1 = epsilon(geom, _U1)
     _, _, args = _rule(m_axis, _U1, u2)
-    s, n1, n2 = kernels.ccf_element_sum(m_axis, m_axis, eps1, *args)
+    ups, r1, r2, k0, px1, oz1, px2, oz2 = args
+    s, n1, n2 = kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1,
+                                         [(ups, r2, px2, oz2)])[0]
     x = (np.arange(m_axis) - (m_axis - 1) // 2) * eps1
     ones = np.ones(m_axis)
     want_s, scale, want_n1, want_n2 = long_double_ccf_sums(x, x, ones, ones, *args)
@@ -162,9 +164,8 @@ def test_batched_correlation_sums_are_the_one_channel_bits(m_axis):
     else:
         rows, eps1 = m_axis, epsilon(geom, _U1)
 
-        def alone(ups, r2, px2, oz2):
-            return kernels.ccf_element_sum(m_axis, m_axis, eps1, ups, r1, r2, k0,
-                                           px1, oz1, px2, oz2)
+        def alone(*second):
+            return batch([second])[0]
 
         def batch(seconds):
             return kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1, seconds)
@@ -191,7 +192,8 @@ def test_rule_phasor_is_finite_at_the_tangent_poles(ph, k0):
     r2 = ph if ph else 1.0
     args = (2.0, 2 * r2, r2, k0, 0.1, 0.2, -0.1, 0.3)
     rule = kernels.ccf_quadrature_sum(np.zeros(1), np.zeros(1), np.ones(1), *args)
-    elements, n1, n2 = kernels.ccf_element_sum(1, 1, 0.01, *args)
+    elements, n1, n2 = kernels.ccf_element_sums(1, 1, 0.01, 2 * r2, k0, 0.1, 0.2,
+                                                [(2.0, r2, -0.1, 0.3)])[0]
     assert k0 * (2 * r2) - k0 * r2 == ph
     for s in (rule, elements):
         assert math.isfinite(s.real) and math.isfinite(s.imag)

@@ -30,7 +30,7 @@ from nfcap.stats import (
     ff_ccf_closed,
     ff_gain_closed,
     gain_exact,
-    nf_ccf_elements,
+    nf_ccf_batch,
     nf_ccf_quadrature,
     nf_gain_closed,
     ula_gain_closed,
@@ -192,7 +192,7 @@ def test_nf_ccf_elements_matches_exact_vectors(m_x, m_z, user2):
     geom = ArrayGeometry.from_frequency(m_x=m_x, m_z=m_z, frequency_hz=2.4e9)
     u1, u2 = UserLocation(*_U1), UserLocation(*user2)
     exact = ccf_exact(nf_channel_vector(geom, u1), nf_channel_vector(geom, u2))
-    est = nf_ccf_elements(geom, u1, u2)
+    est = nf_ccf_batch(geom, u1, [u2])[0]
     assert isinstance(est, CcfEstimate)
     assert est.value == pytest.approx(min(exact, 1.0), rel=1e-10)
     assert est.raw == pytest.approx(exact, rel=1e-10)
@@ -231,7 +231,7 @@ def test_nf_ccf_elements_holds_at_the_domain_edges(m_x, m_z, reach, log_ratio, p
         u1 = UserLocation(r1, az1, el1)
         u2 = UserLocation(r2, *((az1, el1) if pair == "co-directional" else (az2, el2)))
     assert sweeps._nf_range_refusal(geom, (u1, u2)) == ""
-    est = nf_ccf_elements(geom, u1, u2)
+    est = nf_ccf_batch(geom, u1, [u2])[0]
     oracle = ccf_sum_oracle(geom, u1, u2)
     assert abs(est.value - oracle) <= sweeps._ccf_elements_tolerance(geom, (u1, u2), oracle)
     if pair == "co-located":
@@ -241,7 +241,7 @@ def test_nf_ccf_elements_holds_at_the_domain_edges(m_x, m_z, reach, log_ratio, p
 def test_nf_ccf_elements_rejects_user_inside_pitch(ref_geometry, user1):
     too_close = UserLocation(range_r=0.01, azimuth_theta=1.0, elevation_phi=1.0)
     with pytest.raises(ValueError, match="pitch"):
-        nf_ccf_elements(ref_geometry, user1, too_close)
+        nf_ccf_batch(ref_geometry, user1, [too_close])
 
 
 def test_nf_ccf_quadrature_rejects_tiny_node_count(ref_geometry, user1, user2_dd):

@@ -423,7 +423,8 @@ def test_preset_matches_stored_table(tmp_path, name):
 @pytest.fixture
 def quadrature_calls(monkeypatch):
     """One entry per NF correlation the runners compute, each in an
-    nf_ccf_batch call: the path's function name and the pair."""
+    nf_ccf_batch call: the path ("nf_ccf_elements" for the element sum,
+    "nf_ccf_quadrature" for the rule) and the pair."""
     calls = []
     batch = sweeps.nf_ccf_batch
 
@@ -618,6 +619,57 @@ def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch,
         assert all("ccf: closed" in v and "relative plus rounding" in v
                    for v in res.violations)
         assert f"verification found {points} violation(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["nf", "ff"])
+def test_every_check_of_a_point_reads_one_exact_pair(tmp_path, monkeypatch, model):
+    """channel, mac, bc and mc --verify and verify evaluate
+    ``pair_sum_oracle`` once per point, and no check builds a channel
+    vector or a Gram matrix of its own."""
+    calls = []
+    pair = sweeps.pair_sum_oracle
+
+    def counted(*args):
+        calls.append(args)
+        return pair(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check built its own channel vectors or Gram matrix")
+
+    monkeypatch.setattr(sweeps, "pair_sum_oracle", counted)
+    for name in ("nf_channel_vector", "ff_channel_vector", "gram_matrix", "gram_stats"):
+        monkeypatch.setattr(sweeps, name, refuse, raising=False)
+    path = tmp_path / "scn.ini"
+    for sweep, points in (("", 1), ("[sweep]\nvariable = r2_m\nvalues = 4 5 6\n", 3)):
+        path.write_text(f"[array]\nm_per_axis = 9\n[link]\nmodel = {model}\n" + sweep)
+        for command in ("channel", "mac", "bc", "mc"):
+            calls.clear()
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--verify", "--config", str(path), "--out", str(out)]) == 0
+            assert len(calls) == points, command
+    path.write_text(f"[array]\nm_per_axis = 9\n[link]\nmodel = {model}\n")
+    calls.clear()
+    assert main(["verify", "--config", str(path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("range_m", [1e78, 1e90, 1e102])
+def test_ff_verify_holds_up_to_the_ff_range_limit(tmp_path, capsys, range_m):
+    """Both users of a 9 x 9 FF scenario at ``range_m``, up to the
+    largest FF range accepted: each gain is below 1e-150, so |h1^H h2|^2
+    and g1 g2 fall below the smallest normal double, yet every --verify
+    and verify passes, with no warning."""
+    path = tmp_path / "far.ini"
+    path.write_text(f"[array]\nm_per_axis = 9\n[link]\nmodel = ff\n"
+                    f"[user1]\nrange_m = {range_m!r}\n[user2]\nrange_m = {range_m!r}\n")
+    for command in ("channel", "mac", "bc", "mc"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--verify", "--config", str(path), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("verify_ok")]) == 1.0
+    assert main(["verify", "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_mc_verify_fails_a_capacity_that_overstates(tmp_path, monkeypatch):
