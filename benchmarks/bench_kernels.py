@@ -24,8 +24,11 @@ direction: one ``nf_ccf_batch`` call per channel, and the one call
 around their shared user 1 that the runners make. The ``r2 sweep ccf
 65 x200`` row times, in that one call, the element sums of a 200-point
 ``r2_m`` sweep of the default scenario (65x65, user 2 from 2 m to 20 m),
-like the one of the benchmark's ``sweeps-nf-65`` workload. The "per
-eval" of the r2 rows is per channel and rule node or element.
+like the one of the benchmark's ``sweeps-nf-65`` workload, and the ``r2
+sweep stats 65 x200`` row the statistics of that sweep as its runner
+takes them (``sweeps._stats``): the range guard, both gains and the one
+correlation call. The "per eval" of the r2 rows is per channel and rule
+node or element.
 The four ``ff sweep 2500`` rows time one FF run of the default scenario
 (65x65) over 2500 points of each swept variable, with the target the FF
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
@@ -134,13 +137,18 @@ def _r2_sweep_rows():
     seconds = [replace(u2, range_r=r) for r in grid]
     nodes = base.quadrature_nodes
     small = base.geometry
-    near = [replace(u2, range_r=r) for r in np.linspace(2.0, 20.0, 200)]
+    grid = tuple(np.linspace(2.0, 20.0, 200).tolist())
+    near = [replace(u2, range_r=r) for r in grid]
+    sweep = replace(base, sweep=SweepSpec("r2_m", grid, "mc"))
+    swept = sweeps._swept(sweep, "r2_m", np.array(grid))[:2]
     return [
         *[(f"r2 sweep ccf {side} x{len(seconds)} {label}", func,
            (geom, u1, seconds, nodes), len(seconds) * nodes**2)
           for label, func in (("per channel", _per_channel_ccf), ("batched", nf_ccf_batch))],
         (f"r2 sweep ccf {small.m_x} x{len(near)} batched", nf_ccf_batch,
          (small, u1, near), len(near) * small.m_total),
+        (f"r2 sweep stats {small.m_x} x{len(grid)}", sweeps._stats,
+         (sweep, *swept), len(grid) * small.m_total),
     ]
 
 

@@ -7,12 +7,12 @@ truth. The closed forms trade the sums for integrals (gain) or a
 Chebyshev-Gauss rule (CCF), which stay cheap at apertures where a vector
 would not even fit in memory. The capacity sweeps run on the closed-form
 gains. For the NF CCF they call :func:`nf_ccf_batch` once per array and
-user 1, on one channel or many: the exact element sum (no channel
-vector built) wherever the array has no more elements than the T x T
-rule has nodes, and the paper's rule (as :func:`nf_ccf_quadrature`)
-beyond that. :func:`asymptotic_stats` gives
-the statistics at which each capacity formula takes its large-array
-limit, for either field model.
+user 1, on one channel or many, user 2 at one range or at an array of
+them: the exact element sum (no channel vector built) wherever the
+array has no more elements than the T x T rule has nodes, and the
+paper's rule (as :func:`nf_ccf_quadrature`) beyond that.
+:func:`asymptotic_stats` gives the statistics at which each capacity
+formula takes its large-array limit, for either field model.
 """
 
 from typing import NamedTuple, Sequence
@@ -86,7 +86,10 @@ def nf_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
 
     Approximates the element sum by its continuous integral; relative error
     decays with d/r and is far below a percent for arrays observed from a
-    few meters.
+    few meters. An array of ranges gives an array of gains, each the bits
+    of its range alone: x and z, which move with the range, are squared
+    as products, since ``**`` takes libm's ``pow`` on a float and a
+    product on an array.
     """
     eps = epsilon(geom, u)
     psi = u.dir_y
@@ -95,7 +98,7 @@ def nf_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:
     total = 0.0
     for x in xs:
         for z in zs:
-            total += np.arctan(x * z / (psi * np.sqrt(psi**2 + x**2 + z**2)))
+            total += np.arctan(x * z / (psi * np.sqrt(psi**2 + x * x + z * z)))
     return geom.occupation_ratio / (4 * np.pi) * total
 
 
@@ -207,6 +210,9 @@ def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
     integrand at the element offsets with unit weights, no vector built:
     its value is ``ccf_exact`` of the two ``nf_channel_vector``s, clamped
     to 1 where rounding puts co-located users a few ulps above it.
+
+    A user of ``seconds`` whose ``range_r`` is an array stands for one
+    channel per range, along its direction, in the order of the array.
     """
     if nodes_T is not None and nodes_T < 2:
         raise ValueError(f"nodes_T must be at least 2, got {nodes_T}")
@@ -215,7 +221,8 @@ def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
         epsilon(geom, u2)
     r1 = u1.range_r
     k0 = 2 * np.pi / geom.wavelength
-    pairs = [(r1 / u2.range_r, u2.range_r, u2.dir_x, u2.dir_z) for u2 in seconds]
+    pairs = [(r1 / r2, r2, u2.dir_x, u2.dir_z)
+             for u2 in seconds for r2 in np.ravel(u2.range_r).tolist()]
     if nodes_T is None:
         sums = _kernels.ccf_element_sums(geom.m_x, geom.m_z, eps1, r1, k0,
                                          u1.dir_x, u1.dir_z, pairs)
@@ -227,15 +234,17 @@ def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
         x = geom.m_x * eps1 / 2 * delta
         z = geom.m_z * eps1 / 2 * delta
         sums = _kernels.ccf_quadrature_sums(x, z, w, r1, k0, u1.dir_x, u1.dir_z, pairs)
-        own = [_rule_factor(geom, u, nodes_T) for u in (u1, *seconds)]
-        raws = [float(own[0] * f2 * abs(s) ** 2) for f2, s in zip(own[1:], sums)]
+        f1 = _rule_factor(geom, u1, nodes_T)
+        f2s = [f2 for u2 in seconds for f2 in np.ravel(_rule_factor(geom, u2, nodes_T)).tolist()]
+        raws = [float(f1 * f2 * abs(s) ** 2) for f2, s in zip(f2s, sums)]
     return [CcfEstimate(value=min(max(raw, 0.0), 1.0), raw=raw) for raw in raws]
 
 
-def _rule_factor(geom: ArrayGeometry, u: UserLocation, nodes_T: int) -> float:
-    "One user's factor of the rule's CCF prefactor, by which |S|^2 is scaled."
+def _rule_factor(geom: ArrayGeometry, u: UserLocation, nodes_T: int):
+    """One user's factor of the rule's CCF prefactor, by which |S|^2 is
+    scaled; one per range of ``u``, each the bits of that range alone."""
     return (np.pi * geom.m_total * geom.element_area * u.dir_y
-            / (16 * u.range_r**2 * nf_gain_closed(geom, u) * nodes_T**2))
+            / (16 * _checks.square(u.range_r) * nf_gain_closed(geom, u) * nodes_T**2))
 
 
 def ff_ccf_closed(geom: ArrayGeometry, u1: UserLocation, u2: UserLocation) -> float:

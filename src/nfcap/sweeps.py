@@ -197,11 +197,13 @@ def csv_text(result: SweepResult) -> str:
     digit. Integer divisions by 10 of its two six-digit halves write the
     digits into the fixed layout ``d.ddddddddddde±dd`` of each field.
 
-    A row holding a value that is not plain or misses either condition
-    is written by the ``%`` line instead: negative values, -0, nan and
-    inf, subnormals, exponents of 100 or more, and values within
-    _TIE_SLACK of a rounding tie. Both paths give the same text; the
-    ``%`` line is the exact one for those values.
+    A plain v > 0 that misses either condition, within _TIE_SLACK of a
+    rounding tie or at the edge of a decade, is written by ``"%.11e" %
+    v`` into its own field, which that text fills exactly: 17 bytes,
+    since its exponent has two digits. A row holding a value that is not
+    plain is written by the ``%`` line instead: negative values, -0, nan
+    and inf, subnormals and exponents of 100 or more. Both paths give
+    the same text; ``%`` is the exact one for those values.
     """
     width = len(result.columns)
     # "%.11e" writes what format(v, ".11e") writes: CPython's correctly
@@ -212,8 +214,13 @@ def csv_text(result: SweepResult) -> str:
     parts = []
     for start in range(0, len(result.rows), step):
         block = result.rows[start:start + step]
-        values = np.fromiter(itertools.chain.from_iterable(block), float, len(block) * width)
-        plain, fields = _csv_fields(values.reshape(len(block), width))
+        values = np.fromiter(itertools.chain.from_iterable(block), float,
+                             len(block) * width).reshape(len(block), width)
+        plain, near, fields = _csv_fields(values)
+        near &= plain[:, None]
+        if near.any():
+            exact = "".join(["%.11e" % v for v in values[near].tolist()]).encode()
+            fields[near, :-1] = np.frombuffer(exact, np.uint8).reshape(-1, _CSV_FIELD - 1)
         text = memoryview(fields.reshape(-1))
         done = 0
         for i in np.flatnonzero(~plain).tolist():
@@ -223,11 +230,13 @@ def csv_text(result: SweepResult) -> str:
     return ",".join(result.columns) + "\n" + b"".join(parts).decode("ascii")
 
 
-def _csv_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _csv_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whether each row of the (rows, width) ``values`` is plain (see
-    :func:`csv_text`), and the (rows, width, _CSV_FIELD) ASCII fields of
-    its values, each followed by ``,`` or, last in its row, ``\\n``. The
-    fields of a row that is not plain are not its text.
+    :func:`csv_text`), whether each plain v > 0 misses a condition of
+    the numpy path, and the (rows, width, _CSV_FIELD) ASCII fields of
+    the values, each followed by ``,`` or, last in its row, ``\\n``.
+    The fields of a value that is not plain or misses a condition are not
+    its text.
     """
     # the range keeps every index into _POW10 in bounds
     plain = (values >= _POW10[110 - 99]) & (values < _POW10[110 + 99])
@@ -241,7 +250,7 @@ def _csv_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = v / _POW10[e + 99]
     n = np.trunc(y)
     frac = y - n
-    plain &= (y >= 1e11) & (y < 1e12 - 1) & (np.abs(frac - 0.5) > _TIE_SLACK)
+    near = plain & ~((y >= 1e11) & (y < 1e12 - 1) & (np.abs(frac - 0.5) > _TIE_SLACK))
     mantissa = np.where(zero, 0, (n + (frac > 0.5)).astype(np.int64))
     # two six-digit halves, so that the divisions run on 32 bits
     high = mantissa // 1_000_000
@@ -263,7 +272,7 @@ def _csv_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fields[..., 15] = tens + ord("0")
     fields[..., 16] = np.abs(e) - 10 * tens + ord("0")
     fields[:, -1, -1] = ord("\n")
-    return (plain | zero).all(axis=1), fields
+    return (plain | zero).all(axis=1), near, fields
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -390,8 +399,8 @@ def _point_value(value: float | None) -> float:
     return 0.0 if value is None else float(value)
 
 
-def _stats(scenario: Scenario, variable: str, points, geom, users):
-    """Gains and correlation (g1, g2, rho) of the run's ``points`` on the
+def _stats(scenario: Scenario, geom, users):
+    """Gains and correlation (g1, g2, rho) of a run's points on the
     :func:`_swept` array ``geom`` and ``users``: each a float, or an array
     of one value per point.
 
@@ -399,10 +408,11 @@ def _stats(scenario: Scenario, variable: str, points, geom, users):
     paper's closed forms, and the NF correlation is the exact element sum
     when the array has no more elements than the T x T rule has nodes,
     the rule otherwise. NF statistics are computed once per distinct
-    channel, one unless the array or user 2 moves: the channels are
-    grouped by array and user 1, and each group is one
-    :func:`nf_ccf_batch` pass, which gives each correlation the same bits
-    as its pair alone. An NF user whose phases round by more than
+    channel, one unless the array or user 2 moves, in one pass over the
+    arrays: per distinct array size, one :func:`nf_ccf_batch` call of
+    user 2 at its distinct ranges (``np.unique``), held by one user, and
+    one gain call per user on the arrays. Each value has the bits of its
+    pair alone. An NF user whose phases round by more than
     _MAX_PHASE_ROUNDING, or an FF user farther than _MAX_FF_RANGE, is
     refused, at the first such point, before any sum runs.
     """
@@ -417,40 +427,52 @@ def _stats(scenario: Scenario, variable: str, points, geom, users):
                     f"model's numerical range, which ends at {_MAX_FF_RANGE:.3g} m"
                 )
         return ff_gain_closed(geom, u1), ff_gain_closed(geom, u2), ff_ccf_closed(geom, u1, u2)
-    moves = len(points) > 1 and variable in ("m_per_axis", "r2_m")
-    channels = [_swept(scenario, variable, x)[:2] for x in points] if moves else [(geom, users)]
-    groups: dict = {}  # (geom, u1) -> {u2: None}, in sweep order
-    for g, (v1, v2, *_) in channels:
-        refusal = _nf_range_refusal(g, (v1, v2))
-        if refusal:
-            raise ValueError(refusal)
-        groups.setdefault((g, v1), {})[v2] = None
+    refusal = _nf_range_refusal(geom, (u1, u2))
+    if refusal:
+        raise ValueError(refusal)
     nodes = scenario.quadrature_nodes
-    memo: dict = {}  # (geom, u1, u2) -> (g1, g2, rho)
-    for (g, v1), seconds in groups.items():
+    sizes, at_size = _distinct(geom.m_x)
+    ranges, at_range = _distinct(u2.range_r)
+    v2 = replace(u2, range_r=ranges) if np.ndim(u2.range_r) else u2
+    rho = np.empty((len(sizes), len(ranges)))
+    for row, m in zip(rho, sizes.tolist()):
+        g = replace(geom, m_x=int(m), m_z=int(m)) if np.ndim(geom.m_x) else geom
         path = None if _takes_element_sum(g.m_total, nodes) else nodes
-        g1 = nf_gain_closed(g, v1)
-        for v2, est in zip(seconds, nf_ccf_batch(g, v1, list(seconds), path)):
-            memo[g, v1, v2] = (g1, nf_gain_closed(g, v2), est.value)
-    stats = [memo[g, v1, v2] for g, (v1, v2, *_) in channels]
-    return tuple(np.array(column) for column in zip(*stats)) if moves else stats[0]
+        row[:] = [est.value for est in nf_ccf_batch(g, u1, [v2], path)]
+    stats = (nf_gain_closed(geom, u1), nf_gain_closed(geom, u2), rho[at_size, at_range])
+    if np.ndim(geom.m_x) or np.ndim(u2.range_r):
+        return tuple(np.array(column) for column in np.broadcast_arrays(*stats))
+    return stats[0], stats[1], float(stats[2])
+
+
+def _distinct(values):
+    """The distinct values of a float or an array, ascending, and the
+    index among them of each value: ``np.unique`` on an array only, since
+    its first call in a process costs about 0.15 ms."""
+    if np.ndim(values) == 0:
+        return np.array([values]), 0
+    return np.unique(values, return_inverse=True)
 
 
 def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str:
-    """Why the NF model cannot take ``users`` on ``geom``: the first whose
-    phases round by more than _MAX_PHASE_ROUNDING. Empty when it can.
-    The bound falls with the carrier frequency and rises with the element
-    count, so the message names both."""
-    for k, u in enumerate(users, 1):
-        err = _phase_rounding(geom, u.range_r)
-        if err > _MAX_PHASE_ROUNDING:
-            return (
-                f"[user{k}] range_m = {u.range_r:.3g} is beyond the NF "
-                f"model's numerical range at {SPEED_OF_LIGHT / geom.wavelength:.3g} Hz "
-                f"on {geom.m_x}x{geom.m_z} elements: phase rounding moves "
-                f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
-            )
-    return ""
+    """Why the NF model cannot take ``users`` on ``geom``, an array of
+    sizes or users with arrays of ranges included: the first user, at the
+    first point, whose phases round by more than _MAX_PHASE_ROUNDING.
+    Empty when it can. The bound falls with the carrier frequency and
+    rises with the element count, so the message names both."""
+    errs = [_phase_rounding(geom, u.range_r) for u in users]
+    if not any(np.count_nonzero(err > _MAX_PHASE_ROUNDING) for err in errs):
+        return ""
+    over = np.reshape(np.broadcast_arrays(*errs), (len(users), -1)) > _MAX_PHASE_ROUNDING
+    # the first user refused at the first point refused: none of its own is earlier
+    k = int(np.flatnonzero(over[:, over.any(axis=0).argmax()])[0])
+    r, err, m_x, m_z = _checks.first(over[k], users[k].range_r, errs[k], geom.m_x, geom.m_z)
+    return (
+        f"[user{k + 1}] range_m = {r:.3g} is beyond the NF "
+        f"model's numerical range at {SPEED_OF_LIGHT / geom.wavelength:.3g} Hz "
+        f"on {int(m_x)}x{int(m_z)} elements: phase rounding moves "
+        f"sqrt(rho) by about {err:.3g}, above {_MAX_PHASE_ROUNDING:g}"
+    )
 
 
 def _check_verify_size(geom: ArrayGeometry) -> None:
@@ -497,14 +519,16 @@ def _violation(variable: str, x: float, check: CheckRow) -> str:
 
 def _phase_rounding(geom: ArrayGeometry, r: float) -> float:
     """Error in sqrt(rho) of an NF correlation from rounding the phases
-    of users at up to range ``r``, eight times its estimate.
+    of users at up to range ``r``, eight times its estimate; an array of
+    ranges or of sizes gives an array.
 
     An element sum rounds each phase k0 d, of up to k0 r radians, to
     double precision. Over the N elements those errors move sqrt(rho) =
     |h1^H h2| / (|h1| |h2|) by about eps k0 r / sqrt(N) at random.
     """
     k0 = 2 * math.pi / geom.wavelength
-    return 8 * np.finfo(float).eps * k0 * r / math.sqrt(geom.m_total)
+    root = np.sqrt(geom.m_total) if np.ndim(geom.m_total) else math.sqrt(geom.m_total)
+    return 8 * np.finfo(float).eps * k0 * r / root
 
 
 def _ccf_elements_tolerance(
@@ -747,7 +771,7 @@ def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool)
     values = points[0] if len(points) == 1 else np.array(points)
     geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, values)
     link = mac_cfg if kind.uplink else bc_cfg
-    stats = _stats(scenario, variable, points, geom, users)
+    stats = _stats(scenario, geom, users)
     table = [[_point_value(x) for x in points], *stats, *kind.formulas(*stats, link)]
     if kind.limit is not None:
         table.append(kind.limit(geom, users, link, scenario.channel_model))
@@ -872,7 +896,7 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     key = mode.lower()
     if key not in ("mac", "bc"):
         raise ScenarioError(f"region mode must be 'mac' or 'bc', got {mode!r}")
-    g1, g2, rho = _stats(scenario, "point", (None,), scenario.geometry, scenario.users)
+    g1, g2, rho = _stats(scenario, scenario.geometry, scenario.users)
     # The nominal capacity first, so an overflowing link budget is
     # reported the way `nfcap mac` or `nfcap bc` reports it.
     if key == "mac":
@@ -1000,7 +1024,7 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     snrs = list(scenario.mac_cfg.snr_per_user)
     bc_cfg = scenario.bc_cfg
 
-    stats = _stats(scenario, "point", (None,), geom, users)
+    stats = _stats(scenario, geom, users)
     vecs, exact = pair_sum_oracle(geom, u1, u2, model.lower())
     checks = _channel_checks(scenario, geom, users, stats, exact)
     # the paper's rule, which the NF sweeps take beyond T^2 elements; an

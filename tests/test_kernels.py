@@ -143,18 +143,22 @@ def test_element_sum_rho_matches_long_double(m_axis, u2):
     assert abs(rho - want) <= bound
 
 
-@pytest.mark.parametrize("m_axis", [551, 199], ids=["rule-551", "elements-199"])
-def test_batched_correlation_sums_are_the_one_channel_bits(m_axis):
-    """User 1 with the three second users in one pass, in the reverse
-    order and in a batch of one each: every channel's sums are the bits
-    of its one-channel call, whatever else shares the pass. Both take
-    several kernel blocks: the T = 200 rule at 551 x 551 runs 200 rows of
+@pytest.mark.parametrize(("m_axis", "blocks", "group"), [(551, 3, 2), (199, 3, 2), (65, 1, 7)],
+                         ids=["rule-551", "elements-199", "elements-65"])
+def test_batched_correlation_sums_are_the_one_channel_bits(m_axis, blocks, group):
+    """User 1 with 1, G - 1, G, G + 1 and 2G + 1 second users in one
+    pass, G the channels of one group, in both orders: every channel's
+    sums are the bits of its one-channel call, whatever else shares the
+    pass or its group. The T = 200 rule at 551 x 551 runs 200 rows of
     nodes, 81 a block, and the element sum at 199 x 199 199 rows, 82 a
-    block."""
+    block: 2 channels a group. The element sum at 65 x 65 is one block
+    of 65 rows, 7 channels a group. The second users are the reference,
+    co-directional and co-located users, then users drawn from 2 m to
+    20 m."""
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
     x, w, (_, r1, _, k0, px1, oz1, _, _) = _rule(m_axis, _U1, _U1)
     if m_axis == 551:
-        rows = len(x)
+        cols = rows = len(x)
 
         def alone(ups, r2, px2, oz2):
             return kernels.ccf_quadrature_sum(x, x, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
@@ -162,19 +166,26 @@ def test_batched_correlation_sums_are_the_one_channel_bits(m_axis):
         def batch(seconds):
             return kernels.ccf_quadrature_sums(x, x, w, r1, k0, px1, oz1, seconds)
     else:
-        rows, eps1 = m_axis, epsilon(geom, _U1)
+        cols = rows = m_axis
+        eps1 = epsilon(geom, _U1)
 
         def alone(*second):
             return batch([second])[0]
 
         def batch(seconds):
             return kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1, seconds)
-    assert rows > kernels._QUAD_BLOCK_NODES // rows
-    seconds = [(r1 / u.range_r, u.range_r, u.dir_x, u.dir_z) for u in _SECONDS]
+    block = max(1, kernels._QUAD_BLOCK_NODES // cols)
+    assert -(-rows // block) == blocks
+    assert max(1, kernels._GROUP_NODES // (min(block, rows) * cols)) == group
+    rng = np.random.default_rng(29)
+    users = _SECONDS + [UserLocation(r, theta, phi) for r, theta, phi in zip(
+        rng.uniform(2.0, 20.0, 2 * group), rng.uniform(0.3, 2.8, 2 * group),
+        rng.uniform(0.3, 2.8, 2 * group))]
+    seconds = [(r1 / u.range_r, u.range_r, u.dir_x, u.dir_z) for u in users]
     expected = [alone(*second) for second in seconds]
-    assert batch(seconds) == expected
-    assert batch(seconds[::-1]) == expected[::-1]
-    assert [batch([second])[0] for second in seconds] == expected
+    for count in (1, group - 1, group, group + 1, 2 * group + 1):
+        assert batch(seconds[:count]) == expected[:count]
+        assert batch(seconds[:count][::-1]) == expected[:count][::-1]
 
 
 @pytest.mark.parametrize("ph, k0", [

@@ -20,7 +20,7 @@ from conftest import MC_BLIND_SPOT_INI, synth_pair
 from nfcap import stats, sweeps
 from nfcap.cli import main
 from nfcap.config import ScenarioError, default_scenario, load_scenario
-from nfcap.geometry import ArrayGeometry, nf_channel_vector
+from nfcap.geometry import ArrayGeometry, UserLocation, nf_channel_vector
 from nfcap.oracles import logdet_capacity_oracle
 from nfcap.stats import ccf_exact, nf_ccf_quadrature
 from nfcap.sweeps import (
@@ -143,6 +143,9 @@ _CSV_FIXED = {
     # the nearest doubles to 12-digit ties, where 10^(e - 11) is inexact
     "ties": _around([float(f"{10**11 + 7919 * i}5e{i % 190 - 110}") for i in range(2000)]),
 }
+# the same ties one to a row among plain values, each written into its own field
+_CSV_FIXED["ties in plain rows"] = [
+    v for k, tie in enumerate(_CSV_FIXED["ties"]) for v in (tie, 1.5 + k, 2.0 ** -(k % 300))]
 
 
 @pytest.mark.parametrize("width", [1, 13])
@@ -166,6 +169,11 @@ _TIES = st.builds(lambda m, k: float(f"{m}5e{k}"),
 _CSV_TABLES = st.integers(1, 13).flatmap(lambda width: st.lists(
     st.one_of(_BIT_PATTERNS, _LOG_UNIFORM, _TIES), max_size=12 * width,
 ).map(lambda values: _csv_table(values, width)))
+# plain rows only: ties and magnitudes from 1e-99 to 1e99
+_PLAIN_TABLES = st.integers(1, 13).flatmap(lambda width: st.lists(
+    st.one_of(st.floats(-99.0, 98.9).map(lambda x: 10.0**x), _TIES.filter(
+        lambda v: 1e-99 <= v < 1e99)), max_size=12 * width,
+).map(lambda values: _csv_table(values, width)))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -173,6 +181,13 @@ _CSV_TABLES = st.integers(1, 13).flatmap(lambda width: st.lists(
 def test_csv_text_matches_percent_on_drawn_tables(table):
     """Rows of raw bit patterns, log-uniform magnitudes and the nearest
     doubles to 12-digit ties, 1 to 13 values wide."""
+    assert csv_text(table) == _percent_csv(table)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_PLAIN_TABLES)
+def test_csv_text_matches_percent_on_drawn_plain_rows_with_ties(table):
+    """Rows that take the numpy path, each tie in its own ``%`` field."""
     assert csv_text(table) == _percent_csv(table)
 
 
@@ -424,13 +439,15 @@ def test_preset_matches_stored_table(tmp_path, name):
 def quadrature_calls(monkeypatch):
     """One entry per NF correlation the runners compute, each in an
     nf_ccf_batch call: the path ("nf_ccf_elements" for the element sum,
-    "nf_ccf_quadrature" for the rule) and the pair."""
+    "nf_ccf_quadrature" for the rule) and the pair, a second user with
+    an array of ranges once per range."""
     calls = []
     batch = sweeps.nf_ccf_batch
 
     def recording(geom, u1, seconds, nodes_T=None):
         path = "nf_ccf_elements" if nodes_T is None else "nf_ccf_quadrature"
-        calls.extend((path, geom, u1, u2) for u2 in seconds)
+        calls.extend((path, geom, u1, replace(u2, range_r=r))
+                     for u2 in seconds for r in np.ravel(u2.range_r).tolist())
         return batch(geom, u1, seconds, nodes_T)
 
     monkeypatch.setattr(sweeps, "nf_ccf_batch", recording)
@@ -497,12 +514,14 @@ def test_nf_correlation_path_switches_past_t_squared(
 
 @pytest.fixture
 def batches(monkeypatch):
-    "The number of channels of each batch of NF correlations the runners compute, in turn."
+    """The number of channels of each batch of NF correlations the
+    runners compute, in turn: a second user with an array of ranges
+    counts once per range."""
     sizes = []
     batch = sweeps.nf_ccf_batch
 
     def recording(geom, u1, seconds, nodes_T=None):
-        sizes.append(len(seconds))
+        sizes.append(sum(np.size(u2.range_r) for u2 in seconds))
         return batch(geom, u1, seconds, nodes_T)
 
     monkeypatch.setattr(sweeps, "nf_ccf_batch", recording)
@@ -511,10 +530,12 @@ def batches(monkeypatch):
 
 def _per_pair(monkeypatch):
     """Make the runners compute every NF correlation alone, one pair to a
-    call of the stats module's nf_ccf_batch, past any recording."""
+    call of the stats module's nf_ccf_batch, past any recording: a
+    second user with an array of ranges is one user per range."""
     batch = stats.nf_ccf_batch
     monkeypatch.setattr(sweeps, "nf_ccf_batch", lambda geom, u1, seconds, nodes_T=None: [
-        batch(geom, u1, [u2], nodes_T)[0] for u2 in seconds])
+        batch(geom, u1, [replace(u2, range_r=r)], nodes_T)[0]
+        for u2 in seconds for r in np.ravel(u2.range_r).tolist()])
 
 
 # 129^2 = 16641 elements: the element sum takes two kernel blocks
@@ -522,15 +543,43 @@ R2_SWEEP_129 = "[array]\nm_per_axis = 129\n[sweep]\nvariable = r2_m\nvalues = {}
 
 
 def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches):
-    """An r2 sweep at 129 x 129 (element sum) and mc-vs-r2 (the T x T
-    rule at 551 x 551) print the same rows as each pair alone."""
-    scn = _scenario(tmp_path, R2_SWEEP_129.format("2 3 4 5 6"))
-    batched = (run_mc(scn).rows, reproduce("mc-vs-r2").rows)
-    # the sweep, then the two NF runs of the preset; its FF runs take none
-    assert batches == [5, 60, 60]
+    """Two r2 sweeps at 129 x 129 (element sum), each with a repeated
+    point, user 2 in its own direction and in user 1's, through r2 = r1,
+    and mc-vs-r2 (the T x T rule at 551 x 551), print the same rows as
+    each pair alone. A sweep's batch holds its distinct ranges."""
+    scenarios = [_scenario(tmp_path, R2_SWEEP_129.format("2 3 4 4 5 6")),
+                 _scenario(tmp_path, "[user2]\ndirection = same\n"
+                           + R2_SWEEP_129.format("5 10 10 12"))]
+
+    def rows():
+        return [run_mc(scn).rows for scn in scenarios], reproduce("mc-vs-r2").rows
+
+    batched = rows()
+    assert batched[0][1][1][3] == 1.0  # the co-located point
+    # the sweeps, then the two NF runs of the preset; its FF runs take none
+    assert batches == [5, 3, 60, 60]
     _per_pair(monkeypatch)
-    assert (run_mc(scn).rows, reproduce("mc-vs-r2").rows) == batched
-    assert batches == [5, 60, 60]
+    assert rows() == batched
+    assert batches == [5, 3, 60, 60]
+
+
+def test_range_sweep_is_one_batch_with_no_user_a_point(tmp_path, monkeypatch, batches):
+    """A 200-point NF r2 sweep at 65 x 65 makes one nf_ccf_batch call
+    of its 200 channels and builds two UserLocations, not one a point:
+    user 2 at the sweep's ranges, then at its distinct ranges."""
+    values = " ".join(repr(v) for v in np.linspace(2.0, 20.0, 200).tolist())
+    scn = _scenario(tmp_path, f"[sweep]\nvariable = r2_m\nvalues = {values}\ntarget = mc\n")
+    built = []
+    init = UserLocation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(UserLocation, "__post_init__", counted)
+    assert len(run_mc(scn).rows) == 200
+    assert batches == [200]
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize(
@@ -560,6 +609,24 @@ def test_refused_sweep_point_is_named_at_its_own_point(
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"at sweep point {point}: ")
     assert batches == batched
+
+
+def test_nf_range_refusal_of_arrays_names_the_first_refused_point():
+    """On an array of ranges or of sizes the refusal is that of the first
+    point refused, as the point alone gives it, with user 1 named first."""
+    scn = default_scenario()
+    geom, (u1, u2) = scn.geometry, scn.users
+    refusal = sweeps._nf_range_refusal
+    alone = refusal(geom, (u1, replace(u2, range_r=1e300)))
+    assert alone.startswith("[user2] range_m = 1e+300 ")
+    ranges = replace(u2, range_r=np.array([2.0, 1e300, 5.0, 1e301]))
+    assert refusal(geom, (u1, ranges)) == alone
+    far = replace(u1, range_r=1e300)
+    sides = np.array([5.0, 3.0, 7.0])
+    alone = refusal(replace(geom, m_x=5, m_z=5), (far, replace(u2, range_r=1e301)))
+    assert alone.startswith("[user1] range_m = 1e+300 ") and " on 5x5 elements" in alone
+    assert refusal(replace(geom, m_x=sides, m_z=sides), (far, replace(u2, range_r=1e301))) == alone
+    assert refusal(geom, (u1, replace(u2, range_r=np.array([2.0, 5.0])))) == ""
 
 
 def test_ff_runs_take_no_batch_and_single_channel_commands_a_batch_of_one(
