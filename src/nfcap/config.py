@@ -187,51 +187,43 @@ class Scenario:
         return tuple(items)
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default: str) -> str:
-    if cp.has_option(section, key):
-        return cp.get(section, key).strip()
-    return default
+def _get(cp: configparser.ConfigParser, section: str, key: str, default: str, parse=str):
+    """The value of ``key`` in ``[section]``, or ``default`` where the file
+    does not set it, stripped and read by ``parse``. A ValueError of
+    ``parse`` becomes the ScenarioError "[section] key: reason".
+    """
+    text = cp.get(section, key) if cp.has_option(section, key) else default
+    try:
+        return parse(text.strip())
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {key}: {exc}") from None
 
 
-def _get_float(
-    cp: configparser.ConfigParser, section: str, key: str, default: str
-) -> float:
-    text = _get(cp, section, key, default)
+def _number(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ScenarioError(f"[{section}] {key}: cannot parse {text!r} as a number")
+        raise ValueError(f"cannot parse {text!r} as a number") from None
 
 
-def _get_int(
-    cp: configparser.ConfigParser, section: str, key: str, default: str
-) -> int:
-    text = _get(cp, section, key, default)
+def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ScenarioError(f"[{section}] {key}: cannot parse {text!r} as an integer")
+        raise ValueError(f"cannot parse {text!r} as an integer") from None
 
 
-def _get_db(
-    cp: configparser.ConfigParser, section: str, key: str, default: str
-) -> float:
-    "A dB setting, returned as its linear ratio."
-    value_db = _get_float(cp, section, key, default)
-    try:
-        return db_to_linear(value_db)
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: {exc}") from None
+def _db(text: str) -> float:
+    "A dB value, returned as its linear ratio."
+    return db_to_linear(_number(text))
 
 
-def _get_angle(
-    cp: configparser.ConfigParser, section: str, key: str, default: str
-) -> float:
-    text = _get(cp, section, key, default)
-    try:
-        return parse_angle(text)
-    except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: {exc}") from None
+def _values(text: str) -> tuple[float, ...]:
+    "A sweep grid: numbers separated by commas or whitespace."
+    parts = [p for chunk in text.split(",") for p in chunk.split()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(map(_number, parts))
 
 
 def _reject_unknown_keys(cp: configparser.ConfigParser) -> None:
@@ -246,19 +238,6 @@ def _reject_unknown_keys(cp: configparser.ConfigParser) -> None:
                 raise ScenarioError(
                     f"unknown key {key!r} in [{section}]; expected one of {sorted(allowed)}"
                 )
-
-
-def _parse_values(text: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    if not parts:
-        raise ScenarioError("[sweep] values: empty list")
-    out = []
-    for p in parts:
-        try:
-            out.append(float(p))
-        except ValueError:
-            raise ScenarioError(f"[sweep] values: cannot parse {p!r} as a number")
-    return tuple(out)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -290,7 +269,7 @@ def default_scenario() -> Scenario:
 def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     _reject_unknown_keys(cp)
 
-    frequency = _get_float(cp, "array", "frequency_hz", "2.4e9")
+    frequency = _get(cp, "array", "frequency_hz", "2.4e9", _number)
     try:
         _checks.positive("frequency_hz", frequency)
     except ValueError as exc:
@@ -301,12 +280,12 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         cp.has_option("array", "m_x") or cp.has_option("array", "m_z")
     ):
         raise ScenarioError("[array] m_per_axis conflicts with explicit m_x/m_z")
-    m_axis = _get_int(cp, "array", "m_per_axis", "65")
-    m_x = _get_int(cp, "array", "m_x", str(m_axis))
-    m_z = _get_int(cp, "array", "m_z", str(m_axis))
-    pitch = _get_float(cp, "array", "pitch_m", repr(wavelength / 2.0))
+    m_axis = _get(cp, "array", "m_per_axis", "65", _integer)
+    m_x = _get(cp, "array", "m_x", str(m_axis), _integer)
+    m_z = _get(cp, "array", "m_z", str(m_axis), _integer)
+    pitch = _get(cp, "array", "pitch_m", repr(wavelength / 2.0), _number)
     side_default = wavelength / math.sqrt(4.0 * math.pi)
-    side = _get_float(cp, "array", "element_side_m", repr(side_default))
+    side = _get(cp, "array", "element_side_m", repr(side_default), _number)
     try:
         geometry = ArrayGeometry(
             m_x=m_x, m_z=m_z, pitch_d=pitch, wavelength=wavelength, element_side=side
@@ -317,15 +296,15 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     model = _get(cp, "link", "model", "nf").upper()
     if model not in ("NF", "FF"):
         raise ScenarioError(f"[link] model must be 'nf' or 'ff', got {model!r}")
-    snr = _get_db(cp, "link", "snr_db", "30")
-    power = _get_db(cp, "link", "power_db", "30")
-    noise1 = _get_float(cp, "link", "noise_var1", "1.0")
-    noise2 = _get_float(cp, "link", "noise_var2", "1.0")
-    nodes = _get_int(cp, "link", "quadrature_nodes", "200")
+    snr = _get(cp, "link", "snr_db", "30", _db)
+    power = _get(cp, "link", "power_db", "30", _db)
+    noise1 = _get(cp, "link", "noise_var1", "1.0", _number)
+    noise2 = _get(cp, "link", "noise_var2", "1.0", _number)
+    nodes = _get(cp, "link", "quadrature_nodes", "200", _integer)
 
-    r1 = _get_float(cp, "user1", "range_m", "10.0")
-    az1 = _get_angle(cp, "user1", "azimuth", "pi/3")
-    el1 = _get_angle(cp, "user1", "elevation", "2pi/3")
+    r1 = _get(cp, "user1", "range_m", "10.0", _number)
+    az1 = _get(cp, "user1", "azimuth", "pi/3", parse_angle)
+    el1 = _get(cp, "user1", "elevation", "2pi/3", parse_angle)
 
     direction = _get(cp, "user2", "direction", "different").lower()
     if direction not in ("same", "different"):
@@ -338,12 +317,12 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         raise ScenarioError(
             "[user2] direction=same conflicts with explicit azimuth/elevation"
         )
-    r2 = _get_float(cp, "user2", "range_m", "5.0")
+    r2 = _get(cp, "user2", "range_m", "5.0", _number)
     if direction == "same":
         az2, el2 = az1, el1
     else:
-        az2 = _get_angle(cp, "user2", "azimuth", "2pi/3")
-        el2 = _get_angle(cp, "user2", "elevation", "pi/3")
+        az2 = _get(cp, "user2", "azimuth", "2pi/3", parse_angle)
+        el2 = _get(cp, "user2", "elevation", "pi/3", parse_angle)
 
     users = []
     for idx, (r, az, el) in enumerate(((r1, az1, el1), (r2, az2, el2)), start=1):
@@ -360,7 +339,7 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
             raise ScenarioError("[sweep] requires a 'values' key")
         sweep = SweepSpec(
             variable=_get(cp, "sweep", "variable", ""),
-            values=_parse_values(cp.get("sweep", "values")),
+            values=_get(cp, "sweep", "values", "", _values),
             target=_get(cp, "sweep", "target", "mac").lower(),
         )
 
@@ -370,12 +349,17 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"[link]: {exc}") from None
 
-    return Scenario(
-        geometry=geometry,
-        users=tuple(users),
-        channel_model=model,
-        mac_cfg=mac_cfg,
-        bc_cfg=bc_cfg,
-        quadrature_nodes=nodes,
-        sweep=sweep,
-    )
+    try:
+        return Scenario(
+            geometry=geometry,
+            users=tuple(users),
+            channel_model=model,
+            mac_cfg=mac_cfg,
+            bc_cfg=bc_cfg,
+            quadrature_nodes=nodes,
+            sweep=sweep,
+        )
+    except ScenarioError as exc:
+        # only quadrature_nodes, of the fields Scenario checks, comes
+        # from the file unchecked
+        raise ScenarioError(f"[link] {exc}") from None

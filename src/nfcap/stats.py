@@ -15,6 +15,7 @@ paper's rule (as :func:`nf_ccf_quadrature`) beyond that.
 formula takes its large-array limit, for either field model.
 """
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,13 +56,17 @@ def gram_matrix(
 
 def gram_stats(gram: np.ndarray) -> tuple[float, float, float]:
     """Gains and squared correlation (g1, g2, rho) of the first two users
-    of a Gram matrix: rho = |G[0, 1]|^2 / (g1 g2) clamped to at most 1,
-    and 0 when either gain vanishes.
+    of a Gram matrix: rho = (|G[0, 1]| / sqrt(g1) / sqrt(g2))^2 clamped
+    to at most 1, and 0 when either gain vanishes.
+
+    rho is not taken as |G[0, 1]|^2 / (g1 g2): FF gains fall as 1/r^2,
+    and beyond about 1e77 m both products fall below the smallest
+    normal double.
     """
     g1, g2 = float(gram[0, 0].real), float(gram[1, 1].real)
     if g1 <= 0.0 or g2 <= 0.0:
         return g1, g2, 0.0
-    return g1, g2, min(float(abs(gram[0, 1]) ** 2 / (g1 * g2)), 1.0)
+    return g1, g2, min((float(abs(gram[0, 1])) / math.sqrt(g1) / math.sqrt(g2)) ** 2, 1.0)
 
 
 def gain_exact(h) -> float:
@@ -74,11 +79,10 @@ def ccf_exact(h1, h2) -> float:
 
     0 for orthogonal channels, 1 for parallel ones.
     """
-    gram = gram_matrix([h1, h2], ("h1", "h2"))
-    g1, g2 = float(gram[0, 0].real), float(gram[1, 1].real)
+    g1, g2, rho = gram_stats(gram_matrix([h1, h2], ("h1", "h2")))
     if g1 <= 0 or g2 <= 0:
         raise ValueError("ccf undefined for zero-norm channel vectors")
-    return float(abs(gram[0, 1]) ** 2 / (g1 * g2))
+    return rho
 
 
 def nf_gain_closed(geom: ArrayGeometry, u: UserLocation) -> float:

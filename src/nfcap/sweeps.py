@@ -804,32 +804,18 @@ def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool)
 def _first_failure(
     scenario: Scenario, kind: _Kind, variable: str, points, verify: bool, exc: ValueError
 ) -> ScenarioError:
-    """The error of the first of ``points`` that fails, in sweep order:
-    that of a run of it alone, named. ``exc`` is the error of a run of
-    all of them.
-
-    The points before the first that the sweep cannot be set to are
-    run together, so that their NF channels are batched as they are in
-    a run without that point.
+    """The error of the first of ``points`` that fails when run alone, in
+    sweep order, named at that point. ``exc`` is the error of a run of
+    all of them: it is named at the one point, if there is only one, and
+    returned unnamed if every point passes alone.
     """
     if len(points) == 1:
         return _point_error(exc, variable, points[0])
-    for k, x in enumerate(points):
-        try:
-            _swept(scenario, variable, x)
-        except ValueError as refusal:
-            try:
-                if k:
-                    _table(scenario, kind, variable, points[:k], verify)
-            except ValueError as earlier:
-                return _first_failure(scenario, kind, variable, points[:k], verify, earlier)
-            return _point_error(refusal, variable, x)
     for x in points:
         try:
             _table(scenario, kind, variable, (x,), verify)
         except ValueError as failure:
             return _point_error(failure, variable, x)
-    # every point passes alone: report the run's own error as it is
     return _point_error(exc, variable, None)
 
 

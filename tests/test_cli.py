@@ -82,9 +82,14 @@ def test_quadrature_nodes_flag_changes_correlation(capsys):
     assert base[3] != coarse[3]
 
 
-def test_quadrature_nodes_must_be_at_least_two(capsys):
+def test_quadrature_nodes_must_be_at_least_two(tmp_path, capsys):
     assert main(["channel", "--quadrature-T", "1"]) == 2
     assert "quadrature" in capsys.readouterr().err
+    path = tmp_path / "nodes.ini"
+    path.write_text("[link]\nquadrature_nodes = 1\n")
+    assert main(["channel", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: [link] quadrature_nodes must be at least 2, got 1\n")
 
 
 def test_verify_subcommand_passes_on_small_array(tmp_path, capsys):
@@ -244,6 +249,45 @@ def test_link_budget_beyond_float_range_exits_two(tmp_path, capsys, command, bod
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert needle in lines[0]
+
+
+_TYPED_KEYS = {
+    "number": ["array frequency_hz", "array pitch_m", "array element_side_m",
+               "link noise_var1", "link noise_var2", "user1 range_m", "user2 range_m"],
+    "integer": ["array m_x", "array m_z", "array m_per_axis", "link quadrature_nodes"],
+    "dB": ["link snr_db", "link power_db"],
+    "angle": ["user1 azimuth", "user1 elevation", "user2 azimuth", "user2 elevation"],
+    "values": ["sweep values"],
+}
+_BAD_TEXTS = {
+    "number": [("abc", "cannot parse 'abc' as a number"),
+               ("", "cannot parse '' as a number")],
+    "integer": [("abc", "cannot parse 'abc' as an integer"),
+                ("1.5", "cannot parse '1.5' as an integer")],
+    "dB": [("abc", "cannot parse 'abc' as a number"),
+           ("4000", "4000.0 dB overflows a float (at most about 3082 dB)")],
+    "angle": [("abc", "cannot parse angle 'abc'"),
+              ("60deg", "angle '60deg' looks like degrees; use radians or pi fractions"),
+              ("pi/0", "zero denominator in angle 'pi/0'")],
+    "values": [("", "empty list"), ("10 abc", "cannot parse 'abc' as a number")],
+}
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "text", "reason"),
+    [pytest.param(*where.split(), text, reason, id=f"{where}={text}")
+     for kind, keys in _TYPED_KEYS.items() for where in keys
+     for text, reason in _BAD_TEXTS[kind]],
+)
+def test_bad_typed_value_exits_two_naming_its_key(tmp_path, capsys, section, key, text, reason):
+    "Every number, integer, dB and angle key, and the sweep's values."
+    body = f"[{section}]\n{key} = {text}\n"
+    if section == "sweep":
+        body += "variable = snr_db\ntarget = mac\n"
+    path = tmp_path / "bad.ini"
+    path.write_text(body)
+    assert main(["sweep" if section == "sweep" else "channel", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: [{section}] {key}: {reason}\n")
 
 
 def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
@@ -424,6 +468,14 @@ _RANGES = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
             "g=(0.0031408141355424466, 0.012552999941342702), gamma=(1e+300, 1e+300), "
             "rho=3.5312136976008195e-08",
             id="uplink-overflow"),
+        # the points after it overflow a float, so the sweep cannot be set to them
+        pytest.param(
+            "", "snr_db", "mac", 3000.0, [3100.0 + 10 * k for k in range(6)],
+            "error: at sweep point snr_db=3000.0: uplink capacity overflows: 1 + "
+            "gamma1*g1 + gamma2*g2 + gamma1*gamma2*g1*g2*(1 - rho) is not finite for "
+            "g=(0.0031408141355424466, 0.012552999941342702), gamma=(1e+300, 1e+300), "
+            "rho=3.5312136976008195e-08",
+            id="uplink-overflow-then-unsettable"),
         pytest.param(
             "", "power_db", "bc", 3000.0, [3010.0 + 10 * k for k in range(6)],
             "error: at sweep point power_db=3000.0: c_bc = inf: the link budget is "

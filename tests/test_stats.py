@@ -31,6 +31,8 @@ from nfcap.stats import (
     ff_ccf_closed,
     ff_gain_closed,
     gain_exact,
+    gram_matrix,
+    gram_stats,
     nf_ccf_batch,
     nf_ccf_quadrature,
     nf_gain_closed,
@@ -301,6 +303,20 @@ def test_ff_ccf_of_exact_vectors_holds_at_far_range(ref_geometry, user1, user2_d
         ff_channel_vector(ref_geometry, user2_dd),
     )
     assert exact == pytest.approx(ff_ccf_closed(ref_geometry, far, user2_dd), rel=1e-9)
+
+
+@pytest.mark.parametrize("range_m", [1e77, 1e78, 1e80, 1e102])
+def test_ff_ccf_of_exact_vectors_holds_past_gain_product_underflow(range_m, user1, user2_dd):
+    """With both users at range_m, |h1^H h2|^2 and g1 g2 fall below the
+    smallest normal double; the Gram reductions still give the closed
+    form, with no warning."""
+    geom = ArrayGeometry.from_frequency(m_x=9, m_z=9, frequency_hz=2.4e9)
+    h1, h2 = (ff_channel_vector(geom, replace(u, range_r=range_m)) for u in (user1, user2_dd))
+    closed = ff_ccf_closed(geom, user1, user2_dd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ccf_exact(h1, h2) == pytest.approx(closed, rel=1e-12)
+        assert gram_stats(gram_matrix([h1, h2]))[2] == pytest.approx(closed, rel=1e-12)
 
 
 def test_asymptotic_stats_of_each_model(ref_geometry, user1, user2_dd, user2_sd):

@@ -588,10 +588,11 @@ def test_range_sweep_is_one_batch_with_no_user_a_point(tmp_path, monkeypatch, ba
         # refused by the NF range guard before any sum runs, so each
         # point before it is then run alone
         pytest.param("2 4 1e300 1e301", "r2_m=1e+300", [1, 1], id="2 4 1e300 1e301-r2_m=1e+300"),
-        # refused when the point is applied, after three were batched
-        pytest.param("2 4 6 inf", "r2_m=inf", [3], id="2 4 6 inf-r2_m=inf"),
-        # the points before the one that cannot be applied fail in turn,
-        # at the range guard: the first of them that fails alone is named
+        # refused when the point is applied, after the three before it
+        # were run alone
+        pytest.param("2 4 6 inf", "r2_m=inf", [1, 1, 1], id="2 4 6 inf-r2_m=inf"),
+        # the range guard refuses 1e300 alone before inf, which cannot
+        # be applied, is reached
         pytest.param("2 1e300 inf", "r2_m=1e+300", [1], id="2 1e300 inf-r2_m=1e+300"),
     ],
 )
