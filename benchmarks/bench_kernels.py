@@ -34,9 +34,11 @@ The four ``ff sweep 2500`` rows time one FF run of the default scenario
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
 (bc) and user 2's range (mc). Their time is per run and their "per
 eval" per point; the run evaluates each formula once on the arrays of
-all its points. The ``csv_text`` rows write the 13-column table of the
-``snr_db`` (mac) run as CSV text, all 2500 rows and its first row alone;
-their "per eval" is per value.
+all its points into one float64 table. The ``csv_text`` rows write the
+13-column table of the ``snr_db`` (mac) run as CSV text, all 2500 rows
+and its first row alone, and the ``ff sweep 2500 snr_db mac csv`` row
+times that run and its CSV text together, from the formulas to the
+text; their "per eval" is per value.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N] [--number N]
 """
@@ -173,17 +175,25 @@ def _ff_sweep_rows():
     ]
 
 
+def _run_csv(scenario, target):
+    "The CSV text of one run, from its formulas to the text."
+    return sweeps.csv_text(sweeps._run(scenario, False, target))
+
+
 def _csv_rows():
     """``sweeps.csv_text`` on the 13-column table of the 2500-point FF
-    ``snr_db`` run of ``_ff_sweep_rows`` and on its first row alone."""
+    ``snr_db`` run of ``_ff_sweep_rows`` and on its first row alone, and
+    that run and its CSV text together."""
     base = replace(default_scenario(), channel_model="FF")
     variable, target, grid = FF_SWEEPS[1]
-    table = sweeps._run(replace(base, sweep=SweepSpec(variable, grid, target)), False, target)
-    first = replace(table, rows=table.rows[:1])
+    scenario = replace(base, sweep=SweepSpec(variable, grid, target))
+    result = sweeps._run(scenario, False, target)
+    first = replace(result, table=result.table[:1])
     return [
-        (f"csv_text {len(t.rows)}x{len(t.columns)}", sweeps.csv_text, (t,),
-         len(t.rows) * len(t.columns))
-        for t in (table, first)
+        *[(f"csv_text {len(r.table)}x{len(r.columns)}", sweeps.csv_text, (r,),
+           r.table.size) for r in (result, first)],
+        (f"ff sweep {len(grid)} {variable} {target} csv", _run_csv, (scenario, target),
+         result.table.size),
     ]
 
 

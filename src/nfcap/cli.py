@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import NoReturn
 
 from . import __version__
-from .config import ScenarioError, default_scenario, load_scenario
+from .config import ScenarioError, checked_nodes, default_scenario, load_scenario
 from .sweeps import (PRESETS, VERIFY_MAX_AXIS, SweepResult, csv_text, emit_csv,
                      reproduce, run_bc, run_channel, run_mac, run_mc, run_region,
                      run_sweep, verification_report)
@@ -160,9 +160,7 @@ def _load(args: dict):
     scenario = load_scenario(config) if config else default_scenario()
     quad = args.get("--quadrature-T")
     if quad is not None:
-        if quad < 2:
-            raise ScenarioError(f"--quadrature-T must be at least 2, got {quad}")
-        scenario = replace(scenario, quadrature_nodes=quad)
+        scenario = replace(scenario, quadrature_nodes=checked_nodes("--quadrature-T", quad))
     return scenario
 
 

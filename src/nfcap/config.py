@@ -31,6 +31,7 @@ __all__ = [
     "Scenario",
     "parse_angle",
     "db_to_linear",
+    "checked_nodes",
     "load_scenario",
     "default_scenario",
 ]
@@ -132,6 +133,14 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
 
 
+def checked_nodes(name: str, nodes: int) -> int:
+    """``nodes``, the node count per axis T of the NF correlation's rule;
+    ScenarioError naming ``name`` if the rule cannot take it."""
+    if nodes < 2:
+        raise ScenarioError(f"{name} must be at least 2, got {nodes}")
+    return nodes
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Fully resolved experiment description."""
@@ -151,10 +160,7 @@ class Scenario:
             raise ScenarioError(
                 f"channel_model must be 'NF' or 'FF', got {self.channel_model!r}"
             )
-        if self.quadrature_nodes < 2:
-            raise ScenarioError(
-                f"quadrature_nodes must be at least 2, got {self.quadrature_nodes}"
-            )
+        checked_nodes("quadrature_nodes", self.quadrature_nodes)
 
     def resolved_items(self) -> tuple[tuple[str, str], ...]:
         """Flat, ordered echo of every resolved setting, for provenance."""
@@ -284,8 +290,9 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     m_x = _get(cp, "array", "m_x", str(m_axis), _integer)
     m_z = _get(cp, "array", "m_z", str(m_axis), _integer)
     pitch = _get(cp, "array", "pitch_m", repr(wavelength / 2.0), _number)
-    side_default = wavelength / math.sqrt(4.0 * math.pi)
-    side = _get(cp, "array", "element_side_m", repr(side_default), _number)
+    # unset, the side is the array's default
+    side = (_get(cp, "array", "element_side_m", "", _number)
+            if cp.has_option("array", "element_side_m") else None)
     try:
         geometry = ArrayGeometry(
             m_x=m_x, m_z=m_z, pitch_d=pitch, wavelength=wavelength, element_side=side

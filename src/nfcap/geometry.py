@@ -8,6 +8,7 @@ dir_y = sin(phi)sin(theta), dir_z = cos(phi); both angles live in the open
 interval (0, pi), which keeps the user strictly in front of the array.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +31,9 @@ class ArrayGeometry:
     pitch_d
         Center-to-center element spacing in meters, shared by both axes.
     element_side
-        Side length sqrt(A) of the square element in meters. Defaults to
-        wavelength/sqrt(4*pi), which makes the occupation ratio exactly
-        1/pi at half-wavelength pitch.
+        Side length sqrt(A) of the square element in meters. None, the
+        default, sets wavelength/sqrt(4*pi), which makes the occupation
+        ratio exactly 1/pi at half-wavelength pitch.
     wavelength
         Carrier wavelength in meters.
     """
@@ -41,7 +42,7 @@ class ArrayGeometry:
     m_z: int
     pitch_d: float
     wavelength: float
-    element_side: float = field(default=0.0)
+    element_side: float | None = None
 
     def __post_init__(self) -> None:
         for name, m in (("m_x", self.m_x), ("m_z", self.m_z)):
@@ -56,9 +57,9 @@ class ArrayGeometry:
                     f"{name} must be odd (symmetric index set), got {m}")
         _checks.positive("pitch_d", self.pitch_d)
         _checks.positive("wavelength", self.wavelength)
-        if self.element_side == 0.0:
+        if self.element_side is None:
             object.__setattr__(self, "element_side",
-                               self.wavelength / np.sqrt(4 * np.pi))
+                               self.wavelength / math.sqrt(4 * math.pi))
         _checks.positive("element_side", self.element_side)
         if self.pitch_d < self.element_side:
             raise ValueError(
@@ -74,8 +75,7 @@ class ArrayGeometry:
         lam = SPEED_OF_LIGHT / frequency_hz
         return cls(m_x=m_x, m_z=m_z,
                    pitch_d=lam / 2 if pitch_d is None else pitch_d,
-                   wavelength=lam,
-                   element_side=0.0 if element_side is None else element_side)
+                   wavelength=lam, element_side=element_side)
 
     @property
     def m_total(self) -> int:

@@ -35,7 +35,6 @@ user 2 in its own direction and in user 1's.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -145,36 +144,45 @@ _TIE_SLACK = 8 * np.finfo(float).eps * 1e12
 _POW10 = np.array([float(f"1e{k}") for k in range(-110, 111)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Tabular sweep output plus a provenance block.
+    """A sweep's table plus a provenance block.
 
-    ``rows`` holds plain floats ordered like ``columns``; rows ascend in
-    their first (sweep) column. ``violations`` lists human-readable
-    descriptions of verification failures, empty when all comparisons
-    passed or verification was off.
+    ``table`` is a read-only (rows, columns) float64 array whose columns
+    are named by ``columns`` and whose rows ascend in their first (sweep)
+    column; ``rows`` gives it as tuples of Python floats and ``column``
+    one column of it. ``violations`` lists human-readable descriptions of
+    verification failures, empty when all comparisons passed or
+    verification was off.
     """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    table: np.ndarray
     provenance: str
     violations: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.columns) == 0:
             raise ValueError("columns must not be empty")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
-        firsts = [row[0] for row in self.rows]
-        if firsts != sorted(firsts):
+        table = np.asarray(self.table, dtype=float).view()
+        if table.ndim != 2 or table.shape[1] != len(self.columns):
+            raise ValueError(
+                f"table of shape {table.shape} does not match {len(self.columns)} columns"
+            )
+        # no value below the one before it; nan is below and above nothing
+        if (table[1:, 0] < table[:-1, 0]).any():
             raise ValueError("rows must ascend in the sweep column")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
-    def column(self, name: str) -> tuple[float, ...]:
-        idx = self.columns.index(name)
-        return tuple(row[idx] for row in self.rows)
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        "The table's rows as tuples of Python floats."
+        return tuple(map(tuple, self.table.tolist()))
+
+    def column(self, name: str) -> np.ndarray:
+        "The read-only column of the table under ``name``."
+        return self.table[:, self.columns.index(name)]
 
 
 def csv_text(result: SweepResult) -> str:
@@ -182,11 +190,11 @@ def csv_text(result: SweepResult) -> str:
     row: each value as ``"%.11e" % v`` writes it, ``,`` between values.
 
     The table is written with numpy, in blocks of about _CSV_BLOCK
-    values. A value v is *plain* when it is +0, or finite and in
-    [1e-99, 1e99) with a two-digit exponent e = floor(log10 v). For a
-    plain v > 0, y = v / 10^(e - 11) is computed in float64, with 10^k
-    from _POW10: Python's parser rounds each correctly, ``10.0 ** k``
-    need not. y carries two roundings, of 10^k and of the quotient, so
+    values sliced from ``result.table``. A value v is *plain* when it is
+    +0, or finite and in [1e-99, 1e99) with a two-digit exponent e =
+    floor(log10 v). For a plain v > 0, y = v / 10^(e - 11) is computed
+    in float64, with 10^k from _POW10: Python's parser rounds each
+    correctly, ``10.0 ** k`` need not. y carries two roundings, of 10^k and of the quotient, so
 
         |y - v 10^(11 - e)| <= (2u + u^2) y < 2.3e-4,  u = 2^-53.
 
@@ -201,10 +209,12 @@ def csv_text(result: SweepResult) -> str:
     rounding tie or at the edge of a decade, is written by ``"%.11e" %
     v`` into its own field, which that text fills exactly: 17 bytes,
     since its exponent has two digits. A row holding a value that is not
-    plain is written by the ``%`` line instead: negative values, -0, nan
-    and inf, subnormals and exponents of 100 or more. Both paths give
-    the same text; ``%`` is the exact one for those values.
+    plain is written by the ``%`` line instead, on the row's Python
+    floats: negative values, -0, nan and inf, subnormals and exponents of
+    100 or more. Both paths give the same text; ``%`` is the exact one
+    for those values.
     """
+    table = result.table
     width = len(result.columns)
     # "%.11e" writes what format(v, ".11e") writes: CPython's correctly
     # rounded repr digits, round-half-even on exact ties
@@ -212,10 +222,8 @@ def csv_text(result: SweepResult) -> str:
     step = max(1, _CSV_BLOCK // width)
     size = width * _CSV_FIELD
     parts = []
-    for start in range(0, len(result.rows), step):
-        block = result.rows[start:start + step]
-        values = np.fromiter(itertools.chain.from_iterable(block), float,
-                             len(block) * width).reshape(len(block), width)
+    for start in range(0, len(table), step):
+        values = table[start:start + step]
         plain, near, fields = _csv_fields(values)
         near &= plain[:, None]
         if near.any():
@@ -224,7 +232,8 @@ def csv_text(result: SweepResult) -> str:
         text = memoryview(fields.reshape(-1))
         done = 0
         for i in np.flatnonzero(~plain).tolist():
-            parts += [text[done * size:i * size], (row_format % tuple(block[i])).encode()]
+            parts += [text[done * size:i * size],
+                      (row_format % tuple(values[i].tolist())).encode()]
             done = i + 1
         parts.append(text[done * size:])
     return ",".join(result.columns) + "\n" + b"".join(parts).decode("ascii")
@@ -384,19 +393,14 @@ def _nominal_point(runner):
     return wrapper
 
 
-def _finite(columns: Sequence[str], row: Sequence[float]) -> tuple[float, ...]:
-    "The row as a tuple; ValueError naming the first column that is not finite."
+def _finite(columns: Sequence[str], row: Sequence[float]) -> None:
+    "ValueError naming the first column of ``row`` that is not finite."
     if not all(map(math.isfinite, row)):
         name, v = next((n, v) for n, v in zip(columns, row) if not math.isfinite(v))
         raise ValueError(
             f"{name} = {v!r}: the link budget is beyond the floating-point "
             "range of the formulas"
         )
-    return tuple(row)
-
-
-def _point_value(value: float | None) -> float:
-    return 0.0 if value is None else float(value)
 
 
 def _stats(scenario: Scenario, geom, users):
@@ -750,55 +754,60 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
     kind = _KINDS[command]
     variable, points = _sweep_points(scenario)
     try:
-        columns, rows, violations = _table(scenario, kind, variable, points, verify)
+        columns, table, violations = _table(scenario, kind, variable, points, verify)
     except ValueError as exc:
         raise _first_failure(scenario, kind, variable, points, verify, exc) from None
-    return SweepResult(
-        columns,
-        tuple(rows),
-        _provenance(scenario, command, verify),
-        tuple(violations),
-    )
+    return SweepResult(columns, table, _provenance(scenario, command, verify),
+                       tuple(violations))
 
 
 def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool):
-    """The columns, rows and violations of the sweep ``points``.
+    """The columns, the (points, columns) float64 table and the violations
+    of the sweep ``points``.
 
-    Each formula is evaluated once, on the arrays of all points, and
-    each verification check once per point. Raises ValueError if a point
-    fails: the error of the point, when there is one.
+    The first column is the points, 0 for a run without a sweep. Each
+    formula is evaluated once, on the arrays of all points, into its
+    column; a float, which the points share, fills its column. Under
+    verification each check runs once per point, on the Python floats of
+    its row, and writes its oracle and verify_ok into that row. Raises
+    ValueError if a point fails: the error of the point, when there is
+    one.
     """
     values = points[0] if len(points) == 1 else np.array(points)
     geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, values)
     link = mac_cfg if kind.uplink else bc_cfg
     stats = _stats(scenario, geom, users)
-    table = [[_point_value(x) for x in points], *stats, *kind.formulas(*stats, link)]
+    formulas = [*stats, *kind.formulas(*stats, link)]
     if kind.limit is not None:
-        table.append(kind.limit(geom, users, link, scenario.channel_model))
+        formulas.append(kind.limit(geom, users, link, scenario.channel_model))
     columns = (variable, "g1", "g2", "ccf", *kind.columns)
-    # a value the points share is one float in every row
-    rows = list(zip(*(np.asarray(column).tolist() if np.ndim(column) else
-                      [float(column)] * len(points) for column in table)))
-    finite = np.ones(len(points), dtype=bool)
-    for column in table:
-        finite &= np.isfinite(column)
+    width = len(columns)
+    checked = len(kind.oracle_columns) + 1 if verify else 0
+    table = np.empty((len(points), width + checked))
+    table[:, 0] = 0.0 if values is None else values
+    for k, column in enumerate(formulas, 1):
+        table[:, k] = column
+    finite = np.isfinite(table[:, :width]).all(axis=1)
     if not finite.all():
-        _finite(columns, rows[int(np.flatnonzero(~finite)[0])])
+        _finite(columns, table[finite.argmin(), :width].tolist())
     violations: list[str] = []
     if verify:
         columns += (*(name for name, _ in kind.oracle_columns), "verify_ok")
-        for i, (x, row) in enumerate(zip(points, rows)):
+        for i, x in enumerate(points):
             geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, x)
             _check_verify_size(geom)
             pair = pair_sum_oracle(geom, users[0], users[1], scenario.channel_model.lower())
+            row = table[i, :width].tolist()
             checks = kind.verify(scenario, geom, users, mac_cfg if kind.uplink else bc_cfg,
                                  row[1:4], row[4:], pair)
-            oracles = [getattr(check, field)
-                       for (_, field), check in zip(kind.oracle_columns, checks)]
-            rows[i] = _finite(columns, (*row, *oracles, float(all(c.ok for c in checks))))
+            row += [getattr(check, field)
+                    for (_, field), check in zip(kind.oracle_columns, checks)]
+            row.append(float(all(c.ok for c in checks)))
+            _finite(columns, row)
+            table[i, width:] = row[width:]
             violations += [_violation(variable, row[0], check)
                            for check in checks if not check.ok]
-    return columns, rows, violations
+    return columns, table, violations
 
 
 def _first_failure(
@@ -892,12 +901,12 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     else:
         _finite(("c_bc",), (bc_capacity_two_user(g1, g2, rho, scenario.bc_cfg),))
         region = bc_region_two_user(g1, g2, rho, scenario.bc_cfg)
-    rows = tuple(
-        (float(i), v.r1, v.r2) for i, v in enumerate(region.vertices)
-    )
+    vertices = region.vertices
+    table = np.column_stack([np.arange(len(vertices), dtype=float),
+                             [v.r1 for v in vertices], [v.r2 for v in vertices]])
     return SweepResult(
         ("vertex", "r1", "r2"),
-        rows,
+        table,
         _provenance(replace(scenario, sweep=None), f"region {key}", False),
     )
 
@@ -968,14 +977,15 @@ def reproduce(preset: str) -> SweepResult:
     xs = runs["C_nf_dd"].column(variable)
     tables = [run.column(_KINDS[kind].columns[0]) for run in runs.values()]
     if variable == "m_per_axis":
-        columns[0], xs = "M", [float(int(m) ** 2) for m in xs]
+        # M = m^2 is exact in float64 for every m below 2^26
+        columns[0], xs = "M", xs * xs
         columns.append("C_asym")
         tables.append(runs["C_nf_dd"].column("c_asym"))
     provenance = _provenance(base, f"reproduce {preset}", False) + (
         f"preset = {preset}: link.model NF and FF, user2 as above (dd) "
         "and at user1's angles (sd)\n"
     )
-    return SweepResult(tuple(columns), tuple(zip(xs, *tables)), provenance)
+    return SweepResult(tuple(columns), np.column_stack([xs, *tables]), provenance)
 
 
 # ---------------------------------------------------------------------------

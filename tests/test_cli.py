@@ -92,6 +92,27 @@ def test_quadrature_nodes_must_be_at_least_two(tmp_path, capsys):
         "", "error: [link] quadrature_nodes must be at least 2, got 1\n")
 
 
+@pytest.mark.parametrize(("args", "body", "line"), [
+    (["--quadrature-T", "1"], "", "error: --quadrature-T must be at least 2, got 1\n"),
+    ([], "[link]\nquadrature_nodes = 1\n",
+     "error: [link] quadrature_nodes must be at least 2, got 1\n"),
+], ids=["flag", "key"])
+def test_quadrature_bound_names_the_flag_or_the_key(tmp_path, capsys, args, body, line):
+    path = tmp_path / "nodes.ini"
+    path.write_text(body)
+    assert main(["channel", "--config", str(path), *args]) == 2
+    assert capsys.readouterr() == ("", line)
+
+
+def test_zero_element_side_exits_two_naming_it(tmp_path, capsys):
+    "A side of 0 is refused like any other side that is not positive."
+    path = tmp_path / "side.ini"
+    path.write_text("[array]\nelement_side_m = 0\n")
+    assert main(["channel", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: [array]: element_side must be finite and positive, got 0.0\n")
+
+
 def test_verify_subcommand_passes_on_small_array(tmp_path, capsys):
     path = tmp_path / "small.ini"
     path.write_text("[array]\nm_per_axis = 17\n")

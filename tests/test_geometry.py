@@ -53,6 +53,15 @@ def test_geometry_rejects_overlapping_elements():
         )
 
 
+def test_geometry_defaults_only_an_unset_element_side():
+    lam = 0.125
+    geom = ArrayGeometry.from_frequency(m_x=3, m_z=3, frequency_hz=SPEED_OF_LIGHT / lam)
+    assert type(geom.element_side) is float
+    assert geom.element_side == lam / math.sqrt(4 * math.pi)
+    with pytest.raises(ValueError, match="element_side must be finite and positive"):
+        ArrayGeometry(m_x=3, m_z=3, pitch_d=lam / 2, wavelength=lam, element_side=0.0)
+
+
 def test_user_location_direction_cosines(user1):
     phi, theta = user1.elevation_phi, user1.azimuth_theta
     assert user1.dir_x == pytest.approx(math.sin(phi) * math.cos(theta), abs=1e-15)

@@ -61,23 +61,24 @@ def _scenario(tmp_path, body):
 
 def test_result_container_validation():
     ok = SweepResult(
-        columns=("x", "y"), rows=((1.0, 2.0), (3.0, 4.0)), provenance="p"
+        columns=("x", "y"), table=np.array([(1.0, 2.0), (3.0, 4.0)]), provenance="p"
     )
-    assert ok.column("y") == (2.0, 4.0)
+    assert ok.column("y").tolist() == [2.0, 4.0]
+    assert not ok.table.flags.writeable
     with pytest.raises(ValueError):
         ok.column("z")
     with pytest.raises(ValueError):
-        SweepResult(columns=(), rows=(), provenance="p")
+        SweepResult(columns=(), table=np.empty((0, 0)), provenance="p")
     with pytest.raises(ValueError):
-        SweepResult(columns=("x",), rows=((1.0, 2.0),), provenance="p")
+        SweepResult(columns=("x",), table=np.array([(1.0, 2.0)]), provenance="p")
     with pytest.raises(ValueError):
-        SweepResult(columns=("x",), rows=((2.0,), (1.0,)), provenance="p")
+        SweepResult(columns=("x",), table=np.array([(2.0,), (1.0,)]), provenance="p")
 
 
 def test_emit_csv_writes_data_and_sidecar(tmp_path):
     res = SweepResult(
         columns=("a", "b"),
-        rows=((1.0, 0.5), (2.0, 0.25)),
+        table=np.array([(1.0, 0.5), (2.0, 0.25)]),
         provenance="tool = test\n",
     )
     out = tmp_path / "res.csv"
@@ -88,7 +89,7 @@ def test_emit_csv_writes_data_and_sidecar(tmp_path):
     assert len(lines) == 3
     assert text.endswith("\n")
     assert (tmp_path / "res.csv.provenance.txt").read_text() == "tool = test\n"
-    empty = SweepResult(columns=("a",), rows=(), provenance="p\n")
+    empty = SweepResult(columns=("a",), table=np.empty((0, 1)), provenance="p\n")
     emit_csv(empty, str(tmp_path / "empty.csv"))
     assert (tmp_path / "empty.csv").read_text() == "a\n"
 
@@ -100,7 +101,7 @@ def test_csv_text_formats_each_value_as_format_e11():
         (-0.0, 5e-324, 1.7976931348623157e308, np.float64(0.1), 3.0),
         (np.float64(2.0), -7.0, 1e22, np.float64(-2.5e-300), 5.96759163094e-09),
     )
-    res = SweepResult(columns=("a", "b", "c", "d", "e"), rows=rows, provenance="p")
+    res = SweepResult(columns=("a", "b", "c", "d", "e"), table=np.array(rows), provenance="p")
     expected = ["a,b,c,d,e"] + [",".join(format(v, ".11e") for v in row) for row in rows]
     assert csv_text(res) == "\n".join(expected) + "\n"
     assert csv_text(res).splitlines()[1].startswith("-0.00000000000e+00,4.94065645841e-324,")
@@ -120,7 +121,8 @@ def _csv_table(values, width):
     values = [float(v) for v in values] + [1.0] * (-len(values) % width)
     rows = [tuple(values[i:i + width]) for i in range(0, len(values), width)]
     rows.sort(key=lambda row: (math.isnan(row[0]), row[0]))
-    return SweepResult(tuple(f"c{k}" for k in range(width)), tuple(rows), "p")
+    return SweepResult(tuple(f"c{k}" for k in range(width)),
+                       np.array(rows).reshape(-1, width), "p")
 
 
 def _around(values):
@@ -318,7 +320,7 @@ def test_sweep_over_array_size(tmp_path):
         "[sweep]\nvariable = m_per_axis\nvalues = 9 33\ntarget = mac\n",
     )
     res = run_sweep(scn)
-    assert res.column("m_per_axis") == (9.0, 33.0)
+    assert res.column("m_per_axis").tolist() == [9.0, 33.0]
     caps = res.column("c_mac")
     assert caps[1] > caps[0]
     gains = res.column("g1")
@@ -331,7 +333,7 @@ def test_sweep_target_dispatch(tmp_path):
         "[sweep]\nvariable = snr_db\nvalues = 0 30\ntarget = channel\n",
     )
     res = run_sweep(scn)
-    assert res.column("snr_db") == (0.0, 30.0)
+    assert res.column("snr_db").tolist() == [0.0, 30.0]
     g1 = res.column("g1")
     assert g1[0] == pytest.approx(g1[1], rel=1e-15)
 
@@ -468,11 +470,54 @@ def test_link_budget_sweep_evaluates_its_channel_once(
         tmp_path, f"[sweep]\nvariable = {variable}\nvalues = {text}\ntarget = {target}\n"
     ))
     assert len(quadrature_calls) == 1
-    assert swept.column(variable) == tuple(values)
+    assert swept.column(variable).tolist() == values
     for value, row in zip(values, swept.rows):
         single = runner(_scenario(tmp_path, f"[link]\n{variable} = {value!r}\n"))
         assert row[1:] == single.rows[0][1:]
     assert len(quadrature_calls) == 1 + len(values)
+
+
+# per target: the swept variable, the section and key that set it at
+# one point, and two points; each scenario is NF or FF on a 9 x 9 array
+_VERIFY_SWEEPS = {
+    "channel": ("r2_m", ("user2", "range_m"), (4.0, 7.0)),
+    "mac": ("snr_db", ("link", "snr_db"), (0.0, 20.0)),
+    "bc": ("power_db", ("link", "power_db"), (10.0, 30.0)),
+    "mc": ("m_per_axis", ("array", "m_per_axis"), (5, 9)),
+}
+
+
+_RUNNERS = {"channel": run_channel, "mac": run_mac, "bc": run_bc, "mc": run_mc}
+
+
+def _ini(sections):
+    "INI text of {section: {key: value}}."
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@pytest.mark.parametrize("model", ["nf", "ff"])
+@pytest.mark.parametrize("target", list(_VERIFY_SWEEPS))
+def test_verified_sweep_rows_are_the_verified_points(tmp_path, target, model):
+    """Each row of a --verify sweep, its oracle columns and verify_ok
+    included, is the verified row of its point alone; ``rows`` is the
+    table as tuples of Python floats."""
+    variable, (section, key), values = _VERIFY_SWEEPS[target]
+    base = {"array": {"m_per_axis": 9}, "link": {"model": model}}
+    swept = run_sweep(_scenario(tmp_path, _ini({**base, "sweep": {
+        "variable": variable, "values": " ".join(map(str, values)), "target": target}})),
+        verify=True)
+    assert swept.columns[-1] == "verify_ok"
+    assert swept.table.dtype == np.float64
+    assert swept.table.shape == (len(values), len(swept.columns))
+    assert swept.rows == tuple(tuple(row) for row in swept.table.tolist())
+    assert all(type(v) is float for row in swept.rows for v in row)
+    for value, row in zip(values, swept.rows):
+        point = {**base, section: {**base.get(section, {}), key: value}}
+        single = _RUNNERS[target](_scenario(tmp_path, _ini(point)), verify=True)
+        assert single.columns[1:] == swept.columns[1:]
+        assert row[0] == value
+        assert row[1:] == single.rows[0][1:]
 
 
 def test_range_sweep_evaluates_every_channel(tmp_path, quadrature_calls):
@@ -682,7 +727,7 @@ def test_channel_verify_gates_the_element_sum_correlation(tmp_path, monkeypatch,
             patch.setattr(sweeps, "nf_ccf_batch", off)
             res = run_channel(load_scenario(str(path)), verify=True)
             assert main(["channel", "--verify", "--config", str(path)]) == 3
-        assert res.column("verify_ok") == (0.0,) * points
+        assert res.column("verify_ok").tolist() == [0.0] * points
         assert len(res.violations) == points
         assert all("ccf: closed" in v and "relative plus rounding" in v
                    for v in res.violations)
