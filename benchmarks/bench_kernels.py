@@ -29,6 +29,10 @@ sweep stats 65 x200`` row the statistics of that sweep as its runner
 takes them (``sweeps._stats``): the range guard, both gains and the one
 correlation call. The "per eval" of the r2 rows is per channel and rule
 node or element.
+The two ``nf_ccf_batch 1 channel`` rows time the fixed cost of one
+kernel call, which every -vs-M array size and every single-point command
+pays: one channel of the reference users, as the 3x3 element sum and as
+the T=2 rule at 551x551.
 The four ``ff sweep 2500`` rows time one FF run of the default scenario
 (65x65) over 2500 points of each swept variable, with the target the FF
 sweeps of the benchmark give it: array side (channel), SNR (mac), power
@@ -142,7 +146,7 @@ def _r2_sweep_rows():
     grid = tuple(np.linspace(2.0, 20.0, 200).tolist())
     near = [replace(u2, range_r=r) for r in grid]
     sweep = replace(base, sweep=SweepSpec("r2_m", grid, "mc"))
-    swept = sweeps._swept(sweep, "r2_m", np.array(grid))[:2]
+    geom_65, (u1_65, u2_65) = sweeps._swept(sweep, "r2_m", np.array(grid))[:2]
     return [
         *[(f"r2 sweep ccf {side} x{len(seconds)} {label}", func,
            (geom, u1, seconds, nodes), len(seconds) * nodes**2)
@@ -150,8 +154,18 @@ def _r2_sweep_rows():
         (f"r2 sweep ccf {small.m_x} x{len(near)} batched", nf_ccf_batch,
          (small, u1, near), len(near) * small.m_total),
         (f"r2 sweep stats {small.m_x} x{len(grid)}", sweeps._stats,
-         (sweep, *swept), len(grid) * small.m_total),
+         (sweep, geom_65, u1_65, [u2_65]), len(grid) * small.m_total),
     ]
+
+
+def _one_channel_rows():
+    "One nf_ccf_batch call of the reference pair: the element sum at 3x3, T=2 at 551x551."
+    rows = []
+    for m, label, nodes in ((3, "elements", None), (551, "T=2", 2)):
+        geom, (u1, u2) = _reference_pair(m)
+        rows.append((f"nf_ccf_batch 1 channel {m}x{m} {label}", nf_ccf_batch,
+                     (geom, u1, [u2], nodes), None))
+    return rows
 
 
 FF_SWEEP_POINTS = 2500
@@ -225,6 +239,7 @@ def _workloads():
         *[(f"logdet_capacity_oracle {m}x{m}", logdet_capacity_oracle, _logdet_args(m),
            None) for m in (33, 65)],
         *_element_oracle_rows(),
+        *_one_channel_rows(),
         *_r2_sweep_rows(),
         *_ff_sweep_rows(),
         *_csv_rows(),

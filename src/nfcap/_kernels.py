@@ -86,8 +86,7 @@ def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
 def ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, seconds) -> list[complex]:
     """:func:`ccf_quadrature_sum` of user 1 with each second user
     ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass."""
-    re, im = _ccf_sums(x, z, w, w, r1, k0, px1, oz1, seconds, False)
-    return [complex(a, b) for a, b in zip(re.tolist(), im.tolist())]
+    return [complex(re, im) for re, im in _ccf_sums(x, z, w, r1, k0, px1, oz1, seconds)]
 
 
 def ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds
@@ -99,12 +98,12 @@ def ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds
     NF channel vectors."""
     x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
     z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
-    sums = _ccf_sums(x, z, np.ones(m_x), np.ones(m_z), r1, k0, px1, oz1, seconds, True)
-    return [(complex(re, im), n1, n2) for re, im, n1, n2 in zip(*(s.tolist() for s in sums))]
+    sums = _ccf_sums(x, z, None, r1, k0, px1, oz1, seconds)
+    return [(complex(re, im), n1, n2) for re, im, n1, n2 in sums]
 
 
 def _aligned_planes(count, rows, cols):
-    """``count`` float64 work planes of shape (rows, cols), each starting
+    """A (count, rows, cols) float64 array of work planes, each starting
     on a 64-byte (cache line) boundary.
 
     malloc aligns to 16 bytes only, so where a temporary starts within a
@@ -116,14 +115,15 @@ def _aligned_planes(count, rows, cols):
     size = -(-rows * cols // 8) * 8
     buf = np.empty(count * size + 8)
     first = (-buf.ctypes.data % 64) // 8
-    return [buf[first + k * size:first + k * size + rows * cols].reshape(rows, cols)
-            for k in range(count)]
+    planes = buf[first:first + count * size].reshape(count, size)[:, :rows * cols]
+    return planes.reshape(count, rows, cols)
 
 
-def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
-    """Arrays over the second users (ups, r2, px2, oz2) of ``seconds``:
-    the real and imaginary parts of S and, with ``norms`` (unit weights
-    only), the sums N1 and N2 of Q1^{-3/2} and Q2^{-3/2}.
+def _ccf_sums(x, z, w, r1, k0, px1, oz1, seconds):
+    """For each second user (ups, r2, px2, oz2) of ``seconds``, a tuple of
+    Python floats: the real and imaginary parts of S with the weights
+    ``w`` on both x and z or, with ``w`` None, with unit weights, and
+    then also the sums N1 and N2 of Q1^{-3/2} and Q2^{-3/2}.
 
     Real arithmetic on (rows, T) planes, x down the rows and z along the
     columns, block by block of rows of x. With rho = r2 / r1, user 2
@@ -142,7 +142,8 @@ def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
     sin 2h = 2t / (1 + t^2): numpy's vectorised tangent costs about 2.5
     ns an element where its float64 cos and sin cost about 20 and 13 ns
     at these arguments. t^2 cannot overflow: at the double nearest pi/2,
-    t is about 1.6e16. With a1 = wx wz Q1^{-3/4}, user 1's plane, and
+    t is about 1.6e16. With a1 = w(x) w(z) Q1^{-3/4}, user 1's plane
+    (1 / Q1^{3/4} with unit weights), and
     g = Q2'^{-3/4} / (1 + t^2), Re S = rho^{3/2} sum a1 (1 - t^2) g and
     Im S = 2 rho^{3/2} sum a1 t g. Each sum is one ``np.einsum``, not
     ``np.vdot``: OpenBLAS threads its dot product above 10000 terms, and
@@ -163,15 +164,17 @@ def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
     """
     cols = len(z)
     rows = min(max(1, _QUAD_BLOCK_NODES // cols), len(x))
-    q2s, phases, scales = _coefficients(r1, k0, px1, oz1, seconds)
-    count = len(q2s)
+    coef, scales = _coefficients(r1, k0, px1, oz1, seconds)
+    count = len(scales)
+    norms = w is None
     group = max(1, min(_GROUP_NODES // (rows * cols), count))
     # user 1's two planes take their first rows only: the pages past
     # them are never touched
-    s1, a1, *planes = _aligned_planes(6, group * rows, cols)
+    work = _aligned_planes(6, group * rows, cols)
+    s1, a1, planes = work[0], work[1], work[2:]
     # Q1 = (x^2 + z^2) - 2 px1 x - 2 oz1 z + 1, then each channel's Q2'
     # and then its half phase, as (a, b, c, d) of a (x^2 + z^2) - b x - c z + d
-    a, b, c, d = np.concatenate([[(1.0, 2 * px1, 2 * oz1, 1.0)], q2s, phases]).T[..., None, None]
+    a, b, c, d = coef.T[..., None, None]
     row = a * z * z - c * z  # (1 + 2 count, 1, T)
     totals = np.zeros((4 if norms else 2, count))
     sums = np.empty_like(totals)
@@ -179,15 +182,17 @@ def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
         X = x[start:start + rows, None]
         n = len(X)
         col = a * X * X - b * X + d  # (1 + 2 count, rows, 1)
-        s1b, a1b, w1 = s1[:n], a1[:n], planes[0][:n]
+        s1b, a1b, w1 = s1[:n], a1[:n], planes[0, :n]
         np.sqrt(np.add(col[0], row[0], out=s1b), out=s1b)
-        np.multiply(wx[start:start + rows, None], wz, out=w1)
-        np.divide(w1, _three_quarters(s1b, a1b), out=a1b)
         if norms:
+            np.reciprocal(_three_quarters(s1b, a1b), out=a1b)
             sums[2] = np.einsum("ij,ij->", a1b, a1b)
+        else:
+            np.multiply(w[start:start + rows, None], w, out=w1)
+            np.divide(w1, _three_quarters(s1b, a1b), out=a1b)
         for first in range(0, count, group):
             k = min(group, count - first)
-            s2, t, g, re = (p[:k * n].reshape(k, n, cols) for p in planes)
+            s2, t, g, re = planes[:, :k * n].reshape(4, k, n, cols)
             q2 = slice(1 + first, 1 + first + k)
             phase = slice(1 + count + first, 1 + count + first + k)
             np.sqrt(np.add(col[q2], row[q2], out=s2), out=s2)
@@ -207,34 +212,51 @@ def _ccf_sums(x, z, wx, wz, r1, k0, px1, oz1, seconds, norms):
             sums[0, at] = [np.einsum("ij,ij->", a1b, rc) for rc in re]
             sums[1, at] = [np.einsum("ij,ij->", a1b, gc) for gc in g]
         totals += sums
-    s_re, s_im, *norm = totals
-    return (scales * s_re, scales * 2 * s_im, *norm[:1], *(n * scales * scales for n in norm[1:]))
+    # scaled in Python floats: the bits of the same float64 products
+    sums = zip(scales.tolist(), *totals.tolist())
+    if norms:
+        return [(s * re, s * 2 * im, n1, n2 * s * s) for s, re, im, n1, n2 in sums]
+    return [(s * re, s * 2 * im) for s, re, im in sums]
 
 
 def _coefficients(r1, k0, px1, oz1, seconds):
-    """Per second user (ups, r2, px2, oz2): the coefficients (a, b, c, d)
-    of Q2' = rho^2 Q2 and of k0 r1 (Q1 - Q2') / 2, each
-    a (x^2 + z^2) - b x - c z + d, and rho^{3/2}, with rho = r2 / r1.
+    """The (1 + 2 count, 4) coefficients (a, b, c, d) of user 1's Q1, then
+    of each second user's (ups, r2, px2, oz2) Q2' = rho^2 Q2, then of its
+    k0 r1 (Q1 - Q2') / 2, each a (x^2 + z^2) - b x - c z + d, and each
+    second user's rho^{3/2}, with rho = r2 / r1.
 
-    They are taken in long double and rounded once to float64. On two
-    200-point r2 sweeps at 65x65 that puts rho up to 8.2e-12 and 1.2e-11
-    relative from a long-double evaluation of the sums (medians 1.6e-12);
-    rounded step by step in float64, the coefficients put it up to
-    1.4e-11 and 3.3e-11 from it (medians 1.4e-12). rho ups is
-    1 + O(1e-16), so 1 - (rho ups)^2, the x^2 + z^2 term of Q1 - Q2', is
-    kept to about 1e-3 of itself.
+    They are taken in long double, in one array, and rounded once to
+    float64. On two 200-point r2 sweeps at 65x65 that puts rho up to
+    8.2e-12 and 1.2e-11 relative from a long-double evaluation of the
+    sums (medians 1.6e-12); rounded step by step in float64, the
+    coefficients put it up to 1.4e-11 and 3.3e-11 from it (medians
+    1.4e-12). rho ups is 1 + O(1e-16), so 1 - (rho ups)^2, the x^2 + z^2
+    term of Q1 - Q2', is kept to about 1e-3 of itself.
     Co-located users give Q2' = Q1 and no phase exactly.
     """
     ld = np.longdouble
-    ups, r2, px2, oz2 = np.array(seconds, dtype=ld).reshape(-1, 4).T
-    rho = r2 / ld(r1)
-    a = rho * ups * (rho * ups)
-    b = 2 * rho * rho * ups
-    half = ld(k0) * ld(r1) / 2
-    q2s = np.stack([a, b * px2, b * oz2, rho * rho], axis=1)
-    phases = half * np.stack([1 - a, 2 * ld(px1) - b * px2, 2 * ld(oz1) - b * oz2,
-                              1 - rho * rho], axis=1)
-    return q2s.astype(float), phases.astype(float), (rho * np.sqrt(rho)).astype(float)
+    values = np.array(seconds, dtype=ld).reshape(-1, 4).T
+    ups, r2, sides = values[0], values[1], values[2:]
+    count = len(r2)
+    split = 4 + 8 * count
+    out = np.empty(split + count, dtype=ld)
+    coef, rho = out[:split].reshape(-1, 4), out[split:]
+    q2, phase = coef[1:1 + count].T, coef[1 + count:].T
+    np.divide(r2, r1, out=rho)
+    coef[0] = 1.0, 2 * px1, 2 * oz1, 1.0
+    np.multiply(rho, ups, out=q2[0])
+    q2[0] *= q2[0]
+    np.multiply(rho, rho, out=q2[3])
+    # 2 rho rho ups: doubling is exact, so (2 rho) rho = 2 (rho rho)
+    b = 2 * q2[3]
+    b *= ups
+    np.multiply(b, sides, out=q2[1:3])
+    np.subtract(1.0, q2, out=phase)
+    np.subtract(coef[0, 1:3, None], q2[1:3], out=phase[1:3])
+    phase *= ld(k0) * ld(r1) / 2
+    rho *= np.sqrt(rho)
+    out = out.astype(float)
+    return out[:split].reshape(-1, 4), out[split:]
 
 
 def _three_quarters(root, out):

@@ -219,9 +219,51 @@ def _integer(text: str) -> int:
         raise ValueError(f"cannot parse {text!r} as an integer") from None
 
 
+def _positive(text: str) -> float:
+    "A finite number above 0."
+    return _checks.checked(_number(text), lambda v: math.isfinite(v) and v > 0.0,
+                           "must be finite and positive")
+
+
+def _odd(text: str) -> int:
+    "An odd positive integer: an element count along one axis."
+    m = _integer(text)
+    if m < 1:
+        raise ValueError(f"must be a positive integer, got {m!r}")
+    if m % 2 == 0:
+        raise ValueError(f"must be odd (symmetric index set), got {m}")
+    return m
+
+
+def _frequency(text: str) -> float:
+    "A carrier frequency in Hz whose wavelength is finite."
+    frequency = _positive(text)
+    if math.isinf(SPEED_OF_LIGHT / frequency):
+        raise ValueError(f"must give a finite wavelength, got {frequency}")
+    return frequency
+
+
+def _angle(text: str) -> float:
+    "An angle in the open interval (0, pi): a number of radians or a fraction of pi."
+    return _checks.checked(parse_angle(text), lambda a: 0.0 < a < math.pi,
+                           "must lie in the open interval (0, pi)")
+
+
 def _db(text: str) -> float:
-    "A dB value, returned as its linear ratio."
-    return db_to_linear(_number(text))
+    "A dB value below inf, -inf included, returned as its linear ratio."
+    value = _number(text)
+    if not value < math.inf:
+        raise ValueError(f"must be a number of dB below inf, got {value}")
+    return db_to_linear(value)
+
+
+def _power_db(text: str) -> float:
+    "A dB value whose linear ratio, which is returned, is above 0."
+    power = _db(text)
+    if power == 0.0:
+        raise ValueError(
+            f"{_number(text)!r} dB underflows to a power of 0 (at least about -3236 dB)")
+    return power
 
 
 def _values(text: str) -> tuple[float, ...]:
@@ -275,43 +317,42 @@ def default_scenario() -> Scenario:
 def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     _reject_unknown_keys(cp)
 
-    frequency = _get(cp, "array", "frequency_hz", "2.4e9", _number)
-    try:
-        _checks.positive("frequency_hz", frequency)
-    except ValueError as exc:
-        raise ScenarioError(f"[array] {exc}") from None
+    frequency = _get(cp, "array", "frequency_hz", "2.4e9", _frequency)
     wavelength = SPEED_OF_LIGHT / frequency
 
     if cp.has_option("array", "m_per_axis") and (
         cp.has_option("array", "m_x") or cp.has_option("array", "m_z")
     ):
         raise ScenarioError("[array] m_per_axis conflicts with explicit m_x/m_z")
-    m_axis = _get(cp, "array", "m_per_axis", "65", _integer)
-    m_x = _get(cp, "array", "m_x", str(m_axis), _integer)
-    m_z = _get(cp, "array", "m_z", str(m_axis), _integer)
-    pitch = _get(cp, "array", "pitch_m", repr(wavelength / 2.0), _number)
+    m_axis = _get(cp, "array", "m_per_axis", "65", _odd)
+    m_x = _get(cp, "array", "m_x", str(m_axis), _odd)
+    m_z = _get(cp, "array", "m_z", str(m_axis), _odd)
+    pitch = _get(cp, "array", "pitch_m", repr(wavelength / 2.0), _positive)
     # unset, the side is the array's default
-    side = (_get(cp, "array", "element_side_m", "", _number)
+    side = (_get(cp, "array", "element_side_m", "", _positive)
             if cp.has_option("array", "element_side_m") else None)
     try:
         geometry = ArrayGeometry(
             m_x=m_x, m_z=m_z, pitch_d=pitch, wavelength=wavelength, element_side=side
         )
     except ValueError as exc:
-        raise ScenarioError(f"[array]: {exc}") from None
+        # every key is checked as it is read; left is a side wider than
+        # the pitch, named by the side where the file sets it
+        key = "pitch_m" if side is None else "element_side_m"
+        raise ScenarioError(f"[array] {key}: {exc}") from None
 
     model = _get(cp, "link", "model", "nf").upper()
     if model not in ("NF", "FF"):
         raise ScenarioError(f"[link] model must be 'nf' or 'ff', got {model!r}")
     snr = _get(cp, "link", "snr_db", "30", _db)
-    power = _get(cp, "link", "power_db", "30", _db)
-    noise1 = _get(cp, "link", "noise_var1", "1.0", _number)
-    noise2 = _get(cp, "link", "noise_var2", "1.0", _number)
+    power = _get(cp, "link", "power_db", "30", _power_db)
+    noise1 = _get(cp, "link", "noise_var1", "1.0", _positive)
+    noise2 = _get(cp, "link", "noise_var2", "1.0", _positive)
     nodes = _get(cp, "link", "quadrature_nodes", "200", _integer)
 
-    r1 = _get(cp, "user1", "range_m", "10.0", _number)
-    az1 = _get(cp, "user1", "azimuth", "pi/3", parse_angle)
-    el1 = _get(cp, "user1", "elevation", "2pi/3", parse_angle)
+    r1 = _get(cp, "user1", "range_m", "10.0", _positive)
+    az1 = _get(cp, "user1", "azimuth", "pi/3", _angle)
+    el1 = _get(cp, "user1", "elevation", "2pi/3", _angle)
 
     direction = _get(cp, "user2", "direction", "different").lower()
     if direction not in ("same", "different"):
@@ -324,19 +365,21 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         raise ScenarioError(
             "[user2] direction=same conflicts with explicit azimuth/elevation"
         )
-    r2 = _get(cp, "user2", "range_m", "5.0", _number)
+    r2 = _get(cp, "user2", "range_m", "5.0", _positive)
     if direction == "same":
         az2, el2 = az1, el1
     else:
-        az2 = _get(cp, "user2", "azimuth", "2pi/3", parse_angle)
-        el2 = _get(cp, "user2", "elevation", "pi/3", parse_angle)
+        az2 = _get(cp, "user2", "azimuth", "2pi/3", _angle)
+        el2 = _get(cp, "user2", "elevation", "pi/3", _angle)
 
     users = []
     for idx, (r, az, el) in enumerate(((r1, az1, el1), (r2, az2, el2)), start=1):
         try:
             users.append(UserLocation(range_r=r, azimuth_theta=az, elevation_phi=el))
         except ValueError as exc:
-            raise ScenarioError(f"[user{idx}]: {exc}") from None
+            # each key is checked as it is read; left is a direction in
+            # (or too close to) the array plane, set by both angles
+            raise ScenarioError(f"[user{idx}] azimuth, elevation: {exc}") from None
 
     sweep: SweepSpec | None = None
     if cp.has_section("sweep"):
@@ -351,18 +394,12 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         )
 
     try:
-        mac_cfg = MacConfig(snr_per_user=(snr, snr))
-        bc_cfg = BcConfig(total_power_P=power, noise_var_per_user=(noise1, noise2))
-    except ValueError as exc:
-        raise ScenarioError(f"[link]: {exc}") from None
-
-    try:
         return Scenario(
             geometry=geometry,
             users=tuple(users),
             channel_model=model,
-            mac_cfg=mac_cfg,
-            bc_cfg=bc_cfg,
+            mac_cfg=MacConfig(snr_per_user=(snr, snr)),
+            bc_cfg=BcConfig(total_power_P=power, noise_var_per_user=(noise1, noise2)),
             quadrature_nodes=nodes,
             sweep=sweep,
         )

@@ -63,8 +63,8 @@ class ArrayGeometry:
         _checks.positive("element_side", self.element_side)
         if self.pitch_d < self.element_side:
             raise ValueError(
-                f"elements overlap: pitch_d {self.pitch_d} < element side "
-                f"{self.element_side}")
+                f"elements overlap: pitch {self.pitch_d} m < element side "
+                f"{self.element_side} m")
 
     @classmethod
     def from_frequency(cls, m_x: int, m_z: int, frequency_hz: float,

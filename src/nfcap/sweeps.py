@@ -403,10 +403,11 @@ def _finite(columns: Sequence[str], row: Sequence[float]) -> None:
         )
 
 
-def _stats(scenario: Scenario, geom, users):
-    """Gains and correlation (g1, g2, rho) of a run's points on the
-    :func:`_swept` array ``geom`` and ``users``: each a float, or an array
-    of one value per point.
+def _stats(scenario: Scenario, geom, u1: UserLocation, seconds: Sequence[UserLocation]):
+    """Gains and correlation (g1, g2, rho) of user 1 with each second user
+    of ``seconds``, on a run's points: ``geom`` and the users are those of
+    :func:`_swept`, and each statistic is a float, or an array of one
+    value per point.
 
     FF statistics are the closed forms on those arrays. NF gains are the
     paper's closed forms, and the NF correlation is the exact element sum
@@ -414,15 +415,16 @@ def _stats(scenario: Scenario, geom, users):
     the rule otherwise. NF statistics are computed once per distinct
     channel, one unless the array or user 2 moves, in one pass over the
     arrays: per distinct array size, one :func:`nf_ccf_batch` call of
-    user 2 at its distinct ranges (``np.unique``), held by one user, and
-    one gain call per user on the arrays. Each value has the bits of its
-    pair alone. An NF user whose phases round by more than
-    _MAX_PHASE_ROUNDING, or an FF user farther than _MAX_FF_RANGE, is
-    refused, at the first such point, before any sum runs.
+    every second user at its distinct ranges (``np.unique``), held by
+    user 1, and one gain call per user on the arrays. So a preset's dd
+    and sd runs, which share the array and user 1, take one kernel call
+    per array size. Each value has the bits of its pair alone. An NF
+    user whose phases round by more than _MAX_PHASE_ROUNDING, or an FF
+    user farther than _MAX_FF_RANGE, is refused, at the first such point,
+    before any sum runs.
     """
-    u1, u2 = users[:2]
     if scenario.channel_model == "FF":
-        for k, u in enumerate((u1, u2), 1):
+        for k, u in ((1, u1), *((2, u2) for u2 in seconds)):
             far = np.asarray(u.range_r) > _MAX_FF_RANGE
             if far.any():
                 (r,) = _checks.first(far, u.range_r)
@@ -430,23 +432,33 @@ def _stats(scenario: Scenario, geom, users):
                     f"[user{k}] range_m = {r:.3g} is beyond the FF "
                     f"model's numerical range, which ends at {_MAX_FF_RANGE:.3g} m"
                 )
-        return ff_gain_closed(geom, u1), ff_gain_closed(geom, u2), ff_ccf_closed(geom, u1, u2)
-    refusal = _nf_range_refusal(geom, (u1, u2))
-    if refusal:
-        raise ValueError(refusal)
+        g1 = ff_gain_closed(geom, u1)
+        return [(g1, ff_gain_closed(geom, u2), ff_ccf_closed(geom, u1, u2)) for u2 in seconds]
+    for u2 in seconds:
+        refusal = _nf_range_refusal(geom, (u1, u2))
+        if refusal:
+            raise ValueError(refusal)
     nodes = scenario.quadrature_nodes
     sizes, at_size = _distinct(geom.m_x)
-    ranges, at_range = _distinct(u2.range_r)
-    v2 = replace(u2, range_r=ranges) if np.ndim(u2.range_r) else u2
-    rho = np.empty((len(sizes), len(ranges)))
+    ranges = [_distinct(u2.range_r) for u2 in seconds]
+    v2s = [replace(u2, range_r=r) if np.ndim(u2.range_r) else u2
+           for u2, (r, _) in zip(seconds, ranges)]
+    rho = np.empty((len(sizes), sum(len(r) for r, _ in ranges)))
     for row, m in zip(rho, sizes.tolist()):
         g = replace(geom, m_x=int(m), m_z=int(m)) if np.ndim(geom.m_x) else geom
         path = None if _takes_element_sum(g.m_total, nodes) else nodes
-        row[:] = [est.value for est in nf_ccf_batch(g, u1, [v2], path)]
-    stats = (nf_gain_closed(geom, u1), nf_gain_closed(geom, u2), rho[at_size, at_range])
-    if np.ndim(geom.m_x) or np.ndim(u2.range_r):
-        return tuple(np.array(column) for column in np.broadcast_arrays(*stats))
-    return stats[0], stats[1], float(stats[2])
+        row[:] = [est.value for est in nf_ccf_batch(g, u1, v2s, path)]
+    g1, pairs, start = nf_gain_closed(geom, u1), [], 0
+    for u2, (r, at_range) in zip(seconds, ranges):
+        # each second user's columns of rho follow those of the one before
+        stats = (g1, nf_gain_closed(geom, u2), rho[at_size, start + at_range])
+        start += len(r)
+        if np.ndim(geom.m_x) or np.ndim(u2.range_r):
+            stats = tuple(np.array(column) for column in np.broadcast_arrays(*stats))
+        else:
+            stats = (stats[0], stats[1], float(stats[2]))
+        pairs.append(stats)
+    return pairs
 
 
 def _distinct(values):
@@ -763,20 +775,31 @@ def _run(scenario: Scenario, verify: bool, command: str) -> SweepResult:
 
 def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool):
     """The columns, the (points, columns) float64 table and the violations
-    of the sweep ``points``.
+    of the sweep ``points``: the :func:`_stats` of the run's one pair,
+    then :func:`_fill`. Raises ValueError if a point fails: the error of
+    the point, when there is one.
+    """
+    swept = _swept(scenario, variable, points[0] if len(points) == 1 else np.array(points))
+    geom, users = swept[:2]
+    (stats,) = _stats(scenario, geom, users[0], users[1:2])
+    return _fill(scenario, kind, variable, points, verify, swept, stats)
+
+
+def _fill(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool,
+          swept, stats):
+    """The columns, table and violations of the sweep ``points``, from its
+    :func:`_swept` ``swept`` and the (g1, g2, rho) ``stats`` of its pair.
 
     The first column is the points, 0 for a run without a sweep. Each
     formula is evaluated once, on the arrays of all points, into its
     column; a float, which the points share, fills its column. Under
     verification each check runs once per point, on the Python floats of
     its row, and writes its oracle and verify_ok into that row. Raises
-    ValueError if a point fails: the error of the point, when there is
-    one.
+    ValueError naming the first column of the first row that is not
+    finite.
     """
-    values = points[0] if len(points) == 1 else np.array(points)
-    geom, users, mac_cfg, bc_cfg = _swept(scenario, variable, values)
+    geom, users, mac_cfg, bc_cfg = swept
     link = mac_cfg if kind.uplink else bc_cfg
-    stats = _stats(scenario, geom, users)
     formulas = [*stats, *kind.formulas(*stats, link)]
     if kind.limit is not None:
         formulas.append(kind.limit(geom, users, link, scenario.channel_model))
@@ -784,7 +807,7 @@ def _table(scenario: Scenario, kind: _Kind, variable: str, points, verify: bool)
     width = len(columns)
     checked = len(kind.oracle_columns) + 1 if verify else 0
     table = np.empty((len(points), width + checked))
-    table[:, 0] = 0.0 if values is None else values
+    table[:, 0] = 0.0 if points[0] is None else points
     for k, column in enumerate(formulas, 1):
         table[:, k] = column
     finite = np.isfinite(table[:, :width]).all(axis=1)
@@ -891,7 +914,8 @@ def run_region(scenario: Scenario, mode: str = "mac") -> SweepResult:
     key = mode.lower()
     if key not in ("mac", "bc"):
         raise ScenarioError(f"region mode must be 'mac' or 'bc', got {mode!r}")
-    g1, g2, rho = _stats(scenario, scenario.geometry, scenario.users)
+    ((g1, g2, rho),) = _stats(scenario, scenario.geometry, scenario.users[0],
+                             scenario.users[1:2])
     # The nominal capacity first, so an overflowing link budget is
     # reported the way `nfcap mac` or `nfcap bc` reports it.
     if key == "mac":
@@ -959,28 +983,41 @@ def reproduce(preset: str) -> SweepResult:
     """Rebuild one of the bundled figure-data tables by name.
 
     A preset is ``default_scenario()`` swept over its grid and run four
-    times through the kind's runner: near field (nf) and far field (ff),
-    each with user 2 in its own direction (dd) and at user 1's angles
-    (sd), as ``direction = same`` places it. The table holds the swept
-    value, each run's capacity as C_<model>_<dd|sd> and, for the -vs-M
-    presets, whose first column is M = m_per_axis^2, the nf dd run's
-    c_asym as C_asym.
+    times through the kind's scaffold: near field (nf) and far field
+    (ff), each with user 2 in its own direction (dd) and at user 1's
+    angles (sd), as ``direction = same`` places it. The two runs of a
+    field model share the array and user 1, so their statistics are one
+    :func:`_stats` call with both second users, for NF one kernel call
+    per array size, and each run's table is filled (:func:`_fill`) from
+    its pair's share: the bits of each run alone. The table holds the
+    swept value, each run's capacity as C_<model>_<dd|sd> and, for the
+    -vs-M presets, whose first column is M = m_per_axis^2, the nf dd
+    run's c_asym as C_asym.
     """
     if preset not in PRESETS:
         raise ScenarioError(
             f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    kind, variable, _, _ = PRESETS[preset]
+    kind = _KINDS[PRESETS[preset][0]]
     base, scenarios = _preset_scenarios(preset)
-    runs = {label: _run(scenario, False, kind) for label, scenario in scenarios.items()}
+    variable, points = _sweep_points(base)
+    xs = np.array(points)
+    runs = {}
+    for model in ("NF", "FF"):
+        labels = [label for label, s in scenarios.items() if s.channel_model == model]
+        swept = [_swept(scenarios[label], variable, xs) for label in labels]
+        geom, (u1, _) = swept[0][:2]
+        stats = _stats(scenarios[labels[0]], geom, u1, [users[1] for _, users, _, _ in swept])
+        for label, run, pair in zip(labels, swept, stats):
+            runs[label] = _fill(scenarios[label], kind, variable, points, False, run, pair)
     columns = [variable, *runs]
-    xs = runs["C_nf_dd"].column(variable)
-    tables = [run.column(_KINDS[kind].columns[0]) for run in runs.values()]
+    tables = [table[:, names.index(kind.columns[0])] for names, table, _ in runs.values()]
     if variable == "m_per_axis":
         # M = m^2 is exact in float64 for every m below 2^26
         columns[0], xs = "M", xs * xs
         columns.append("C_asym")
-        tables.append(runs["C_nf_dd"].column("c_asym"))
+        names, table, _ = runs["C_nf_dd"]
+        tables.append(table[:, names.index("c_asym")])
     provenance = _provenance(base, f"reproduce {preset}", False) + (
         f"preset = {preset}: link.model NF and FF, user2 as above (dd) "
         "and at user1's angles (sd)\n"
@@ -1020,7 +1057,7 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     snrs = list(scenario.mac_cfg.snr_per_user)
     bc_cfg = scenario.bc_cfg
 
-    stats = _stats(scenario, geom, users)
+    (stats,) = _stats(scenario, geom, u1, (u2,))
     vecs, exact = pair_sum_oracle(geom, u1, u2, model.lower())
     checks = _channel_checks(scenario, geom, users, stats, exact)
     # the paper's rule, which the NF sweeps take beyond T^2 elements; an

@@ -110,7 +110,7 @@ def test_zero_element_side_exits_two_naming_it(tmp_path, capsys):
     path.write_text("[array]\nelement_side_m = 0\n")
     assert main(["channel", "--config", str(path)]) == 2
     assert capsys.readouterr() == (
-        "", "error: [array]: element_side must be finite and positive, got 0.0\n")
+        "", "error: [array] element_side_m: must be finite and positive, got 0.0\n")
 
 
 def test_verify_subcommand_passes_on_small_array(tmp_path, capsys):
@@ -311,6 +311,55 @@ def test_bad_typed_value_exits_two_naming_its_key(tmp_path, capsys, section, key
     assert capsys.readouterr() == ("", f"error: [{section}] {key}: {reason}\n")
 
 
+# a value that parses but that its key cannot take, and the one line
+# naming the key that the CLI prints for it
+_BAD_VALUES = [
+    ("array", "m_x", "4", "must be odd (symmetric index set), got 4"),
+    ("array", "m_z", "0", "must be a positive integer, got 0"),
+    ("array", "m_per_axis", "4", "must be odd (symmetric index set), got 4"),
+    ("array", "m_per_axis", "-3", "must be a positive integer, got -3"),
+    ("array", "frequency_hz", "-5", "must be finite and positive, got -5.0"),
+    ("array", "frequency_hz", "1e-310", "must give a finite wavelength, got 1e-310"),
+    ("array", "pitch_m", "-1", "must be finite and positive, got -1.0"),
+    ("array", "pitch_m", "0.01",
+     "elements overlap: pitch 0.01 m < element side 0.03523745458953713 m"),
+    ("array", "element_side_m", "-1", "must be finite and positive, got -1.0"),
+    ("array", "element_side_m", "1",
+     "elements overlap: pitch 0.06245676208333333 m < element side 1.0 m"),
+    ("link", "noise_var1", "0", "must be finite and positive, got 0.0"),
+    ("link", "noise_var2", "inf", "must be finite and positive, got inf"),
+    ("link", "snr_db", "nan", "must be a number of dB below inf, got nan"),
+    ("link", "power_db", "inf", "must be a number of dB below inf, got inf"),
+    ("link", "power_db", "-4000",
+     "-4000.0 dB underflows to a power of 0 (at least about -3236 dB)"),
+    ("user1", "range_m", "-1", "must be finite and positive, got -1.0"),
+    ("user2", "range_m", "0", "must be finite and positive, got 0.0"),
+    ("user1", "azimuth", "0", "must lie in the open interval (0, pi), got 0.0"),
+    ("user2", "elevation", "pi", "must lie in the open interval (0, pi), got 3.141592653589793"),
+]
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "text", "reason"),
+    [pytest.param(*case, id=f"{case[0]} {case[1]}={case[2]}") for case in _BAD_VALUES],
+)
+def test_bad_value_exits_two_naming_its_key(tmp_path, capsys, section, key, text, reason):
+    "A value its key cannot take prints one line, [section] key: reason."
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    assert main(["channel", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: [{section}] {key}: {reason}\n")
+
+
+def test_direction_in_the_array_plane_names_both_angles(tmp_path, capsys):
+    path = tmp_path / "plane.ini"
+    path.write_text("[user1]\nelevation = 1e-10\n")
+    assert main(["channel", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: [user1] azimuth, elevation: user lies in (or too close to) the array "
+        "plane: sin(phi)*sin(theta) = 8.660e-11 <= 1e-9\n"))
+
+
 def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
     path = tmp_path / "inf.ini"
     path.write_text("[sweep]\nvariable = m_per_axis\nvalues = 3 inf\ntarget = channel\n")
@@ -321,14 +370,14 @@ def test_infinite_array_size_sweep_value_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("body", "needle"),
     [
-        ("[array]\nfrequency_hz = nan\n", "[array] frequency_hz must be finite"),
-        ("[array]\nfrequency_hz = inf\n", "[array] frequency_hz must be finite"),
-        ("[array]\npitch_m = nan\n", "[array]: pitch_d must be finite"),
-        ("[array]\npitch_m = inf\n", "[array]: pitch_d must be finite"),
-        ("[array]\nelement_side_m = nan\n", "[array]: element_side must be finite"),
-        ("[user1]\nrange_m = nan\n", "[user1]: range_r must be finite"),
-        ("[user1]\nrange_m = inf\n", "[user1]: range_r must be finite"),
-        ("[user2]\nrange_m = nan\n", "[user2]: range_r must be finite"),
+        ("[array]\nfrequency_hz = nan\n", "[array] frequency_hz: must be finite"),
+        ("[array]\nfrequency_hz = inf\n", "[array] frequency_hz: must be finite"),
+        ("[array]\npitch_m = nan\n", "[array] pitch_m: must be finite"),
+        ("[array]\npitch_m = inf\n", "[array] pitch_m: must be finite"),
+        ("[array]\nelement_side_m = nan\n", "[array] element_side_m: must be finite"),
+        ("[user1]\nrange_m = nan\n", "[user1] range_m: must be finite"),
+        ("[user1]\nrange_m = inf\n", "[user1] range_m: must be finite"),
+        ("[user2]\nrange_m = nan\n", "[user2] range_m: must be finite"),
         ("[sweep]\nvariable = r2_m\nvalues = nan\ntarget = channel\n",
          "at sweep point r2_m=nan: range_r must be finite"),
     ],

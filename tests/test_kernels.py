@@ -73,7 +73,11 @@ def test_ccf_coefficients_round_once_from_the_exact_values():
     r1, k0, px1, oz1 = 10.0, 2 * math.pi / 0.125, 0.43, -0.5
     seconds = [(r1 / r2, r2, px2, oz2) for r2, px2, oz2 in zip(
         rng.uniform(2.0, 20.0, 20), rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.5, 0.5, 20))]
-    q2s, phases, scales = kernels._coefficients(r1, k0, px1, oz1, seconds)
+    coef, scales = kernels._coefficients(r1, k0, px1, oz1, seconds)
+    # user 1's Q1 first, then each channel's Q2', then each one's half phase
+    assert coef[0].tolist() == [1.0, 2 * px1, 2 * oz1, 1.0]
+    q2s, phases = coef[1:1 + len(seconds)], coef[1 + len(seconds):]
+    assert len(phases) == len(scales) == len(seconds)
     half = Fraction(k0) * Fraction(r1) / 2
     for (ups, r2, px2, oz2), q2, phase, scale in zip(seconds, q2s, phases, scales):
         rho = Fraction(r2) / Fraction(r1)

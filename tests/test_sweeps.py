@@ -601,11 +601,33 @@ def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches
 
     batched = rows()
     assert batched[0][1][1][3] == 1.0  # the co-located point
-    # the sweeps, then the two NF runs of the preset; its FF runs take none
-    assert batches == [5, 3, 60, 60]
+    # the sweeps, then the preset's two NF runs in one call; its FF runs take none
+    assert batches == [5, 3, 120]
     _per_pair(monkeypatch)
     assert rows() == batched
-    assert batches == [5, 3, 60, 60]
+    assert batches == [5, 3, 120]
+
+
+def test_m_preset_takes_one_batch_of_both_pairs_per_array_size(batches):
+    "mac-vs-M computes its dd and sd NF correlations in one call per array size."
+    reproduce("mac-vs-M")
+    assert batches == [2] * len(PRESETS["mac-vs-M"][2])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_is_its_runs_alone_with_every_pair_alone(monkeypatch, name):
+    """Each preset prints, column by column, the capacities of its four
+    runs, each run alone (one pair to a ``_stats`` call) and every NF pair
+    alone (one pair to a kernel call)."""
+    batched = reproduce(name)
+    _per_pair(monkeypatch)
+    kind = PRESETS[name][0]
+    for label, scenario in sweeps._preset_scenarios(name)[1].items():
+        alone = sweeps._run(scenario, False, kind)
+        assert batched.column(label).tolist() == alone.column(f"c_{kind}").tolist()
+        if label == "C_nf_dd" and "C_asym" in batched.columns:
+            assert batched.column("C_asym").tolist() == alone.column("c_asym").tolist()
+    assert reproduce(name).rows == batched.rows
 
 
 def test_range_sweep_is_one_batch_with_no_user_a_point(tmp_path, monkeypatch, batches):
