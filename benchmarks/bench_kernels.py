@@ -98,10 +98,11 @@ def _quad_args(m_axis=65, nodes=200, same_direction=False, r2=5.0):
 
 
 def _element_args(m_axis):
-    "ccf_element_sums arguments of the reference pair: a list of one channel."
+    """ccf_sums arguments of the reference pair's element sum: the element
+    offsets, unit weights and a list of one channel."""
     _, _, _, ups, r1, r2, k0, px1, oz1, px2, oz2 = _quad_args(m_axis)
-    return (m_axis, m_axis, (WAVELENGTH / 2.0) / 10.0, r1, k0, px1, oz1,
-            [(ups, r2, px2, oz2)])
+    x = (np.arange(m_axis) - (m_axis - 1) // 2) * ((WAVELENGTH / 2.0) / 10.0)
+    return x, x, None, r1, k0, px1, oz1, [(ups, r2, px2, oz2)]
 
 
 def _reference_pair(m_axis):
@@ -224,7 +225,7 @@ def _workloads():
         )
     ]
     elements = [
-        (f"ccf_element_sum {m}x{m}", _kernels.ccf_element_sums, _element_args(m), m * m)
+        (f"ccf_element_sum {m}x{m}", _kernels.ccf_sums, _element_args(m), m * m)
         for m in (65, 151, 199)
     ]
     return [

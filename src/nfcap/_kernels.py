@@ -1,24 +1,24 @@
 """Numpy kernels of the hot numeric loops.
 
-Five kernels, each one numpy function:
+Four kernels, each one numpy function:
 
 * :func:`element_distances` - exact element-to-user distances;
 * :func:`nf_entries` - spherical-wave channel entries from distances;
-* :func:`ccf_quadrature_sums` - the weighted double sum of the NF
-  correlation integral, in real arithmetic on row blocks: the half
+* :func:`ccf_sums` - the double sum of the NF correlation integrand
+  over a grid of nodes, in real arithmetic on row blocks: the half
   phase from d1^2 - d2^2 over d1 + d2, with no cancellation, and the
-  cosine and sine of the phase from one tangent of it;
-* :func:`ccf_element_sums` - the same integrand summed over the array's
-  elements with unit weights: the exact inner product and both norms of
-  the two NF channel vectors, up to constants that cancel in the CCF;
+  cosine and sine of the phase from one tangent of it. With weights it
+  is the T x T rule's sum; with unit weights at the element offsets it
+  is the exact inner product and both norms of the two NF channel
+  vectors, up to constants that cancel in the CCF;
 * :func:`mc_grid_best` - the multicast beam-grid scan over the span of
   the two channels, in real arithmetic on one plane per phase. No
   command runs it: the tests keep it as the primal that the multicast
   oracle, an exact convex dual, bounds from above.
 
-The two correlation kernels take user 1 and a list of second users and
-run one pass: each block of nodes builds user 1's planes once and then
-the channels' own, a group of up to G channels to each numpy call on
+:func:`ccf_sums` takes user 1 and a list of second users and runs one
+pass: each block of nodes builds user 1's planes once and then the
+channels' own, a group of up to G channels to each numpy call on
 (G, rows, T) planes. A channel's sums are the same bits whatever else
 is in the list or its group, so one channel's sums are a call with a
 list of one, as :func:`ccf_quadrature_sum` makes it.
@@ -78,28 +78,11 @@ _QUAD_BLOCK_NODES = 16384
 _GROUP_NODES = 32768
 
 
+# Kept only for perfbench's probe and tracer (ROADMAP item 20)
 def ccf_quadrature_sum(x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2) -> complex:
-    "Weighted double sum of the two oscillatory CCF kernels."
-    return ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, [(ups, r2, px2, oz2)])[0]
-
-
-def ccf_quadrature_sums(x, z, w, r1, k0, px1, oz1, seconds) -> list[complex]:
-    """:func:`ccf_quadrature_sum` of user 1 with each second user
-    ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass."""
-    return [complex(re, im) for re, im in _ccf_sums(x, z, w, r1, k0, px1, oz1, seconds)]
-
-
-def ccf_element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds
-                     ) -> list[tuple[complex, float, float]]:
-    """Element sums (S, N1, N2) of the NF CCF of user 1 with each second
-    user ``(ups, r2, px2, oz2)`` of ``seconds``, in one pass: S and
-    N_k = sum_i Q_k^{-3/2} over the m_x x m_z elements at offsets
-    eps1 * (ix, iz), so that |S|^2 / (N1 N2) is the exact CCF of the two
-    NF channel vectors."""
-    x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
-    z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
-    sums = _ccf_sums(x, z, None, r1, k0, px1, oz1, seconds)
-    return [(complex(re, im), n1, n2) for re, im, n1, n2 in sums]
+    "Weighted double sum of the two oscillatory CCF kernels, for one channel."
+    re, im = ccf_sums(x, z, w, r1, k0, px1, oz1, [(ups, r2, px2, oz2)])[0]
+    return complex(re, im)
 
 
 def _aligned_planes(count, rows, cols):
@@ -119,11 +102,13 @@ def _aligned_planes(count, rows, cols):
     return planes.reshape(count, rows, cols)
 
 
-def _ccf_sums(x, z, w, r1, k0, px1, oz1, seconds):
+def ccf_sums(x, z, w, r1, k0, px1, oz1, seconds):
     """For each second user (ups, r2, px2, oz2) of ``seconds``, a tuple of
     Python floats: the real and imaginary parts of S with the weights
     ``w`` on both x and z or, with ``w`` None, with unit weights, and
-    then also the sums N1 and N2 of Q1^{-3/2} and Q2^{-3/2}.
+    then also the sums N1 and N2 of Q1^{-3/2} and Q2^{-3/2}. At the
+    element offsets x = eps1 ix and z = eps1 iz with ``w`` None,
+    |S|^2 / (N1 N2) is the exact CCF of the two NF channel vectors.
 
     Real arithmetic on (rows, T) planes, x down the rows and z along the
     columns, block by block of rows of x. With rho = r2 / r1, user 2

@@ -228,19 +228,22 @@ def nf_ccf_batch(geom: ArrayGeometry, u1: UserLocation,
     pairs = [(r1 / r2, r2, u2.dir_x, u2.dir_z)
              for u2 in seconds for r2 in np.ravel(u2.range_r).tolist()]
     if nodes_T is None:
-        sums = _kernels.ccf_element_sums(geom.m_x, geom.m_z, eps1, r1, k0,
-                                         u1.dir_x, u1.dir_z, pairs)
-        raws = [float(abs(s) ** 2 / (n1 * n2)) for s, n1, n2 in sums]
+        x = (np.arange(geom.m_x) - (geom.m_x - 1) // 2) * eps1
+        z = (np.arange(geom.m_z) - (geom.m_z - 1) // 2) * eps1
+        w = None
     else:
         t = np.arange(1, nodes_T + 1)
         delta = np.cos((2 * t - 1) * np.pi / (2 * nodes_T))
         w = np.sqrt(1.0 - delta**2)
         x = geom.m_x * eps1 / 2 * delta
         z = geom.m_z * eps1 / 2 * delta
-        sums = _kernels.ccf_quadrature_sums(x, z, w, r1, k0, u1.dir_x, u1.dir_z, pairs)
+    sums = _kernels.ccf_sums(x, z, w, r1, k0, u1.dir_x, u1.dir_z, pairs)
+    if w is None:
+        raws = [float(abs(complex(re, im)) ** 2 / (n1 * n2)) for re, im, n1, n2 in sums]
+    else:
         f1 = _rule_factor(geom, u1, nodes_T)
         f2s = [f2 for u2 in seconds for f2 in np.ravel(_rule_factor(geom, u2, nodes_T)).tolist()]
-        raws = [float(f1 * f2 * abs(s) ** 2) for f2, s in zip(f2s, sums)]
+        raws = [float(f1 * f2 * abs(complex(re, im)) ** 2) for f2, (re, im) in zip(f2s, sums)]
     return [CcfEstimate(value=min(max(raw, 0.0), 1.0), raw=raw) for raw in raws]
 
 

@@ -130,8 +130,7 @@ _MAX_PHASE_ROUNDING = 1e-6
 # gain and the FF element oracle take the range squared, which stays
 # finite up to max^(1/2); where the bound should sit is ROADMAP item 2.
 _MAX_FF_RANGE = np.finfo(float).max ** (1 / 3)
-# Names of this module, where perfbench's tracer wraps them, though the
-# checks take every channel and exact statistic from pair_sum_oracle
+# Kept only for perfbench's tracer, which wraps these names here (ROADMAP item 20)
 gain_sum_oracle, nf_channel_vector, ff_channel_vector = (
     gain_sum_oracle, nf_channel_vector, ff_channel_vector)
 
@@ -412,13 +411,13 @@ def _stats(scenario: Scenario, geom, u1: UserLocation, seconds: Sequence[UserLoc
     FF statistics are the closed forms on those arrays. NF gains are the
     paper's closed forms, and the NF correlation is the exact element sum
     when the array has no more elements than the T x T rule has nodes,
-    the rule otherwise. NF statistics are computed once per distinct
-    channel, one unless the array or user 2 moves, in one pass over the
-    arrays: per distinct array size, one :func:`nf_ccf_batch` call of
-    every second user at its distinct ranges (``np.unique``), held by
-    user 1, and one gain call per user on the arrays. So a preset's dd
-    and sd runs, which share the array and user 1, take one kernel call
-    per array size. Each value has the bits of its pair alone. An NF
+    the rule otherwise. NF statistics are computed once per channel, one
+    unless the array or user 2 moves, in one pass over the arrays: per
+    array size in sweep order, one :func:`nf_ccf_batch` call of every
+    second user at each of its ranges, held by user 1, and one gain call
+    per user on the arrays. So a preset's dd and sd runs, which share
+    the array and user 1, take one kernel call per array size. Each
+    value has the bits of its pair alone, a repeated point included. An NF
     user whose phases round by more than _MAX_PHASE_ROUNDING, or an FF
     user farther than _MAX_FF_RANGE, is refused, at the first such point,
     before any sum runs.
@@ -439,35 +438,25 @@ def _stats(scenario: Scenario, geom, u1: UserLocation, seconds: Sequence[UserLoc
         if refusal:
             raise ValueError(refusal)
     nodes = scenario.quadrature_nodes
-    sizes, at_size = _distinct(geom.m_x)
-    ranges = [_distinct(u2.range_r) for u2 in seconds]
-    v2s = [replace(u2, range_r=r) if np.ndim(u2.range_r) else u2
-           for u2, (r, _) in zip(seconds, ranges)]
-    rho = np.empty((len(sizes), sum(len(r) for r, _ in ranges)))
-    for row, m in zip(rho, sizes.tolist()):
+    sizes = np.ravel(geom.m_x).tolist()
+    rho = np.empty((len(sizes), sum(np.size(u2.range_r) for u2 in seconds)))
+    for row, m in zip(rho, sizes):
         g = replace(geom, m_x=int(m), m_z=int(m)) if np.ndim(geom.m_x) else geom
         path = None if _takes_element_sum(g.m_total, nodes) else nodes
-        row[:] = [est.value for est in nf_ccf_batch(g, u1, v2s, path)]
+        row[:] = [est.value for est in nf_ccf_batch(g, u1, seconds, path)]
     g1, pairs, start = nf_gain_closed(geom, u1), [], 0
-    for u2, (r, at_range) in zip(seconds, ranges):
-        # each second user's columns of rho follow those of the one before
-        stats = (g1, nf_gain_closed(geom, u2), rho[at_size, start + at_range])
-        start += len(r)
+    for u2 in seconds:
+        # each second user's columns of rho follow those of the one
+        # before; the array or user 2's range is swept, never both
+        count = np.size(u2.range_r)
+        stats = (g1, nf_gain_closed(geom, u2), rho[:, start:start + count].ravel())
+        start += count
         if np.ndim(geom.m_x) or np.ndim(u2.range_r):
             stats = tuple(np.array(column) for column in np.broadcast_arrays(*stats))
         else:
-            stats = (stats[0], stats[1], float(stats[2]))
+            stats = (stats[0], stats[1], float(stats[2][0]))
         pairs.append(stats)
     return pairs
-
-
-def _distinct(values):
-    """The distinct values of a float or an array, ascending, and the
-    index among them of each value: ``np.unique`` on an array only, since
-    its first call in a process costs about 0.15 ms."""
-    if np.ndim(values) == 0:
-        return np.array([values]), 0
-    return np.unique(values, return_inverse=True)
 
 
 def _nf_range_refusal(geom: ArrayGeometry, users: Sequence[UserLocation]) -> str:

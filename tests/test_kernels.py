@@ -13,6 +13,15 @@ import nfcap._kernels as kernels
 from nfcap.geometry import ArrayGeometry, UserLocation, epsilon, nf_channel_vector
 
 
+def _element_sums(m_x, m_z, eps1, r1, k0, px1, oz1, seconds):
+    """(S, N1, N2) of user 1 with each second user, from ccf_sums at the
+    element offsets eps1 * (ix, iz) with unit weights."""
+    x = (np.arange(m_x) - (m_x - 1) // 2) * eps1
+    z = (np.arange(m_z) - (m_z - 1) // 2) * eps1
+    return [(complex(re, im), n1, n2)
+            for re, im, n1, n2 in kernels.ccf_sums(x, z, None, r1, k0, px1, oz1, seconds)]
+
+
 def test_mc_grid_best_finds_single_user_optimum():
     "With the second channel dead the scan must put everything on beam 1."
     best, a, b, psi = kernels.mc_grid_best(0.9, 0.0, 0j, 50, 50, 8)
@@ -50,7 +59,7 @@ def test_ccf_element_sum_is_inner_product_and_norms():
     u1 = UserLocation(10.0, math.pi / 3, 2 * math.pi / 3)
     u2 = UserLocation(4.0, 2 * math.pi / 3, math.pi / 3)
     h1, h2 = (nf_channel_vector(geom, u) for u in (u1, u2))
-    s, n1, n2 = kernels.ccf_element_sums(
+    s, n1, n2 = _element_sums(
         17, 41, geom.pitch_d / 10.0, 10.0, 2 * np.pi / geom.wavelength,
         u1.dir_x, u1.dir_z, [(2.5, 4.0, u2.dir_x, u2.dir_z)],
     )[0]
@@ -136,8 +145,8 @@ def test_element_sum_rho_matches_long_double(m_axis, u2):
     eps1 = epsilon(geom, _U1)
     _, _, args = _rule(m_axis, _U1, u2)
     ups, r1, r2, k0, px1, oz1, px2, oz2 = args
-    s, n1, n2 = kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1,
-                                         [(ups, r2, px2, oz2)])[0]
+    s, n1, n2 = _element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1,
+                              [(ups, r2, px2, oz2)])[0]
     x = (np.arange(m_axis) - (m_axis - 1) // 2) * eps1
     ones = np.ones(m_axis)
     want_s, scale, want_n1, want_n2 = long_double_ccf_sums(x, x, ones, ones, *args)
@@ -168,7 +177,8 @@ def test_batched_correlation_sums_are_the_one_channel_bits(m_axis, blocks, group
             return kernels.ccf_quadrature_sum(x, x, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
 
         def batch(seconds):
-            return kernels.ccf_quadrature_sums(x, x, w, r1, k0, px1, oz1, seconds)
+            return [complex(re, im)
+                    for re, im in kernels.ccf_sums(x, x, w, r1, k0, px1, oz1, seconds)]
     else:
         cols = rows = m_axis
         eps1 = epsilon(geom, _U1)
@@ -177,7 +187,7 @@ def test_batched_correlation_sums_are_the_one_channel_bits(m_axis, blocks, group
             return batch([second])[0]
 
         def batch(seconds):
-            return kernels.ccf_element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1, seconds)
+            return _element_sums(m_axis, m_axis, eps1, r1, k0, px1, oz1, seconds)
     block = max(1, kernels._QUAD_BLOCK_NODES // cols)
     assert -(-rows // block) == blocks
     assert max(1, kernels._GROUP_NODES // (min(block, rows) * cols)) == group
@@ -207,8 +217,8 @@ def test_rule_phasor_is_finite_at_the_tangent_poles(ph, k0):
     r2 = ph if ph else 1.0
     args = (2.0, 2 * r2, r2, k0, 0.1, 0.2, -0.1, 0.3)
     rule = kernels.ccf_quadrature_sum(np.zeros(1), np.zeros(1), np.ones(1), *args)
-    elements, n1, n2 = kernels.ccf_element_sums(1, 1, 0.01, 2 * r2, k0, 0.1, 0.2,
-                                                [(2.0, r2, -0.1, 0.3)])[0]
+    elements, n1, n2 = _element_sums(1, 1, 0.01, 2 * r2, k0, 0.1, 0.2,
+                                     [(2.0, r2, -0.1, 0.3)])[0]
     assert k0 * (2 * r2) - k0 * r2 == ph
     for s in (rule, elements):
         assert math.isfinite(s.real) and math.isfinite(s.imag)

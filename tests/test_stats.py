@@ -167,14 +167,14 @@ def test_quadrature_kernel_matches_two_exponential_form(
     geom = ArrayGeometry.from_frequency(m_x=m_axis, m_z=m_axis, frequency_hz=2.4e9)
     u1, u2 = UserLocation(*_U1), UserLocation(*user2)
     calls = []  # in the argument order of ccf_quadrature_sum
-    batch = _kernels.ccf_quadrature_sums
+    batch = _kernels.ccf_sums
 
     def recording(x, z, w, r1, k0, px1, oz1, seconds):
         calls.extend((x, z, w, ups, r1, r2, k0, px1, oz1, px2, oz2)
                      for ups, r2, px2, oz2 in seconds)
         return batch(x, z, w, r1, k0, px1, oz1, seconds)
 
-    monkeypatch.setattr(_kernels, "ccf_quadrature_sums", recording)
+    monkeypatch.setattr(_kernels, "ccf_sums", recording)
     est = nf_ccf_quadrature(geom, u1, u2, nodes)
     (args,) = calls
     x, z, w, ups, r1, r2, k0, *dirs = args

@@ -5,7 +5,9 @@ verification, sweep application, presets, and the verification report.
 
 import importlib
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -15,6 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 from conftest import MC_BLIND_SPOT_INI, synth_pair
 from nfcap import stats, sweeps
@@ -437,6 +444,40 @@ def test_preset_matches_stored_table(tmp_path, name):
     assert out.read_bytes() == (PRESET_DATA / f"{name}.csv").read_bytes()
 
 
+# numpy's dispatched SIMD levels above its baseline, lowest first, and
+# the ones this process was told not to use, which the CPU has
+_SIMD_LEVELS = list(_umath.__cpu_dispatch__)
+_SIMD_OFF = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+_REBUILD_PRESETS = """import sys
+from nfcap.sweeps import emit_csv, reproduce
+for name in sys.argv[2:]:
+    emit_csv(reproduce(name), f"{sys.argv[1]}/{name}.csv")
+"""
+
+
+@pytest.mark.parametrize("level", _SIMD_LEVELS)
+def test_presets_are_the_stored_bytes_at_every_simd_level(tmp_path, level):
+    """The presets, rebuilt in a child process with ``level`` and every
+    dispatched level above it switched off, as on a CPU without them,
+    are the stored bytes. numpy refuses a name outside its dispatched
+    levels, so the switch is built from that list."""
+    def present(name):
+        return _umath.__cpu_features__.get(name, False) or name in _SIMD_OFF
+
+    if not present(level):
+        pytest.skip(f"this CPU lacks {level}")
+    off = [name for name in _SIMD_LEVELS[_SIMD_LEVELS.index(level):] if present(name)]
+    src = str(Path(sweeps.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    proc = subprocess.run([sys.executable, "-c", _REBUILD_PRESETS, str(tmp_path),
+                           *sorted(PRESETS)], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for name in sorted(PRESETS):
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (PRESET_DATA / f"{name}.csv").read_bytes(), (off, name)
+
+
 @pytest.fixture
 def quadrature_calls(monkeypatch):
     """One entry per NF correlation the runners compute, each in an
@@ -590,22 +631,28 @@ R2_SWEEP_129 = "[array]\nm_per_axis = 129\n[sweep]\nvariable = r2_m\nvalues = {}
 def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches):
     """Two r2 sweeps at 129 x 129 (element sum), each with a repeated
     point, user 2 in its own direction and in user 1's, through r2 = r1,
-    and mc-vs-r2 (the T x T rule at 551 x 551), print the same rows as
-    each pair alone. A sweep's batch holds its distinct ranges."""
+    an array-size sweep with repeated sizes on both paths, and mc-vs-r2
+    (the T x T rule at 551 x 551), print the same rows as each pair
+    alone. A sweep's batch holds each of its ranges, a repeated one
+    included, and an array-size sweep takes one batch per point."""
     scenarios = [_scenario(tmp_path, R2_SWEEP_129.format("2 3 4 4 5 6")),
                  _scenario(tmp_path, "[user2]\ndirection = same\n"
-                           + R2_SWEEP_129.format("5 10 10 12"))]
+                           + R2_SWEEP_129.format("5 10 10 12")),
+                 _scenario(tmp_path, "[sweep]\nvariable = m_per_axis\n"
+                           "values = 9 65 65 201 201\ntarget = mc\n")]
 
     def rows():
         return [run_mc(scn).rows for scn in scenarios], reproduce("mc-vs-r2").rows
 
     batched = rows()
     assert batched[0][1][1][3] == 1.0  # the co-located point
+    sizes = batched[0][2]
+    assert sizes[1] == sizes[2] and sizes[3] == sizes[4]
     # the sweeps, then the preset's two NF runs in one call; its FF runs take none
-    assert batches == [5, 3, 120]
+    assert batches == [6, 4, 1, 1, 1, 1, 1, 120]
     _per_pair(monkeypatch)
     assert rows() == batched
-    assert batches == [5, 3, 120]
+    assert batches == [6, 4, 1, 1, 1, 1, 1, 120]
 
 
 def test_m_preset_takes_one_batch_of_both_pairs_per_array_size(batches):
@@ -632,8 +679,8 @@ def test_preset_is_its_runs_alone_with_every_pair_alone(monkeypatch, name):
 
 def test_range_sweep_is_one_batch_with_no_user_a_point(tmp_path, monkeypatch, batches):
     """A 200-point NF r2 sweep at 65 x 65 makes one nf_ccf_batch call
-    of its 200 channels and builds two UserLocations, not one a point:
-    user 2 at the sweep's ranges, then at its distinct ranges."""
+    of its 200 channels and builds one UserLocation, not one a point:
+    user 2 at the sweep's ranges."""
     values = " ".join(repr(v) for v in np.linspace(2.0, 20.0, 200).tolist())
     scn = _scenario(tmp_path, f"[sweep]\nvariable = r2_m\nvalues = {values}\ntarget = mc\n")
     built = []
@@ -646,7 +693,7 @@ def test_range_sweep_is_one_batch_with_no_user_a_point(tmp_path, monkeypatch, ba
     monkeypatch.setattr(UserLocation, "__post_init__", counted)
     assert len(run_mc(scn).rows) == 200
     assert batches == [200]
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
