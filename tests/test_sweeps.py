@@ -648,7 +648,8 @@ def test_batched_statistics_are_the_per_pair_bits(tmp_path, monkeypatch, batches
     assert batched[0][1][1][3] == 1.0  # the co-located point
     sizes = batched[0][2]
     assert sizes[1] == sizes[2] and sizes[3] == sizes[4]
-    # the sweeps, then the preset's two NF runs in one call; its FF runs take none
+    # the r2 sweeps, the array sweep's one call a point, then the preset's
+    # two NF runs in one call; its FF runs take none
     assert batches == [6, 4, 1, 1, 1, 1, 1, 120]
     _per_pair(monkeypatch)
     assert rows() == batched
