@@ -19,10 +19,11 @@ each metric's ratio (working tree / REV) per pair, and in how many
 pairs the working tree read better, by the direction BENCHMARK.json
 gives the metric.
 
-The file also records the commit and whether the tree had uncommitted
-changes, the CPU count and model, the Python and numpy versions, and
-the settings that move a metric: PYTHONDONTWRITEBYTECODE, PYTHONPATH
-and the BLAS thread variables. Per workload and metric it gives each
+The file also records the commit, the tracked paths with uncommitted
+changes before the first run and after the last (``dirty_paths``, so
+that a doc edit reads apart from a code edit), the CPU count and model,
+the Python and numpy versions, and the settings that move a metric:
+PYTHONDONTWRITEBYTECODE, PYTHONPATH and the BLAS thread variables. Per workload and metric it gives each
 side's median, quartiles, interquartile range and run count.
 """
 
@@ -97,9 +98,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def check(bench: dict) -> None:
     """ValueError unless ``bench`` is a trajectory file as :func:`main`
     writes it: every run read, and a summary that matches the runs."""
-    for key in ("commit", "machine", "python", "numpy", "settings", "runs", "workloads"):
+    for key in ("commit", "dirty", "machine", "python", "numpy", "settings", "runs",
+                "workloads"):
         if key not in bench:
             raise ValueError(f"no {key!r} in the trajectory file")
+    if "dirty_paths" in bench:
+        paths = bench["dirty_paths"]
+        if (sorted(paths) != ["after", "before"]
+                or not all(isinstance(path, str) for path in paths["before"] + paths["after"])
+                or bench["dirty"] is not bool(paths["before"] or paths["after"])):
+            raise ValueError(f"dirty {bench['dirty']!r} does not match the paths {paths!r}")
+    elif not isinstance(bench["dirty"], bool):
+        # a file written before the paths were recorded holds the bool alone
+        raise ValueError(f"dirty is {bench['dirty']!r}, not a bool")
     runs = bench["runs"]
     if not runs:
         raise ValueError("the trajectory file holds no run")
@@ -115,6 +126,11 @@ def check(bench: dict) -> None:
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _dirty_paths() -> list[str]:
+    "The tracked paths whose working copy or index differs from HEAD."
+    return sorted(filter(None, _git("diff", "--name-only", "-z", "HEAD").split("\0")))
 
 
 def _cpu_model() -> str:
@@ -170,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
 
     import numpy
 
+    dirty_before = _dirty_paths()
     scratch = args.scratch or tempfile.mkdtemp(prefix="nfcap-trajectory-")
     trees = {"head": os.getcwd()}
     if args.against:
@@ -198,9 +215,11 @@ def main(argv: list[str] | None = None) -> int:
             shutil.rmtree(trees["base"], ignore_errors=True)
         if not args.scratch:
             shutil.rmtree(scratch, ignore_errors=True)
+    dirty = {"before": dirty_before, "after": _dirty_paths()}
     bench = {
         "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(dirty["before"] or dirty["after"]),
+        "dirty_paths": dirty,
         "against": _git("rev-parse", args.against) if args.against else None,
         "machine": {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
                     "platform": platform.platform()},

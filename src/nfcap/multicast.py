@@ -101,7 +101,11 @@ def _mc_case_split(g1, g2, rho, var1, var2):
         s1 = np.sqrt(var1)
         s2 = np.sqrt(var2)
         root = s1 * s2 * np.sqrt(g1 * g2 * rho)
-        chi = var2 * g1 + var1 * g2 - 2.0 * root
+        # chi's second form (mc_capacity_two_user); sqrt(g1) sqrt(g2)
+        # stays normal where g1 g2 underflows
+        r1, r2 = np.sqrt(g1), np.sqrt(g2)
+        gap = s2 * r1 - s1 * r2
+        chi = gap * gap + 2.0 * s1 * s2 * r1 * r2 * (1.0 - rho) / (1.0 + np.sqrt(rho))
         eta = g1 * g2 * (1.0 - rho) / chi
         mu1 = (var1 * g2 - root) / chi
         mu2 = (var2 * g1 - root) / chi
@@ -161,7 +165,12 @@ def mc_capacity_two_user(
     pins the rate at its own matched-filter capacity, otherwise
 
         C = log2(1 + P g1 g2 (1 - rho) / chi),
-        chi = var2 g1 + var1 g2 - 2 s1 s2 sqrt(g1 g2 rho).
+        chi = var2 g1 + var1 g2 - 2 s1 s2 sqrt(g1 g2 rho)
+            = (s2 sqrt(g1) - s1 sqrt(g2))^2
+              + 2 s1 s2 sqrt(g1 g2) (1 - rho) / (1 + sqrt(rho)),
+
+    the second form being the one evaluated: the first cancels as rho
+    approaches 1 with g1 / var1 close to g2 / var2.
     """
     g1 = _checks.nonneg("g1", g1)
     g2 = _checks.nonneg("g2", g2)

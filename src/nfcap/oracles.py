@@ -176,7 +176,9 @@ def mc_beam_grid_oracle(
     for _ in range(_MC_DUAL_ROUNDS + 1):
         lam = np.linspace(lo, hi, _MC_DUAL_POINTS)
         x, y = lam * g1, (1.0 - lam) * g2
-        f = (x + y + np.sqrt((x - y) ** 2 + 4.0 * lam * (1.0 - lam) * c)) / 2.0
+        # (x - y)^2 overflows only where f is far above its least value
+        with np.errstate(over="ignore"):
+            f = (x + y + np.sqrt((x - y) ** 2 + 4.0 * lam * (1.0 - lam) * c)) / 2.0
         i = int(np.argmin(f))
         best = min(best, float(f[i]))
         lo, hi = lam[max(i - 1, 0)], lam[min(i + 1, _MC_DUAL_POINTS - 1)]

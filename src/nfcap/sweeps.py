@@ -16,13 +16,14 @@ variable to the array of its points, so the closed forms take arrays
 in and give arrays out, one value per point: each formula is called
 once per run, with the bits that a float gives on each point, and a
 single point is a float in and a float out. A point that fails is named
-as a run of it alone names it. Each check is one function
-returning a :class:`CheckRow`, and ``verification_report`` calls the
-same functions, so a check has one name, tolerance and pass rule
-whichever path runs it. The checks of a point all read one exact pair,
-both users' element entries and their (g1, g2, rho), from one
-``pair_sum_oracle`` evaluation. Verification mode appends each check's
-oracle as a column and records every failing check as a violation;
+as a run of it alone names it. A kind's checks are one function, its
+``verify``, returning :class:`CheckRow` values, and
+``verification_report`` calls the same functions, so a check has one
+name, tolerance and pass rule whichever path runs it. The checks of a
+point all read one exact pair, both users' element entries and their
+(g1, g2, rho), from one ``pair_sum_oracle`` evaluation. Verification
+mode appends the kind's named oracles as columns and records every
+failing check as a violation;
 exact-vector oracles are only run at up to ``VERIFY_MAX_AXIS`` = 65
 elements per axis, which stays until the checks bound the printed
 number at the printed size (ROADMAP item 12).
@@ -551,18 +552,16 @@ def _ccf_elements_tolerance(
     return TOL_CCF_ELEMENTS_REL * rho + 2 * math.sqrt(rho) * sqrt_err
 
 
-def _channel_checks(
-    scenario: Scenario, geom: ArrayGeometry, users: Sequence[UserLocation], stats, exact
-) -> list[CheckRow]:
-    """Both gains and the correlation ``stats`` against the ``exact``
-    (g1, g2, rho) of the point's :func:`pair_sum_oracle`. NF gains are
-    held to TOL_GAIN_REL relative. The NF correlation is held to
-    TOL_CCF_ELEMENTS_REL relative plus rounding where it is the element
-    sum, and to TOL_CCF_ABS where it is the T x T rule.
+def _channel_checks(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
+    """Both gains and the correlation ``stats`` against the exact (g1,
+    g2, rho) of ``pair``. NF gains are held to TOL_GAIN_REL relative.
+    The NF correlation is held to TOL_CCF_ELEMENTS_REL relative plus
+    rounding where it is the element sum, and to TOL_CCF_ABS where it is
+    the T x T rule.
     """
     model = scenario.channel_model
     gain_tol = TOL_GAIN_REL if model == "NF" else TOL_FF_STATS_ABS
-    *gains, oracle = exact
+    *gains, oracle = pair[1]
     checks = []
     for k, (closed, gain) in enumerate(zip(stats[:2], gains)):
         rel = abs(closed - gain) / gain if gain > 0 else 0.0
@@ -581,37 +580,50 @@ def _channel_checks(
     return checks
 
 
-def _mac_check(vecs, stats, cfg: MacConfig) -> CheckRow:
-    "The uplink formula on exact statistics against the log-det oracle."
-    closed = mac_capacity_two_user(*stats, *cfg.snr_per_user)
-    oracle = logdet_capacity_oracle(vecs, list(cfg.snr_per_user))
-    return _abs_check("uplink sum capacity", closed, oracle, TOL_MAC_FORMULA_ABS)
-
-
-def _bc_grid_check(closed: float, stats, cfg: BcConfig) -> CheckRow:
-    """The downlink capacity ``closed`` of the statistics ``stats`` against
-    the power-grid oracle on them: it may not fall more than
-    TOL_BC_GRID_ONESIDED below the grid.
+def _mac_checks(scenario, geom, users, link: MacConfig, stats, values, pair) -> list[CheckRow]:
+    """The uplink formula on the exact statistics of ``pair`` against the
+    log-det oracle, then both decode corners against the
+    successive-decoding oracle, each rate to TOL_MAC_FORMULA_ABS.
     """
-    grid, _ = bc_power_grid_oracle(*stats, cfg, _BC_GRID_POINTS)
-    note = f"closed >= grid - {TOL_BC_GRID_ONESIDED:g}"
-    ok = closed >= grid - TOL_BC_GRID_ONESIDED
-    return CheckRow("downlink sum capacity", closed, grid, note, ok)
+    vecs, exact = pair
+    snrs = list(link.snr_per_user)
+    closed = mac_capacity_two_user(*exact, *snrs)
+    oracle = logdet_capacity_oracle(vecs, snrs)
+    checks = [_abs_check("uplink sum capacity", closed, oracle, TOL_MAC_FORMULA_ABS)]
+    for order, tag in (("u1_first", (0, 1)), ("u2_first", (1, 0))):
+        corner = sic_rates_two_user(*exact, *snrs, order)
+        rates_o = sic_rates_oracle(vecs, snrs, tag)
+        worst = max(abs(corner.r1 - rates_o[0]), abs(corner.r2 - rates_o[1]))
+        checks.append(CheckRow(
+            f"decode corner {order}", corner.r1 + corner.r2, sum(rates_o),
+            f"per-rate abs <= {TOL_MAC_FORMULA_ABS:g}", worst <= TOL_MAC_FORMULA_ABS,
+        ))
+    return checks
 
 
-def _bc_duality_checks(vecs, stats, cfg: BcConfig) -> list[CheckRow]:
-    """Covariances recovered from the dual power split on exact vectors:
-    the rates they achieve against the dual-uplink rates, and their
-    summed power against the budget.
+def _bc_checks(scenario, geom, users, link: BcConfig, stats, values, pair) -> list[CheckRow]:
+    """The downlink capacity ``values[0]`` of the statistics ``stats``
+    against the power-grid oracle on them: it may not fall more than
+    TOL_BC_GRID_ONESIDED below the grid. Then covariances recovered from
+    the dual power split on the exact vectors of ``pair``: the rates
+    they achieve against the dual-uplink rates, and their summed power
+    against the budget. A capacity that is not finite is a ValueError.
     """
-    alloc = bc_power_allocation_two_user(*stats, cfg)
-    covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, cfg)
-    gap = _duality_gap(covs, vecs, stats, alloc, cfg)
+    closed = values[0]
+    _finite(("downlink sum capacity",), (closed,))
+    grid, _ = bc_power_grid_oracle(*stats, link, _BC_GRID_POINTS)
+    vecs, exact = pair
+    alloc = bc_power_allocation_two_user(*exact, link)
+    covs = bc_covariance_recovery(vecs[0], vecs[1], alloc, link)
+    gap = _duality_gap(covs, vecs, exact, alloc, link)
     return [
+        CheckRow("downlink sum capacity", closed, grid,
+                 f"closed >= grid - {TOL_BC_GRID_ONESIDED:g}",
+                 closed >= grid - TOL_BC_GRID_ONESIDED),
         _abs_check("downlink duality", gap, 0.0, TOL_BC_DUALITY_ABS),
         CheckRow(
             "downlink covariance power", covs.total_power, alloc.total, "abs <= 1e-6 * P",
-            abs(covs.total_power - alloc.total) <= 1e-6 * cfg.total_power_P,
+            abs(covs.total_power - alloc.total) <= 1e-6 * link.total_power_P,
         ),
     ]
 
@@ -619,14 +631,14 @@ def _bc_duality_checks(vecs, stats, cfg: BcConfig) -> list[CheckRow]:
 def _duality_gap(covs: CovariancePair, vecs, stats, alloc, cfg: BcConfig) -> float:
     """Worst per-user difference between downlink rates achieved by the
     recovered covariances ``covs`` and the dual-uplink successive-decoding
-    rates of the exact statistics ``stats`` of ``vecs``.
+    rates of the exact statistics ``stats`` of ``vecs``. Each quadratic
+    form is taken on a channel vector and divided by its noise variance,
+    so a tiny variance does not scale the vector beyond range.
     """
     (var1, var2), (g1, g2, rho) = cfg.noise_var_per_user, stats
-    e1 = vecs[0] / math.sqrt(var1)
-    e2 = vecs[1] / math.sqrt(var2)
-    q11 = covs.quad(1, e1)
-    q21 = covs.quad(1, e2)
-    q22 = covs.quad(2, e2)
+    q11 = covs.quad(1, vecs[0]) / var1
+    q21 = covs.quad(1, vecs[1]) / var2
+    q22 = covs.quad(2, vecs[1]) / var2
     r1_dl = math.log2(1.0 + q11)
     r2_dl = math.log2(1.0 + q22 / (1.0 + q21))
     p1, p2 = alloc.p_per_user
@@ -634,16 +646,17 @@ def _duality_gap(covs: CovariancePair, vecs, stats, alloc, cfg: BcConfig) -> flo
     return max(abs(r1_dl - dual.r1), abs(r2_dl - dual.r2))
 
 
-def _mc_check(vecs, stats, cfg: BcConfig) -> CheckRow:
-    """The multicast formula on exact statistics: within TOL_MC_ABS of
-    the convex-dual oracle on the vectors, and not above the averaging
-    upper bound.
+def _mc_checks(scenario, geom, users, link: BcConfig, stats, values, pair) -> list[CheckRow]:
+    """The multicast formula on the exact statistics of ``pair``: within
+    TOL_MC_ABS of the convex-dual oracle on its vectors, and not above
+    the averaging upper bound.
     """
-    closed, bound = _mc_formulas(*stats, cfg)
-    oracle = mc_beam_grid_oracle(*vecs, cfg.noise_var_per_user, cfg.total_power_P)
+    vecs, exact = pair
+    closed, bound = _mc_formulas(*exact, link)
+    oracle = mc_beam_grid_oracle(*vecs, link.noise_var_per_user, link.total_power_P)
     note = f"abs <= {TOL_MC_ABS:g}, closed <= bound + 1e-12"
     ok = abs(closed - oracle) <= TOL_MC_ABS and closed <= bound + 1e-12
-    return CheckRow("multicast capacity", closed, oracle, note, ok)
+    return [CheckRow("multicast capacity", closed, oracle, note, ok)]
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +693,6 @@ def _mc_formulas(g1, g2, rho, cfg: BcConfig) -> tuple:
     return cap, mc_upper_bound((g1, g2), (var1, var2), power)
 
 
-def _channel_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
-    return _channel_checks(scenario, geom, users, stats, pair[1])
-
-
-def _mac_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
-    return [_mac_check(*pair, link)]
-
-
-def _bc_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
-    # the grid check takes the printed capacity and its own statistics
-    return [_bc_grid_check(values[0], stats, link), *_bc_duality_checks(*pair, link)]
-
-
-def _mc_verify(scenario, geom, users, link, stats, values, pair) -> list[CheckRow]:
-    return [_mc_check(*pair, link)]
-
-
 @dataclass(frozen=True)
 class _Kind:
     """What one point runner prints and checks.
@@ -710,8 +706,10 @@ class _Kind:
     ``formulas`` and ``limit`` are called once per run, on the
     :func:`_swept` arrays of the run's points: each takes and returns
     floats and arrays of one value per point.
-    Verification appends, for each check that ``verify`` returns in
-    turn, the field of it that ``oracle_columns`` names, then verify_ok;
+    Verification appends, for each of the first checks that ``verify``
+    returns, the field of it that ``oracle_columns`` names, then
+    verify_ok, which every check counts toward, those past the named
+    ones included (mac's decode corners, bc's covariance power).
     ``verify(scenario, geom, users, link, stats, values, pair)`` runs on
     one point, with the statistics and the values past them of its row
     and the point's one :func:`pair_sum_oracle` evaluation.
@@ -730,22 +728,22 @@ class _Kind:
 
 _KINDS = {
     "channel": _Kind(
-        (), lambda g1, g2, rho, link: (), _channel_verify,
+        (), lambda g1, g2, rho, link: (), _channel_checks,
         (("g1_oracle", "oracle"), ("g2_oracle", "oracle"), ("ccf_oracle", "oracle")),
     ),
     "mac": _Kind(
         ("c_mac", "r1_u1_first", "r2_u1_first", "r1_u2_first", "r2_u2_first",
          "r_opt", "r_mrc", "r_zf", "c_asym"),
-        _mac_formulas, _mac_verify, (("c_oracle", "oracle"),),
+        _mac_formulas, _mac_checks, (("c_oracle", "oracle"),),
         uplink=True, limit=lambda *args: mac_asymptotics(*args),
     ),
     "bc": _Kind(
         ("c_bc", "p1", "p2", "r_mrt", "r_zf", "gamma_dl_mrt", "gamma_dl_zf", "c_asym"),
-        _bc_formulas, _bc_verify, (("c_oracle", "oracle"), ("duality_gap", "closed")),
+        _bc_formulas, _bc_checks, (("c_oracle", "oracle"), ("duality_gap", "closed")),
         limit=lambda *args: bc_asymptotics(*args),
     ),
     "mc": _Kind(
-        ("c_mc", "c_bound", "c_asym"), _mc_formulas, _mc_verify,
+        ("c_mc", "c_bound", "c_asym"), _mc_formulas, _mc_checks,
         (("c_oracle", "oracle"),), limit=lambda *args: mc_asymptotics(*args),
     ),
 }
@@ -1025,13 +1023,14 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     Exact-vector oracles run on the scenario's array, or on a copy cut
     to VERIFY_MAX_AXIS elements per axis, the limit of every --verify,
     where it is larger; the returned header string states the size
-    used. The rows are those of ``channel``, ``mac``, ``bc`` and
-    ``mc --verify``, from the same check functions, with all closed forms fed the exact
-    vector statistics past the channel rows, plus the paper's T x T
-    rule against the correlation oracle and both uplink decode corners
-    against the successive-decoding oracle. The rule's row is left out,
-    and the header says why, when a user of an FF scenario lies beyond
-    the range that the NF model, and so the rule, can take.
+    used. The rows are the checks of ``channel --verify`` on the
+    closed-form statistics, the paper's T x T rule against the
+    correlation oracle, then the checks of ``mac``, ``bc`` and ``mc
+    --verify``: each kind's ``verify`` on its formulas of the exact
+    vector statistics, all from one :func:`pair_sum_oracle` evaluation.
+    The rule's row is left out, and the header says why, when a user of
+    an FF scenario lies beyond the range that the NF model, and so the
+    rule, can take.
     """
     m_x = min(scenario.geometry.m_x, VERIFY_MAX_AXIS)
     m_z = min(scenario.geometry.m_z, VERIFY_MAX_AXIS)
@@ -1043,12 +1042,10 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
     model, nodes = scenario.channel_model, scenario.quadrature_nodes
     users = scenario.users[:2]
     u1, u2 = users
-    snrs = list(scenario.mac_cfg.snr_per_user)
-    bc_cfg = scenario.bc_cfg
-
     (stats,) = _stats(scenario, geom, u1, (u2,))
-    vecs, exact = pair_sum_oracle(geom, u1, u2, model.lower())
-    checks = _channel_checks(scenario, geom, users, stats, exact)
+    pair = pair_sum_oracle(geom, u1, u2, model.lower())
+    exact = pair[1]
+    checks = _KINDS["channel"].verify(scenario, geom, users, scenario.bc_cfg, stats, (), pair)
     # the paper's rule, which the NF sweeps take beyond T^2 elements; an
     # FF scenario's users may lie beyond the NF model's range
     rule_name = f"ccf quadrature T={nodes}"
@@ -1059,20 +1056,8 @@ def verification_report(scenario: Scenario) -> tuple[list[CheckRow], str]:
         rule = nf_ccf_quadrature(geom, u1, u2, nodes).value
         rule_o = exact[2] if model == "NF" else ccf_sum_oracle(geom, u1, u2, model="nf")
         checks.append(_abs_check(rule_name, rule, rule_o, TOL_CCF_ABS))
-
-    checks.append(_mac_check(vecs, exact, scenario.mac_cfg))
-    for order, tag in (("u1_first", (0, 1)), ("u2_first", (1, 0))):
-        corner = sic_rates_two_user(*exact, *snrs, order)
-        rates_o = sic_rates_oracle(vecs, snrs, tag)
-        worst = max(abs(corner.r1 - rates_o[0]), abs(corner.r2 - rates_o[1]))
-        checks.append(CheckRow(
-            f"decode corner {order}", corner.r1 + corner.r2, sum(rates_o),
-            f"per-rate abs <= {TOL_MAC_FORMULA_ABS:g}", worst <= TOL_MAC_FORMULA_ABS,
-        ))
-
-    bc_closed = bc_capacity_two_user(*exact, bc_cfg)
-    _finite(("downlink sum capacity",), (bc_closed,))
-    checks.append(_bc_grid_check(bc_closed, exact, bc_cfg))
-    checks += _bc_duality_checks(vecs, exact, bc_cfg)
-    checks.append(_mc_check(vecs, exact, bc_cfg))
+    for kind in (_KINDS["mac"], _KINDS["bc"], _KINDS["mc"]):
+        link = scenario.mac_cfg if kind.uplink else scenario.bc_cfg
+        checks += kind.verify(scenario, geom, users, link, exact,
+                              kind.formulas(*exact, link), pair)
     return checks, header

@@ -201,8 +201,10 @@ def _scalar_mc(g1, g2, rho, var1, var2, power):
     elif b <= rho * a:
         eta = b
     else:
-        root = math.sqrt(var1) * math.sqrt(var2) * math.sqrt(g1 * g2 * rho)
-        eta = g1 * g2 * (1.0 - rho) / (var2 * g1 + var1 * g2 - 2.0 * root)
+        s1, s2, r1, r2 = map(math.sqrt, (var1, var2, g1, g2))
+        gap = s2 * r1 - s1 * r2
+        chi = gap * gap + 2.0 * s1 * s2 * r1 * r2 * (1.0 - rho) / (1.0 + math.sqrt(rho))
+        eta = g1 * g2 * (1.0 - rho) / chi
     return math.log2(1.0 + power * eta)
 
 

@@ -4,6 +4,7 @@ K-user upper bound, and large-array limits.
 """
 
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ def test_branch_boundary_is_continuous():
     assert below == pytest.approx(at, abs=1e-9)
     assert above == pytest.approx(at, abs=1e-9)
     assert at == pytest.approx(math.log2(1 + power * pivot), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1 - 2**-53, 1 - 1e-10, 1 - 1e-6, 0.5])
+@pytest.mark.parametrize(("var1", "var2", "ratio"), [(1.0, 1.0, 1.0), (0.5, 2.0, 1.0),
+                                                     (1.0, 1.0, 1 + 1e-9)])
+def test_balanced_capacity_holds_as_correlation_nears_one(rho, var1, var2, ratio):
+    """Equal or nearly equal weighted gains g_k / var_k at rho near 1:
+    the capacity is within 1e-14 relative of a 50-digit Decimal
+    evaluation of the three branches, log2(1 + P eta)."""
+    getcontext().prec = 50
+    g = 3.14081413554e-3
+    g1, g2 = g * var1, g * var2 * ratio
+    d1, d2, dr, v1, v2 = map(Decimal, (g1, g2, rho, var1, var2))
+    a, b = d1 / v1, d2 / v2
+    if a <= dr * b or b <= dr * a:
+        eta = min(a, b)
+    else:
+        chi = v2 * d1 + v1 * d2 - 2 * (v1 * v2 * d1 * d2 * dr).sqrt()
+        eta = d1 * d2 * (1 - dr) / chi
+    exact = (1 + 1000 * eta).ln() / Decimal(2).ln()
+    cap = mc_capacity_two_user(g1, g2, rho, var1, var2, 1000.0)
+    assert cap == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_capacity_nondecreasing_in_correlation():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,29 @@ def test_preset_matches_stored_table(tmp_path, name):
     assert out.read_bytes() == (PRESET_DATA / f"{name}.csv").read_bytes()
 
 
+def test_readme_states_the_presets_tie_margin():
+    """How far each non-zero preset value lies from a 12-digit rounding
+    tie, in ulps of the value, by exact decimal arithmetic. The README
+    states the smallest margin, so a change that moves a value toward a
+    tie, where another loop's last bit would move a printed digit, must
+    restate it."""
+    margins = []
+    with localcontext(prec=80):
+        for name in sorted(PRESETS):
+            for v in reproduce(name).table.ravel().tolist():
+                if v != 0.0:
+                    step = Decimal(1).scaleb(Decimal(v).adjusted() - 11)
+                    tie = abs(Decimal(v) % step - step / 2)
+                    margins.append((float(tie / Decimal(math.ulp(v))), name, v))
+    margins.sort()
+    (least, name, v), (second, *_) = margins[:2]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    stated = (f"Of the {len(margins)} non-zero values of the preset tables, the one "
+              f"nearest to a 12-digit rounding tie lies {least:.2f} ulps from it "
+              f"(`{name}`, {v!r}); the next lies {second:.2f} ulps from one.")
+    assert stated in " ".join(readme.split())
+
+
 # numpy's dispatched SIMD levels above its baseline, lowest first, and
 # the ones this process was told not to use, which the CPU has
 _SIMD_LEVELS = list(_umath.__cpu_dispatch__)
@@ -855,6 +879,35 @@ def test_ff_verify_holds_up_to_the_ff_range_limit(tmp_path, capsys, range_m):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise_var", ["1e-160", "1e-300"])
+def test_bc_verify_holds_for_a_tiny_noise_variance(tmp_path, capsys, noise_var):
+    """User 1's noise variance at 1e-160 or 1e-300: its noise-scaled
+    channel squared overflows, yet the duality gap is taken on the
+    channel vectors, and bc --verify and verify pass with no warning."""
+    path = tmp_path / "tiny.ini"
+    path.write_text(f"[link]\nnoise_var1 = {noise_var}\n")
+    out = tmp_path / "bc.csv"
+    assert main(["bc", "--verify", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("key", ["noise_var1", "noise_var2"])
+def test_a_noise_variance_beyond_range_exits_two(tmp_path, capsys, key):
+    "At 1e-306 the downlink SNR overflows: one line, exit 2."
+    path = tmp_path / "tiny.ini"
+    path.write_text(f"[link]\n{key} = 1e-306\n")
+    for command in (["bc", "--verify"], ["verify"]):
+        assert main([*command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: per_user_snr_hat[")
+
+
 def test_mc_verify_fails_a_capacity_that_overstates(tmp_path, monkeypatch):
     "A multicast capacity 1e-6 bits too high fails mc --verify and verify."
     exact = sweeps.mc_capacity_two_user
@@ -882,6 +935,18 @@ def test_mc_verify_meets_the_capacity_a_beam_grid_misses(capsys):
     assert main(["mc", "--verify", "--config", str(MC_BLIND_SPOT_INI)]) == 0
 
 
+def test_mc_verify_holds_for_users_at_one_place(tmp_path, capsys):
+    """User 2 at user 1's range and angles: the exact statistics have
+    equal gains and rho within an ulp of 1, where the multicast capacity
+    must not cancel. mc --verify and verify pass."""
+    path = tmp_path / "same.ini"
+    path.write_text("[user2]\ndirection = same\nrange_m = 10\n")
+    out = tmp_path / "mc.csv"
+    assert main(["mc", "--verify", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_columns_are_the_report_oracles(tmp_path):
     "At 21 x 21 the report runs at the scenario's size, on the same checks."
     scn = _scenario(tmp_path, "[array]\nm_per_axis = 21\n")
@@ -897,6 +962,52 @@ def test_verify_columns_are_the_report_oracles(tmp_path):
     assert channel["ccf_oracle"] == report["ccf"]
     assert oracles(run_mac)["c_oracle"] == report["uplink sum capacity"]
     assert oracles(run_mc)["c_oracle"] == report["multicast capacity"]
+
+
+def test_mac_verify_checks_the_decode_corners(tmp_path, monkeypatch, capsys):
+    """A u2_first corner 1e-6 bits off fails mac --verify, as it fails
+    verify: the corner checks count toward verify_ok and add no column."""
+    exact = sweeps.sic_rates_two_user
+
+    def skewed(*args):
+        rates = exact(*args)
+        return replace(rates, r1=rates.r1 + 1e-6) if args[-1] == "u2_first" else rates
+
+    scn = _scenario(tmp_path, "[array]\nm_per_axis = 9\n")
+    columns = run_mac(scn, verify=True).columns
+    monkeypatch.setattr(sweeps, "sic_rates_two_user", skewed)
+    res = run_mac(scn, verify=True)
+    assert res.columns == columns
+    assert res.column("verify_ok").tolist() == [0.0]
+    (violation,) = res.violations
+    assert "decode corner u2_first: closed" in violation
+    failed = [row.name for row in verification_report(scn)[0] if not row.ok]
+    assert failed == ["decode corner u2_first"]
+    path = tmp_path / "scn.ini"
+    assert main(["mac", "--verify", "--config", str(path)]) == 3
+    assert "verification found 1 violation(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["NF", "FF"])
+def test_verify_rows_are_the_kinds_checks(tmp_path, model):
+    """verify prints the channel checks, the rule row, then the checks of
+    mac, bc and mc --verify, in that order, each list from its kind."""
+    scn = _scenario(tmp_path, f"[array]\nm_per_axis = 9\n[link]\nmodel = {model}\n")
+    pair = sweeps.pair_sum_oracle(scn.geometry, *scn.users, model.lower())
+    names = []
+    for name in ("channel", "mac", "bc", "mc"):
+        kind = sweeps._KINDS[name]
+        link = scn.mac_cfg if kind.uplink else scn.bc_cfg
+        checks = kind.verify(scn, scn.geometry, scn.users, link, pair[1],
+                             kind.formulas(*pair[1], link), pair)
+        names += [check.name for check in checks]
+        if name == "channel":
+            names.append(f"ccf quadrature T={scn.quadrature_nodes}")
+    assert [row.name for row in verification_report(scn)[0]] == names
+    assert names[3:] == [
+        "ccf quadrature T=200", "uplink sum capacity", "decode corner u1_first",
+        "decode corner u2_first", "downlink sum capacity", "downlink duality",
+        "downlink covariance power", "multicast capacity"]
 
 
 def test_every_traced_name_resolves():

@@ -1,8 +1,10 @@
 """The trajectory writer of benchmarks/trajectory.py on recorded output:
-a perfbench stdout and the committed BENCH_*.json files. No run is made."""
+a perfbench stdout, the committed BENCH_*.json files, and the dirty paths
+of a throwaway git repository. No perfbench run is made."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,39 @@ def test_committed_trajectory_files_match_their_runs():
         bench["runs"][0]["values"]["wall_s"] *= 2
         with pytest.raises(ValueError, match="summary does not match"):
             trajectory.check(bench)
+
+
+def test_dirty_paths_are_the_tracked_changes(tmp_path, monkeypatch):
+    "A staged and an unstaged edit are listed; an untracked file is not."
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name in ("README.md", "code.py", "same.txt"):
+        (tmp_path / name).write_text("one\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "init")
+    monkeypatch.chdir(tmp_path)
+    assert trajectory._dirty_paths() == []
+    (tmp_path / "code.py").write_text("two\n")
+    (tmp_path / "README.md").write_text("two\n")
+    git("add", "README.md")
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert trajectory._dirty_paths() == ["README.md", "code.py"]
+
+
+def test_dirty_flag_must_match_its_paths():
+    "check() reads dirty_paths where a file has them, and the bool alone where not."
+    bench = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
+    for before, after in (([], []), (["README.md"], []), ([], ["ROADMAP.md"])):
+        bench.update(dirty=bool(before or after),
+                     dirty_paths={"before": before, "after": after})
+        trajectory.check(bench)
+        bench["dirty"] = not bench["dirty"]
+        with pytest.raises(ValueError, match="does not match the paths"):
+            trajectory.check(bench)
+    del bench["dirty_paths"]
+    bench["dirty"] = "yes"
+    with pytest.raises(ValueError, match="not a bool"):
+        trajectory.check(bench)
