@@ -882,9 +882,10 @@ def test_ff_verify_holds_up_to_the_ff_range_limit(tmp_path, capsys, range_m):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise_var", ["1e-160", "1e-300"])
 def test_bc_verify_holds_for_a_tiny_noise_variance(tmp_path, capsys, noise_var):
-    """User 1's noise variance at 1e-160 or 1e-300: its noise-scaled
-    channel squared overflows, yet the duality gap is taken on the
-    channel vectors, and bc --verify and verify pass with no warning."""
+    """User 1's noise variance at 1e-160 or 1e-300: a quadratic form on
+    its noise-scaled channel would overflow, but the duality gap divides
+    the form on the channel vector instead, and bc --verify and verify
+    pass with no warning."""
     path = tmp_path / "tiny.ini"
     path.write_text(f"[link]\nnoise_var1 = {noise_var}\n")
     out = tmp_path / "bc.csv"
